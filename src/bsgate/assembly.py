@@ -323,10 +323,6 @@ def normalize_trace(entries: tuple) -> tuple:
     return min(rotations)
 
 
-def euler_characteristic(asm: AssembledSurface, index: int) -> int:
-    return asm.components[index].euler
-
-
 def roundtrip_weights(asm: AssembledSurface) -> dict[str, int]:
     """Recount copies per sector from the assembled faces."""
     out = {s.id: 0 for s in asm.complex.sectors}

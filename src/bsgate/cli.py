@@ -6,7 +6,8 @@ identical inputs diff byte-for-byte.  Exit codes: 0 for a completed run
 (whatever the verdict), 1 for usage, parse, or file problems, 2 for
 validation and domain failures, 3 when an internal invariant breaks
 (a certificate that does not verify, an oracle disagreement, a split
-that corrupts its output).
+that corrupts its output) or any other exception escapes
+(``internal-error``).
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class _OracleDisagreement(Exception):
     pass
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+class _Violation(Exception):
+    """The input complex parses but fails validation (exit code 2)."""
 
 
 def _read(path_str: str) -> tuple[str, str]:
@@ -97,7 +98,25 @@ def _read(path_str: str) -> tuple[str, str]:
         text = path.read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read {path_str}: {exc.strerror}")
-    return text, _sha256(path)
+    return text, hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _load_valid_complex(args, lines, sidecar: Optional[str] = None,
+                        header: tuple[str, ...] = ()):
+    """Read, digest, parse and validate ``args.input``; the text of the
+    file named by ``args.<sidecar>`` is read and digested alongside."""
+    text, digest = _read(args.input)
+    side_text, side_digest = (_read(getattr(args, sidecar)) if sidecar
+                              else (None, None))
+    lines.append(f"input-sha256: {digest}")
+    if sidecar:
+        lines.append(f"{sidecar}-sha256: {side_digest}")
+    lines.extend(header)
+    cx = parse_complex(text)
+    validation = validate(cx)
+    if not validation.ok():
+        raise _Violation(validation.violations[0])
+    return cx, side_text
 
 
 def _error_code(exc: Exception) -> str:
@@ -163,19 +182,12 @@ def _cmd_validate(args, lines) -> int:
 
 
 def _cmd_detect(args, lines) -> int:
-    text, digest = _read(args.input)
-    lines.append(f"input-sha256: {digest}")
-    lines.append(f"kind: {args.kind}")
-    cx = parse_complex(text)
-    validation = validate(cx)
-    if not validation.ok():
-        lines.append(f"violation: {validation.violations[0]}")
-        return 2
+    cx, _ = _load_valid_complex(args, lines, header=(f"kind: {args.kind}",))
     if args.kind == "criterion":
         verdict = criterion(cx)
         lines.append(f"passes: {'true' if verdict.passes else 'false'}")
-        for label, cert, kind in (("neg-tisc", verdict.neg_tisc, KINDS[0]),
-                                  ("isc", verdict.isc, KINDS[2])):
+        for label, cert in (("neg-tisc", verdict.neg_tisc),
+                            ("isc", verdict.isc)):
             lines.append(f"{label}: "
                          f"{'feasible' if cert.feasible else 'infeasible'}")
             if cert.feasible:
@@ -200,15 +212,7 @@ def _cmd_detect(args, lines) -> int:
 
 
 def _cmd_assemble(args, lines) -> int:
-    text, digest = _read(args.input)
-    wtext, wdigest = _read(args.weights)
-    lines.append(f"input-sha256: {digest}")
-    lines.append(f"weights-sha256: {wdigest}")
-    cx = parse_complex(text)
-    validation = validate(cx)
-    if not validation.ok():
-        lines.append(f"violation: {validation.violations[0]}")
-        return 2
+    cx, wtext = _load_valid_complex(args, lines, sidecar="weights")
     weights = parse_weights(wtext, cx)
     asm = assemble(cx, weights, args.kind)
     lines.append(f"kind: {args.kind}")
@@ -240,17 +244,10 @@ def _describe_split(lines, res) -> None:
 
 
 def _cmd_split(args, lines) -> int:
-    text, digest = _read(args.input)
-    lines.append(f"input-sha256: {digest}")
-    cx = parse_complex(text)
-    validation = validate(cx)
-    if not validation.ok():
-        lines.append(f"violation: {validation.violations[0]}")
-        return 2
+    cx, _ = _load_valid_complex(args, lines)
     locus = locus_from_strings(cx, args.sector, args.entry, args.exit)
     if args.choice == "safe":
-        safe = safe_split(cx, locus)
-        res = safe.split
+        res = safe_split(cx, locus).split
         lines.append("criterion-preserved: true")
     else:
         res = split(cx, locus, args.choice)
@@ -262,15 +259,7 @@ def _cmd_split(args, lines) -> int:
 
 
 def _cmd_schedule(args, lines) -> int:
-    text, digest = _read(args.input)
-    ptext, pdigest = _read(args.plan)
-    lines.append(f"input-sha256: {digest}")
-    lines.append(f"plan-sha256: {pdigest}")
-    cx = parse_complex(text)
-    validation = validate(cx)
-    if not validation.ok():
-        lines.append(f"violation: {validation.violations[0]}")
-        return 2
+    cx, ptext = _load_valid_complex(args, lines, sidecar="plan")
     rows = []
     for lno, raw in enumerate(ptext.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -288,8 +277,8 @@ def _cmd_schedule(args, lines) -> int:
                      f"choice {step.choice}")
     lines.append(f"final-sectors: {len(result.complex.sectors)}")
     lines.append(f"final-double-points: {len(result.complex.dps)}")
-    verdict = criterion(result.complex)
-    lines.append(f"criterion: {'passes' if verdict.passes else 'fails'}")
+    lines.append(
+        f"criterion: {'passes' if result.verdict.passes else 'fails'}")
     if args.out:
         Path(args.out).write_text(print_complex(result.complex))
         lines.append(f"out: {args.out}")
@@ -486,6 +475,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         lines.append(f"error: usage-error: {exc}")
         code = 1
+    except _Violation as exc:
+        lines.append(f"violation: {exc}")
+        code = 2
     except ParseError as exc:
         lines.append(f"error: parse-error: {exc}")
         code = 1
@@ -497,6 +489,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = 3
     except _INTERNAL_ERRORS as exc:
         lines.append(f"error: {_error_code(exc)}: {exc}")
+        code = 3
+    except Exception as exc:  # a bug: still one report, exit code 3
+        lines.append(f"error: internal-error: {type(exc).__name__}: {exc}")
         code = 3
     print("\n".join(lines))
     print(f"# duration-ms {int((time.monotonic() - started) * 1000)}")

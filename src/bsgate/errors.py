@@ -60,6 +60,8 @@ class PreconditionFailed(BsgateError):
 class InvariantViolation(BsgateError):
     """An invariant that can only fail through a bug failed at runtime."""
 
+    verdicts: dict | None = None  # a safe split's failed over/under verdicts
+
 
 class ChartError(BsgateError):
     """Chart-level precondition or grid-format failure."""

@@ -103,10 +103,6 @@ dp Q sign -
 }
 
 
-def block_names() -> tuple[str, ...]:
-    return tuple(sorted(_BLOCKS))
-
-
 def _renamed(cx: BranchedSurfaceComplex, prefix: str,
              ) -> BranchedSurfaceComplex:
     def seg_item(it):

@@ -22,7 +22,7 @@ worth keeping in mind when reading them:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BadMove,
@@ -74,12 +74,6 @@ class SplitRecord:
     dp_left: Optional[str]
     dp_right: Optional[str]
 
-    def image(self, sector_id: str) -> str:
-        for old, new in self.sector_images:
-            if old == sector_id:
-                return new
-        raise KeyError(sector_id)
-
 
 @dataclass(frozen=True)
 class SplitResult:
@@ -112,6 +106,7 @@ class ScheduleStep:
 class ScheduleResult:
     complex: BranchedSurfaceComplex
     steps: tuple[ScheduleStep, ...]
+    verdict: Verdict  # criterion on ``complex``
 
 
 def _resolve(cx: BranchedSurfaceComplex, locus: SplitLocus):
@@ -300,14 +295,24 @@ def _allocate_names(cx: BranchedSurfaceComplex, z: str, gin: BranchSegment,
         n += 1
 
 
-def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
-          choice: str) -> SplitResult:
-    if choice not in CHOICES:
-        raise InvalidLocus(f"unknown move choice {choice!r}")
+def _require_valid(cx: BranchedSurfaceComplex) -> None:
     report = validate(cx)
     if report.violations:
         raise InvalidLocus(
             "input complex fails validation: " + report.violations[0])
+
+
+def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
+          choice: str) -> SplitResult:
+    if choice not in CHOICES:
+        raise InvalidLocus(f"unknown move choice {choice!r}")
+    _require_valid(cx)
+    return _rewrite(cx, locus, choice)
+
+
+def _rewrite(cx: BranchedSurfaceComplex, locus: SplitLocus,
+             choice: str) -> SplitResult:
+    """The move itself, on a complex that has already passed ``validate``."""
     sec, ent, ext = _resolve(cx, locus)
     if ext.side != "one":
         raise BadMove(
@@ -591,16 +596,13 @@ def pushforward_weights(cxp: BranchedSurfaceComplex,
     return {old: weights.get(new, 0) for old, new in record.sector_images}
 
 
-def safe_split(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SafeSplitResult:
-    """Split so the result stays clean, trying over before under."""
-    if not criterion(cx).passes:
-        raise PreconditionFailed(
-            "criterion fails on the input complex; nothing to preserve")
-    over_res = split(cx, locus, OVER)
+def _commit(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SafeSplitResult:
+    """Over, else under, on a validated complex whose criterion passes."""
+    over_res = _rewrite(cx, locus, OVER)
     v_over = criterion(over_res.complex)
     if v_over.passes:
         return SafeSplitResult(over_res, OVER, (("over", v_over),))
-    under_res = split(cx, locus, UNDER)
+    under_res = _rewrite(cx, locus, UNDER)
     v_under = criterion(under_res.complex)
     if v_under.passes:
         return SafeSplitResult(under_res, UNDER,
@@ -610,41 +612,51 @@ def safe_split(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SafeSplitResult
         f"{locus.sector} {locus.entry}->{locus.exit}; "
         f"over witness {dict(v_over.neg_tisc.witness or {})}, "
         f"under witness {dict(v_under.neg_tisc.witness or {})}")
-    err.verdicts = {"over": v_over, "under": v_under}  # type: ignore
+    err.verdicts = {"over": v_over, "under": v_under}
     raise err
+
+
+def safe_split(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SafeSplitResult:
+    """Split so the result stays clean, trying over before under."""
+    if not criterion(cx).passes:
+        raise PreconditionFailed(
+            "criterion fails on the input complex; nothing to preserve")
+    _require_valid(cx)
+    return _commit(cx, locus)
+
+
+def _fold(cx: BranchedSurfaceComplex, rows: Iterable,
+          resolve: Callable[[BranchedSurfaceComplex, Any], SplitLocus],
+          ) -> ScheduleResult:
+    """Commit one safe split per row, tagging failures with the step.  A
+    committed output's verdict is the next step's input verdict."""
+    verdict = criterion(cx)
+    if not verdict.passes:
+        raise PreconditionFailed("criterion fails on the initial complex")
+    cur = cx
+    steps: list[ScheduleStep] = []
+    for i, row in enumerate(rows):
+        try:
+            locus = resolve(cur, row)
+            if i == 0:  # later inputs are outputs the rewrite validated
+                _require_valid(cur)
+            res = _commit(cur, locus)
+        except BsgateError as exc:
+            exc.args = (f"step {i}: {exc}",)
+            raise
+        steps.append(ScheduleStep(i, locus, res.choice, res.verdicts))
+        cur, verdict = res.complex, res.verdicts[-1][1]
+    return ScheduleResult(cur, tuple(steps), verdict)
 
 
 def run_schedule(cx: BranchedSurfaceComplex,
                  schedule: Sequence[SplitLocus]) -> ScheduleResult:
-    """Fold safe_split over a schedule, tagging failures with the step."""
-    if not criterion(cx).passes:
-        raise PreconditionFailed("criterion fails on the initial complex")
-    cur = cx
-    steps: list[ScheduleStep] = []
-    for i, locus in enumerate(schedule):
-        try:
-            res = safe_split(cur, locus)
-        except BsgateError as exc:
-            raise type(exc)(f"step {i}: {exc}") from exc
-        steps.append(ScheduleStep(i, locus, res.choice, res.verdicts))
-        cur = res.complex
-    return ScheduleResult(cur, tuple(steps))
+    """Fold safe splits over a schedule, tagging failures with the step."""
+    return _fold(cx, schedule, lambda cur, locus: locus)
 
 
 def run_plan(cx: BranchedSurfaceComplex,
              rows: Iterable[tuple[str, str, str]]) -> ScheduleResult:
     """Like run_schedule, but each row names its locus in text form
     against the complex as it stands at that step."""
-    if not criterion(cx).passes:
-        raise PreconditionFailed("criterion fails on the initial complex")
-    cur = cx
-    steps: list[ScheduleStep] = []
-    for i, (sector, entry, exit_) in enumerate(rows):
-        try:
-            locus = locus_from_strings(cur, sector, entry, exit_)
-            res = safe_split(cur, locus)
-        except BsgateError as exc:
-            raise type(exc)(f"step {i}: {exc}") from exc
-        steps.append(ScheduleStep(i, locus, res.choice, res.verdicts))
-        cur = res.complex
-    return ScheduleResult(cur, tuple(steps))
+    return _fold(cx, rows, lambda cur, row: locus_from_strings(cur, *row))

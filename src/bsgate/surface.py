@@ -127,10 +127,14 @@ class RoleAssignment:
     def as_dict(self) -> dict[str, str]:
         return {r: getattr(self, r) for r in ROLES}
 
-    def mirrored_map(self) -> dict[str, str]:
-        m = self.as_dict()
+    @staticmethod
+    def mirror(m: dict[str, str]) -> dict[str, str]:
+        """Role map under the symmetry swapping x with v and w with y."""
         return {"z": m["z"], "u": m["u"], "x": m["v"], "v": m["x"],
                 "w": m["y"], "y": m["w"]}
+
+    def mirrored_map(self) -> dict[str, str]:
+        return self.mirror(self.as_dict())
 
     def corner_coeffs(self) -> dict[str, int]:
         """Sparse coefficients of the corner form z + u - x - v."""
@@ -193,12 +197,6 @@ def _end_of_item(seg: BranchSegment, side: str, which: str) -> Union[SegmentEnd,
     return seg.end1 if which == "prev" else seg.end0
 
 
-def _germ(cx: BranchedSurfaceComplex, dp_id: str, slot_entry) -> tuple[str, str, str]:
-    gid, _ei = slot_entry
-    g = cx.segment_by_id[gid]
-    return (g.one, g.up, g.lo)
-
-
 _PATTERN = (
     # (constraint role, (germ offset a, field b), (germ offset c, field d))
     # fields: 0 = one, 1 = eps side, 2 = opposite of eps
@@ -245,7 +243,8 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
         raise NoConsistentRoles(f"unknown double point {dp_id}")
     if any(e is None for e in slots):
         raise NoConsistentRoles(f"double point {dp_id} does not have four ends")
-    germs = [_germ(cx, dp_id, e) for e in slots]
+    germs = [(g.one, g.up, g.lo)
+             for g in (cx.segment_by_id[gid] for gid, _ei in slots)]
 
     found: list[tuple[int, str, dict[str, str]]] = []
     for a in range(4):
@@ -257,10 +256,8 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
         raise NoConsistentRoles(f"role derivation failed at dp:{dp_id}")
 
     def canon(m: dict[str, str]) -> tuple:
-        mirror = {"z": m["z"], "u": m["u"], "x": m["v"], "v": m["x"],
-                  "w": m["y"], "y": m["w"]}
         key = tuple(sorted(m.items()))
-        mkey = tuple(sorted(mirror.items()))
+        mkey = tuple(sorted(RoleAssignment.mirror(m).items()))
         return min(key, mkey)
 
     canonical = {canon(m) for _a, _e, m in found}
@@ -380,12 +377,6 @@ def validate(cx: BranchedSurfaceComplex) -> ValidationReport:
             if len(occ) != 1 or occ[0] != want:
                 rep.add(f"segment {g.id} side {role} must appear exactly once "
                         f"on sector {want}'s boundary (found {occ})")
-    for (gid, side), occ in occurrences.items():
-        if side not in SIDES:
-            continue
-        g = cx.segment_by_id.get(gid)
-        if g is None:
-            continue
 
     # vertex/end flank consistency and circle-word shape
     for s in cx.sectors:

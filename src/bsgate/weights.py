@@ -249,13 +249,18 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
     """Lexicographically least satisfying vector with entries in [0, bound].
 
     Exhaustive; a miss does not prove infeasibility.  Serves as the
-    independent oracle for :func:`feasible`.
+    independent oracle for :func:`feasible`.  Refuses a search space of
+    (bound+1)**n > 2**26 candidates (about 30 s on a 2-vCPU x86-64 VM;
+    the tests need 7**9): far enough past it int64 arithmetic overflows.
     """
     if bound < 1:
         raise MalformedSystem("bound must be >= 1")
     _check_system(system)
     variables = system.variables
     n = len(variables)
+    if (bound + 1) ** n > 1 << 26:
+        raise MalformedSystem(
+            f"oracle search space {bound + 1}^{n} exceeds 2^26 candidates")
     col = {s: j for j, s in enumerate(variables)}
 
     def as_row(form: LinForm) -> np.ndarray:

@@ -7,8 +7,11 @@ the degree-<=2 endpoint-pairing graph, and the inclusion-exclusion sum
 instead of the implementation's quotient-complex count.
 """
 
+import functools
+
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsgate.assembly import (
@@ -20,7 +23,14 @@ from bsgate.assembly import (
 )
 from bsgate.errors import WeightsNotSatisfying
 from bsgate.surface import SegItem
-from bsgate.weights import ISC, NEG_TISC, POS_TISC, corner_form, segment_form
+from bsgate.weights import (
+    ISC,
+    NEG_TISC,
+    POS_TISC,
+    build_system,
+    corner_form,
+    segment_form,
+)
 
 from conftest import load
 
@@ -286,6 +296,26 @@ def test_kind_matched_component_present():
             assert want in asm.classifications, (name, kind)
 
 
+@functools.lru_cache(maxsize=None)
+def satisfying_vectors(name, kind):
+    """Every weight vector with entries <= 3 that ``kind``'s equalities and
+    inequalities accept (strictness aside, as in ``check_weights``)."""
+    cx = load(name)
+    system = build_system(cx, kind)
+    col = {s: j for j, s in enumerate(system.variables)}
+    n = len(col)
+    grid = np.indices((4,) * n).reshape(n, -1).T
+    ok = np.ones(len(grid), dtype=bool)
+    for forms, accept in ((system.equalities, np.equal),
+                          (system.inequalities, np.greater_equal)):
+        for form in forms:
+            row = np.zeros(n, dtype=np.int64)
+            for s, c in form.coeffs:
+                row[col[s]] += c
+            ok &= accept(grid @ row, 0)
+    return [dict(zip(system.variables, map(int, vec))) for vec in grid[ok]]
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_random_satisfying_vectors_conserve(data):
@@ -293,13 +323,8 @@ def test_random_satisfying_vectors_conserve(data):
         ["fix-tdisc.bsf", "fix-split.bsf", "fix-doc.bsf", "fix-cross.bsf"]))
     cx = load(name)
     kind = data.draw(st.sampled_from([NEG_TISC, POS_TISC, ISC]))
-    w = {s.id: data.draw(st.integers(min_value=0, max_value=3),
-                         label=s.id) for s in cx.sectors}
-    try:
-        asm = assemble(cx, w, kind)
-    except WeightsNotSatisfying:
-        assume(False)
-        return
+    w = data.draw(st.sampled_from(satisfying_vectors(name, kind)))
+    asm = assemble(cx, w, kind)
     assert roundtrip_weights(asm) == w
     assert sum(c.euler for c in asm.components) == chi_total_oracle(cx, w)
     runs = boundary_run_counts(asm)

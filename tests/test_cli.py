@@ -7,11 +7,12 @@ these double as a determinism check.
 """
 
 import re
+from hashlib import sha256
 
 import numpy as np
 import pytest
 
-from bsgate import cli
+from bsgate import __version__, cli
 from bsgate.charts import parse_grid, sample_annulus, sample_box, print_grid
 from bsgate.cli import main
 from bsgate.parser import parse_complex
@@ -74,6 +75,51 @@ def test_structural_violations_exit_two(capsys, tmp_path):
     assert code == 2
     assert "violations: 3" in lines
     assert sum(l.startswith("violation:") for l in lines) == 3
+
+
+LOOSE_VIOLATION = ("violation: segment zz side one must appear exactly once "
+                   "on sector O's boundary (found [])")
+
+
+def _digest(path) -> str:
+    return sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (("detect", "--kind", "criterion"), ["kind: criterion"]),
+    (("assemble", "--kind", "isc", "--weights", "fix-doc-isc.w"),
+     [f"weights-sha256: {_digest(FIXTURES / 'fix-doc-isc.w')}"]),
+    (("split", "--sector", "O", "--entry", "0:0:one", "--exit", "0:1:one",
+      "--choice", "over"), []),
+    (("schedule", "--plan", "clean3.plan"),
+     [f"plan-sha256: {_digest(FIXTURES / 'clean3.plan')}"]),
+], ids=["detect", "assemble", "split", "schedule"])
+def test_violation_reports_are_pinned(capsys, tmp_path, argv, extra):
+    # every handler that loads a complex reports a structural violation
+    # the same way: digests first, then the first violation, exit code 2
+    p = tmp_path / "loose.bsf"
+    p.write_text(fixture_text("fix-split.bsf")
+                 + "segment zz circle one O up L lo L\n")
+    argv = [fx(a) if a.startswith("fix-") or a.endswith(".plan") else a
+            for a in argv]
+    code, lines = run(capsys, *argv, str(p))
+    assert code == 2
+    assert lines == [f"bsgate-report {argv[0]}", f"version: {__version__}",
+                     f"input-sha256: {_digest(p)}", *extra, LOOSE_VIOLATION]
+
+
+def test_stray_exception_exits_three_with_one_report(capsys, monkeypatch):
+    def broken(args, lines):
+        lines.append("input-sha256: 0")
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", broken)
+    assert main(["validate", fx("fix-split.bsf")]) == 3
+    out = capsys.readouterr().out.rstrip("\n").split("\n")
+    assert out[:-1] == ["bsgate-report validate", f"version: {__version__}",
+                        "input-sha256: 0",
+                        "error: internal-error: RuntimeError: boom"]
+    assert TRAILER.match(out[-1])
 
 
 def test_domain_error_exits_two(capsys):

@@ -7,14 +7,17 @@ checked against exhaustive enumeration of closed solutions.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsgate import splitting
 from bsgate.errors import (
     BadMove,
     InvalidLocus,
+    InvariantViolation,
     MalformedSystem,
     PreconditionFailed,
 )
@@ -324,6 +327,47 @@ def test_schedule_error_carries_step_index():
         run_schedule(cx, [good, bad_probe])
     with pytest.raises(PreconditionFailed):
         run_schedule(load("fix-doc.bsf"), [good])
+
+
+def test_step_tag_keeps_the_error_and_its_verdicts(monkeypatch):
+    # both moves "break" the criterion once the complex has 4 crossings,
+    # which happens first at step 1
+    real = splitting.criterion
+
+    def fussy(cx):
+        return replace(real(cx), passes=len(cx.dps) < 4)
+
+    monkeypatch.setattr(splitting, "criterion", fussy)
+    cx = load("fix-clean.bsf")
+    first = good_loci(cx)[0]
+    second = good_loci(safe_split(cx, first).complex)[0]
+    with pytest.raises(InvariantViolation) as info:
+        run_schedule(cx, [first, second])
+    assert str(info.value).startswith("step 1: neither the over nor")
+    assert set(info.value.verdicts) == {"over", "under"}
+    assert not info.value.verdicts["under"].passes
+
+
+def test_plan_validates_and_solves_each_complex_once(monkeypatch):
+    solved, validated = [], []
+
+    def counting(log, fn):
+        def wrapper(cx):
+            log.append(cx)
+            return fn(cx)
+        return wrapper
+
+    monkeypatch.setattr(splitting, "criterion",
+                        counting(solved, splitting.criterion))
+    monkeypatch.setattr(splitting, "validate",
+                        counting(validated, splitting.validate))
+    rows = [tuple(line.split()) for line in
+            (FIXTURES / "clean3.plan").read_text().splitlines()]
+    out = run_plan(load("fix-clean3.bsf"), rows)
+    tried = sum(len(step.verdicts) for step in out.steps)
+    assert len(solved) == 1 + tried
+    assert len({id(cx) for cx in validated}) == len(validated) == 1 + tried
+    assert out.verdict.passes
 
 
 def test_frozen_three_step_plan():

@@ -207,6 +207,14 @@ def test_malformed_systems_rejected():
         build_system(load("fix-torus.bsf"), "bogus")
 
 
+def test_brute_force_refuses_oversized_search():
+    # 7**24 candidates: refused up front instead of overflowing int64
+    variables = tuple(f"s{i}" for i in range(24))
+    sys_ = toy([{v: 1 for v in variables}], [0], variables=variables)
+    with pytest.raises(MalformedSystem, match=r"7\^24 exceeds"):
+        brute_force(sys_, 6)
+
+
 def test_corner_form_symmetry_invariant():
     for name, dids in [("fix-tdisc.bsf", ("P", "Q")),
                        ("fix-split.bsf", ("P", "Q"))]:
