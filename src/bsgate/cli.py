@@ -60,7 +60,9 @@ from .splitting import (
 )
 from .surface import validate
 from .weights import (
+    ISC,
     KINDS,
+    NEG_TISC,
     brute_force,
     build_system,
     criterion,
@@ -148,10 +150,14 @@ def _trace_str(trace: tuple) -> str:
     return " ".join(parts) if parts else "(closed)"
 
 
-def _emit_certificate(lines: list[str], system, cert) -> None:
+def _require_verified(system, cert) -> None:
     if not verify_certificate(system, cert):
         raise InvariantViolation(
             f"emitted certificate for {system.kind} fails verification")
+
+
+def _emit_certificate(lines: list[str], system, cert) -> None:
+    _require_verified(system, cert)
     lines.append(f"feasible: {'true' if cert.feasible else 'false'}")
     if cert.feasible:
         for sid in sorted(cert.witness):
@@ -185,6 +191,8 @@ def _cmd_detect(args, lines) -> int:
     cx, _ = _load_valid_complex(args, lines, header=(f"kind: {args.kind}",))
     if args.kind == "criterion":
         verdict = criterion(cx)
+        for kind, cert in ((NEG_TISC, verdict.neg_tisc), (ISC, verdict.isc)):
+            _require_verified(build_system(cx, kind), cert)
         lines.append(f"passes: {'true' if verdict.passes else 'false'}")
         for label, cert in (("neg-tisc", verdict.neg_tisc),
                             ("isc", verdict.isc)):

@@ -1,20 +1,24 @@
-"""Exact phase-one simplex over rationals.
+"""Sparse fraction-free exact simplex (Bland's rule), phase one.
 
 Decides feasibility of ``A x = b, x >= 0`` by minimizing the sum of
-artificial variables, with Bland's least-index anti-cycling rule so runs
-are reproducible.  Returns the optimum together with a primal point and
-the dual row multipliers, which callers turn into Farkas certificates.
+artificial variables.  Each tableau row is a sparse ``{column: int}`` map
+with an ``int`` right-hand side, and stands for the rational row up to a
+positive factor.  A pivot cross-multiplies instead of dividing and then
+divides the row by its gcd, the fraction-free elimination of Bareiss
+(1968) kept small by content removal.  A positive factor changes no sign
+and no ratio, so Bland's least-index rule (1977) makes exactly the pivots
+a rational tableau would, and runs are reproducible.  Returns the optimum
+together with a primal point and the dual row multipliers, which callers
+turn into Farkas certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import InvariantViolation
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -24,64 +28,78 @@ class PhaseOneResult:
     duals: tuple[Fraction, ...]  # one multiplier per row
 
 
-def phase_one(rows: list[list[Fraction]], rhs: list[Fraction]) -> PhaseOneResult:
+def _eliminate(p: int, row: dict[int, int], f: int,
+               prow: dict[int, int]) -> dict[int, int]:
+    """``p * row - f * prow`` without its zero entries."""
+    out = {j: p * c for j, c in row.items()} if p != 1 else dict(row)
+    for j, c in prow.items():
+        v = out.get(j, 0) - f * c
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return out
+
+
+def _divide(row: dict[int, int], g: int) -> dict[int, int]:
+    return {j: c // g for j, c in row.items()} if g > 1 else row
+
+
+def phase_one(rows: list[dict[int, int]], rhs: list[int],
+              n: int) -> PhaseOneResult:
     """Minimize the artificial sum for ``rows . x = rhs``, ``x >= 0``.
 
-    ``rhs`` entries must be nonnegative (callers pre-negate rows).
-    Optimum 0 means the system is feasible and ``x`` is a solution;
-    a positive optimum certifies infeasibility via ``duals``:
-    ``duals . rows <= 0`` componentwise while ``duals . rhs > 0``.
+    ``rows`` are sparse integer maps over the ``n`` real columns; row
+    ``r`` gets artificial column ``n + r``.  ``rhs`` entries must be
+    nonnegative (callers pre-negate rows).  Optimum 0 means the system is
+    feasible and ``x`` is a solution; a positive optimum certifies
+    infeasibility via ``duals``: ``duals . rows <= 0`` componentwise
+    while ``duals . rhs > 0``.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
     if any(b < 0 for b in rhs):
         raise InvariantViolation("phase_one requires nonnegative rhs")
 
-    ncols = n + m  # real columns then one artificial per row
-    tab = []
-    for r in range(m):
-        row = [Fraction(c) for c in rows[r]] + [ZERO] * m + [Fraction(rhs[r])]
-        row[n + r] = ONE
-        tab.append(row)
+    tab = [{**{j: c for j, c in row.items() if c}, n + r: 1}
+           for r, row in enumerate(rows)]
+    b = list(rhs)
     basis = [n + r for r in range(m)]
 
-    # reduced costs for cost vector (0..0, 1..1); all basic costs are 1
-    red = [-sum(tab[r][j] for r in range(m)) for j in range(ncols)]
-    for r in range(m):
-        red[n + r] += ONE
+    # reduced costs of the cost vector (0..0, 1..1) are red / den, den > 0;
+    # all basic costs are 1, so the artificial columns start at 0
+    red: dict[int, int] = {}
+    for row in rows:
+        for j, c in row.items():
+            red[j] = red.get(j, 0) - c
+    red = {j: c for j, c in red.items() if c}
+    den = 1
 
     while True:
-        pc = next((j for j in range(ncols) if red[j] < 0), None)
+        pc = min((j for j, c in red.items() if c < 0), default=None)
         if pc is None:
             break
-        pr = None
-        best = None
-        for r in range(m):
-            a = tab[r][pc]
-            if a > 0:
-                ratio = tab[r][-1] / a
-                key = (ratio, basis[r])
-                if best is None or key < best:
-                    best = key
-                    pr = r
-        if pr is None:
+        hits = [(r, row[pc]) for r, row in enumerate(tab) if pc in row]
+        ratios = [(Fraction(b[r], a), basis[r], r) for r, a in hits if a > 0]
+        if not ratios:
             raise InvariantViolation("phase-one objective unbounded")
-        piv = tab[pr][pc]
-        tab[pr] = [v / piv for v in tab[pr]]
-        for r in range(m):
-            if r != pr and tab[r][pc] != 0:
-                f = tab[r][pc]
-                tab[r] = [v - f * p for v, p in zip(tab[r], tab[pr])]
-        if red[pc] != 0:
-            f = red[pc]
-            for j in range(ncols):
-                red[j] -= f * tab[pr][j]
+        pr = min(ratios)[2]
+        prow, pb, p = tab[pr], b[pr], tab[pr][pc]
+        for r, f in hits:
+            if r != pr:
+                row = _eliminate(p, tab[r], f, prow)
+                rb = p * b[r] - f * pb
+                g = gcd(rb, *row.values())
+                tab[r], b[r] = _divide(row, g), rb // g
+        red = _eliminate(p, red, red[pc], prow)
+        g = gcd(den * p, *red.values())
+        red, den = _divide(red, g), den * p // g
         basis[pr] = pc
 
-    optimum = sum((tab[r][-1] for r in range(m) if basis[r] >= n), ZERO)
-    x = [ZERO] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tab[r][-1]
-    duals = tuple(ONE - red[n + r] for r in range(m))
+    values = [Fraction(b[r], tab[r][basis[r]]) for r in range(m)]
+    optimum = sum((v for v, j in zip(values, basis) if j >= n), Fraction(0))
+    x = [Fraction(0)] * n
+    for v, j in zip(values, basis):
+        if j < n:
+            x[j] = v
+    duals = tuple(1 - Fraction(red.get(n + r, 0), den) for r in range(m))
     return PhaseOneResult(optimum, tuple(x), duals)

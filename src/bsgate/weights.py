@@ -151,34 +151,19 @@ def feasible(system: ConstraintSystem) -> Certificate:
     variables = system.variables
     col = {s: j for j, s in enumerate(variables)}
     n = len(variables)
-    sigma = strict_aggregate(system)
+    nslack = len(system.inequalities)
+
+    def sparse(form: LinForm) -> dict[int, int]:
+        return {col[s]: c for s, c in form.coeffs}
 
     # rows: equalities = 0; inequalities - slack = 0; aggregate - surplus = 1
-    nslack = len(system.inequalities)
-    width = n + nslack + 1
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows = [sparse(form) for form in system.equalities]
+    rows += [{**sparse(form), n + i: -1}
+             for i, form in enumerate(system.inequalities)]
+    rows.append({**sparse(strict_aggregate(system)), n + nslack: -1})
+    rhs = [0] * (len(rows) - 1) + [1]
 
-    def expand(form: LinForm) -> list[Fraction]:
-        row = [Fraction(0)] * width
-        for s, c in form.coeffs:
-            row[col[s]] = Fraction(c)
-        return row
-
-    for form in system.equalities:
-        rows.append(expand(form))
-        rhs.append(Fraction(0))
-    for i, form in enumerate(system.inequalities):
-        row = expand(form)
-        row[n + i] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    agg = expand(sigma)
-    agg[n + nslack] = Fraction(-1)
-    rows.append(agg)
-    rhs.append(Fraction(1))
-
-    res = phase_one(rows, rhs)
+    res = phase_one(rows, rhs, n + nslack + 1)
     if res.optimum == 0:
         witness_vec = _primitive(list(res.x[:n]))
         witness = dict(zip(variables, witness_vec))
@@ -245,6 +230,10 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
     return False
 
 
+# int64 elements in the largest array one brute-force chunk builds (8 MiB)
+_CHUNK_ELEMENTS = 1 << 20
+
+
 def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]]:
     """Lexicographically least satisfying vector with entries in [0, bound].
 
@@ -275,7 +264,8 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
 
     base = bound + 1
     total = base ** n
-    chunk = 1 << 20
+    # candidates per chunk, so that no chunk array exceeds _CHUNK_ELEMENTS
+    chunk = max(1, _CHUNK_ELEMENTS // max(n, len(eq), len(ineq), 1))
     powers = np.array([base ** (n - 1 - k) for k in range(n)], dtype=np.int64)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)

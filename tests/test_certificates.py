@@ -17,7 +17,7 @@ import pytest
 
 from bsgate.gen import random_complex
 from bsgate.splitting import good_loci, split
-from bsgate.weights import KINDS, build_system, feasible
+from bsgate.weights import KINDS, build_system, feasible, verify_certificate
 
 from conftest import FIXTURES, load
 
@@ -80,6 +80,24 @@ def test_certificates_match_snapshot(group):
     got = solve_all(group)
     changed = sorted(k for k, v in got.items() if snapshot()[k] != v)
     assert not changed, f"{len(changed)} certificates changed: {changed[:5]}"
+
+
+@pytest.mark.parametrize("rung, sectors, verdicts", [
+    (30, 54, ("Feasible", "Feasible", "Infeasible")),
+    (40, 74, ("Feasible", "Feasible", "Infeasible")),
+])
+def test_large_rungs_certificates_verify(rung, sectors, verdicts):
+    # past brute force's reach, so soundness is the check here; the
+    # over-ladder fails the criterion from L30 on (neg-tisc feasible)
+    cx = ladder()[rung]
+    assert len(cx.sectors) == sectors
+    got = []
+    for kind in KINDS:
+        system = build_system(cx, kind)
+        cert = feasible(system)
+        assert verify_certificate(system, cert), kind
+        got.append(cert.verdict)
+    assert tuple(got) == verdicts
 
 
 if __name__ == "__main__":

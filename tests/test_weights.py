@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,22 @@ def test_brute_force_refuses_oversized_search():
     sys_ = toy([{v: 1 for v in variables}], [0], variables=variables)
     with pytest.raises(MalformedSystem, match=r"7\^24 exceeds"):
         brute_force(sys_, 6)
+
+
+def test_brute_force_memory_is_bounded():
+    # 2**20 candidates over 20 variables; the least hit is v00 = v19 = 1.
+    # One chunk of all candidates at once peaked at 328 MiB here.
+    variables = tuple(f"v{i:02d}" for i in range(20))
+    sys_ = toy([{"v00": 1}], [0], variables=variables,
+               eqs=[{"v00": 1, "v19": -1}])
+    tracemalloc.start()
+    try:
+        found = brute_force(sys_, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == {v: int(v in ("v00", "v19")) for v in variables}
+    assert peak < 32 << 20
 
 
 def test_corner_form_symmetry_invariant():
