@@ -191,12 +191,12 @@ def _cmd_detect(args, lines) -> int:
     cx, _ = _load_valid_complex(args, lines, header=(f"kind: {args.kind}",))
     if args.kind == "criterion":
         verdict = criterion(cx)
-        for kind, cert in ((NEG_TISC, verdict.neg_tisc), (ISC, verdict.isc)):
+        certs = ((NEG_TISC, verdict.neg_tisc), (ISC, verdict.isc))
+        for kind, cert in certs:
             _require_verified(build_system(cx, kind), cert)
         lines.append(f"passes: {'true' if verdict.passes else 'false'}")
-        for label, cert in (("neg-tisc", verdict.neg_tisc),
-                            ("isc", verdict.isc)):
-            lines.append(f"{label}: "
+        for kind, cert in certs:
+            lines.append(f"{kind}: "
                          f"{'feasible' if cert.feasible else 'infeasible'}")
             if cert.feasible:
                 for sid in sorted(cert.witness):

@@ -3,13 +3,13 @@
 Decides feasibility of ``A x = b, x >= 0`` by minimizing the sum of
 artificial variables.  Each tableau row is a sparse ``{column: int}`` map
 with an ``int`` right-hand side, and stands for the rational row up to a
-positive factor.  A pivot cross-multiplies instead of dividing and then
-divides the row by its gcd, the fraction-free elimination of Bareiss
-(1968) kept small by content removal.  A positive factor changes no sign
-and no ratio, so Bland's least-index rule (1977) makes exactly the pivots
-a rational tableau would, and runs are reproducible.  Returns the optimum
-together with a primal point and the dual row multipliers, which callers
-turn into Farkas certificates.
+positive factor.  A pivot cross-multiplies instead of dividing
+(fraction-free elimination, after Bareiss 1968) and then divides each
+changed row by the gcd of its entries, which keeps the integers small.
+A positive factor changes no sign and no ratio, so Bland's least-index
+rule (1977) makes exactly the pivots a rational tableau would, and runs
+are reproducible.  Returns the optimum together with a primal point and
+the dual row multipliers, which callers turn into Farkas certificates.
 """
 
 from __future__ import annotations

@@ -85,7 +85,7 @@ def test_certificates_match_snapshot(group):
 @pytest.mark.parametrize("rung, sectors, verdicts", [
     (30, 54, ("Feasible", "Feasible", "Infeasible")),
     (40, 74, ("Feasible", "Feasible", "Infeasible")),
-])
+], ids=["L30", "L40"])
 def test_large_rungs_certificates_verify(rung, sectors, verdicts):
     # past brute force's reach, so soundness is the check here; the
     # over-ladder fails the criterion from L30 on (neg-tisc feasible)

@@ -218,7 +218,7 @@ def test_brute_force_refuses_oversized_search():
 
 def test_brute_force_memory_is_bounded():
     # 2**20 candidates over 20 variables; the least hit is v00 = v19 = 1.
-    # One chunk of all candidates at once peaked at 328 MiB here.
+    # Enumerated as one chunk, this search peaks at 328 MiB traced.
     variables = tuple(f"v{i:02d}" for i in range(20))
     sys_ = toy([{"v00": 1}], [0], variables=variables,
                eqs=[{"v00": 1, "v19": -1}])
