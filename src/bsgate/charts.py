@@ -496,8 +496,12 @@ def parse_grid(text: str) -> SlopeGrid:
     try:
         shape = tuple(int(n) for n in stoks[1:])
         bvals = [float(v) for v in btoks[1:]]
+        spacing = [float(v) for v in ptoks[1:]]
     except ValueError as exc:
         raise ChartError(f"bad header number: {exc}") from None
+    if not np.isfinite(bvals + spacing).all():
+        raise ChartError("bad header number: bounds and spacing must be "
+                         "finite")
     bounds: tuple[float, ...] = ()
     if kind == CYLINDER:
         if len(bvals) != 6:
@@ -511,12 +515,15 @@ def parse_grid(text: str) -> SlopeGrid:
         flat = np.array([float(v) for v in body])
     except ValueError as exc:
         raise ChartError(f"bad sample value: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if len(bad):
+        raise ChartError(f"bad sample value: {body[bad[0]].strip()!r} on "
+                         f"line {bad[0] + 5} is not finite")
     nvals = np.prod(shape, dtype=int)
     h = None
     if has_h == "1":
         h = flat[nvals:].reshape(shape)
     grid = SlopeGrid(kind, bounds, flat[:nvals].reshape(shape), h)
-    spacing = tuple(float(v) for v in ptoks[1:])
     if len(spacing) != len(grid.spacings()) or any(
             abs(s - t) > 1e-12 for s, t in zip(spacing, grid.spacings())):
         raise ChartError("spacing line disagrees with shape and bounds")

@@ -101,6 +101,7 @@ dp P sign +
 dp Q sign -
 """, (6, 2)),
 }
+_PARSED = {name: parse_complex(text) for name, (text, _) in _BLOCKS.items()}
 
 
 def _renamed(cx: BranchedSurfaceComplex, prefix: str,
@@ -200,8 +201,6 @@ def random_complex(seed: int, max_sectors: int = 6, max_dps: int = 4,
                    ) -> BranchedSurfaceComplex:
     """Deterministic valid complex within the given size budget."""
     rng = random.Random(seed)
-    parsed = {name: parse_complex(text) for name, (text, _) in
-              _BLOCKS.items()}
     chosen: list[str] = []
     sectors = dps = 0
     while True:
@@ -215,7 +214,7 @@ def random_complex(seed: int, max_sectors: int = 6, max_dps: int = 4,
         dps += _BLOCKS[name][1][1]
         if rng.random() < 0.4:
             break
-    parts = [_renamed(parsed[name], f"b{i}_")
+    parts = [_renamed(_PARSED[name], f"b{i}_")
              for i, name in enumerate(chosen)]
     cx = _union(f"gen-{seed}", parts)
     for k in range(rng.randint(0, 3)):

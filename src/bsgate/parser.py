@@ -8,6 +8,7 @@ afterwards, so documents may order their lines freely.  All errors carry
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -27,21 +28,9 @@ _FORBIDDEN = set(":#") | set(" \t\r\n\f\v")
 
 
 def _tokens(line: str) -> list[tuple[int, str]]:
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    out = []
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(line) and not line[j].isspace():
-            j += 1
-        out.append((i + 1, line[i:j]))
-        i = j
-    return out
+    """(1-based column, token) pairs of ``line`` before any ``#``."""
+    code = line.split("#", 1)[0]
+    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", code)]
 
 
 def _check_id(tok: str, what: str, line: int, col: int) -> str:

@@ -295,24 +295,14 @@ def _allocate_names(cx: BranchedSurfaceComplex, z: str, gin: BranchSegment,
         n += 1
 
 
-def _require_valid(cx: BranchedSurfaceComplex) -> None:
-    report = validate(cx)
-    if report.violations:
-        raise InvalidLocus(
-            "input complex fails validation: " + report.violations[0])
-
-
 def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
           choice: str) -> SplitResult:
     if choice not in CHOICES:
         raise InvalidLocus(f"unknown move choice {choice!r}")
-    _require_valid(cx)
-    return _rewrite(cx, locus, choice)
-
-
-def _rewrite(cx: BranchedSurfaceComplex, locus: SplitLocus,
-             choice: str) -> SplitResult:
-    """The move itself, on a complex that has already passed ``validate``."""
+    report = validate(cx)
+    if report.violations:
+        raise InvalidLocus(
+            "input complex fails validation: " + report.violations[0])
     sec, ent, ext = _resolve(cx, locus)
     if ext.side != "one":
         raise BadMove(
@@ -597,12 +587,12 @@ def pushforward_weights(cxp: BranchedSurfaceComplex,
 
 
 def _commit(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SafeSplitResult:
-    """Over, else under, on a validated complex whose criterion passes."""
-    over_res = _rewrite(cx, locus, OVER)
+    """Over, else under, on a complex whose criterion passes."""
+    over_res = split(cx, locus, OVER)
     v_over = criterion(over_res.complex)
     if v_over.passes:
         return SafeSplitResult(over_res, OVER, (("over", v_over),))
-    under_res = _rewrite(cx, locus, UNDER)
+    under_res = split(cx, locus, UNDER)
     v_under = criterion(under_res.complex)
     if v_under.passes:
         return SafeSplitResult(under_res, UNDER,
@@ -621,7 +611,6 @@ def safe_split(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SafeSplitResult
     if not criterion(cx).passes:
         raise PreconditionFailed(
             "criterion fails on the input complex; nothing to preserve")
-    _require_valid(cx)
     return _commit(cx, locus)
 
 
@@ -638,8 +627,6 @@ def _fold(cx: BranchedSurfaceComplex, rows: Iterable,
     for i, row in enumerate(rows):
         try:
             locus = resolve(cur, row)
-            if i == 0:  # later inputs are outputs the rewrite validated
-                _require_valid(cur)
             res = _commit(cur, locus)
         except BsgateError as exc:
             exc.args = (f"step {i}: {exc}",)

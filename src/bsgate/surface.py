@@ -176,6 +176,17 @@ class BranchedSurfaceComplex:
                         table[end.dp][end.slot] = (g.id, ei)
         return table
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Every structural violation, computed once; see :func:`validate`."""
+        return _violations(self)
+
+    @cached_property
+    def roles(self) -> dict[str, RoleAssignment]:
+        """Corner roles at every double point, derived once; raises like
+        :func:`derive_roles` at the first double point that fails."""
+        return {d.id: derive_roles(self, d.id) for d in self.dps}
+
     def iter_items(self) -> Iterator[tuple[str, int, int, EdgeItem]]:
         """Yield (sector id, word index, item index, item)."""
         for s in self.sectors:
@@ -268,10 +279,6 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
     return RoleAssignment(dp=dp_id, base_slot=a, w_side=eps, **roles)
 
 
-def derive_all_roles(cx: BranchedSurfaceComplex) -> dict[str, RoleAssignment]:
-    return {d.id: derive_roles(cx, d.id) for d in cx.dps}
-
-
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
@@ -287,8 +294,13 @@ def validate(cx: BranchedSurfaceComplex) -> ValidationReport:
     """Check every structural invariant; returns the list of violations.
 
     A clean report (empty list) is the precondition for the weight,
-    assembly and splitting operations.
+    assembly and splitting operations.  The checks run once per complex;
+    each call returns a fresh report.
     """
+    return ValidationReport(list(cx.violations))
+
+
+def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
     rep = ValidationReport()
 
     # identifier uniqueness
@@ -345,8 +357,8 @@ def validate(cx: BranchedSurfaceComplex) -> ValidationReport:
                 if v is not None and v not in cx.dp_by_id:
                     rep.add(f"dangling reference: sector {s.id} word {wi} "
                             f"names unknown dp {v}")
-    if rep.violations:
-        return rep  # later checks assume resolvable references
+    if rep.violations:  # later checks assume resolvable references
+        return tuple(rep.violations)
 
     # four ends per double point, one per slot
     end_count: dict[str, int] = {d.id: 0 for d in cx.dps}
@@ -410,7 +422,7 @@ def validate(cx: BranchedSurfaceComplex) -> ValidationReport:
                             f"{'free' if want is None else 'dp:' + want}")
 
     if rep.violations:
-        return rep
+        return tuple(rep.violations)
 
     # corner roles must derive uniquely at every double point
     for d in cx.dps:
@@ -421,4 +433,4 @@ def validate(cx: BranchedSurfaceComplex) -> ValidationReport:
         except NoConsistentRoles:
             rep.add(f"role derivation failed at dp:{d.id}")
 
-    return rep
+    return tuple(rep.violations)

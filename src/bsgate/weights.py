@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MalformedSystem
+from .errors import InvariantViolation, MalformedSystem
 from .simplex import phase_one
-from .surface import BranchedSurfaceComplex, derive_roles
+from .surface import BranchedSurfaceComplex
 
 NEG_TISC = "neg-tisc"
 POS_TISC = "pos-tisc"
@@ -90,7 +90,7 @@ def _check_system(system: ConstraintSystem) -> None:
 
 
 def corner_form(cx: BranchedSurfaceComplex, did: str) -> LinForm:
-    return LinForm.make(derive_roles(cx, did).corner_coeffs(), f"corner:{did}")
+    return LinForm.make(cx.roles[did].corner_coeffs(), f"corner:{did}")
 
 
 def segment_form(cx: BranchedSurfaceComplex, gid: str) -> LinForm:
@@ -145,7 +145,9 @@ def feasible(system: ConstraintSystem) -> Certificate:
     Feasible yields the primitive integer witness of the solved vertex;
     Infeasible yields rational multipliers combining the constraints into
     a componentwise-nonpositive form that the strictness aggregate
-    contradicts.
+    contradicts.  Every certificate passes :func:`verify_certificate`
+    before it is returned; one that fails raises
+    :class:`InvariantViolation`.
     """
     _check_system(system)
     variables = system.variables
@@ -168,22 +170,21 @@ def feasible(system: ConstraintSystem) -> Certificate:
         witness_vec = _primitive(list(res.x[:n]))
         witness = dict(zip(variables, witness_vec))
         slacks = {f.tag: int(f.dot(witness)) for f in system.inequalities}
-        return Certificate("Feasible", witness=witness, slacks=slacks)
-
-    y = res.duals
-    y_sigma = y[-1]
-    mult: dict[str, Fraction] = {}
-    if y_sigma > 0:
-        neq = len(system.equalities)
-        for r, form in enumerate(system.equalities):
-            v = y[r] / y_sigma
-            if v:
-                mult[form.tag] = v
-        for i, form in enumerate(system.inequalities):
-            v = y[neq + i] / y_sigma
-            if v:
-                mult[form.tag] = v
-    return Certificate("Infeasible", multipliers=mult)
+        cert = Certificate("Feasible", witness=witness, slacks=slacks)
+    else:
+        y = res.duals
+        y_sigma = y[-1]
+        mult: dict[str, Fraction] = {}
+        if y_sigma > 0:
+            forms = system.equalities + system.inequalities
+            for form, v in zip(forms, y):
+                if v:
+                    mult[form.tag] = v / y_sigma
+        cert = Certificate("Infeasible", multipliers=mult)
+    if not verify_certificate(system, cert):
+        raise InvariantViolation(
+            f"emitted certificate for {system.kind} fails verification")
+    return cert
 
 
 def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:

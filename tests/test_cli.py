@@ -8,12 +8,19 @@ these double as a determinism check.
 
 import re
 from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bsgate import __version__, cli
-from bsgate.charts import parse_grid, sample_annulus, sample_box, print_grid
+from bsgate import __version__, cli, surface, weights
+from bsgate.charts import (
+    parse_grid,
+    print_grid,
+    sample_annulus,
+    sample_box,
+    sample_cylinder,
+)
 from bsgate.cli import main
 from bsgate.parser import parse_complex
 from bsgate.surface import validate
@@ -142,7 +149,7 @@ def test_oracle_disagreement_exits_three(capsys, monkeypatch):
 
 
 def test_unverifiable_certificate_exits_three(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_certificate", lambda s, c: False)
+    monkeypatch.setattr(weights, "verify_certificate", lambda s, c: False)
     code, lines = run(capsys, "detect", "--kind", "pos-tisc",
                       fx("fix-tdisc.bsf"))
     assert code == 3
@@ -151,7 +158,7 @@ def test_unverifiable_certificate_exits_three(capsys, monkeypatch):
 
 def test_unverifiable_criterion_certificate_exits_three(capsys, monkeypatch):
     # the criterion verifies each of its certificates the same way
-    monkeypatch.setattr(cli, "verify_certificate", lambda s, c: False)
+    monkeypatch.setattr(weights, "verify_certificate", lambda s, c: False)
     code, lines = run(capsys, "detect", "--kind", "criterion",
                       fx("fix-clean.bsf"))
     assert code == 3
@@ -272,6 +279,28 @@ def test_schedule_report(capsys):
     assert lines[-1] == "criterion: passes"
 
 
+@pytest.mark.parametrize("argv, validations", [
+    (("split", "--sector", "A", "--entry", "0:0:one", "--exit", "3:0:one",
+      "--choice", "over", "fix-clean.bsf"), 2),
+    (("schedule", "--plan", "clean3.plan", "fix-clean3.bsf"), 4),
+], ids=["split", "schedule"])
+def test_each_complex_is_validated_once(capsys, monkeypatch, argv,
+                                        validations):
+    # the work behind the cached ``violations``, whoever calls ``validate``
+    seen = []
+
+    def counting(cx, _violations=surface._violations):
+        seen.append(cx)
+        return _violations(cx)
+
+    monkeypatch.setattr(surface, "_violations", counting)
+    argv = [fx(a) if a.startswith("fix-") or a.endswith(".plan") else a
+            for a in argv]
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert len({id(cx) for cx in seen}) == len(seen) == validations
+
+
 def test_schedule_rejects_short_plan_rows(capsys, tmp_path):
     p = tmp_path / "short.plan"
     p.write_text("A 0:0:one\n")
@@ -317,6 +346,53 @@ def test_chart_grid_flag_cross_checks_the_shape(capsys, box_path):
                       "--grid", "65,65,65")
     assert code == 2
     assert any(l.startswith("error: chart-error") for l in lines)
+
+
+def test_chart_grid_flag_must_be_integers(capsys, box_path):
+    code, lines = run(capsys, "chart", "check-box", box_path,
+                      "--grid", "5,x,5")
+    assert code == 1
+    assert lines[-1] == ("error: usage-error: --grid needs comma-separated "
+                         "integers, got '5,x,5'")
+
+
+def test_chart_spacing_must_be_numbers(capsys, box_path, tmp_path):
+    text = Path(box_path).read_text().replace("spacing 0.25 0.25",
+                                              "spacing 0.25 x")
+    p = tmp_path / "bad.grid"
+    p.write_text(text)
+    code, lines = run(capsys, "chart", "check-box", str(p))
+    assert code == 2
+    assert lines[-1].startswith("error: chart-error: bad header number")
+
+
+def test_chart_header_numbers_must_be_finite(capsys, tmp_path):
+    # a NaN radius passed every check and read as a confoliation
+    grid = sample_cylinder(lambda r, t, z: -r * r + 0 * z, (5, 4, 5),
+                           h_fn=lambda r, t, z: -1.0 + 0 * z)
+    lines = print_grid(grid).splitlines()
+    for i, col in ((1, 2), (3, 1)):  # the radius in bounds and spacing
+        toks = lines[i].split()
+        toks[col] = "nan"
+        lines[i] = " ".join(toks)
+    p = tmp_path / "bad.grid"
+    p.write_text("\n".join(lines) + "\n")
+    code, lines = run(capsys, "chart", "check-cyl", str(p))
+    assert code == 2
+    assert lines[-1] == ("error: chart-error: bad header number: bounds "
+                         "and spacing must be finite")
+
+
+@pytest.mark.parametrize("sample", ["nan", "inf", "-inf"])
+def test_chart_samples_must_be_finite(capsys, box_path, tmp_path, sample):
+    lines = Path(box_path).read_text().splitlines()
+    lines[4] = sample
+    p = tmp_path / "bad.grid"
+    p.write_text("\n".join(lines) + "\n")
+    code, lines = run(capsys, "chart", "check-box", str(p))
+    assert code == 2
+    assert lines[-1] == (f"error: chart-error: bad sample value: "
+                         f"{sample!r} on line 5 is not finite")
 
 
 def test_chart_purify_box_roundtrip(capsys, tmp_path):
@@ -398,3 +474,22 @@ def test_selftest_reads_the_seed_base_from_the_environment(capsys,
     assert "seed-base: 3" in lines
     assert "solver-runs: 6" in lines
     assert lines[-1] == "selftest: ok"
+
+
+def test_selftest_seed_base_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("BSGATE_SEED", "abc")
+    code, lines = run(capsys, "selftest", "--seeds", "1")
+    assert code == 1
+    assert lines[-1] == ("error: usage-error: BSGATE_SEED must be an "
+                         "integer, got 'abc'")
+
+
+def test_selftest_names_the_seed_and_kind_of_a_failed_check(capsys,
+                                                            monkeypatch):
+    monkeypatch.setenv("BSGATE_SEED", "5")
+    monkeypatch.setattr(weights, "verify_certificate", lambda s, c: False)
+    code, lines = run(capsys, "selftest", "--seeds", "1")
+    assert code == 3
+    assert lines[-1] == ("error: invariant-violation: seed 5 kind neg-tisc: "
+                         "emitted certificate for neg-tisc fails "
+                         "verification")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from bsgate import gen
 from bsgate.gen import random_complex
 from bsgate.parser import print_complex
 from bsgate.surface import validate
@@ -43,3 +44,13 @@ def test_identifiers_never_collide():
         ids = ([s.id for s in cx.sectors] + [g.id for g in cx.segments]
                + [d.id for d in cx.dps])
         assert len(ids) == len(set(ids))
+
+
+def test_blocks_are_parsed_once_at_import(monkeypatch):
+    before = random_complex(0)
+
+    def refuse(text):
+        raise AssertionError("random_complex parsed a block template")
+
+    monkeypatch.setattr(gen, "parse_complex", refuse)
+    assert random_complex(0) == before

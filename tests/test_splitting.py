@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgate import splitting
+from bsgate import splitting, surface, weights
 from bsgate.errors import (
     BadMove,
     InvalidLocus,
@@ -359,8 +359,10 @@ def test_plan_validates_and_solves_each_complex_once(monkeypatch):
 
     monkeypatch.setattr(splitting, "criterion",
                         counting(solved, splitting.criterion))
-    monkeypatch.setattr(splitting, "validate",
-                        counting(validated, splitting.validate))
+    # count validation work, done once per complex behind its cached
+    # ``violations``, not calls of ``validate``
+    monkeypatch.setattr(surface, "_violations",
+                        counting(validated, surface._violations))
     rows = [tuple(line.split()) for line in
             (FIXTURES / "clean3.plan").read_text().splitlines()]
     out = run_plan(load("fix-clean3.bsf"), rows)
@@ -368,6 +370,19 @@ def test_plan_validates_and_solves_each_complex_once(monkeypatch):
     assert len(solved) == 1 + tried
     assert len({id(cx) for cx in validated}) == len(validated) == 1 + tried
     assert out.verdict.passes
+
+
+def test_plan_verifies_every_certificate_it_solves(monkeypatch):
+    calls = {"feasible": 0, "verify_certificate": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(weights, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(weights, name, counting)
+    rows = [tuple(line.split()) for line in
+            (FIXTURES / "clean3.plan").read_text().splitlines()]
+    run_plan(load("fix-clean3.bsf"), rows)
+    assert calls["verify_certificate"] == calls["feasible"] > 0
 
 
 def test_frozen_three_step_plan():

@@ -3,7 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsgate.errors import ParseError
-from bsgate.parser import parse_complex, parse_weights, print_complex, print_weights
+from bsgate.parser import (
+    _tokens,
+    parse_complex,
+    parse_weights,
+    print_complex,
+    print_weights,
+)
 from bsgate.surface import (
     BoundaryWord,
     BranchSegment,
@@ -158,6 +164,12 @@ def test_comments_and_blank_lines_ignored():
     text = ("# leading comment\n\nsurface s   # trailing\n"
             "sector A genus 0 bwords 0  # another\n")
     assert parse_complex(text).name == "s"
+
+
+def test_token_columns_count_tab_and_ideographic_space_as_one():
+    line = "bword\tA 0\u3000:\u3000\tseg:c1:one  # seg:c2:up"
+    assert _tokens(line) == [(1, "bword"), (7, "A"), (9, "0"), (11, ":"),
+                             (14, "seg:c1:one")]
 
 
 def test_implied_closing_vertex_is_smooth():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgate.errors import MalformedSystem
+from bsgate import surface, weights
+from bsgate.errors import InvariantViolation, MalformedSystem
 from bsgate.surface import derive_roles
 from bsgate.weights import (
     ISC,
@@ -43,6 +44,29 @@ def test_smallest_strict_system():
     assert cert.feasible and cert.witness == {"a": 1, "b": 0}
     assert brute_force(sys_, 1) == {"a": 1, "b": 0}
     assert verify_certificate(sys_, cert)
+
+
+def test_feasible_refuses_a_certificate_that_fails_verification(monkeypatch):
+    monkeypatch.setattr(weights, "verify_certificate", lambda s, c: False)
+    for sys_ in (toy([{"a": 1, "b": -1}], [0]),  # feasible
+                 toy([{"a": 1, "b": -1}, {"a": -1, "b": 1}], [0, 1])):
+        with pytest.raises(InvariantViolation, match="emitted certificate "
+                           "for toy fails verification"):
+            feasible(sys_)
+
+
+def test_roles_are_derived_once_for_every_kind(monkeypatch):
+    derived = []
+
+    def counting(cx, did, _derive=surface.derive_roles):
+        derived.append(did)
+        return _derive(cx, did)
+
+    monkeypatch.setattr(surface, "derive_roles", counting)
+    cx = load("fix-split.bsf")
+    for kind in KINDS:
+        build_system(cx, kind)
+    assert sorted(derived) == sorted(d.id for d in cx.dps)
 
 
 def test_empty_strict_group_is_infeasible():
