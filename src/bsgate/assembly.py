@@ -108,15 +108,10 @@ def _edge_cell(cx, weights, face: FaceId, wi: int, ii: int, item):
     sid, level = face
     if isinstance(item, FreeItem):
         return ("free", sid, wi, ii, level)
-    g = cx.segment_by_id[item.seg]
-    z, x = weights.get(g.one, 0), weights.get(g.up, 0)
-    if item.side == "one":
-        lev = level
-    elif item.side == "up":
-        lev = z - x + level
-    else:
-        lev = level
-    return ("seg", item.seg, lev)
+    if item.side == "up":
+        g = cx.segment_by_id[item.seg]
+        level += weights.get(g.one, 0) - weights.get(g.up, 0)
+    return ("seg", item.seg, level)
 
 
 def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],

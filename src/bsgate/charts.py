@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,30 @@ DEFAULT_TOL = 1e-9
 # purified profile strictly decreasing where the smooth term flattens
 _MU = 0.1
 
+# per kind, (low end, high end, periodic) of each axis in index order; a
+# high end of None is the cylinder's radius R, the one bound a grid carries
+_AXES = {
+    BOX: ((-1.0, 1.0, False),) * 3,
+    CYLINDER: ((0.0, None, False), (0.0, TWO_PI, True), (-1.0, 1.0, False)),
+    ANNULUS: ((0.0, TWO_PI, True), (-1.0, 1.0, False)),
+}
+
+
+def _ends(kind: str, bounds: tuple[float, ...]) -> list[float]:
+    """Low and high end of every axis in turn, as the bounds line reads."""
+    return [v for lo, hi, _ in _AXES[kind]
+            for v in (lo, bounds[0] if hi is None else hi)]
+
+
+def _axes(kind: str, bounds: tuple[float, ...], shape: tuple[int, ...],
+          ) -> list[tuple[np.ndarray, float]]:
+    """(sample coordinates, spacing) along each axis; a periodic axis is
+    sampled half-open, so its high end is never stored."""
+    ends = _ends(kind, bounds)
+    return [np.linspace(lo, hi, n, endpoint=not periodic, retstep=True)
+            for lo, hi, (_, _, periodic), n
+            in zip(ends[::2], ends[1::2], _AXES[kind], shape)]
+
 
 @dataclass(frozen=True)
 class SlopeGrid:
@@ -52,10 +76,10 @@ class SlopeGrid:
     h: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (BOX, CYLINDER, ANNULUS):
+        if self.kind not in _AXES:
             raise ChartError(f"unknown chart kind: {self.kind!r}")
         vals = np.array(self.values, dtype=float)
-        want = 2 if self.kind == ANNULUS else 3
+        want = len(_AXES[self.kind])
         if vals.ndim != want:
             raise ChartError(
                 f"{self.kind} grid needs a {want}-dimensional sample array, "
@@ -85,61 +109,39 @@ class SlopeGrid:
 
     def axes(self) -> tuple[np.ndarray, ...]:
         """Sample coordinates along each axis, in index order."""
-        if self.kind == BOX:
-            nx, ny, nz = self.shape
-            return (np.linspace(-1.0, 1.0, nx), np.linspace(-1.0, 1.0, ny),
-                    np.linspace(-1.0, 1.0, nz))
-        if self.kind == CYLINDER:
-            nr, nth, nz = self.shape
-            return (np.linspace(0.0, self.bounds[0], nr),
-                    np.arange(nth) * (TWO_PI / nth),
-                    np.linspace(-1.0, 1.0, nz))
-        nth, nz = self.shape
-        return (np.arange(nth) * (TWO_PI / nth), np.linspace(-1.0, 1.0, nz))
+        return tuple(c for c, _ in _axes(self.kind, self.bounds, self.shape))
 
     def spacings(self) -> tuple[float, ...]:
-        if self.kind == BOX:
-            nx, ny, nz = self.shape
-            return (2.0 / (nx - 1), 2.0 / (ny - 1), 2.0 / (nz - 1))
-        if self.kind == CYLINDER:
-            nr, nth, nz = self.shape
-            return (self.bounds[0] / (nr - 1), TWO_PI / nth, 2.0 / (nz - 1))
-        nth, nz = self.shape
-        return (TWO_PI / nth, 2.0 / (nz - 1))
+        return tuple(float(d) for _, d in
+                     _axes(self.kind, self.bounds, self.shape))
+
+
+def _sample(kind: str, fn: Callable, shape: tuple[int, ...],
+            bounds: tuple[float, ...] = (),
+            h_fn: Optional[Callable] = None) -> SlopeGrid:
+    mesh = np.meshgrid(*(c for c, _ in _axes(kind, bounds, shape)),
+                       indexing="ij")
+
+    def at(g: Callable) -> np.ndarray:  # SlopeGrid copies what it keeps
+        return np.broadcast_to(np.asarray(g(*mesh), float), mesh[0].shape)
+
+    return SlopeGrid(kind, bounds, at(fn), None if h_fn is None else at(h_fn))
 
 
 def sample_box(fn: Callable, shape: tuple[int, int, int] = (65, 65, 65),
                ) -> SlopeGrid:
-    x = np.linspace(-1.0, 1.0, shape[0])
-    y = np.linspace(-1.0, 1.0, shape[1])
-    z = np.linspace(-1.0, 1.0, shape[2])
-    xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
-    vals = np.broadcast_to(np.asarray(fn(xx, yy, zz), float), xx.shape)
-    return SlopeGrid(BOX, (), vals.copy())
+    return _sample(BOX, fn, shape)
 
 
 def sample_cylinder(fn: Callable, shape: tuple[int, int, int] = (65, 64, 65),
                     radius: float = 1.0,
                     h_fn: Optional[Callable] = None) -> SlopeGrid:
-    r = np.linspace(0.0, radius, shape[0])
-    th = np.arange(shape[1]) * (TWO_PI / shape[1])
-    z = np.linspace(-1.0, 1.0, shape[2])
-    rr, tt, zz = np.meshgrid(r, th, z, indexing="ij")
-    vals = np.broadcast_to(np.asarray(fn(rr, tt, zz), float), rr.shape)
-    h = None
-    if h_fn is not None:
-        h = np.broadcast_to(np.asarray(h_fn(rr, tt, zz), float),
-                            rr.shape).copy()
-    return SlopeGrid(CYLINDER, (radius,), vals.copy(), h)
+    return _sample(CYLINDER, fn, shape, (radius,), h_fn)
 
 
 def sample_annulus(fn: Callable, shape: tuple[int, int] = (64, 65),
                    ) -> SlopeGrid:
-    th = np.arange(shape[0]) * (TWO_PI / shape[0])
-    z = np.linspace(-1.0, 1.0, shape[1])
-    tt, zz = np.meshgrid(th, z, indexing="ij")
-    vals = np.broadcast_to(np.asarray(fn(tt, zz), float), tt.shape)
-    return SlopeGrid(ANNULUS, (), vals.copy())
+    return _sample(ANNULUS, fn, shape)
 
 
 @dataclass(frozen=True)
@@ -246,6 +248,28 @@ def _cell(where: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.argwhere(where)[0])
 
 
+def _require_purifiable(grid: SlopeGrid, report: ChartReport,
+                        failure: Optional[str], region: np.ndarray,
+                        axis: int, name: str) -> None:
+    """Raise the first failed purifier precondition: a confoliation, then
+    the purifier's own (``failure`` is its message, None if it holds),
+    then contact on the cells of ``region`` with |z| < 1.  A failing cell
+    is reported with its coordinate ``name`` (along ``axis``) and z."""
+    if not report.is_confoliation:
+        raise ChartError("precondition failed: input is not a confoliation "
+                         f"(violation {report.max_violation:.3e})")
+    if failure is not None:
+        raise ChartError(failure)
+    needed = region & ~report.contact_mask
+    needed[:, :, [0, -1]] = False
+    if needed.any():
+        cell = _cell(needed)
+        coords = grid.axes()
+        raise ChartError("precondition failed: not contact at cell "
+                         f"{cell}, {name}={coords[axis][cell[axis]]:.6g}, "
+                         f"z={coords[2][cell[2]]:.6g}")
+
+
 def purify_box(grid: SlopeGrid, y0: float, y1: float, delta: float,
                tol: float = DEFAULT_TOL) -> SlopeGrid:
     """Make a box confoliation contact on {|x| < 1-delta, |z| < 1}.
@@ -262,23 +286,14 @@ def purify_box(grid: SlopeGrid, y0: float, y1: float, delta: float,
     if not 0.0 < delta < 1.0:
         raise ChartError("need 0 < delta < 1")
     report = check_box(grid, tol)
-    if not report.is_confoliation:
-        raise ChartError("precondition failed: input is not a confoliation "
-                         f"(violation {report.max_violation:.3e})")
     x, y, z = grid.axes()
     dy = grid.spacings()[1]
     j1 = int(round((y1 + 1.0) / dy))
     jm1 = int(round((1.0 - y1) / dy))
-    if abs(y[j1] - y1) > 1e-9 or abs(y[jm1] + y1) > 1e-9:
-        raise ChartError("y1 must lie on the sample grid")
-    inner_z = np.zeros_like(z, dtype=bool)
-    inner_z[1:-1] = True
-    needed = ((y[None, :, None] > y0) & inner_z[None, None, :]
-              & ~report.contact_mask)
-    if needed.any():
-        i, j, k = _cell(needed)
-        raise ChartError("precondition failed: not contact at cell "
-                         f"({i}, {j}, {k}), y={y[j]:.6g}, z={z[k]:.6g}")
+    off_grid = abs(y[j1] - y1) > 1e-9 or abs(y[jm1] + y1) > 1e-9
+    _require_purifiable(grid, report,
+                        "y1 must lie on the sample grid" if off_grid else None,
+                        (y > y0)[None, :, None], 1, "y")
     f = grid.values
     a = f[:, jm1:jm1 + 1, :]  # values on the y = -y1 sheet
     b = f[:, j1:j1 + 1, :]    # values on the y = +y1 sheet
@@ -324,22 +339,13 @@ def purify_cylinder(grid: SlopeGrid, r0: float, mode: str,
     if not 0.0 < r0 < radius:
         raise ChartError("need 0 < r0 < R")
     report = check_cylinder(grid, tol)
-    if not report.is_confoliation:
-        raise ChartError("precondition failed: input is not a confoliation "
-                         f"(violation {report.max_violation:.3e})")
-    if float(grid.h[0].max()) > tol:
-        raise ChartError("precondition failed: h must be nonpositive on "
-                         "the axis")
+    h_positive = float(grid.h[0].max()) > tol
     r, _, z = grid.axes()
     rows = r < r0 if mode == INNER_CONTACT else r > r0
-    inner_z = np.zeros_like(z, dtype=bool)
-    inner_z[1:-1] = True
-    needed = (rows[:, None, None] & inner_z[None, None, :]
-              & ~report.contact_mask)
-    if needed.any():
-        i, j, k = _cell(needed)
-        raise ChartError("precondition failed: not contact at cell "
-                         f"({i}, {j}, {k}), r={r[i]:.6g}, z={z[k]:.6g}")
+    _require_purifiable(grid, report,
+                        "precondition failed: h must be nonpositive on the "
+                        "axis" if h_positive else None,
+                        rows[:, None, None], 0, "r")
     f = grid.values
     dz = grid.spacings()[2]
     chi = _smoothstep((1.0 - np.abs(z)) / (2.0 * dz))[None, None, :]
@@ -458,15 +464,10 @@ GRID_MAGIC = "bsgate-grid"
 def print_grid(grid: SlopeGrid) -> str:
     """Four-line ASCII header (kind, bounds, shape, spacing), then the
     samples one per line in C order, h following f."""
-    if grid.kind == BOX:
-        bounds = "-1 1 -1 1 -1 1"
-    elif grid.kind == CYLINDER:
-        bounds = "0 %.17g 0 %.17g -1 1" % (grid.bounds[0], TWO_PI)
-    else:
-        bounds = "0 %.17g -1 1" % TWO_PI
     lines = [
         "%s %s %d" % (GRID_MAGIC, grid.kind, 0 if grid.h is None else 1),
-        "bounds " + bounds,
+        "bounds " + " ".join("%.17g" % v
+                             for v in _ends(grid.kind, grid.bounds)),
         "shape " + " ".join(str(n) for n in grid.shape),
         "spacing " + " ".join("%.17g" % s for s in grid.spacings()),
     ]
@@ -474,6 +475,11 @@ def print_grid(grid: SlopeGrid) -> str:
     if grid.h is not None:
         lines.extend("%.17g" % v for v in grid.h.ravel())
     return "\n".join(lines) + "\n"
+
+
+def _agrees(read: list[float], derived: Sequence[float]) -> bool:
+    return len(read) == len(derived) and all(
+        abs(s - t) <= 1e-12 for s, t in zip(read, derived))
 
 
 def parse_grid(text: str) -> SlopeGrid:
@@ -503,10 +509,12 @@ def parse_grid(text: str) -> SlopeGrid:
         raise ChartError("bad header number: bounds and spacing must be "
                          "finite")
     bounds: tuple[float, ...] = ()
-    if kind == CYLINDER:
-        if len(bvals) != 6:
-            raise ChartError("cylinder bounds need 6 numbers")
-        bounds = (bvals[1],)
+    if kind in _AXES:  # SlopeGrid refuses an unknown kind below
+        if len(bvals) != 2 * len(_AXES[kind]):
+            raise ChartError(f"{kind} bounds need {2 * len(_AXES[kind])} "
+                             "numbers")
+        bounds = tuple(bvals[2 * i + 1] for i, (_, hi, _) in
+                       enumerate(_AXES[kind]) if hi is None)
     want = np.prod(shape, dtype=int) * (2 if has_h == "1" else 1)
     body = lines[4:]
     if len(body) != want:
@@ -524,7 +532,8 @@ def parse_grid(text: str) -> SlopeGrid:
     if has_h == "1":
         h = flat[nvals:].reshape(shape)
     grid = SlopeGrid(kind, bounds, flat[:nvals].reshape(shape), h)
-    if len(spacing) != len(grid.spacings()) or any(
-            abs(s - t) > 1e-12 for s, t in zip(spacing, grid.spacings())):
+    if not _agrees(bvals, _ends(kind, bounds)):
+        raise ChartError(f"bounds line disagrees with the {kind} axes")
+    if not _agrees(spacing, grid.spacings()):
         raise ChartError("spacing line disagrees with shape and bounds")
     return grid

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -69,12 +70,8 @@ from .weights import (
     feasible,
 )
 
-_DOMAIN_ERRORS = (WeightsNotSatisfying, MalformedSystem, InvalidLocus,
-                  BadMove, PreconditionFailed, ChartError)
-_INTERNAL_ERRORS = (InvariantViolation, TracingInconsistency)
 
-
-class _UsageError(Exception):
+class UsageError(Exception):
     pass
 
 
@@ -82,10 +79,10 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the report contract
     # reserves 2 for validation failures, so reroute to exit code 1
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
-class _OracleDisagreement(Exception):
+class OracleDisagreement(Exception):
     pass
 
 
@@ -93,12 +90,24 @@ class _Violation(Exception):
     """The input complex parses but fails validation (exit code 2)."""
 
 
+# the exit-code contract, first match wins; any other exception is a bug
+# and exits 3 as internal-error
+_EXIT_CODES = (
+    (UsageError, 1), (ParseError, 1),
+    (_Violation, 2), (WeightsNotSatisfying, 2), (MalformedSystem, 2),
+    (InvalidLocus, 2), (BadMove, 2), (PreconditionFailed, 2),
+    (ChartError, 2),
+    (OracleDisagreement, 3), (InvariantViolation, 3),
+    (TracingInconsistency, 3),
+)
+
+
 def _read(path_str: str) -> tuple[str, str]:
     path = Path(path_str)
     try:
         text = path.read_text()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path_str}: {exc.strerror}")
+        raise UsageError(f"cannot read {path_str}: {exc.strerror}")
     return text, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -121,15 +130,8 @@ def _load_valid_complex(args, lines, sidecar: Optional[str] = None,
 
 
 def _error_code(exc: Exception) -> str:
-    name = type(exc).__name__
-    out = [name[0].lower()]
-    for ch in name[1:]:
-        if ch.isupper():
-            out.append("-")
-            out.append(ch.lower())
-        else:
-            out.append(ch)
-    return "".join(out)
+    """The report's name for an error type: ChartError -> chart-error."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
 def _frac(q: Fraction) -> str:
@@ -202,7 +204,7 @@ def _cmd_detect(args, lines) -> int:
         lines.append(f"oracle-witness: {'found' if found else 'none'}")
         if found and not cert.feasible:
             lines.append("oracle-agreement: fail")
-            raise _OracleDisagreement(
+            raise OracleDisagreement(
                 f"brute force found {found} but the solver said infeasible")
         lines.append("oracle-agreement: ok")
     return 0
@@ -286,8 +288,8 @@ def _grid_flag(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(n) for n in text.split(","))
     except ValueError:
-        raise _UsageError(f"--grid needs comma-separated integers, "
-                          f"got {text!r}") from None
+        raise UsageError(f"--grid needs comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 def _load_grid(args, lines, check_shape: bool = True):
@@ -365,8 +367,8 @@ def _cmd_selftest(args, lines) -> int:
     try:
         base = int(seed_text)
     except ValueError:
-        raise _UsageError(f"BSGATE_SEED must be an integer, "
-                          f"got {seed_text!r}") from None
+        raise UsageError(f"BSGATE_SEED must be an integer, "
+                         f"got {seed_text!r}") from None
     lines.append(f"seed-base: {base}")
     solver_runs = 0
     for seed in range(base, base + args.seeds):
@@ -380,7 +382,7 @@ def _cmd_selftest(args, lines) -> int:
                 raise
             found = brute_force(system, 3)
             if found is not None and not cert.feasible:
-                raise _OracleDisagreement(
+                raise OracleDisagreement(
                     f"seed {seed} kind {kind}: oracle disagrees")
             solver_runs += 1
     lines.append(f"solver-runs: {solver_runs}")
@@ -474,7 +476,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.monotonic()
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"error: usage-error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
@@ -482,27 +484,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     lines = [f"bsgate-report {args.cmd}", f"version: {__version__}"]
     try:
         code = _HANDLERS[args.cmd](args, lines)
-    except _UsageError as exc:
-        lines.append(f"error: usage-error: {exc}")
-        code = 1
-    except _Violation as exc:
-        lines.append(f"violation: {exc}")
-        code = 2
-    except ParseError as exc:
-        lines.append(f"error: parse-error: {exc}")
-        code = 1
-    except _DOMAIN_ERRORS as exc:
-        lines.append(f"error: {_error_code(exc)}: {exc}")
-        code = 2
-    except _OracleDisagreement as exc:
-        lines.append(f"error: oracle-disagreement: {exc}")
-        code = 3
-    except _INTERNAL_ERRORS as exc:
-        lines.append(f"error: {_error_code(exc)}: {exc}")
-        code = 3
-    except Exception as exc:  # a bug: still one report, exit code 3
-        lines.append(f"error: internal-error: {type(exc).__name__}: {exc}")
-        code = 3
+    except Exception as exc:
+        code = next((c for t, c in _EXIT_CODES if isinstance(exc, t)), None)
+        if code is None:  # a bug: still one report, exit code 3
+            lines.append(f"error: internal-error: {type(exc).__name__}: "
+                         f"{exc}")
+            code = 3
+        elif isinstance(exc, _Violation):
+            lines.append(f"violation: {exc}")
+        else:
+            lines.append(f"error: {_error_code(exc)}: {exc}")
     print("\n".join(lines))
     print(f"# duration-ms {int((time.monotonic() - started) * 1000)}")
     return code

@@ -120,13 +120,10 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
     """
     surface_name = None
     sector_decls: dict[str, _SectorDecl] = {}
-    sector_order: list[str] = []
     word_decls: list[_WordDecl] = []
     segments: dict[str, BranchSegment] = {}
-    segment_order: list[str] = []
     seg_lines: dict[str, int] = {}
     dps: dict[str, DoublePoint] = {}
-    dp_order: list[str] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokens(raw)
@@ -160,7 +157,6 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                 raise ParseError("bwords count must be nonnegative", lineno,
                                  toks[5][0])
             sector_decls[sid] = _SectorDecl(sid, genus, nb, lineno)
-            sector_order.append(sid)
 
         elif head == "bword":
             if len(toks) < 5 or toks[3][1] != ":":
@@ -212,7 +208,6 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                 raise ParseError(f"arc segment {gid} must declare ends",
                                  lineno, col0)
             segments[gid] = BranchSegment(gid, kind, one, up, lo, end0, end1)
-            segment_order.append(gid)
             seg_lines[gid] = lineno
 
         elif head == "dp":
@@ -225,7 +220,6 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
             if toks[3][1] not in ("+", "-"):
                 raise ParseError("sign must be + or -", lineno, toks[3][0])
             dps[did] = DoublePoint(did, 1 if toks[3][1] == "+" else -1)
-            dp_order.append(did)
 
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, col0)
@@ -262,8 +256,7 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
             raise ParseError(f"sector {sid} missing bword index "
                              f"{missing[0]}", decl.line)
 
-    for gid in segment_order:
-        g = segments[gid]
+    for gid, g in segments.items():
         for role in ("one", "up", "lo"):
             sid = g.side(role)
             if sid not in sector_decls:
@@ -276,12 +269,11 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                                  f"unknown dp {end.dp}", seg_lines[gid])
 
     slot_fill: dict[str, list[int]] = {d: [0] * 4 for d in dps}
-    for gid in segment_order:
-        g = segments[gid]
+    for g in segments.values():
         for end in (g.end0, g.end1):
             if end is not None and end.dp is not None:
                 slot_fill[end.dp][end.slot] += 1
-    for did in dp_order:
+    for did in dps:
         if slot_fill[did] != [1, 1, 1, 1]:
             raise ParseError(f"double point {did} has wrong end arity "
                              f"(slots filled {slot_fill[did]})")
@@ -291,12 +283,12 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                tuple(BoundaryWord(tuple(words_by_sector[sid][k].items),
                                   tuple(words_by_sector[sid][k].verts))
                      for k in range(sector_decls[sid].bwords)))
-        for sid in sector_order)
+        for sid in sector_decls)
     return BranchedSurfaceComplex(
         name=surface_name,
         sectors=sectors,
-        segments=tuple(segments[g] for g in segment_order),
-        dps=tuple(dps[d] for d in dp_order),
+        segments=tuple(segments.values()),
+        dps=tuple(dps.values()),
     )
 
 

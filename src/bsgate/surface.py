@@ -424,7 +424,14 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
     if rep.violations:
         return tuple(rep.violations)
 
-    # corner roles must derive uniquely at every double point
+    # corner roles must derive uniquely at every double point; only when
+    # the cached map fails is each point derived alone, to report them all
+    try:
+        cx.roles
+    except (AmbiguousRoles, NoConsistentRoles):
+        pass
+    else:
+        return ()
     for d in cx.dps:
         try:
             derive_roles(cx, d.id)

@@ -412,6 +412,36 @@ def test_grid_header_is_fixed_form():
         "shape 3 3 5",
         "spacing 1 1 0.5",
     ]
+    cyl = sample_cylinder(lambda r, t, z: 0 * r, (3, 4, 5), radius=2.0,
+                          h_fn=lambda r, t, z: 0 * r)
+    assert print_grid(cyl).splitlines()[:4] == [
+        "bsgate-grid cylinder 1",
+        "bounds 0 2 0 6.2831853071795862 -1 1",
+        "shape 3 4 5",
+        "spacing 1 1.5707963267948966 0.5",
+    ]
+    ann = sample_annulus(lambda t, z: 0 * t, (4, 5))
+    assert print_grid(ann).splitlines()[:4] == [
+        "bsgate-grid annulus 0",
+        "bounds 0 6.2831853071795862 -1 1",
+        "shape 4 5",
+        "spacing 1.5707963267948966 0.5",
+    ]
+
+
+@pytest.mark.parametrize("grid, bounds", [
+    (sample_box(lambda x, y, z: 0 * x, (3, 3, 3)), "0 7 0 7 0 7"),
+    (sample_box(lambda x, y, z: 0 * x, (3, 3, 3)), "1"),
+    (sample_annulus(lambda t, z: 0 * t, (4, 3)), "0 1 -1 1"),
+    (sample_cylinder(lambda r, t, z: 0 * r, (3, 4, 3), radius=1.0),
+     "5 1 9 9 9 9"),
+], ids=["box-shifted", "box-one-number", "annulus-short-theta",
+        "cylinder-wrong-ends"])
+def test_grid_bounds_line_must_match_the_kind(grid, bounds):
+    head, rest = print_grid(grid).split("\n", 1)
+    text = head + "\nbounds " + bounds + "\n" + rest.split("\n", 1)[1]
+    with pytest.raises(ChartError, match="bounds"):
+        parse_grid(text)
 
 
 def test_grid_parse_errors():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bsgate import surface, weights
 from bsgate.errors import InvariantViolation, MalformedSystem
-from bsgate.surface import derive_roles
+from bsgate.surface import derive_roles, validate
 from bsgate.weights import (
     ISC,
     KINDS,
@@ -64,6 +64,7 @@ def test_roles_are_derived_once_for_every_kind(monkeypatch):
 
     monkeypatch.setattr(surface, "derive_roles", counting)
     cx = load("fix-split.bsf")
+    assert validate(cx).ok()
     for kind in KINDS:
         build_system(cx, kind)
     assert sorted(derived) == sorted(d.id for d in cx.dps)
