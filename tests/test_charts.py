@@ -10,6 +10,7 @@ f = -c(1-z^2) is tanh(artanh z0 - 2 pi c).
 """
 
 import math
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -345,6 +346,18 @@ def test_holonomy_matches_separable_closed_form():
     assert z1 < 0.5
 
 
+@pytest.mark.parametrize("c, z0, step, z1", [
+    (0.1, 0.5, 1e-3, "-0x1.42f665a0c6b71p-4"),
+    (0.5, -0.5, 1e-3, "-0x1.ff5ce9235abcdp-1"),
+    (0.1, -0.9, 0.05, "-0x1.f0e32c1f63af6p-1"),
+    (0.5, 0.5, 1.0, "-0x1.fa1a358daf670p-1"),
+    (0.5, 0.0, 3.0, "-0x1.0000000000000p+0"),  # clamps at z = -1
+])
+def test_holonomy_is_bit_pinned_on_the_acceptance_annulus(c, z0, step, z1):
+    ann = sample_annulus(lambda t, z: -c * (1.0 - z * z), (64, 2049))
+    assert holonomy_map(ann, z0, step).hex() == z1
+
+
 def test_holonomy_flat_annulus_has_none():
     ann = sample_annulus(lambda t, z: 0.0 * t, (16, 17))
     assert holonomy_map(ann, 0.3, 1e-3) == 0.3
@@ -401,6 +414,29 @@ def test_grid_round_trips_all_kinds():
             assert back.h is None
         else:
             assert np.array_equal(back.h, g.h)
+
+
+# -0.0, subnormals, a huge value, integral values and inexact fractions
+_EDGE = np.array([-0.0, 5e-324, 1e300, 3.0, -7.0, 0.1, -1.0 / 3.0, 2.5e-8,
+                  -1e-310, 0.0, 65536.0])
+
+
+@pytest.mark.parametrize("grid, digest", [
+    (SlopeGrid(BOX, (), np.resize(_EDGE, (3, 3, 3))),
+     "dc3d8b80449f8a01c223d151fd74663eac8ae4c0bc2860dfdae5deb662fb32de"),
+    (SlopeGrid(CYLINDER, (2.0,), np.resize(_EDGE, (3, 4, 3)),
+               np.resize(_EDGE[::-1], (3, 4, 3))),
+     "84ead2c8278e49388056676260f5095a05b9613c69ad2e7a546fd444e846e923"),
+    (SlopeGrid(ANNULUS, (), np.resize(_EDGE, (4, 3))),
+     "fd3c568a179cf5777de6350b31c39e41d93bd4117362e78f286e808ac16ed1de"),
+], ids=[BOX, CYLINDER, ANNULUS])
+def test_grid_text_is_pinned_and_reads_back_bit_exact(grid, digest):
+    text = print_grid(grid)
+    assert sha256(text.encode()).hexdigest() == digest
+    back = parse_grid(text)
+    assert back.values.tobytes() == grid.values.tobytes()
+    if grid.h is not None:
+        assert back.h.tobytes() == grid.h.tobytes()
 
 
 def test_grid_header_is_fixed_form():
