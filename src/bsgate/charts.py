@@ -87,7 +87,7 @@ class SlopeGrid:
         if min(vals.shape) < 2:
             raise ChartError("each axis needs at least 2 samples")
         if self.kind == CYLINDER:
-            if len(self.bounds) != 1 or self.bounds[0] <= 0:
+            if len(self.bounds) != 1 or not 0 < self.bounds[0] < math.inf:
                 raise ChartError("cylinder grid needs a positive radial "
                                  "bound (R,)")
         elif self.bounds != ():
@@ -407,17 +407,18 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
     Classical fixed-step 4th-order integration from theta = 0 to 2pi
     with bilinearly interpolated samples; theta wraps, z clamps to the
     chart.  The convention is increasing theta, so a strictly negative
-    slope field returns the leaf strictly below its start.
+    slope field returns the leaf strictly below its start.  The samples
+    are indexed as nested Python lists, and the result is a Python float.
     """
     _expect(annulus, ANNULUS, "holonomy_map")
     if step <= 0.0:
         raise ChartError("step must be positive")
     if not -1.0 < z0 < 1.0:
         raise ChartError("z0 must lie strictly inside (-1, 1)")
-    f = annulus.values
-    if float(f.max()) > 0.0:
+    if float(annulus.values.max()) > 0.0:
         raise ChartError("slope field must be nonpositive")
-    nth, nz = f.shape
+    nth, nz = annulus.shape
+    f = annulus.values.tolist()
     dth = TWO_PI / nth
     dz = 2.0 / (nz - 1)
 
@@ -435,8 +436,8 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
         else:
             j = int(b)
             fb = b - j
-        top = (1.0 - fb) * f[i, j] + fb * f[i, j + 1]
-        bot = (1.0 - fb) * f[i2, j] + fb * f[i2, j + 1]
+        top = (1.0 - fb) * f[i][j] + fb * f[i][j + 1]
+        bot = (1.0 - fb) * f[i2][j] + fb * f[i2][j + 1]
         return (1.0 - fa) * top + fa * bot
 
     n = math.ceil(TWO_PI / step)
@@ -463,18 +464,20 @@ GRID_MAGIC = "bsgate-grid"
 
 def print_grid(grid: SlopeGrid) -> str:
     """Four-line ASCII header (kind, bounds, shape, spacing), then the
-    samples one per line in C order, h following f."""
-    lines = [
+    samples one ``%.17g`` value per line in C order, h following f,
+    formatted in one pass; ``%.17g`` reads back bit-exact."""
+    head = [
         "%s %s %d" % (GRID_MAGIC, grid.kind, 0 if grid.h is None else 1),
         "bounds " + " ".join("%.17g" % v
                              for v in _ends(grid.kind, grid.bounds)),
         "shape " + " ".join(str(n) for n in grid.shape),
         "spacing " + " ".join("%.17g" % s for s in grid.spacings()),
     ]
-    lines.extend("%.17g" % v for v in grid.values.ravel())
+    samples = grid.values.ravel().tolist()
     if grid.h is not None:
-        lines.extend("%.17g" % v for v in grid.h.ravel())
-    return "\n".join(lines) + "\n"
+        samples += grid.h.ravel().tolist()
+    return ("\n".join(head) + "\n"
+            + ("%.17g\n" * len(samples)) % tuple(samples))
 
 
 def _agrees(read: list[float], derived: Sequence[float]) -> bool:
@@ -483,6 +486,11 @@ def _agrees(read: list[float], derived: Sequence[float]) -> bool:
 
 
 def parse_grid(text: str) -> SlopeGrid:
+    """Read print_grid's text back.  The header must agree with the kind's
+    axes: a shape entry per axis, each at least 2, and the bounds and
+    spacing they imply.  The sample lines are converted in one pass with
+    ``float()``'s rules; a non-finite sample is refused with its line
+    number."""
     lines = text.splitlines()
     if len(lines) < 4:
         raise ChartError("grid text needs a 4-line header")
@@ -508,8 +516,13 @@ def parse_grid(text: str) -> SlopeGrid:
     if not np.isfinite(bvals + spacing).all():
         raise ChartError("bad header number: bounds and spacing must be "
                          "finite")
+    if min(shape, default=2) < 2:
+        raise ChartError("each axis needs at least 2 samples")
     bounds: tuple[float, ...] = ()
     if kind in _AXES:  # SlopeGrid refuses an unknown kind below
+        if len(shape) != len(_AXES[kind]):
+            raise ChartError(f"{kind} shape needs {len(_AXES[kind])} "
+                             "numbers")
         if len(bvals) != 2 * len(_AXES[kind]):
             raise ChartError(f"{kind} bounds need {2 * len(_AXES[kind])} "
                              "numbers")
@@ -520,7 +533,7 @@ def parse_grid(text: str) -> SlopeGrid:
     if len(body) != want:
         raise ChartError(f"expected {want} sample lines, got {len(body)}")
     try:
-        flat = np.array([float(v) for v in body])
+        flat = np.array(body, dtype=float)
     except ValueError as exc:
         raise ChartError(f"bad sample value: {exc}") from None
     bad = np.flatnonzero(~np.isfinite(flat))

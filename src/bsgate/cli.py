@@ -103,12 +103,18 @@ _EXIT_CODES = (
 
 
 def _read(path_str: str) -> tuple[str, str]:
-    path = Path(path_str)
+    """The UTF-8 text of one input file and the sha256 of its bytes, from
+    one read; the parsers split lines with str.splitlines, so LF, CRLF
+    and CR endings read alike."""
     try:
-        text = path.read_text()
+        data = Path(path_str).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path_str}: {exc.strerror}")
-    return text, hashlib.sha256(path.read_bytes()).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read {path_str}: not UTF-8 text") from None
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def _load_valid_complex(args, lines, sidecar: Optional[str] = None,

@@ -62,6 +62,14 @@ def test_grid_shape_and_bounds_rules():
         SlopeGrid(BOX, (), np.zeros((3, 1, 3)))
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0,
+                                    -1.0])
+def test_cylinder_radius_must_be_finite_and_positive(radius):
+    with pytest.raises(ChartError, match="positive radial bound"):
+        SlopeGrid(CYLINDER, (radius,), np.zeros((3, 4, 3)),
+                  np.zeros((3, 4, 3)))
+
+
 def test_h_only_on_cylinders():
     with pytest.raises(ChartError, match="carry h"):
         SlopeGrid(BOX, (), np.zeros((3, 3, 3)), np.zeros((3, 3, 3)))
@@ -356,6 +364,13 @@ def test_holonomy_matches_separable_closed_form():
 def test_holonomy_is_bit_pinned_on_the_acceptance_annulus(c, z0, step, z1):
     ann = sample_annulus(lambda t, z: -c * (1.0 - z * z), (64, 2049))
     assert holonomy_map(ann, z0, step).hex() == z1
+
+
+@pytest.mark.parametrize("z0, step", [(0.5, 1e-2), (0.0, 3.0)],
+                         ids=["inside", "clamped"])
+def test_holonomy_returns_a_python_float(z0, step):
+    ann = sample_annulus(lambda t, z: -0.5 * (1.0 - z * z), (64, 2049))
+    assert type(holonomy_map(ann, z0, step)) is float
 
 
 def test_holonomy_flat_annulus_has_none():

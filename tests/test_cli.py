@@ -73,6 +73,27 @@ def test_unparseable_input(capsys, tmp_path):
     assert any(l.startswith("error: parse-error") for l in lines)
 
 
+@pytest.mark.parametrize("argv", [("validate",), ("chart", "check-box")],
+                         ids=["validate", "chart"])
+def test_non_utf8_input_is_a_usage_error(capsys, tmp_path, argv):
+    p = tmp_path / "utf16.txt"
+    p.write_bytes(b"\xff\xfe" + fixture_text("fix-clean.bsf").encode())
+    code, lines = run(capsys, *argv, str(p))  # run checks the trailer
+    assert code == 1
+    assert lines[-1] == f"error: usage-error: cannot read {p}: not UTF-8 text"
+
+
+def test_crlf_input_reads_like_lf(capsys, tmp_path):
+    text = fixture_text("fix-split.bsf")
+    lf, crlf = tmp_path / "lf.bsf", tmp_path / "crlf.bsf"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    _, want = run(capsys, "validate", str(lf))
+    _, got = run(capsys, "validate", str(crlf))
+    assert got[2] == f"input-sha256: {sha256(crlf.read_bytes()).hexdigest()}"
+    assert got[:2] + got[3:] == want[:2] + want[3:]
+
+
 def test_structural_violations_exit_two(capsys, tmp_path):
     # parseable, but the extra circle never shows up in a boundary word
     p = tmp_path / "loose.bsf"
@@ -393,6 +414,21 @@ def test_chart_samples_must_be_finite(capsys, box_path, tmp_path, sample):
     assert code == 2
     assert lines[-1] == (f"error: chart-error: bad sample value: "
                          f"{sample!r} on line 5 is not finite")
+
+
+@pytest.mark.parametrize("shape, message", [
+    ("-3 -3 5", "each axis needs at least 2 samples"),
+    ("3 1 5", "each axis needs at least 2 samples"),
+    ("3 3", "box shape needs 3 numbers"),
+], ids=["negative", "one-sample", "two-entries"])
+def test_chart_shape_line_must_fit_the_kind(capsys, tmp_path, shape, message):
+    # only the shape line is wrong: the 45 sample lines fit (3, 3, 5)
+    text = print_grid(sample_box(lambda x, y, z: -1.0 - y, (3, 3, 5)))
+    p = tmp_path / "bad.grid"
+    p.write_text(text.replace("shape 3 3 5", "shape " + shape))
+    code, lines = run(capsys, "chart", "check-box", str(p))
+    assert code == 2
+    assert lines[-1] == f"error: chart-error: {message}"
 
 
 def test_chart_purify_box_roundtrip(capsys, tmp_path):
