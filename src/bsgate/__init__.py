@@ -40,22 +40,6 @@ from .weights import (
     verify_certificate,
 )
 from .assembly import assemble
-from .charts import (
-    ChartReport,
-    SlopeGrid,
-    check_box,
-    check_cylinder,
-    contact_oracle_box,
-    extend_cell,
-    holonomy_map,
-    parse_grid,
-    print_grid,
-    purify_box,
-    purify_cylinder,
-    sample_annulus,
-    sample_box,
-    sample_cylinder,
-)
 from .splitting import (
     SplitLocus,
     all_loci,
@@ -69,6 +53,26 @@ from .splitting import (
 )
 
 __version__ = "0.1.0"
+
+# the chart layer needs numpy, which the exact layers never do: its names
+# are served on first use (PEP 562), so importing bsgate leaves numpy out
+_CHART_NAMES = (
+    "ChartReport", "SlopeGrid", "check_box", "check_cylinder",
+    "contact_oracle_box", "extend_cell", "holonomy_map", "parse_grid",
+    "print_grid", "purify_box", "purify_cylinder", "sample_annulus",
+    "sample_box", "sample_cylinder",
+)
+
+
+def __getattr__(name: str):
+    if name in _CHART_NAMES:
+        from . import charts
+        return getattr(charts, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_CHART_NAMES))
 
 __all__ = [
     "AmbiguousRoles",

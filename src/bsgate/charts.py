@@ -31,6 +31,9 @@ OUTER_CONTACT = "outer"
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TOL = 1e-9
+# most RK4 steps holonomy_map takes, ceil(2pi / step): about 50 s of
+# pure-Python integration on a 2-vCPU x86-64 VM
+_MAX_RK4_STEPS = 10 ** 7
 
 # fraction of the blend slope carried by the linear term; keeps the
 # purified profile strictly decreasing where the smooth term flattens
@@ -49,6 +52,16 @@ def _ends(kind: str, bounds: tuple[float, ...]) -> list[float]:
     """Low and high end of every axis in turn, as the bounds line reads."""
     return [v for lo, hi, _ in _AXES[kind]
             for v in (lo, bounds[0] if hi is None else hi)]
+
+
+def _check_bounds(kind: str, bounds: tuple[float, ...]) -> None:
+    """A cylinder carries one finite positive radius R; other kinds none."""
+    if kind == CYLINDER:
+        if len(bounds) != 1 or not 0 < bounds[0] < math.inf:
+            raise ChartError("cylinder grid needs a positive radial "
+                             "bound (R,)")
+    elif bounds != ():
+        raise ChartError(f"{kind} grid takes no bounds")
 
 
 def _axes(kind: str, bounds: tuple[float, ...], shape: tuple[int, ...],
@@ -86,12 +99,7 @@ class SlopeGrid:
                 f"got {vals.ndim} dimensions")
         if min(vals.shape) < 2:
             raise ChartError("each axis needs at least 2 samples")
-        if self.kind == CYLINDER:
-            if len(self.bounds) != 1 or not 0 < self.bounds[0] < math.inf:
-                raise ChartError("cylinder grid needs a positive radial "
-                                 "bound (R,)")
-        elif self.bounds != ():
-            raise ChartError(f"{self.kind} grid takes no bounds")
+        _check_bounds(self.kind, self.bounds)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if self.h is not None:
@@ -119,6 +127,7 @@ class SlopeGrid:
 def _sample(kind: str, fn: Callable, shape: tuple[int, ...],
             bounds: tuple[float, ...] = (),
             h_fn: Optional[Callable] = None) -> SlopeGrid:
+    _check_bounds(kind, bounds)  # before a bad radius meets the arithmetic
     mesh = np.meshgrid(*(c for c, _ in _axes(kind, bounds, shape)),
                        indexing="ij")
 
@@ -387,6 +396,7 @@ def extend_cell(boundary: SlopeGrid, r0: float, radius: float, nr: int,
                          f"|z| < 1 (cell ({i}, {k + 1}))")
     if float(np.abs(f2[:, [0, -1]]).max()) > tol:
         raise ChartError("boundary slope must vanish at z = +-1")
+    _check_bounds(CYLINDER, (radius,))  # 0 < r0 < R lets R = inf through
     r = np.linspace(0.0, radius, nr)
     half = r0 / 2.0
     t = (r - half) / half
@@ -407,12 +417,17 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
     Classical fixed-step 4th-order integration from theta = 0 to 2pi
     with bilinearly interpolated samples; theta wraps, z clamps to the
     chart.  The convention is increasing theta, so a strictly negative
-    slope field returns the leaf strictly below its start.  The samples
-    are indexed as nested Python lists, and the result is a Python float.
+    slope field returns the leaf strictly below its start.  The step
+    must be finite and positive, and ceil(2pi / step) at most 10**7
+    steps.  The samples are indexed as nested Python lists, and the
+    result is a Python float.
     """
     _expect(annulus, ANNULUS, "holonomy_map")
-    if step <= 0.0:
-        raise ChartError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ChartError("step must be positive and finite")
+    if TWO_PI / step > _MAX_RK4_STEPS:
+        raise ChartError(f"step {step:.6g} needs more than "
+                         f"{_MAX_RK4_STEPS} RK4 steps")
     if not -1.0 < z0 < 1.0:
         raise ChartError("z0 must lie strictly inside (-1, 1)")
     if float(annulus.values.max()) > 0.0:

@@ -24,8 +24,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-import numpy as np
-
 from .errors import InvariantViolation, MalformedSystem
 from .simplex import phase_one
 from .surface import BranchedSurfaceComplex
@@ -243,6 +241,8 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
     (bound+1)**n > 2**26 candidates (about 30 s on a 2-vCPU x86-64 VM;
     the tests need 7**9): far enough past it int64 arithmetic overflows.
     """
+    import numpy as np  # here, so that only the oracle's callers load it
+
     if bound < 1:
         raise MalformedSystem("bound must be >= 1")
     _check_system(system)

@@ -10,6 +10,7 @@ f = -c(1-z^2) is tanh(artanh z0 - 2 pi c).
 """
 
 import math
+import warnings
 from hashlib import sha256
 
 import numpy as np
@@ -68,6 +69,13 @@ def test_cylinder_radius_must_be_finite_and_positive(radius):
     with pytest.raises(ChartError, match="positive radial bound"):
         SlopeGrid(CYLINDER, (radius,), np.zeros((3, 4, 3)),
                   np.zeros((3, 4, 3)))
+    # sampling refuses it before building the axes: no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartError, match="positive radial bound"):
+            sample_cylinder(lambda r, t, z: -r * r + 0 * z, (3, 4, 3),
+                            radius=radius,
+                            h_fn=lambda r, t, z: -1.0 + 0 * z)
 
 
 def test_h_only_on_cylinders():
@@ -380,8 +388,13 @@ def test_holonomy_flat_annulus_has_none():
 
 def test_holonomy_guards():
     ann = sample_annulus(lambda t, z: -(1 - z ** 2), (16, 17))
-    with pytest.raises(ChartError, match="step"):
-        holonomy_map(ann, 0.0, 0.0)
+    for step in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ChartError, match="positive and finite"):
+            holonomy_map(ann, 0.0, step)
+    # past 10**7 steps, and 2pi / 5e-324 overflows to inf
+    for step in (2 * math.pi / (10 ** 7 + 1), 1e-300, 5e-324):
+        with pytest.raises(ChartError, match="more than 10000000 RK4"):
+            holonomy_map(ann, 0.0, step)
     with pytest.raises(ChartError, match="z0"):
         holonomy_map(ann, 1.0, 1e-2)
     with pytest.raises(ChartError, match="nonpositive"):

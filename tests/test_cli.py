@@ -15,6 +15,8 @@ import pytest
 
 from bsgate import __version__, cli, surface, weights
 from bsgate.charts import (
+    INNER_CONTACT,
+    OUTER_CONTACT,
     parse_grid,
     print_grid,
     sample_annulus,
@@ -25,7 +27,7 @@ from bsgate.cli import main
 from bsgate.parser import parse_complex
 from bsgate.surface import validate
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, fx, run_python
 
 TRAILER = re.compile(r"^# duration-ms \d+$")
 
@@ -36,10 +38,6 @@ def run(capsys, *argv):
     out = capsys.readouterr().out.rstrip("\n").split("\n")
     assert TRAILER.match(out[-1]), out[-1]
     return code, out[:-1]
-
-
-def fx(name: str) -> str:
-    return str(FIXTURES / name)
 
 
 # -- exit-code contract ---------------------------------------------------
@@ -479,6 +477,46 @@ def test_chart_holonomy_report(capsys, tmp_path):
     disp = float(lines[-1].split(": ")[1])
     assert z1 == pytest.approx(-0.05 * 2 * 3.141592653589793, abs=1e-9)
     assert disp == z1
+
+
+def bsgate_child(*argv: str) -> tuple[int, list[str], str]:
+    """The console script in a fresh interpreter: (exit code, report
+    lines minus trailer, stderr)."""
+    proc = run_python("-m", "bsgate.cli", *argv)
+    out = proc.stdout.rstrip("\n").split("\n")
+    assert TRAILER.match(out[-1]), out[-1]
+    return proc.returncode, out[:-1], proc.stderr
+
+
+@pytest.mark.parametrize("step, message", [
+    ("nan", "step must be positive and finite"),
+    ("inf", "step must be positive and finite"),
+    ("1e-300", "step 1e-300 needs more than 10000000 RK4 steps"),
+])
+def test_chart_holonomy_refuses_a_step_up_front(annulus_path, step, message):
+    # a fresh interpreter with a timeout: 1e-300 once meant 6e300 steps
+    code, lines, err = bsgate_child("chart", "holonomy", annulus_path,
+                                    "--z0", "0", "--step", step)
+    assert (code, lines[-1], err) == (2, f"error: chart-error: {message}", "")
+
+
+def test_chart_extend_refuses_an_infinite_radius_quietly(annulus_path):
+    code, lines, err = bsgate_child("chart", "extend", annulus_path,
+                                    "--r0", "0.5", "--radius", "inf")
+    assert (code, lines[-1], err) == (
+        2, "error: chart-error: cylinder grid needs a positive radial "
+           "bound (R,)", "")
+
+
+@pytest.mark.parametrize("mode", [INNER_CONTACT, OUTER_CONTACT, "sideways"])
+def test_purify_cyl_modes_are_the_chart_constants(mode):
+    # the parser spells the modes out so that building it loads no charts
+    argv = ["chart", "purify-cyl", "in.grid", "--r0", "0.5", "--mode", mode]
+    if mode == "sideways":
+        with pytest.raises(cli.UsageError, match="invalid choice"):
+            cli._build_parser().parse_args(argv)
+    else:
+        assert cli._build_parser().parse_args(argv).mode == mode
 
 
 # -- determinism and selftest ---------------------------------------------
