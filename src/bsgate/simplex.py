@@ -79,11 +79,16 @@ def phase_one(rows: list[dict[int, int]], rhs: list[int],
         if pc is None:
             break
         hits = [(r, row[pc]) for r, row in enumerate(tab) if pc in row]
-        ratios = [(Fraction(b[r], a), basis[r], r) for r, a in hits if a > 0]
-        if not ratios:
+        # least b[r] / a over a > 0 by cross-multiplication (every a and
+        # the chosen p are positive); ties go to the least basic column
+        pr = None
+        for r, a in hits:
+            if a > 0 and (pr is None or b[r] * p < pb * a or (
+                    b[r] * p == pb * a and basis[r] < basis[pr])):
+                pr, pb, p = r, b[r], a
+        if pr is None:
             raise InvariantViolation("phase-one objective unbounded")
-        pr = min(ratios)[2]
-        prow, pb, p = tab[pr], b[pr], tab[pr][pc]
+        prow = tab[pr]
         for r, f in hits:
             if r != pr:
                 row = _eliminate(p, tab[r], f, prow)
@@ -101,5 +106,5 @@ def phase_one(rows: list[dict[int, int]], rhs: list[int],
     for v, j in zip(values, basis):
         if j < n:
             x[j] = v
-    duals = tuple(1 - Fraction(red.get(n + r, 0), den) for r in range(m))
+    duals = tuple(Fraction(den - red.get(n + r, 0), den) for r in range(m))
     return PhaseOneResult(optimum, tuple(x), duals)

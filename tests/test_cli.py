@@ -558,6 +558,37 @@ def test_selftest_seed_base_must_be_an_integer(capsys, monkeypatch):
                          "integer, got 'abc'")
 
 
+def test_selftest_reports_an_oracle_disagreement(capsys, monkeypatch):
+    # force the oracle to "find" a witness for every system
+    monkeypatch.setattr(cli, "brute_force", lambda system, bound: {"A": 1})
+    code, lines = run(capsys, "selftest", "--seeds", "1")
+    assert code == 3
+    assert lines[-1] == ("error: oracle-disagreement: seed 0 kind "
+                         "neg-tisc: oracle disagrees")
+
+
+def test_selftest_asks_the_oracle_only_about_infeasible_verdicts(
+        capsys, monkeypatch):
+    verdicts, asked = [], []  # (system, feasible) and systems, in call order
+
+    def recording_feasible(system):
+        cert = weights.feasible(system)
+        verdicts.append((system, cert.feasible))
+        return cert
+
+    def recording_oracle(system, bound):
+        asked.append(system)
+        return weights.brute_force(system, bound)
+
+    monkeypatch.setattr(cli, "feasible", recording_feasible)
+    monkeypatch.setattr(cli, "brute_force", recording_oracle)
+    code, lines = run(capsys, "selftest", "--seeds", "4")
+    assert code == 0 and "solver-runs: 12" in lines
+    # seeds 0-3: isc is feasible on seeds 0 and 3, all else infeasible
+    assert [ok for _s, ok in verdicts].count(True) == 2
+    assert asked == [system for system, ok in verdicts if not ok]
+
+
 def test_selftest_names_the_seed_and_kind_of_a_failed_check(capsys,
                                                             monkeypatch):
     monkeypatch.setenv("BSGATE_SEED", "5")

@@ -1,5 +1,7 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,73 @@ def test_brute_force_memory_is_bounded():
         tracemalloc.stop()
     assert found == {v: int(v in ("v00", "v19")) for v in variables}
     assert peak < 32 << 20
+
+
+def test_brute_force_refuses_forms_that_leave_int64():
+    # a - 2**62 b >= 0: at bound 3, b = 3 wrapped round to a "hit"
+    big = 1 << 62
+    sys_ = toy([{"a": 1, "b": -big}], [0])
+    with pytest.raises(MalformedSystem, match="oracle values of i0 exceed "
+                       "int64"):
+        brute_force(sys_, 3)
+    assert brute_force(sys_, 1) == {"a": 1, "b": 0}  # 1 + 2**62 fits
+    # infeasible, yet the wrapped search returned a "witness" for it
+    sys_ = toy([{"b": -big}, {"a": -1}], [0, 1])
+    assert not feasible(sys_).feasible
+    with pytest.raises(MalformedSystem, match="exceed int64"):
+        brute_force(sys_, 3)
+
+
+def reference_oracle(system, bound):
+    """The first hit of a plain lexicographic enumeration."""
+    sigma = strict_aggregate(system)
+    for vec in product(range(bound + 1), repeat=len(system.variables)):
+        w = dict(zip(system.variables, vec))
+        if (all(f.dot(w) == 0 for f in system.equalities)
+                and all(f.dot(w) >= 0 for f in system.inequalities)
+                and sigma.dot(w) >= 1):
+            return w
+    return None
+
+
+@st.composite
+def oracle_cases(draw):
+    bound = draw(st.integers(min_value=1, max_value=7))
+    most = max(n for n in range(8) if (bound + 1) ** n <= 2048)
+    nv = draw(st.integers(min_value=0, max_value=most))
+    variables = tuple(f"v{i}" for i in range(nv))
+    coeff = st.integers(min_value=-2, max_value=3)
+
+    def forms(prefix, count):
+        return tuple(LinForm.make({v: draw(coeff) for v in variables},
+                                  f"{prefix}{i}") for i in range(count))
+
+    eqs = forms("e", draw(st.integers(min_value=0, max_value=2)))
+    ineqs = forms("i", draw(st.integers(min_value=1, max_value=4)))
+    strict = tuple(sorted(draw(st.sets(st.integers(
+        min_value=0, max_value=len(ineqs) - 1), min_size=1))))
+    # a small block leaves some variables to the leading-prefix loop
+    chunk = draw(st.sampled_from([weights._CHUNK_ELEMENTS, 8, 64]))
+    return ConstraintSystem(variables, eqs, ineqs, strict, "random"), bound, chunk
+
+
+@given(oracle_cases())
+@settings(max_examples=200, deadline=None)
+def test_brute_force_is_the_first_hit_of_a_plain_enumeration(case):
+    sys_, bound, chunk = case
+    with mock.patch.object(weights, "_CHUNK_ELEMENTS", chunk):
+        found = brute_force(sys_, bound)
+    assert found == reference_oracle(sys_, bound)
+
+
+def test_brute_force_decodes_a_hit_past_the_first_block(monkeypatch):
+    # v0 = ... = v5 and v0 >= 1 over [0, 3]: twelve columns, so blocks
+    # of 4**2 candidates, and the least hit lies in block (1, 1, 1, 1)
+    variables = tuple(f"v{i}" for i in range(6))
+    sys_ = toy([{"v0": 1}], [0], variables=variables,
+               eqs=[{"v0": 1, v: -1} for v in variables[1:]])
+    monkeypatch.setattr(weights, "_CHUNK_ELEMENTS", 16 * 12)
+    assert brute_force(sys_, 3) == {v: 1 for v in variables}
 
 
 def test_corner_form_symmetry_invariant():
