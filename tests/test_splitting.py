@@ -8,6 +8,7 @@ checked against exhaustive enumeration of closed solutions.
 
 import itertools
 from dataclasses import replace
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from bsgate import splitting, surface, weights
 from bsgate.errors import (
     BadMove,
+    BsgateError,
     InvalidLocus,
     InvariantViolation,
     MalformedSystem,
@@ -37,6 +39,8 @@ from bsgate.splitting import (
     safe_split,
     split,
 )
+from bsgate.gen import random_complex
+from bsgate.parser import print_complex
 from bsgate.surface import SegItem, validate
 from bsgate.weights import criterion, segment_form
 
@@ -217,6 +221,55 @@ def test_name_allocation_avoids_collisions():
     ids = [s.id for s in step2.complex.sectors]
     assert len(ids) == len(set(ids))
     assert "slv1" in ids and "slv2" in ids
+
+
+# -- every split, pinned ------------------------------------------------------
+
+def _split_outcome(cx, locus, choice) -> str:
+    """Everything a split returns, or the error it raises, as text."""
+    try:
+        res = split(cx, locus, choice)
+    except BsgateError as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+    r = res.record
+    return (f"{print_complex(res.complex)}{res.dp_left} {res.dp_right} "
+            f"{r.choice}\n{r.sector_images}\n{r.new_sectors}\n")
+
+
+def _split_digest(cases) -> tuple[int, str, list[str]]:
+    """Call count, sha256 of the outcomes, and the InvariantViolations."""
+    h, n, broken = sha256(), 0, []
+    for tag, cx, loci in cases:
+        for loc in loci:
+            for choice in (OVER, UNDER, NEUTRAL):
+                out = _split_outcome(cx, loc, choice)
+                h.update(out.encode())
+                n += 1
+                if out.startswith("InvariantViolation"):
+                    broken.append(f"{tag} {choice} {format_locus(cx, loc)}")
+    return n, h.hexdigest(), broken
+
+
+def test_every_fixture_split_is_pinned():
+    cases = [(name, cx, all_loci(cx))
+             for name, cx in ((n, load(n)) for n in ALL_FIXTURES)]
+    assert _split_digest(cases) == (
+        240, "a603a1cfb282000f05d303a5269df02265ed2090f998fc1816491078e1747c08",
+        [])
+
+
+def test_every_seeded_good_split_is_pinned():
+    cases = [(seed, cx, good_loci(cx))
+             for seed, cx in ((s, random_complex(s)) for s in range(200))]
+    # the six InvariantViolations are pinned as they stand: each output's
+    # corner roles are ambiguous at one or two double points
+    assert _split_digest(cases) == (
+        3372, "91a291d767b3e63e6fca785bec88cc4770d1caa108c0a1656fb70f321095631b",
+        ["6 over b2_Wf 2:0:one 2:3:one", "6 under b2_Wf 2:0:one 2:3:one",
+         "75 neutral b0_Bo 1:0:one 3:0:one",
+         "75 neutral b0_Bo 3:0:one 1:0:one",
+         "185 over b0_Wf 2:0:one 2:3:one",
+         "185 under b0_Wf 2:0:one 2:3:one"])
 
 
 # -- weight pushforward -------------------------------------------------------
