@@ -177,6 +177,12 @@ def _expect(grid: SlopeGrid, kind: str, what: str) -> None:
         raise ChartError(f"{what} needs a {kind} grid, got {grid.kind}")
 
 
+def _check_tol(tol: float) -> None:
+    # a nan tol would make every "exceeds tol" comparison false
+    if not 0.0 <= tol < math.inf:
+        raise ChartError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def check_box(grid: SlopeGrid, tol: float = DEFAULT_TOL) -> ChartReport:
     """Confoliation/contact sign check for dz + f dx on a box.
 
@@ -184,6 +190,7 @@ def check_box(grid: SlopeGrid, tol: float = DEFAULT_TOL) -> ChartReport:
     tol; the contact mask marks cells where it is below -tol.
     """
     _expect(grid, BOX, "check_box")
+    _check_tol(tol)
     if grid.shape[1] < 3:
         raise ChartError("check_box needs at least 3 samples along y")
     dy = grid.spacings()[1]
@@ -230,6 +237,7 @@ def check_cylinder(grid: SlopeGrid, tol: float = DEFAULT_TOL) -> ChartReport:
     there).
     """
     _expect(grid, CYLINDER, "check_cylinder")
+    _check_tol(tol)
     if grid.h is None:
         raise ChartError("check_cylinder needs the reduced samples h")
     if grid.shape[0] < 3:
@@ -384,6 +392,7 @@ def extend_cell(boundary: SlopeGrid, r0: float, radius: float, nr: int,
     h(0) = f/r0^2 < 0 on the open interior.
     """
     _expect(boundary, ANNULUS, "extend_cell")
+    _check_tol(tol)
     if not 0.0 < r0 < radius:
         raise ChartError("need 0 < r0 < R")
     if nr < 3:

@@ -7,14 +7,19 @@ curve, creating a pair of new double points of opposite sign; the
 neutral move stops short of the exit curve and merges the flanking
 sheets instead.
 
-The local rewrite is encoded as word-splice tables below.  Conventions
-worth keeping in mind when reading them:
+All three moves run through one template in ``split``: cut the sector
+along the arc, rewrite the lateral sheets at the entry and exit edges,
+fuse the severed halves of a circle edge, then name the pieces and
+rebuild the segments.  Conventions worth keeping in mind when reading
+it:
 
 * the cut along the arc follows the canonical representative that, when
   entry and exit share a boundary word, severs a planar piece carrying
   the word segment running forward from the entry;
-* for the over move the new left double point is negative and the right
-  one positive; the under move mirrors this;
+* the under move is the over move with the ``up`` and ``lo`` sheets
+  swapped in its one lateral table; so the over move's new left double
+  point is negative and its right one positive, and the under move's
+  signs are the mirror image;
 * every output complex is re-validated, so a template error surfaces as
   ``InvariantViolation`` rather than silent corruption.
 """
@@ -65,14 +70,9 @@ class SplitLocus:
 class SplitRecord:
     """Bookkeeping from one split, enough to pull weights back."""
 
-    sector: str
-    entry_segment: str
-    exit_segment: str
     choice: str
     sector_images: tuple[tuple[str, str], ...]  # original id -> new id
     new_sectors: tuple[str, ...]
-    dp_left: Optional[str]
-    dp_right: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -211,15 +211,14 @@ def format_locus(cx: BranchedSurfaceComplex, locus: SplitLocus) -> str:
 _Pairs = list[tuple[SegItem, Optional[str]]]
 
 
+@dataclass(eq=False)
 class _Piece:
     """A sector of the output complex while words are under surgery."""
 
-    def __init__(self, genus: int, words: list[_Pairs],
-                 members: tuple[str, ...], tags: frozenset = frozenset()):
-        self.genus = genus
-        self.words = words
-        self.members = members
-        self.tags = tags
+    genus: int
+    words: list[_Pairs]
+    members: tuple[str, ...]  # the input sectors merged into this piece
+    tags: frozenset  # "zl", "zr" or "slv" when the piece is one of those
 
 
 def _pairs(word: BoundaryWord) -> _Pairs:
@@ -271,7 +270,7 @@ def _fuse_adjacent(pool: list[_Piece], first: SegItem, second: SegItem,
 
 
 def _allocate_names(cx: BranchedSurfaceComplex, z: str, gin: BranchSegment,
-                    choice: str) -> tuple[dict[str, str], int]:
+                    choice: str) -> dict[str, str]:
     sec_ids = set(cx.sector_by_id)
     seg_ids = set(cx.segment_by_id)
     dp_ids = set(cx.dp_by_id)
@@ -291,7 +290,7 @@ def _allocate_names(cx: BranchedSurfaceComplex, z: str, gin: BranchSegment,
                  set(segs.values()) & seg_ids or
                  set(dps.values()) & dp_ids)
         if not clash:
-            return {**secs, **segs, **dps}, n
+            return {**secs, **segs, **dps}
         n += 1
 
 
@@ -313,70 +312,47 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
     gout = cx.segment_by_id[ext.seg]
     entry_circle = gin.kind == "circle"
     exit_circle = gout.kind == "circle"
-    names, _ = _allocate_names(cx, sec.id, gin, choice)
+    names = _allocate_names(cx, sec.id, gin, choice)
     over_like = choice in (OVER, UNDER)
-    lvert: Optional[str] = names["L"] if over_like else None
-    rvert: Optional[str] = names["R"] if over_like else None
+    lvert, rvert = names.get("L"), names.get("R")  # None for neutral
 
     def seg_item(key: str, side: str) -> SegItem:
         return SegItem(names[key], side)
 
     # one pool piece per input sector; the locus sector is rebuilt below
-    pool: list[_Piece] = []
-    piece_of: dict[str, _Piece] = {}
-    for s in cx.sectors:
-        tags = frozenset({"zl"}) if s.id == sec.id else frozenset()
-        piece = _Piece(s.genus, [_pairs(w) for w in s.words], (s.id,), tags)
-        pool.append(piece)
-        piece_of[s.id] = piece
+    pool = [_Piece(s.genus, [_pairs(w) for w in s.words], (s.id,),
+                   frozenset({"zl"} if s.id == sec.id else ()))
+            for s in cx.sectors]
+    zp = next(piece for piece in pool if "zl" in piece.tags)
 
     # --- cut the locus sector along the arc -------------------------------
-    zp = piece_of[sec.id]
     (ew, ei), (xw, xi) = locus.entry, locus.exit
-    fl_one = seg_item("fl", "one")
-    fr_one = seg_item("fr", "one")
+    fr_one, fl_one = seg_item("fr", "one"), seg_item("fl", "one")
+    # over and under turn at L onto gl and come back at R along gr;
+    # neutral turns onto fl
     if over_like:
-        gl_one = seg_item("gl", "one")
-        gr_one = seg_item("gr", "one")
+        lead, turn = [(fl_one, lvert)], seg_item("gl", "one")
+        back = [(seg_item("gr", "one"), rvert)]
+    else:
+        lead, turn, back = [], fl_one, []
     if ew == xw:
         w = zp.words[ew]
-        if over_like:
-            right = ([(gr_one, rvert), (fr_one, w[ei][1])]
-                     + _forward(w, ei, xi))
-            left = ([(fl_one, lvert), (gl_one, w[xi][1])]
-                    + _forward(w, xi, ei))
-        else:
-            right = [(fr_one, w[ei][1])] + _forward(w, ei, xi)
-            left = [(fl_one, w[xi][1])] + _forward(w, xi, ei)
-        zp.words[ew] = left
-        zr = _Piece(0, [right], (), frozenset({"zr"}))
-        pool.insert(pool.index(zp) + 1, zr)
+        right = back + [(fr_one, w[ei][1])] + _forward(w, ei, xi)
+        zp.words[ew] = lead + [(turn, w[xi][1])] + _forward(w, xi, ei)
+        pool.insert(pool.index(zp) + 1,
+                    _Piece(0, [right], (), frozenset({"zr"})))
     else:
         we, wx = zp.words[ew], zp.words[xw]
-        fused = [(fr_one, we[ei][1])] + _forward(we, ei, ei)
-        if over_like:
-            fused += [(fl_one, lvert), (gl_one, wx[xi][1])]
-            fused += _forward(wx, xi, xi) + [(gr_one, rvert)]
-        else:
-            fused += [(fl_one, wx[xi][1])] + _forward(wx, xi, xi)
-        zp.words[ew] = fused
+        zp.words[ew] = ([(fr_one, we[ei][1])] + _forward(we, ei, ei) + lead
+                        + [(turn, wx[xi][1])] + _forward(wx, xi, xi) + back)
         del zp.words[xw]
-        zp.genus = sec.genus  # arc between distinct words keeps the genus
 
     # --- lateral rewrites at the entry and exit ----------------------------
     if over_like:
-        gm_one = seg_item("gm", "one")
-        tg_one = seg_item("tg", "one")
-        if choice == OVER:
-            entry_mid = {"up": seg_item("tg", "up"), "lo": gm_one}
-            exit_mid = {"up": tg_one, "lo": seg_item("gm", "lo")}
-            sliver = [(seg_item("tg", "lo"), lvert),
-                      (seg_item("gm", "up"), rvert)]
-        else:
-            entry_mid = {"up": gm_one, "lo": seg_item("tg", "lo")}
-            exit_mid = {"up": seg_item("gm", "up"), "lo": tg_one}
-            sliver = [(seg_item("tg", "up"), lvert),
-                      (seg_item("gm", "lo"), rvert)]
+        # under is over with the two lateral sheets swapped
+        a, b = ("up", "lo") if choice == OVER else ("lo", "up")
+        entry_mid = {a: seg_item("tg", a), b: seg_item("gm", "one")}
+        exit_mid = {a: seg_item("tg", "one"), b: seg_item("gm", b)}
         for side in ("up", "lo"):
             piece, wi, ii = _find(pool, gin.id, side)
             after = piece.words[wi][ii][1]
@@ -390,6 +366,7 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
                 piece.words[wi], ii,
                 [(seg_item("gl", side), lvert), (exit_mid[side], rvert),
                  (seg_item("gr", side), after)])
+        sliver = [(seg_item("tg", b), lvert), (seg_item("gm", a), rvert)]
         pool.append(_Piece(0, [sliver], (), frozenset({"slv"})))
     else:
         for side in ("up", "lo"):
@@ -416,37 +393,28 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
                     pa.members += pb.members
                     pa.tags |= pb.tags
                     pool.remove(pb)
-                    for sid in pb.members:
-                        piece_of[sid] = pa
 
     # --- circle entries and exits fuse the severed halves ------------------
+    def fuse(first: str, second: str, key: str) -> None:
+        """Merge the halves ``first``, ``second`` of a circle into ``key``."""
+        _fuse_adjacent(pool, seg_item(first, "one"), seg_item(second, "one"),
+                       seg_item(key, "one"))
+        for side in ("up", "lo"):
+            _fuse_adjacent(pool, seg_item(second, side),
+                           seg_item(first, side), seg_item(key, side))
+
     if entry_circle:
-        key = "flr" if over_like else "fn"
-        _fuse_adjacent(pool, fr_one, fl_one, seg_item(key, "one"))
-        for side in ("up", "lo"):
-            _fuse_adjacent(pool, seg_item("fl", side), seg_item("fr", side),
-                           seg_item(key, side))
+        fuse("fr", "fl", "flr" if over_like else "fn")
     if exit_circle and over_like:
-        _fuse_adjacent(pool, gl_one, gr_one, seg_item("gf", "one"))
-        for side in ("up", "lo"):
-            _fuse_adjacent(pool, seg_item("gr", side), seg_item("gl", side),
-                           seg_item("gf", side))
+        fuse("gl", "gr", "gf")
     elif exit_circle and not entry_circle:
-        _fuse_adjacent(pool, fl_one, fr_one, seg_item("fn", "one"))
-        for side in ("up", "lo"):
-            _fuse_adjacent(pool, seg_item("fr", side), seg_item("fl", side),
-                           seg_item("fn", side))
+        fuse("fl", "fr", "fn")
 
     # --- name the pieces and emit sectors ----------------------------------
-    new_sector_names: list[str] = []
-
     def piece_name(piece: _Piece) -> str:
-        if "zl" in piece.tags:
-            return names["zl"]
-        if "zr" in piece.tags:
-            return names["zr"]
-        if "slv" in piece.tags:
-            return names["slv"]
+        for tag in ("zl", "zr", "slv"):
+            if tag in piece.tags:
+                return names[tag]
         if len(piece.members) == 1:
             return piece.members[0]
         if gin.up in piece.members:
@@ -455,24 +423,16 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
             return names["ym"]
         raise InvariantViolation("merged piece with no naming anchor")
 
-    order = {s.id: i for i, s in enumerate(cx.sectors)}
     emitted: list[Sector] = []
-    done: set[int] = set()
+    new_sectors: list[str] = []
+    images: dict[str, str] = {}  # original sector id -> new id
     for piece in pool:
-        if id(piece) in done:
-            continue
-        if piece.members:
-            first = min(piece.members, key=order.__getitem__)
-            anchor = piece_of[first]
-            if anchor is not piece:
-                continue
-        done.add(id(piece))
         name = piece_name(piece)
         if name not in cx.sector_by_id:
-            new_sector_names.append(name)
+            new_sectors.append(name)
         emitted.append(Sector(name, piece.genus,
                               tuple(_word(p) for p in piece.words)))
-        piece.final_name = name  # type: ignore[attr-defined]
+        images.update(dict.fromkeys(piece.members, name))
 
     # --- rebuild segments from where their edges now sit --------------------
     occ: dict[tuple[str, str], str] = {}
@@ -491,7 +451,6 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
     def end(dp_key: str, slot: int) -> SegmentEnd:
         return SegmentEnd(names[dp_key], slot)
 
-    new_segments: list[BranchSegment] = []
     if over_like:
         table = {
             "fl": ("arc", gin.end0, end("L", 3)),
@@ -503,6 +462,8 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
             "gm": ("arc", end("R", 2), end("L", 0)),
             "tg": ("arc", end("L", 1), end("R", 1)),
         }
+        entry_key = "flr" if entry_circle else "fr"
+        exit_key = "gf" if exit_circle else "gr"
         wanted = (["flr"] if entry_circle else ["fl", "fr"])
         wanted += (["gf"] if exit_circle else ["gl", "gr"])
         wanted += ["gm", "tg"]
@@ -514,20 +475,17 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
                    else ("arc", gout.end0, gout.end1) if entry_circle
                    else ("arc", gin.end0, gin.end1)),
         }
+        entry_key = exit_key = (
+            "fn" if (entry_circle or exit_circle) else "fr")
         wanted = ["fn"] if (entry_circle or exit_circle) else ["fl", "fr"]
+
+    new_segments = []
     for key in wanted:
         kind, e0, e1 = table[key]
-        sh = sheets(names[key])
         new_segments.append(BranchSegment(
-            names[key], kind, sh["one"], sh["up"], sh["lo"], e0, e1))
-
-    segments = []
-    for g in cx.segments:
-        if g.id in (gin.id, gout.id):
-            continue
-        sh = sheets(g.id)
-        segments.append(replace(g, one=sh["one"], up=sh["up"], lo=sh["lo"]))
-    segments.extend(new_segments)
+            names[key], kind, **sheets(names[key]), end0=e0, end1=e1))
+    segments = [replace(g, **sheets(g.id)) for g in cx.segments
+                if g.id not in (gin.id, gout.id)]
 
     dps = list(cx.dps)
     if over_like:
@@ -535,8 +493,8 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         dps.append(DoublePoint(names["L"], lsign))
         dps.append(DoublePoint(names["R"], -lsign))
 
-    out = BranchedSurfaceComplex(cx.name, tuple(emitted), tuple(segments),
-                                 tuple(dps))
+    out = BranchedSurfaceComplex(cx.name, tuple(emitted),
+                                 tuple(segments + new_segments), tuple(dps))
     report = validate(out)
     if report.violations:
         raise InvariantViolation(
@@ -544,29 +502,14 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
     if over_like and len(out.dps) != len(cx.dps) + 2:
         raise InvariantViolation("double-point count did not grow by two")
 
-    images: dict[str, str] = {}
-    for s in cx.sectors:
-        images[s.id] = piece_of[s.id].final_name  # type: ignore[attr-defined]
-    if over_like:
-        entry_key = "flr" if entry_circle else "fr"
-        exit_key = "gf" if exit_circle else "gr"
-    else:
-        entry_key = exit_key = (
-            "fn" if (entry_circle or exit_circle) else "fr")
-    images[gout.up] = occ[(names[exit_key], "up")]
-    images[gout.lo] = occ[(names[exit_key], "lo")]
-    images[gin.up] = occ[(names[entry_key], "up")]
-    images[gin.lo] = occ[(names[entry_key], "lo")]
+    for g, key in ((gout, exit_key), (gin, entry_key)):
+        images[g.up] = occ[(names[key], "up")]
+        images[g.lo] = occ[(names[key], "lo")]
     images[sec.id] = names["zl"]
 
-    record = SplitRecord(
-        sector=sec.id, entry_segment=gin.id, exit_segment=gout.id,
-        choice=choice,
-        sector_images=tuple(sorted(images.items())),
-        new_sectors=tuple(new_sector_names),
-        dp_left=names["L"] if over_like else None,
-        dp_right=names["R"] if over_like else None)
-    return SplitResult(out, record.dp_left, record.dp_right, record)
+    record = SplitRecord(choice, tuple(sorted(images.items())),
+                         tuple(new_sectors))
+    return SplitResult(out, lvert, rvert, record)
 
 
 def pushforward_weights(cxp: BranchedSurfaceComplex,

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsgate import assembly
 from bsgate.assembly import (
     assemble,
     boundary_run_counts,
@@ -21,7 +22,7 @@ from bsgate.assembly import (
     normalize_trace,
     roundtrip_weights,
 )
-from bsgate.errors import WeightsNotSatisfying
+from bsgate.errors import PreconditionFailed, WeightsNotSatisfying
 from bsgate.surface import SegItem
 from bsgate.weights import (
     ISC,
@@ -192,6 +193,18 @@ def test_unsatisfying_weights_name_the_constraint():
         assemble(load("fix-tdisc.bsf"), {"sw": 1}, POS_TISC)
     with pytest.raises(WeightsNotSatisfying, match="negative"):
         assemble(load("fix-torus.bsf"), {"T": -1}, ISC)
+
+
+def test_oversized_weights_are_refused_before_any_face(monkeypatch):
+    # one face per unit of weight: 2^18 + 1 faces is over the cap
+    def no_faces(*args):
+        raise AssertionError("assemble built a face")
+
+    monkeypatch.setattr(assembly, "_edge_cell", no_faces)
+    cx = load("fix-doc.bsf")
+    for w in ({"D": (1 << 18) + 1}, {"D": 10 ** 7}):
+        with pytest.raises(PreconditionFailed, match="more than the 2\\^18"):
+            assemble(cx, w, ISC)
 
 
 def test_non_strict_vectors_still_assemble():

@@ -347,6 +347,23 @@ def test_extend_cell_guards():
         extend_cell(ok, 0.5, 1.0, 2)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_tol_must_be_finite_and_nonnegative(tol):
+    # a nan tol made every "exceeds tol" comparison false: extend_cell
+    # skipped its boundary precondition and check_box read a violation
+    # of 0 as no confoliation
+    box = sample_box(lambda x, y, z: -1.0 - y, (5, 5, 5))
+    cyl = sample_cylinder(lambda r, t, z: -r * r + 0 * z, (5, 4, 5),
+                          h_fn=lambda r, t, z: -1.0 + 0 * z)
+    lifted = sample_annulus(
+        lambda t, z: np.where(np.abs(z) == 1.0, 0.3, -1.0 + 0 * t), (8, 9))
+    for call in (lambda: check_box(box, tol),
+                 lambda: check_cylinder(cyl, tol),
+                 lambda: extend_cell(lifted, 0.5, 1.0, 9, tol)):
+        with pytest.raises(ChartError, match="tol must be finite and >= 0"):
+            call()
+
+
 # -- holonomy -----------------------------------------------------------------
 
 def test_holonomy_constant_field_is_exact():

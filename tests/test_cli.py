@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsgate import __version__, cli, surface, weights
+from bsgate import __version__, assembly, cli, surface, weights
 from bsgate.charts import (
     INNER_CONTACT,
     OUTER_CONTACT,
@@ -259,6 +259,21 @@ def test_assemble_rejects_unbalanced_weights(capsys, tmp_path):
     assert any(l.startswith("error: weights-not-satisfying") for l in lines)
 
 
+def test_assemble_refuses_oversized_weights_up_front(capsys, tmp_path,
+                                                    monkeypatch):
+    def no_faces(*args):
+        raise AssertionError("assemble built a face")
+
+    monkeypatch.setattr(assembly, "_edge_cell", no_faces)
+    p = tmp_path / "big.w"
+    p.write_text(f"w D {(1 << 18) + 1}\n")
+    code, lines = run(capsys, "assemble", "--kind", "isc",
+                      "--weights", str(p), fx("fix-doc.bsf"))
+    assert (code, lines[-1]) == (
+        2, "error: precondition-failed: weights sum to 262145: one face "
+           "per unit is more than the 2^18 faces assemble builds")
+
+
 def test_split_safe_report(capsys):
     code, lines = run(capsys, "split", "--sector", "A",
                       "--entry", "0:0:one", "--exit", "3:0:one",
@@ -462,6 +477,24 @@ def test_chart_extend_grid_flag_sizes_the_output(capsys, annulus_path,
     code, lines = run(capsys, "chart", "extend", annulus_path,
                       "--r0", "0.5", "--grid", "33,9,17")
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_chart_tol_must_be_finite_and_nonnegative(capsys, tmp_path, box_path,
+                                                  tol):
+    # f = 0.3 at z = +-1: a nan tol let extend write this cylinder
+    lifted = sample_annulus(
+        lambda t, z: np.where(np.abs(z) == 1.0, 0.3, -1.0 + 0 * t), (8, 17))
+    p = tmp_path / "lifted.grid"
+    p.write_text(print_grid(lifted))
+    out = tmp_path / "cell.grid"
+    for argv in (("extend", str(p), "--r0", "0.5", "--out", str(out)),
+                 ("check-box", box_path)):
+        code, lines = run(capsys, "chart", *argv, "--tol", tol)
+        assert (code, lines[-1]) == (
+            2, "error: chart-error: tol must be finite and >= 0, "
+               f"got {float(tol)!r}")
+    assert not out.exists()
 
 
 def test_chart_holonomy_report(capsys, tmp_path):
