@@ -486,10 +486,41 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
 GRID_MAGIC = "bsgate-grid"
 
 
+def _core(a: np.ndarray) -> np.ndarray:
+    """a cut to its first slice along every axis over which its entries
+    are all equal (==): the smallest view that broadcasts back to a.
+    One fibre is compared first, so a varying axis costs a few
+    comparisons, not a pass over a."""
+    for k in range(a.ndim):
+        fibre = a[(0,) * k + (slice(None),) + (0,) * (a.ndim - k - 1)]
+        first = a[(slice(None),) * k + (slice(0, 1),)]
+        if (fibre == fibre[:1]).all() and (a == first).all():
+            a = first
+    return a
+
+
+def _format(a: np.ndarray) -> str:
+    """``%.17g`` lines of a in C order, each distinct slice formatted
+    once: the core (constant meaning equal bits, so -0.0 and 0.0 stay
+    apart) is formatted in one pass per run of lines below its innermost
+    cut axis, and those runs are repeated out to a's shape."""
+    core = _core(a.view(np.int64)).view(np.float64)
+    inner = max((k for k in range(a.ndim) if core.shape[k] < a.shape[k]),
+                default=-1)
+    outer = core.shape[:inner + 1]
+    runs = core.reshape(math.prod(outer), -1).tolist()
+    chunks = np.array([("%.17g\n" * len(run)) % tuple(run) for run in runs],
+                      dtype=object).reshape(outer)
+    return "".join(np.broadcast_to(chunks, a.shape[:len(outer)])
+                   .ravel().tolist())
+
+
 def print_grid(grid: SlopeGrid) -> str:
     """Four-line ASCII header (kind, bounds, shape, spacing), then the
-    samples one ``%.17g`` value per line in C order, h following f,
-    formatted in one pass; ``%.17g`` reads back bit-exact."""
+    samples one ``%.17g`` value per line in C order, h following f;
+    ``%.17g`` reads back bit-exact.  An axis-invariant grid is formatted
+    once per distinct slice and repeated: the bytes are those of
+    formatting every sample."""
     head = [
         "%s %s %d" % (GRID_MAGIC, grid.kind, 0 if grid.h is None else 1),
         "bounds " + " ".join("%.17g" % v
@@ -497,11 +528,8 @@ def print_grid(grid: SlopeGrid) -> str:
         "shape " + " ".join(str(n) for n in grid.shape),
         "spacing " + " ".join("%.17g" % s for s in grid.spacings()),
     ]
-    samples = grid.values.ravel().tolist()
-    if grid.h is not None:
-        samples += grid.h.ravel().tolist()
-    return ("\n".join(head) + "\n"
-            + ("%.17g\n" * len(samples)) % tuple(samples))
+    return "\n".join(head) + "\n" + "".join(
+        _format(a) for a in (grid.values, grid.h) if a is not None)
 
 
 def _agrees(read: list[float], derived: Sequence[float]) -> bool:
@@ -512,8 +540,10 @@ def _agrees(read: list[float], derived: Sequence[float]) -> bool:
 def parse_grid(text: str) -> SlopeGrid:
     """Read print_grid's text back.  The header must agree with the kind's
     axes: a shape entry per axis, each at least 2, and the bounds and
-    spacing they imply.  The sample lines are converted in one pass with
-    ``float()``'s rules; a non-finite sample is refused with its line
+    spacing they imply.  The sample lines are converted with ``float()``'s
+    rules; an axis-invariant grid (equal line text along an axis) is
+    converted once per distinct slice and broadcast, to the same bits as
+    converting every line.  A non-finite sample is refused with its line
     number."""
     lines = text.splitlines()
     if len(lines) < 4:
@@ -552,23 +582,32 @@ def parse_grid(text: str) -> SlopeGrid:
                              "numbers")
         bounds = tuple(bvals[2 * i + 1] for i, (_, hi, _) in
                        enumerate(_AXES[kind]) if hi is None)
-    want = np.prod(shape, dtype=int) * (2 if has_h == "1" else 1)
-    body = lines[4:]
-    if len(body) != want:
-        raise ChartError(f"expected {want} sample lines, got {len(body)}")
+    nvals = math.prod(shape)  # Python ints: a huge shape cannot wrap
+    want = nvals * (2 if has_h == "1" else 1)
+    if len(lines) - 4 != want:
+        raise ChartError(f"expected {want} sample lines, "
+                         f"got {len(lines) - 4}")
+    cells = np.fromiter(lines[4:], dtype=object, count=want)
+    # each array converts only its core of distinct slices, by text: equal
+    # lines parse alike; f converts before h, and both before the finite
+    # check, so the first bad line in file order is the one reported
+    cores = [_core(cells[i:i + nvals].reshape(shape))
+             for i in range(0, want, nvals)]
     try:
-        flat = np.array(body, dtype=float)
+        vals = [c.ravel().astype(float) for c in cores]
     except ValueError as exc:
         raise ChartError(f"bad sample value: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if len(bad):
-        raise ChartError(f"bad sample value: {body[bad[0]].strip()!r} on "
-                         f"line {bad[0] + 5} is not finite")
-    nvals = np.prod(shape, dtype=int)
-    h = None
-    if has_h == "1":
-        h = flat[nvals:].reshape(shape)
-    grid = SlopeGrid(kind, bounds, flat[:nvals].reshape(shape), h)
+    for start, c, v in zip(range(0, want, nvals), cores, vals):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if len(bad):  # a cut axis has index 0, so this is the first line
+            at = start + int(np.ravel_multi_index(
+                np.unravel_index(bad[0], c.shape), shape))
+            raise ChartError(f"bad sample value: {cells[at].strip()!r} on "
+                             f"line {at + 5} is not finite")
+    # copied in C order: SlopeGrid's own copy keeps a broadcast's layout
+    f, *h = (np.broadcast_to(v.reshape(c.shape), shape).copy()
+             for c, v in zip(cores, vals))
+    grid = SlopeGrid(kind, bounds, f, h[0] if h else None)
     if not _agrees(bvals, _ends(kind, bounds)):
         raise ChartError(f"bounds line disagrees with the {kind} axes")
     if not _agrees(spacing, grid.spacings()):

@@ -309,9 +309,9 @@ def _cmd_chart(args, lines) -> int:
         grid = charts.purify_cylinder(grid, args.r0, args.mode, args.tol)
     elif sub == "extend":
         # --grid sizes the OUTPUT here: NX is the new radial sample
-        # count; NY,NZ (when given) must match the boundary data
+        # count; anything after it must be NY,NZ of the boundary data
         want = _grid_flag(args.grid) if args.grid else (65,)
-        if len(want) == 3 and want[1:] != grid.shape:
+        if want[1:] and want[1:] != grid.shape:
             raise ChartError(f"boundary shape {grid.shape} does not match "
                              f"--grid {want}")
         grid = charts.extend_cell(grid, args.r0, args.radius, want[0],

@@ -540,3 +540,78 @@ def test_grid_parse_errors():
         parse_grid(text[:-2] + "x\n")
     with pytest.raises(ChartError, match="spacing line disagrees"):
         parse_grid(text.replace("spacing 1 1 1", "spacing 1 1 2"))
+
+
+# zeros of both signs, subnormals and a huge value: an axis along which
+# only these differ is not constant, and -0.0 must not merge into 0.0
+_TWINS = (0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e300)
+
+
+@st.composite
+def _invariant_samples(draw, shape):
+    """Samples constant along a random subset of axes, then maybe one
+    sample swapped for a twin value, which breaks that constancy."""
+    const = draw(st.sets(st.sampled_from(range(len(shape)))))
+    core = tuple(1 if k in const else n for k, n in enumerate(shape))
+    pool = st.one_of(st.sampled_from(_TWINS), st.floats(allow_nan=False,
+                                                        allow_infinity=False))
+    vals = draw(st.lists(pool, min_size=math.prod(core),
+                         max_size=math.prod(core)))
+    out = np.broadcast_to(np.reshape(vals, core), shape).copy()
+    if draw(st.booleans()):
+        at = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        out[at] = draw(st.sampled_from(_TWINS))
+    return out
+
+
+@st.composite
+def _invariant_grids(draw):
+    kind = draw(st.sampled_from([BOX, CYLINDER, ANNULUS]))
+    shape = tuple(draw(st.integers(2, 6))
+                  for _ in range(2 if kind == ANNULUS else 3))
+    if kind == CYLINDER:
+        return SlopeGrid(kind, (2.0,), draw(_invariant_samples(shape)),
+                         draw(_invariant_samples(shape)))
+    return SlopeGrid(kind, (), draw(_invariant_samples(shape)))
+
+
+@given(_invariant_grids())
+@settings(max_examples=200, deadline=None)
+def test_grid_io_equals_the_one_pass_conversion(grid):
+    # print_grid and parse_grid convert each distinct slice once; the
+    # bytes must be those of converting every sample in one pass
+    samples = grid.values.ravel().tolist()
+    if grid.h is not None:
+        samples += grid.h.ravel().tolist()
+    text = print_grid(grid)
+    body = text.split("\n", 4)[4]
+    assert body == ("%.17g\n" * len(samples)) % tuple(samples)
+    back = parse_grid(text)
+    got = back.values.tobytes() + (b"" if back.h is None
+                                   else back.h.tobytes())
+    assert got == np.array(body.splitlines(), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("which", ["f", "h"])
+@pytest.mark.parametrize("first, later, message", [
+    ("nan", "inf", "'nan' on line {} is not finite"),
+    ("x1", "x2", "could not convert string to float: 'x1'"),
+], ids=["non-finite", "unparsable"])
+def test_grid_bad_sample_repeated_along_constant_axes(which, first, later,
+                                                      message):
+    # f and h vary in r only, so their cores are one line per radius;
+    # the bad radii repeat over theta and z, and the report names the
+    # first bad line in file order
+    shape = (4, 3, 5)
+    grid = sample_cylinder(lambda r, t, z: -r ** 2 + 0 * t * z, shape,
+                           radius=2.0, h_fn=lambda r, t, z: -1 + 0 * r * t * z)
+    lines = print_grid(grid).splitlines()
+    offset = 4 + (0 if which == "f" else math.prod(shape))
+    per_r = shape[1] * shape[2]
+    for i in range(per_r):
+        lines[offset + per_r + i] = first
+        lines[offset + 2 * per_r + i] = later
+    with pytest.raises(ChartError) as err:
+        parse_grid("\n".join(lines) + "\n")
+    assert str(err.value) == "bad sample value: " + message.format(
+        offset + per_r + 1)

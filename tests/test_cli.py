@@ -6,6 +6,7 @@ pinned as line goldens with the ``# duration-ms`` trailer stripped, so
 these double as a determinism check.
 """
 
+import math
 import re
 from hashlib import sha256
 from pathlib import Path
@@ -444,6 +445,23 @@ def test_chart_shape_line_must_fit_the_kind(capsys, tmp_path, shape, message):
     assert lines[-1] == f"error: chart-error: {message}"
 
 
+@pytest.mark.parametrize("shape", ["4294967296 4294967296 2",
+                                   "3037000500 3037000500 2"],
+                         ids=["wraps-to-zero", "wraps-to-small"])
+def test_chart_sample_count_does_not_wrap(capsys, tmp_path, shape):
+    # a product wrapped at 2**64 once asked for 0 lines and crashed in
+    # reshape (exit 3), or asked for 290948384 lines
+    head = print_grid(sample_box(lambda x, y, z: -1.0 - y, (3, 3, 5)))
+    head = head.splitlines()[:4]
+    head[2] = "shape " + shape
+    p = tmp_path / "huge.grid"
+    p.write_text("\n".join(head) + "\n")  # and no sample lines
+    want = math.prod(int(n) for n in shape.split())
+    code, lines = run(capsys, "chart", "check-box", str(p))
+    assert (code, lines[-1]) == (
+        2, f"error: chart-error: expected {want} sample lines, got 0")
+
+
 def test_chart_purify_box_roundtrip(capsys, tmp_path):
     def staircase(x, y, z):
         return -1.0 - np.maximum(0.0, y - 0.5) ** 3
@@ -474,9 +492,14 @@ def test_chart_extend_grid_flag_sizes_the_output(capsys, annulus_path,
     code, _ = run(capsys, "chart", "extend", annulus_path,
                   "--r0", "0.5", "--grid", "33,8,17")
     assert code == 0
-    code, lines = run(capsys, "chart", "extend", annulus_path,
-                      "--r0", "0.5", "--grid", "33,9,17")
-    assert code == 2
+    # other NY,NZ, or a list of any other length, is refused
+    for flag in ("33,9,17", "65,999", "9,1,2,3"):
+        code, lines = run(capsys, "chart", "extend", annulus_path,
+                          "--r0", "0.5", "--grid", flag)
+        want = tuple(int(n) for n in flag.split(","))
+        assert (code, lines[-1]) == (
+            2, "error: chart-error: boundary shape (8, 17) does not match "
+               f"--grid {want}")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
