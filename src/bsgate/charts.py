@@ -408,15 +408,22 @@ def extend_cell(boundary: SlopeGrid, r0: float, radius: float, nr: int,
     _check_bounds(CYLINDER, (radius,))  # 0 < r0 < R lets R = inf through
     r = np.linspace(0.0, radius, nr)
     half = r0 / 2.0
-    t = (r - half) / half
-    p = ((-t + 1.25) * t + 0.5) * t + 0.25  # Hermite: C^1 ramp 1/4 -> 1
-    beta = np.where(r <= half, (r / r0) ** 2, np.where(r >= r0, 1.0, p))
-    out = f2[None, :, :] * beta[:, None, None]
-    h = np.empty_like(out)
-    core = r <= half
-    h[core] = np.broadcast_to(f2 / (r0 * r0), f2.shape)
-    r2 = (r[~core] ** 2)[:, None, None]
-    h[~core] = out[~core] / r2
+    # finite boundary data near the float range can overflow f / r^2; the
+    # result is checked below, so the arithmetic stays quiet
+    with np.errstate(all="ignore"):
+        t = (r - half) / half
+        p = ((-t + 1.25) * t + 0.5) * t + 0.25  # Hermite: C^1 ramp 1/4 -> 1
+        beta = np.where(r <= half, (r / r0) ** 2,
+                        np.where(r >= r0, 1.0, p))
+        out = f2[None, :, :] * beta[:, None, None]
+        h = np.empty_like(out)
+        core = r <= half
+        h[core] = np.broadcast_to(f2 / (r0 * r0), f2.shape)
+        r2 = (r[~core] ** 2)[:, None, None]
+        h[~core] = out[~core] / r2
+    if not (np.isfinite(out).all() and np.isfinite(h).all()):
+        raise ChartError("extended slope is not finite: the boundary data "
+                         f"over r^2 leaves the float range (r0 = {r0!r})")
     return SlopeGrid(CYLINDER, (radius,), out, h)
 
 

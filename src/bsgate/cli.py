@@ -18,12 +18,11 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .assembly import assemble
 from .errors import (
     BadMove,
     ChartError,
@@ -34,25 +33,6 @@ from .errors import (
     PreconditionFailed,
     TracingInconsistency,
     WeightsNotSatisfying,
-)
-from .gen import random_complex
-from .parser import parse_complex, parse_weights, print_complex
-from .splitting import (
-    CHOICES,
-    locus_from_strings,
-    run_plan,
-    safe_split,
-    split,
-)
-from .surface import validate
-from .weights import (
-    ISC,
-    KINDS,
-    NEG_TISC,
-    brute_force,
-    build_system,
-    criterion,
-    feasible,
 )
 
 
@@ -106,6 +86,9 @@ def _load_valid_complex(args, lines, sidecar: Optional[str] = None,
                         header: tuple[str, ...] = ()):
     """Read, digest, parse and validate ``args.input``; the text of the
     file named by ``args.<sidecar>`` is read and digested alongside."""
+    from .parser import parse_complex
+    from .surface import validate
+
     text, digest = _read(args.input)
     side_text, side_digest = (_read(getattr(args, sidecar)) if sidecar
                               else (None, None))
@@ -125,7 +108,8 @@ def _error_code(exc: Exception) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
-def _frac(q: Fraction) -> str:
+def _frac(q) -> str:
+    """A Fraction as ``p/q``."""
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -158,6 +142,9 @@ def _emit_certificate(lines: list[str], cert) -> None:
 
 
 def _cmd_validate(args, lines) -> int:
+    from .parser import parse_complex
+    from .surface import validate
+
     text, digest = _read(args.input)
     lines.append(f"input-sha256: {digest}")
     cx = parse_complex(text)
@@ -173,6 +160,9 @@ def _cmd_validate(args, lines) -> int:
 
 
 def _cmd_detect(args, lines) -> int:
+    from .weights import (ISC, NEG_TISC, brute_force, build_system,
+                          criterion, feasible)
+
     cx, _ = _load_valid_complex(args, lines, header=(f"kind: {args.kind}",))
     if args.kind == "criterion":
         verdict = criterion(cx)
@@ -202,6 +192,9 @@ def _cmd_detect(args, lines) -> int:
 
 
 def _cmd_assemble(args, lines) -> int:
+    from .assembly import assemble
+    from .parser import parse_weights
+
     cx, wtext = _load_valid_complex(args, lines, sidecar="weights")
     weights = parse_weights(wtext, cx)
     asm = assemble(cx, weights, args.kind)
@@ -234,6 +227,9 @@ def _describe_split(lines, res) -> None:
 
 
 def _cmd_split(args, lines) -> int:
+    from .parser import print_complex
+    from .splitting import locus_from_strings, safe_split, split
+
     cx, _ = _load_valid_complex(args, lines)
     locus = locus_from_strings(cx, args.sector, args.entry, args.exit)
     if args.choice == "safe":
@@ -249,6 +245,9 @@ def _cmd_split(args, lines) -> int:
 
 
 def _cmd_schedule(args, lines) -> int:
+    from .parser import print_complex
+    from .splitting import run_plan
+
     cx, ptext = _load_valid_complex(args, lines, sidecar="plan")
     rows = []
     for lno, raw in enumerate(ptext.splitlines(), 1):
@@ -284,7 +283,7 @@ def _grid_flag(text: str) -> tuple[int, ...]:
 
 
 def _cmd_chart(args, lines) -> int:
-    from . import charts  # numpy; main loads it before the clock starts
+    from . import charts
 
     sub = args.chart_cmd
     text, digest = _read(args.input)
@@ -332,7 +331,9 @@ def _cmd_chart(args, lines) -> int:
 
 
 def _cmd_selftest(args, lines) -> int:
-    from . import charts  # numpy; main loads it before the clock starts
+    from . import charts
+    from .gen import random_complex
+    from .weights import KINDS, brute_force, build_system, feasible
 
     seed_text = os.environ.get("BSGATE_SEED", "0")
     try:
@@ -372,6 +373,13 @@ def _cmd_selftest(args, lines) -> int:
 
 # -- parser and dispatch -------------------------------------------------
 
+# weights.KINDS, splitting.CHOICES and (charts.INNER_CONTACT,
+# charts.OUTER_CONTACT), spelled out so that building the parser loads no
+# layer
+_KINDS = ("neg-tisc", "pos-tisc", "isc")
+_CHOICES = ("over", "under", "neutral")
+_MODES = ("inner", "outer")
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bsgate", description=__doc__.splitlines()[0])
@@ -381,12 +389,12 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
 
     p = sub.add_parser("detect", help="decide a weight-system kind")
-    p.add_argument("--kind", required=True, choices=KINDS + ("criterion",))
+    p.add_argument("--kind", required=True, choices=_KINDS + ("criterion",))
     p.add_argument("--oracle-bound", type=int, default=None)
     p.add_argument("input")
 
     p = sub.add_parser("assemble", help="glue a carried surface")
-    p.add_argument("--kind", required=True, choices=KINDS)
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--weights", required=True)
     p.add_argument("input")
 
@@ -394,7 +402,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sector", required=True)
     p.add_argument("--entry", required=True, metavar="W:K:SIDE")
     p.add_argument("--exit", required=True, metavar="W:K:SIDE")
-    p.add_argument("--choice", required=True, choices=CHOICES + ("safe",))
+    p.add_argument("--choice", required=True, choices=_CHOICES + ("safe",))
     p.add_argument("--out", default=None)
     p.add_argument("input")
 
@@ -418,10 +426,7 @@ def _build_parser() -> _Parser:
             cp.add_argument("--delta", type=float, required=True)
         elif name == "purify-cyl":
             cp.add_argument("--r0", type=float, required=True)
-            # charts.INNER_CONTACT, OUTER_CONTACT; spelled out so that
-            # building the parser does not load charts (and numpy)
-            cp.add_argument("--mode", required=True,
-                            choices=("inner", "outer"))
+            cp.add_argument("--mode", required=True, choices=_MODES)
         elif name == "extend":
             cp.add_argument("--r0", type=float, required=True)
             cp.add_argument("--radius", type=float, default=1.0)
@@ -433,6 +438,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--seeds", type=int, default=10)
     return parser
 
+
+# the layers each command runs; main loads them before the clock starts,
+# so # duration-ms leaves loading out, and the handlers import their names
+# from them locally, so a command loads no other layer
+_LAYERS = {
+    "validate": ("parser", "surface"),
+    "detect": ("parser", "surface", "weights"),
+    "assemble": ("parser", "surface", "assembly"),
+    "split": ("parser", "surface", "splitting"),
+    "schedule": ("parser", "surface", "splitting"),
+    "chart": ("charts",),
+    "selftest": ("gen", "weights", "charts"),
+}
 
 _HANDLERS = {
     "validate": _cmd_validate,
@@ -448,10 +466,8 @@ _HANDLERS = {
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in ("chart", "selftest"):
-        # these always need the charts module; loading it (and numpy) is
-        # start-up, which # duration-ms leaves out for every command
-        from . import charts  # noqa: F401
+    for layer in _LAYERS.get(argv[0] if argv else None, ()):
+        import_module(f".{layer}", __package__)
     started = time.monotonic()
     try:
         args = _build_parser().parse_args(argv)

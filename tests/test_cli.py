@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsgate import __version__, assembly, cli, surface, weights
+from bsgate import __version__, assembly, cli, splitting, surface, weights
 from bsgate.charts import (
     INNER_CONTACT,
     OUTER_CONTACT,
@@ -160,7 +160,7 @@ def test_domain_error_exits_two(capsys):
 
 def test_oracle_disagreement_exits_three(capsys, monkeypatch):
     # force the cross-check to "find" a witness the solver ruled out
-    monkeypatch.setattr(cli, "brute_force", lambda system, bound: {"A": 1})
+    monkeypatch.setattr(weights, "brute_force", lambda system, bound: {"A": 1})
     code, lines = run(capsys, "detect", "--kind", "neg-tisc",
                       "--oracle-bound", "2", fx("fix-clean.bsf"))
     assert code == 3
@@ -564,6 +564,28 @@ def test_chart_extend_refuses_an_infinite_radius_quietly(annulus_path):
            "bound (R,)", "")
 
 
+def test_chart_extend_refuses_an_overflowing_extension_quietly(tmp_path):
+    # finite boundary data whose f / r^2 overflows: 2,032 h samples of
+    # this cylinder were infinite, and extend wrote them out
+    huge = sample_annulus(lambda t, z: -1e308 * (1.0 - z * z), (8, 9))
+    p = tmp_path / "huge.grid"
+    p.write_text(print_grid(huge))
+    out = tmp_path / "cell.grid"
+    code, lines, err = bsgate_child("chart", "extend", str(p), "--r0", "0.5",
+                                    "--out", str(out))
+    assert (code, lines[-1], err) == (
+        2, "error: chart-error: extended slope is not finite: the boundary "
+           "data over r^2 leaves the float range (r0 = 0.5)", "")
+    assert not out.exists()
+
+
+def test_spelled_out_choices_are_the_layer_constants():
+    # the parser spells them out so that building it loads no layer
+    assert cli._KINDS == weights.KINDS
+    assert cli._CHOICES == splitting.CHOICES
+    assert cli._MODES == (INNER_CONTACT, OUTER_CONTACT)
+
+
 @pytest.mark.parametrize("mode", [INNER_CONTACT, OUTER_CONTACT, "sideways"])
 def test_purify_cyl_modes_are_the_chart_constants(mode):
     # the parser spells the modes out so that building it loads no charts
@@ -616,7 +638,7 @@ def test_selftest_seed_base_must_be_an_integer(capsys, monkeypatch):
 
 def test_selftest_reports_an_oracle_disagreement(capsys, monkeypatch):
     # force the oracle to "find" a witness for every system
-    monkeypatch.setattr(cli, "brute_force", lambda system, bound: {"A": 1})
+    monkeypatch.setattr(weights, "brute_force", lambda system, bound: {"A": 1})
     code, lines = run(capsys, "selftest", "--seeds", "1")
     assert code == 3
     assert lines[-1] == ("error: oracle-disagreement: seed 0 kind "
@@ -626,18 +648,19 @@ def test_selftest_reports_an_oracle_disagreement(capsys, monkeypatch):
 def test_selftest_asks_the_oracle_only_about_infeasible_verdicts(
         capsys, monkeypatch):
     verdicts, asked = [], []  # (system, feasible) and systems, in call order
+    solve, oracle = weights.feasible, weights.brute_force
 
     def recording_feasible(system):
-        cert = weights.feasible(system)
+        cert = solve(system)
         verdicts.append((system, cert.feasible))
         return cert
 
     def recording_oracle(system, bound):
         asked.append(system)
-        return weights.brute_force(system, bound)
+        return oracle(system, bound)
 
-    monkeypatch.setattr(cli, "feasible", recording_feasible)
-    monkeypatch.setattr(cli, "brute_force", recording_oracle)
+    monkeypatch.setattr(weights, "feasible", recording_feasible)
+    monkeypatch.setattr(weights, "brute_force", recording_oracle)
     code, lines = run(capsys, "selftest", "--seeds", "4")
     assert code == 0 and "solver-runs: 12" in lines
     # seeds 0-3: isc is feasible on seeds 0 and 3, all else infeasible
