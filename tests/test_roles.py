@@ -7,11 +7,14 @@ search: try every map of the six roles onto sector ids and keep those
 matching the germ incidence signature, ignoring slot order entirely.
 """
 
+from hashlib import sha256
 from itertools import product
 
 import pytest
 
-from bsgate.errors import AmbiguousRoles, NoConsistentRoles
+from bsgate.errors import AmbiguousRoles, InvariantViolation, NoConsistentRoles
+from bsgate.gen import random_complex
+from bsgate.splitting import NEUTRAL, OVER, UNDER, format_locus, good_loci, split
 from bsgate.surface import (
     BranchSegment,
     BranchedSurfaceComplex,
@@ -21,7 +24,8 @@ from bsgate.surface import (
     derive_roles,
 )
 
-from conftest import load
+from conftest import FIXTURES, load
+from test_certificates import ladder
 
 ROLE_NAMES = ("z", "x", "u", "v", "w", "y")
 
@@ -175,3 +179,67 @@ def test_ambiguity_impossible_for_arising_tables():
             assert oracle == got
         else:
             assert oracle == set()
+
+
+# -- corner forms, pinned -----------------------------------------------------
+
+def _corner_text(name, cx) -> str:
+    """Every double point's corner form z + u - x - v: the part of the
+    roles that does not depend on which mirror reading is returned."""
+    return f"{name}\n" + "".join(
+        f"{d.id} {sorted(cx.roles[d.id].corner_coeffs().items())}\n"
+        for d in cx.dps)
+
+
+def _group(group):
+    if group == "fixtures":
+        return [(p.name, load(p.name)) for p in sorted(FIXTURES.glob("*.bsf"))]
+    if group == "seeds":
+        return [(f"seed-{s}", random_complex(s)) for s in range(200)]
+    return [(f"L{k}", ladder()[k]) for k in range(1, 41)]
+
+
+@pytest.mark.parametrize("group,dps,digest", [
+    ("fixtures", 12,
+     "ee592142bc56a52dfe0d47b8c4bc8480a4388b90e22bca9ce4a55a88f76bb3da"),
+    ("seeds", 129,
+     "44170c70bc71def5dee59a9b599d321866ba4416a1b613e8cb7b1bd7e393093c"),
+    ("ladder", 1640,
+     "9fbcd5997a1a439cb90d4d4fbe69351df5ddbcf6e93ba990355693f17bc09395"),
+])
+def test_every_corner_form_is_pinned(group, dps, digest):
+    named = _group(group)
+    h = sha256()
+    for name, cx in named:
+        h.update(_corner_text(name, cx).encode())
+    assert (sum(len(cx.dps) for _n, cx in named), h.hexdigest()) == (dps, digest)
+
+
+# the depth-one good splits whose outputs the label search found ambiguous
+FORMERLY_AMBIGUOUS = ("6 over b2_Wf 2:0:one 2:3:one",
+                      "6 under b2_Wf 2:0:one 2:3:one",
+                      "75 neutral b0_Bo 1:0:one 3:0:one",
+                      "75 neutral b0_Bo 3:0:one 1:0:one",
+                      "185 over b0_Wf 2:0:one 2:3:one",
+                      "185 under b0_Wf 2:0:one 2:3:one")
+
+
+def test_every_seeded_split_corner_form_is_pinned():
+    """Corner forms of every good split's output over seeds 0-199; the
+    formerly ambiguous six are hashed apart from the rest."""
+    rest, six, broken = sha256(), sha256(), []
+    for seed in range(200):
+        cx = random_complex(seed)
+        for loc in good_loci(cx):
+            for choice in (OVER, UNDER, NEUTRAL):
+                name = f"{seed} {choice} {format_locus(cx, loc)}"
+                try:
+                    out = split(cx, loc, choice).complex
+                except InvariantViolation:
+                    broken.append(name)
+                    continue
+                h = six if name in FORMERLY_AMBIGUOUS else rest
+                h.update(_corner_text(name, out).encode())
+    assert (rest.hexdigest(), six.hexdigest(), broken) == (
+        "23932410d2d92f3cb1bf36f624134297907a38289b6dc4514e3d75e9940ff0a1",
+        sha256().hexdigest(), list(FORMERLY_AMBIGUOUS))
