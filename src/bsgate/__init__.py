@@ -3,7 +3,6 @@
 from importlib import import_module as _import_module
 
 from .errors import (
-    AmbiguousRoles,
     BadMove,
     BsgateError,
     ChartError,
@@ -69,7 +68,6 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "AmbiguousRoles",
     "BadMove",
     "BsgateError",
     "ChartError",

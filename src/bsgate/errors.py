@@ -23,11 +23,8 @@ class ParseError(BsgateError):
 
 
 class NoConsistentRoles(BsgateError):
-    """The four germs at a double point match no corner-role pattern."""
-
-
-class AmbiguousRoles(NoConsistentRoles):
-    """More than one essentially different corner-role assignment matches."""
+    """The corners the boundary words record at a double point fit no
+    reading of the corner-role pattern."""
 
 
 class MalformedSystem(BsgateError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Union
 
-from .errors import AmbiguousRoles, NoConsistentRoles
+from .errors import NoConsistentRoles
 
 SIDES = ("one", "up", "lo")
 
@@ -109,9 +109,10 @@ class RoleAssignment:
     ``z`` is the sector meeting both merged sides, ``x``/``v`` its
     neighbours across the two branch curves, ``u`` the opposite quadrant,
     and ``w``/``y`` the two sheets passing over/under the curves.
-    ``base_slot`` is the slot whose germ carries ``z`` paired with the
-    ``w``-sheet curve; ``w_side`` is the vertical side ('up'/'lo') on
-    which the ``w``-sheet sits.
+    ``base_slot`` and ``w_side`` locate the reading on the boundary-word
+    corners: ``z``'s corner joins the merged sides of slots ``base_slot``
+    and ``base_slot + 1``, and ``w``'s joins the ``w_side`` ('up'/'lo')
+    sides of slots ``base_slot`` and ``base_slot + 2`` (slots mod 4).
     """
 
     dp: str
@@ -126,15 +127,6 @@ class RoleAssignment:
 
     def as_dict(self) -> dict[str, str]:
         return {r: getattr(self, r) for r in ROLES}
-
-    @staticmethod
-    def mirror(m: dict[str, str]) -> dict[str, str]:
-        """Role map under the symmetry swapping x with v and w with y."""
-        return {"z": m["z"], "u": m["u"], "x": m["v"], "v": m["x"],
-                "w": m["y"], "y": m["w"]}
-
-    def mirrored_map(self) -> dict[str, str]:
-        return self.mirror(self.as_dict())
 
     def corner_coeffs(self) -> dict[str, int]:
         """Sparse coefficients of the corner form z + u - x - v."""
@@ -177,6 +169,34 @@ class BranchedSurfaceComplex:
         return table
 
     @cached_property
+    def dp_corners(self) -> dict[str, dict]:
+        """Per double point: germ side (slot, side) -> (the germ side its
+        sector's corner joins it to, that sector), read off every word
+        vertex at the point; each corner is entered from both sides."""
+        segs = self.segment_by_id
+        table: dict[str, dict] = {d.id: {} for d in self.dps}
+        for s in self.sectors:
+            for w in s.words:
+                items = w.items
+                for before, v, after in zip(items, w.verts,
+                                            items[1:] + items[:1]):
+                    if v not in table:
+                        continue
+                    sides = []
+                    for it, which in ((before, "next"), (after, "prev")):
+                        if not (isinstance(it, SegItem) and it.seg in segs):
+                            break
+                        end = _end_of_item(segs[it.seg], it.side, which)
+                        if end is None or end.dp != v:
+                            break
+                        sides.append((end.slot, it.side))
+                    else:
+                        a, b = sides
+                        table[v][a] = (b, s.id)
+                        table[v][b] = (a, s.id)
+        return table
+
+    @cached_property
     def violations(self) -> tuple[str, ...]:
         """Every structural violation, computed once; see :func:`validate`."""
         return _violations(self)
@@ -209,8 +229,9 @@ def _end_of_item(seg: BranchSegment, side: str, which: str) -> Union[SegmentEnd,
 
 
 _PATTERN = (
-    # (constraint role, (germ offset a, field b), (germ offset c, field d))
-    # fields: 0 = one, 1 = eps side, 2 = opposite of eps
+    # (role, germ side, germ side): the role's sector has the corner that
+    # joins the two germ sides, each (slot offset from the base, field);
+    # fields: 0 = one, 1 = eps side (the w-sheet's), 2 = opposite of eps
     ("z", (0, 0), (1, 0)),
     ("w", (0, 1), (2, 1)),
     ("y", (1, 2), (3, 2)),
@@ -219,64 +240,43 @@ _PATTERN = (
     ("v", (3, 0), (0, 2)),
 )
 
-
-def _match_pattern(germs, a: int, eps: str):
-    """Try to read corner roles with germ ``a`` as the base and the
-    w-sheet on vertical side ``eps``.  Returns role dict or None."""
-    def fld(germ, code):
-        one, up, lo = germ
-        if code == 0:
-            return one
-        if code == 1:
-            return up if eps == "up" else lo
-        return lo if eps == "up" else up
-
-    roles = {}
-    for role, (ga, fa), (gb, fb) in _PATTERN:
-        va = fld(germs[(a + ga) % 4], fa)
-        vb = fld(germs[(a + gb) % 4], fb)
-        if va != vb:
-            return None
-        roles[role] = va
-    return roles
+# every reading of _PATTERN: base slot, w-sheet side, and per role the
+# two germ sides (slot, side) its corner joins
+_READINGS = tuple(
+    (a, eps, tuple((role, ((a + ga) % 4, fields[fa]),
+                    ((a + gb) % 4, fields[fb]))
+                   for role, (ga, fa), (gb, fb) in _PATTERN))
+    for a in range(4)
+    for eps, fields in (("up", ("one", "up", "lo")),
+                        ("lo", ("one", "lo", "up"))))
 
 
 def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
-    """Derive the corner-role assignment at a double point.
+    """Read the corner-role assignment at a double point off the words.
 
-    Searches the eight local patterns (four rotations of the slot cycle,
-    two vertical sides).  The result is unique up to the symmetry
-    swapping x with v and y with w; genuinely different matches raise
-    :class:`AmbiguousRoles`, no match raises :class:`NoConsistentRoles`.
+    Each corner the boundary words record at the point joins two germ
+    sides through one sector (:attr:`BranchedSurfaceComplex.dp_corners`).
+    The roles are those of the first base slot and ``w``-sheet side whose
+    six ``_PATTERN`` corners are all present, whichever way round each
+    runs.  Only ``z``'s corner joins two merged sides, so at most one
+    reading fits; none raises :class:`NoConsistentRoles`.
     """
     slots = cx.dp_slots.get(dp_id)
     if slots is None:
         raise NoConsistentRoles(f"unknown double point {dp_id}")
     if any(e is None for e in slots):
         raise NoConsistentRoles(f"double point {dp_id} does not have four ends")
-    germs = [(g.one, g.up, g.lo)
-             for g in (cx.segment_by_id[gid] for gid, _ei in slots)]
-
-    found: list[tuple[int, str, dict[str, str]]] = []
-    for a in range(4):
-        for eps in ("up", "lo"):
-            roles = _match_pattern(germs, a, eps)
-            if roles is not None:
-                found.append((a, eps, roles))
-    if not found:
-        raise NoConsistentRoles(f"role derivation failed at dp:{dp_id}")
-
-    def canon(m: dict[str, str]) -> tuple:
-        key = tuple(sorted(m.items()))
-        mkey = tuple(sorted(RoleAssignment.mirror(m).items()))
-        return min(key, mkey)
-
-    canonical = {canon(m) for _a, _e, m in found}
-    if len(canonical) > 1:
-        raise AmbiguousRoles(f"role derivation ambiguous at dp:{dp_id}")
-
-    a, eps, roles = min(found, key=lambda t: (t[0], t[1] != "up"))
-    return RoleAssignment(dp=dp_id, base_slot=a, w_side=eps, **roles)
+    corners = cx.dp_corners[dp_id]
+    for a, eps, joins in _READINGS:
+        roles = {}
+        for role, here, there in joins:
+            joined = corners.get(here)
+            if joined is None or joined[0] != there:
+                break
+            roles[role] = joined[1]
+        else:
+            return RoleAssignment(dp=dp_id, base_slot=a, w_side=eps, **roles)
+    raise NoConsistentRoles(f"role derivation failed at dp:{dp_id}")
 
 
 @dataclass
@@ -371,9 +371,6 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
             rep.add(f"dp {d.id} has wrong end arity "
                     f"(slots filled {slot_fill[d.id]})")
 
-    # opposite slots belong to the two distinct crossing curves: checked
-    # implicitly by role derivation; here check slots resolve pairwise.
-
     # side multiplicity: each (segment, side) appears exactly once, in the
     # declared sector's words
     occurrences: dict[tuple[str, str], list[str]] = {}
@@ -422,19 +419,17 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
     if rep.violations:
         return tuple(rep.violations)
 
-    # corner roles must derive uniquely at every double point; only when
-    # the cached map fails is each point derived alone, to report them all
+    # corner roles must be read off the words at every double point; only
+    # when the cached map fails is each point derived alone, to report all
     try:
         cx.roles
-    except (AmbiguousRoles, NoConsistentRoles):
+    except NoConsistentRoles:
         pass
     else:
         return ()
     for d in cx.dps:
         try:
             derive_roles(cx, d.id)
-        except AmbiguousRoles:
-            rep.add(f"role derivation failed at dp:{d.id} (ambiguous)")
         except NoConsistentRoles:
             rep.add(f"role derivation failed at dp:{d.id}")
 

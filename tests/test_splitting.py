@@ -261,15 +261,28 @@ def test_every_fixture_split_is_pinned():
 def test_every_seeded_good_split_is_pinned():
     cases = [(seed, cx, good_loci(cx))
              for seed, cx in ((s, random_complex(s)) for s in range(200))]
-    # the six InvariantViolations are pinned as they stand: each output's
-    # corner roles are ambiguous at one or two double points
     assert _split_digest(cases) == (
-        3372, "91a291d767b3e63e6fca785bec88cc4770d1caa108c0a1656fb70f321095631b",
-        ["6 over b2_Wf 2:0:one 2:3:one", "6 under b2_Wf 2:0:one 2:3:one",
-         "75 neutral b0_Bo 1:0:one 3:0:one",
-         "75 neutral b0_Bo 3:0:one 1:0:one",
-         "185 over b0_Wf 2:0:one 2:3:one",
-         "185 under b0_Wf 2:0:one 2:3:one"])
+        3372, "c7554f2ba53bedd31714541aa759d465dab2307d2991a3b4f712a51f67779cd7",
+        [])
+
+
+def test_every_depth_two_split_of_three_seeds_validates():
+    """Seeds 6, 38 and 198 over-split at every good locus, then split
+    again at every good locus with each choice; at depth two their outputs
+    failed role derivation while it searched the sector labels."""
+    calls = 0
+    for seed in (6, 38, 198):
+        cx = random_complex(seed)
+        for loc in good_loci(cx):
+            once = split(cx, loc, OVER).complex
+            for loc2 in good_loci(once):
+                for choice in (OVER, UNDER, NEUTRAL):
+                    out = split(once, loc2, choice).complex
+                    assert validate(out).ok(), (
+                        seed, format_locus(cx, loc),
+                        format_locus(once, loc2), choice)
+                    calls += 1
+    assert calls == 1416
 
 
 # -- weight pushforward -------------------------------------------------------

@@ -20,7 +20,6 @@ from bsgate.weights import (
     LinForm,
     build_system,
     brute_force,
-    corner_form,
     criterion,
     feasible,
     strict_aggregate,
@@ -324,19 +323,6 @@ def test_brute_force_decodes_a_hit_past_the_first_block(monkeypatch):
                eqs=[{"v0": 1, v: -1} for v in variables[1:]])
     monkeypatch.setattr(weights, "_CHUNK_ELEMENTS", 16 * 12)
     assert brute_force(sys_, 3) == {v: 1 for v in variables}
-
-
-def test_corner_form_symmetry_invariant():
-    for name, dids in [("fix-tdisc.bsf", ("P", "Q")),
-                       ("fix-split.bsf", ("P", "Q"))]:
-        cx = load(name)
-        for did in dids:
-            r = derive_roles(cx, did)
-            m = r.mirrored_map()
-            mirrored = {}
-            for s, c in ((m["z"], 1), (m["u"], 1), (m["x"], -1), (m["v"], -1)):
-                mirrored[s] = mirrored.get(s, 0) + c
-            assert LinForm.make(mirrored, f"corner:{did}") == corner_form(cx, did)
 
 
 def test_strict_aggregate_sums_group():
