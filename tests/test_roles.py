@@ -17,6 +17,7 @@ from itertools import product
 import pytest
 
 from bsgate.errors import InvariantViolation, NoConsistentRoles
+from bsgate import surface
 from bsgate.gen import random_complex
 from bsgate.splitting import (
     NEUTRAL, OVER, UNDER, format_locus, good_loci, split)
@@ -151,6 +152,17 @@ def test_no_consistent_roles_raised():
             derive_roles(_dp_complex(table), "P")
 
 
+def test_ambiguous_roles_raised():
+    # labels fit two essentially different maps here (found by exhaustive
+    # search over two-symbol germ tables); with no words to fix one, the
+    # point is refused rather than given either
+    table = [("A", "A", "B"), ("A", "B", "A"),
+             ("B", "A", "A"), ("B", "A", "A")]
+    assert len(dihedral_oracle(table)) == 2
+    with pytest.raises(NoConsistentRoles):
+        derive_roles(_dp_complex(table), "P")
+
+
 def _relabel(cx, f):
     """``cx`` with sector ``s`` renamed ``f[s]``; sectors given one name
     merge into one sector holding all their words."""
@@ -162,6 +174,16 @@ def _relabel(cx, f):
         tuple(replace(g, one=f[g.one], up=f[g.up], lo=f[g.lo])
               for g in cx.segments),
         cx.dps)
+
+
+def test_all_same_sector_degenerate_case():
+    # fig5 with all six sectors merged into one: every corner is that
+    # sector's, and each role reads it
+    cx = load("fix-fig5.bsf")
+    img = _relabel(cx, {s.id: "A" for s in cx.sectors})
+    assert validate(img).ok()
+    r = derive_roles(img, "P")
+    assert {r.z, r.x, r.u, r.v, r.w, r.y} == {"A"}
 
 
 def test_every_two_label_image_of_fig5_reads_the_image_of_its_roles():
@@ -198,6 +220,27 @@ def test_mirror_symmetry_leaves_corner_coefficients_fixed():
                 coeffs[s] = coeffs.get(s, 0) + c
             coeffs = {s: c for s, c in coeffs.items() if c}
             assert coeffs == r.corner_coeffs()
+
+
+def _fitting_readings(cx, did):
+    """The (base slot, w side) readings whose six corners are all present."""
+    corners = cx.dp_corners[did]
+    return [(a, eps) for a, eps, joins in surface._READINGS
+            if all(corners.get(here, (None,))[0] == there
+                   for _role, here, there in joins)]
+
+
+def test_ambiguity_impossible_for_arising_tables():
+    """Every double point of the fixtures, seeds 0-199 and the ladder has
+    exactly one reading of its corners, the one derive_roles returns; and
+    no two-symbol germ table yields roles from its labels alone."""
+    for _name, cx in _group("fixtures") + _group("seeds") + _group("ladder"):
+        for d in cx.dps:
+            r = derive_roles(cx, d.id)
+            assert _fitting_readings(cx, d.id) == [(r.base_slot, r.w_side)]
+    for tbl in product(product("AB", repeat=3), repeat=4):
+        with pytest.raises(NoConsistentRoles):
+            derive_roles(_dp_complex([tuple(g) for g in tbl]), "P")
 
 
 # -- corner forms, pinned -----------------------------------------------------
