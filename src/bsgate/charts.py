@@ -34,6 +34,9 @@ DEFAULT_TOL = 1e-9
 # most RK4 steps holonomy_map takes, ceil(2pi / step): about 50 s of
 # pure-Python integration on a 2-vCPU x86-64 VM
 _MAX_RK4_STEPS = 10 ** 7
+# RK4 steps whose theta cells holonomy_map tabulates at once: about 1 MB
+# of tables, whatever the step count
+_HOLONOMY_BLOCK = 4096
 
 # fraction of the blend slope carried by the linear term; keeps the
 # purified profile strictly decreasing where the smooth term flattens
@@ -100,6 +103,8 @@ class SlopeGrid:
         if min(vals.shape) < 2:
             raise ChartError("each axis needs at least 2 samples")
         _check_bounds(self.kind, self.bounds)
+        if not np.isfinite(vals).all():
+            raise ChartError("f samples must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if self.h is not None:
@@ -108,6 +113,8 @@ class SlopeGrid:
             hv = np.array(self.h, dtype=float)
             if hv.shape != vals.shape:
                 raise ChartError("h samples must match f in shape")
+            if not np.isfinite(hv).all():
+                raise ChartError("h samples must be finite")
             hv.setflags(write=False)
             object.__setattr__(self, "h", hv)
 
@@ -427,6 +434,20 @@ def extend_cell(boundary: SlopeGrid, r0: float, radius: float, nr: int,
     return SlopeGrid(CYLINDER, (radius,), out, h)
 
 
+def _theta_cells(f: list, dth: float, theta: np.ndarray) -> tuple:
+    """The theta side of one RK4 stage at each theta: the weights 1 - fa
+    and fa of its cell's two sample rows, and those rows of f (nested
+    lists).  Theta wraps as Python's % and int() wrap it, to the same
+    bits, for theta >= 0."""
+    a = np.remainder(theta, TWO_PI) / dth
+    i = a.astype(np.int64)
+    fa = a - i
+    i %= len(f)
+    return ((1.0 - fa).tolist(), fa.tolist(),
+            list(map(f.__getitem__, i.tolist())),
+            list(map(f.__getitem__, ((i + 1) % len(f)).tolist())))
+
+
 def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
     """Follow a leaf of dz/dtheta = f(theta, z) once around the annulus.
 
@@ -435,8 +456,13 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
     chart.  The convention is increasing theta, so a strictly negative
     slope field returns the leaf strictly below its start.  The step
     must be finite and positive, and ceil(2pi / step) at most 10**7
-    steps.  The samples are indexed as nested Python lists, and the
-    result is a Python float.
+    steps.  The theta side of every stage (the wrap, the cell, its
+    weight and its two sample rows) depends on the step index alone, so
+    it is tabulated with numpy for a block of steps at a time; the z
+    side and the RK4 update run on Python floats over the samples as
+    nested lists.  Each tabulated value is the same IEEE operation on
+    the same operands as evaluating it per step, so the result, a
+    Python float, has the same bits.
     """
     _expect(annulus, ANNULUS, "holonomy_map")
     if not 0.0 < step < math.inf:
@@ -451,40 +477,47 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
     nth, nz = annulus.shape
     f = annulus.values.tolist()
     dth = TWO_PI / nth
-    dz = 2.0 / (nz - 1)
+    last = nz - 1
+    dz = 2.0 / last
 
-    def slope(theta: float, zz: float) -> float:
-        a = (theta % TWO_PI) / dth
-        i = int(a)
-        fa = a - i
-        i %= nth
-        i2 = (i + 1) % nth
+    # the z side of one stage, four calls a step (bench/tracing.py counts
+    # RK4 steps by them); ga, fa and the rows come from _theta_cells
+    def slope(ga: float, fa: float, row: list, nxt: list,
+              zz: float) -> float:
         b = (zz + 1.0) / dz
         if b <= 0.0:
             j, fb = 0, 0.0
-        elif b >= nz - 1:
-            j, fb = nz - 2, 1.0
+        elif b >= last:
+            j, fb = last - 1, 1.0
         else:
             j = int(b)
             fb = b - j
-        top = (1.0 - fb) * f[i][j] + fb * f[i][j + 1]
-        bot = (1.0 - fb) * f[i2][j] + fb * f[i2][j + 1]
-        return (1.0 - fa) * top + fa * bot
+        gb = 1.0 - fb
+        top = gb * row[j] + fb * row[j + 1]
+        bot = gb * nxt[j] + fb * nxt[j + 1]
+        return ga * top + fa * bot
 
     n = math.ceil(TWO_PI / step)
     h = TWO_PI / n
+    half = h / 2.0
+    sixth = h / 6.0
     zcur = float(z0)
-    for k in range(n):
-        th = k * h
-        k1 = slope(th, zcur)
-        k2 = slope(th + h / 2.0, zcur + h / 2.0 * k1)
-        k3 = slope(th + h / 2.0, zcur + h / 2.0 * k2)
-        k4 = slope(th + h, zcur + h * k3)
-        zcur += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if zcur < -1.0:
-            zcur = -1.0
-        elif zcur > 1.0:
-            zcur = 1.0
+    for start in range(0, n, _HOLONOMY_BLOCK):
+        th = np.arange(start, min(start + _HOLONOMY_BLOCK, n),
+                       dtype=float) * h
+        cells = (_theta_cells(f, dth, th) + _theta_cells(f, dth, th + half)
+                 + _theta_cells(f, dth, th + h))
+        for (ga1, fa1, row1, nxt1, ga2, fa2, row2, nxt2,
+             ga4, fa4, row4, nxt4) in zip(*cells):
+            k1 = slope(ga1, fa1, row1, nxt1, zcur)
+            k2 = slope(ga2, fa2, row2, nxt2, zcur + half * k1)
+            k3 = slope(ga2, fa2, row2, nxt2, zcur + half * k2)
+            k4 = slope(ga4, fa4, row4, nxt4, zcur + h * k3)
+            zcur += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if zcur < -1.0:
+                zcur = -1.0
+            elif zcur > 1.0:
+                zcur = 1.0
     return zcur
 
 

@@ -335,6 +335,8 @@ def _cmd_selftest(args, lines) -> int:
     from .gen import random_complex
     from .weights import KINDS, brute_force, build_system, feasible
 
+    if args.seeds < 1:  # no system solved is no check passed
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     seed_text = os.environ.get("BSGATE_SEED", "0")
     try:
         base = int(seed_text)

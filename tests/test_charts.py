@@ -85,6 +85,15 @@ def test_h_only_on_cylinders():
         SlopeGrid(CYLINDER, (1.0,), np.zeros((3, 3, 3)), np.zeros((3, 3, 4)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_samples_must_be_finite(bad):
+    with pytest.raises(ChartError, match="f samples must be finite"):
+        sample_box(lambda x, y, z: bad + 0 * x, (3, 3, 3))
+    with pytest.raises(ChartError, match="h samples must be finite"):
+        sample_cylinder(lambda r, t, z: 0 * r, (3, 4, 3),
+                        h_fn=lambda r, t, z: np.where(r > 0, bad, 0.0))
+
+
 def test_grids_are_immutable():
     g = sample_box(lambda x, y, z: x, shape=(3, 3, 3))
     with pytest.raises(ValueError):
@@ -419,6 +428,104 @@ def test_holonomy_guards():
                      0.0, 1e-2)
     with pytest.raises(ChartError, match="annulus"):
         holonomy_map(sample_box(lambda x, y, z: 0 * x, (5, 5, 5)), 0.0, 1e-2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_holonomy_annulus_must_be_finite(bad):
+    # both passed the nonpositive guard and died in int() on the leaf
+    with pytest.raises(ChartError, match="f samples must be finite"):
+        holonomy_map(sample_annulus(lambda t, z: bad + 0 * t, (8, 9)),
+                     0.0, 0.1)
+
+
+def _per_step_holonomy(annulus, z0, step):
+    """holonomy_map's integrator evaluated stage by stage, theta side
+    included: the reference the tabulated theta cells must match bit
+    for bit."""
+    nth, nz = annulus.shape
+    f = annulus.values.tolist()
+    dth = 2.0 * math.pi / nth
+    dz = 2.0 / (nz - 1)
+
+    def slope(theta, zz):
+        a = (theta % (2.0 * math.pi)) / dth
+        i = int(a)
+        fa = a - i
+        i %= nth
+        i2 = (i + 1) % nth
+        b = (zz + 1.0) / dz
+        if b <= 0.0:
+            j, fb = 0, 0.0
+        elif b >= nz - 1:
+            j, fb = nz - 2, 1.0
+        else:
+            j = int(b)
+            fb = b - j
+        top = (1.0 - fb) * f[i][j] + fb * f[i][j + 1]
+        bot = (1.0 - fb) * f[i2][j] + fb * f[i2][j + 1]
+        return (1.0 - fa) * top + fa * bot
+
+    n = math.ceil(2.0 * math.pi / step)
+    h = 2.0 * math.pi / n
+    zcur = float(z0)
+    for k in range(n):
+        th = k * h
+        k1 = slope(th, zcur)
+        k2 = slope(th + h / 2.0, zcur + h / 2.0 * k1)
+        k3 = slope(th + h / 2.0, zcur + h / 2.0 * k2)
+        k4 = slope(th + h, zcur + h * k3)
+        zcur += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if zcur < -1.0:
+            zcur = -1.0
+        elif zcur > 1.0:
+            zcur = 1.0
+    return zcur
+
+
+@st.composite
+def _nonpositive_annuli(draw):
+    """A nonpositive annulus of uniform samples in [-scale, 0], with
+    scale up to 20 so that some leaves clamp at -1 within one turn."""
+    shape = (draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return SlopeGrid(ANNULUS, (),
+                     -draw(st.floats(0.1, 20.0)) * rng.random(shape))
+
+
+# the z0 where 1 + z0 rounds to 2, so the leaf starts on the top clamp
+_TOP = math.nextafter(1.0, 0.0)
+
+
+# step counts n, with step 2pi / n: one step (its last stage at theta =
+# 2pi exactly, wrapping to 0); 21 and 6, whose last stage lands just past
+# and just short of 2pi; one below, at and above one 4096-step block; and
+# three blocks and a bit
+@pytest.mark.parametrize("n", [1, 21, 6, 4095, 4096, 4097, 12290])
+@given(_nonpositive_annuli(),
+       st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                 st.sampled_from([_TOP, -_TOP, 0.0])))
+@settings(max_examples=12, deadline=None)
+def test_holonomy_matches_the_per_step_integrator(n, annulus, z0):
+    step = 2.0 * math.pi / n
+    assert math.ceil(2.0 * math.pi / step) == n
+    assert (holonomy_map(annulus, z0, step).hex()
+            == _per_step_holonomy(annulus, z0, step).hex())
+
+
+def test_reference_cases_reach_their_corners():
+    # the wrap and clamp cases the parametrized steps and z0 claim
+    two_pi = 2.0 * math.pi
+    ends = [(n - 1) * (two_pi / n) + two_pi / n for n in (1, 21, 6)]
+    assert ends[0] == two_pi and ends[1] > two_pi and ends[2] < two_pi
+    # with 6 theta rows, that last theta of n = 6, just short of 2pi,
+    # divides up to row index 6 itself, which must wrap to row 0
+    assert ends[2] / (two_pi / 6) == 6.0
+    rows = SlopeGrid(ANNULUS, (), -np.arange(12.0).reshape(6, 2) / 12.0)
+    assert (holonomy_map(rows, 0.0, two_pi / 6).hex()
+            == _per_step_holonomy(rows, 0.0, two_pi / 6).hex())
+    assert (_TOP + 1.0) / (2.0 / 8) >= 8  # b on the top clamp, nz = 9
+    steep = sample_annulus(lambda t, z: -20.0 + 0 * t, (8, 9))
+    assert holonomy_map(steep, 0.0, two_pi / 21) == -1.0
 
 
 @given(st.floats(0.05, 0.8), st.floats(0.0, 1.0), st.floats(-0.8, 0.8),

@@ -636,6 +636,16 @@ def test_selftest_seed_base_must_be_an_integer(capsys, monkeypatch):
                          "integer, got 'abc'")
 
 
+@pytest.mark.parametrize("seeds", ["0", "-5"])
+def test_selftest_needs_at_least_one_seed(capsys, seeds):
+    # zero seeds solved no system, yet it printed "selftest: ok"
+    code, lines = run(capsys, "selftest", "--seeds", seeds)
+    assert code == 1
+    assert lines[-1] == ("error: usage-error: --seeds must be at least 1, "
+                         f"got {seeds}")
+    assert not any(l.startswith(("solver-runs", "selftest")) for l in lines)
+
+
 def test_selftest_reports_an_oracle_disagreement(capsys, monkeypatch):
     # force the oracle to "find" a witness for every system
     monkeypatch.setattr(weights, "brute_force", lambda system, bound: {"A": 1})
