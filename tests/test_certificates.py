@@ -7,23 +7,32 @@ systems.  A changed verdict, witness or multiplier fails here.  When a
 change is intended, regenerate the file and say why in the change log:
 
     PYTHONPATH=src python3 tests/test_certificates.py
+
+``SELFTEST_DIGEST`` pins, as one sha256, every certificate that
+``selftest --seeds 1000`` computes at seed base 0 (seeds 0-999, three
+kinds each), slacks included.
 """
 
+import hashlib
 import json
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from bsgate.gen import random_complex
 from bsgate.splitting import good_loci, split
-from bsgate.weights import KINDS, build_system, feasible, verify_certificate
+from bsgate.weights import (KINDS, Certificate, ConstraintSystem, LinForm,
+                            build_system, feasible, verify_certificate)
 
 from conftest import FIXTURES, load
 
 SNAPSHOT = FIXTURES / "certificates.json"
 SEEDS = range(200)
 RUNGS = (5, 10, 15, 20)
+SELFTEST_DIGEST = (
+    "d3fb06114c8bfb564cd1cb53a6f8a766a25a7585bd5730f2a90cc8ff83a0baa9")
 
 
 @lru_cache(maxsize=None)
@@ -80,6 +89,39 @@ def test_certificates_match_snapshot(group):
     got = solve_all(group)
     changed = sorted(k for k, v in got.items() if snapshot()[k] != v)
     assert not changed, f"{len(changed)} certificates changed: {changed[:5]}"
+
+
+def test_selftest_certificates_match_digest():
+    def full(cert) -> dict:
+        mult = cert.multipliers
+        return {"verdict": cert.verdict, "witness": cert.witness,
+                "slacks": cert.slacks,
+                "multipliers": None if mult is None else {
+                    tag: f"{q.numerator}/{q.denominator}"
+                    for tag, q in mult.items()}}
+
+    table = {}
+    for seed in range(1000):
+        cx = random_complex(seed)
+        for kind in KINDS:
+            table[f"seed-{seed}/{kind}"] = full(feasible(build_system(cx, kind)))
+    text = json.dumps(table, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SELFTEST_DIGEST
+
+
+def test_multiplier_with_a_denominator_above_one():
+    # a + 3b >= 0 strictly and -3a - 2b >= 0: the aggregate's b
+    # coefficient 3 is cancelled only by 3/2 of the second form
+    ineqs = (LinForm.make({"a": 1, "b": 3}, "i0"),
+             LinForm.make({"a": -3, "b": -2}, "i1"))
+    system = ConstraintSystem(("a", "b"), (), ineqs, (0,), "toy")
+    cert = feasible(system)
+    assert {tag: f"{q.numerator}/{q.denominator}"
+            for tag, q in cert.multipliers.items()} == {"i1": "3/2"}
+    q = cert.multipliers["i1"]
+    short = Certificate("Infeasible",
+                        multipliers={"i1": q - Fraction(1, q.denominator)})
+    assert not verify_certificate(system, short)
 
 
 @pytest.mark.parametrize("rung, sectors, verdicts", [
