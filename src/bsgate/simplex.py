@@ -8,24 +8,26 @@ positive factor.  A pivot cross-multiplies instead of dividing
 changed row by the gcd of its entries, which keeps the integers small.
 A positive factor changes no sign and no ratio, so Bland's least-index
 rule (1977) makes exactly the pivots a rational tableau would, and runs
-are reproducible.  Returns the optimum together with a primal point and
-the dual row multipliers, which callers turn into Farkas certificates.
+are reproducible.  Every basic entry stays positive, so the answer is
+read off in integers: the feasibility verdict, a primal point as integer
+numerators over one positive denominator, and the dual row multipliers
+up to one positive factor, which callers turn into Farkas certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvariantViolation
 
 
 @dataclass(frozen=True)
 class PhaseOneResult:
-    optimum: Fraction
-    x: tuple[Fraction, ...]  # primal point (real variables only)
-    duals: tuple[Fraction, ...]  # one multiplier per row
+    feasible: bool  # optimum 0: no artificial stays basic at a nonzero value
+    x: tuple[int, ...]  # primal point times x_den (real variables only)
+    x_den: int  # > 0
+    duals: tuple[int, ...]  # one multiplier per row, times a positive factor
 
 
 def _eliminate(p: int, row: dict[int, int], f: int,
@@ -52,9 +54,9 @@ def phase_one(rows: list[dict[int, int]], rhs: list[int],
     ``rows`` are sparse integer maps over the ``n`` real columns; row
     ``r`` gets artificial column ``n + r``.  ``rhs`` entries must be
     nonnegative (callers pre-negate rows).  Optimum 0 means the system is
-    feasible and ``x`` is a solution; a positive optimum certifies
-    infeasibility via ``duals``: ``duals . rows <= 0`` componentwise
-    while ``duals . rhs > 0``.
+    feasible and ``x / x_den`` is a solution; a positive optimum
+    certifies infeasibility via ``duals``: ``duals . rows <= 0``
+    componentwise while ``duals . rhs > 0``.
     """
     m = len(rows)
     if any(b < 0 for b in rhs):
@@ -100,11 +102,13 @@ def phase_one(rows: list[dict[int, int]], rhs: list[int],
         red, den = _divide(red, g), den * p // g
         basis[pr] = pc
 
-    values = [Fraction(b[r], tab[r][basis[r]]) for r in range(m)]
-    optimum = sum((v for v, j in zip(values, basis) if j >= n), Fraction(0))
-    x = [Fraction(0)] * n
-    for v, j in zip(values, basis):
-        if j < n:
-            x[j] = v
-    duals = tuple(Fraction(den - red.get(n + r, 0), den) for r in range(m))
-    return PhaseOneResult(optimum, tuple(x), duals)
+    # basic column basis[r] has value b[r] / tab[r][basis[r]], and every
+    # basic entry is positive
+    real = [r for r in range(m) if basis[r] < n]
+    x_den = lcm(*(tab[r][basis[r]] for r in real))
+    x = [0] * n
+    for r in real:
+        x[basis[r]] = b[r] * (x_den // tab[r][basis[r]])
+    feasible = not any(b[r] for r in range(m) if basis[r] >= n)
+    duals = tuple(den - red.get(n + r, 0) for r in range(m))
+    return PhaseOneResult(feasible, tuple(x), x_den, duals)

@@ -12,9 +12,10 @@ positive somewhere:
 * ``isc``: corner form pinned to 0 everywhere, at least one segment
   inequality strict.
 
-Everything is decided in exact rational arithmetic; homogeneity makes
-integer and rational feasibility coincide once strictness is written as
-an aggregate slack ``>= 1``.
+Everything is decided exactly, in integer arithmetic from the
+fraction-free tableau to the certificate; homogeneity makes integer and
+rational feasibility coincide once strictness is written as an
+aggregate slack ``>= 1``.
 """
 
 from __future__ import annotations
@@ -76,10 +77,13 @@ def _check_system(system: ConstraintSystem) -> None:
     if len(vars_) != len(system.variables):
         raise MalformedSystem("duplicate variable")
     for form in system.equalities + system.inequalities:
-        for s, _c in form.coeffs:
+        for s, c in form.coeffs:
             if s not in vars_:
                 raise MalformedSystem(f"form {form.tag} uses unknown "
                                       f"variable {s}")
+            if not isinstance(c, int):
+                raise MalformedSystem(f"form {form.tag} has non-integer "
+                                      f"coefficient {c!r}")
     n = len(system.inequalities)
     if len(set(system.strict_group)) != len(system.strict_group):
         raise MalformedSystem("duplicate strict_group index")
@@ -131,13 +135,6 @@ def strict_aggregate(system: ConstraintSystem) -> LinForm:
     return LinForm.make(coeffs, "aggregate")
 
 
-def _primitive(vec: list[Fraction]) -> list[int]:
-    denom = lcm(*(f.denominator for f in vec)) if vec else 1
-    ints = [int(f * denom) for f in vec]
-    g = gcd(*ints) if any(ints) else 1
-    return [v // max(g, 1) for v in ints]
-
-
 def feasible(system: ConstraintSystem) -> Certificate:
     """Exact feasibility decision with a checkable certificate.
 
@@ -165,10 +162,11 @@ def feasible(system: ConstraintSystem) -> Certificate:
     rhs = [0] * (len(rows) - 1) + [1]
 
     res = phase_one(rows, rhs, n + nslack + 1)
-    if res.optimum == 0:
-        witness_vec = _primitive(list(res.x[:n]))
-        witness = dict(zip(variables, witness_vec))
-        slacks = {f.tag: int(f.dot(witness)) for f in system.inequalities}
+    if res.feasible:
+        nums = res.x[:n]
+        g = gcd(*nums) or 1
+        witness = {s: v // g for s, v in zip(variables, nums)}
+        slacks = {f.tag: f.dot(witness) for f in system.inequalities}
         cert = Certificate("Feasible", witness=witness, slacks=slacks)
     else:
         y = res.duals
@@ -178,7 +176,7 @@ def feasible(system: ConstraintSystem) -> Certificate:
             forms = system.equalities + system.inequalities
             for form, v in zip(forms, y):
                 if v:
-                    mult[form.tag] = v / y_sigma
+                    mult[form.tag] = Fraction(v, y_sigma)
         cert = Certificate("Infeasible", multipliers=mult)
     if not verify_certificate(system, cert):
         raise InvariantViolation(
@@ -187,7 +185,13 @@ def feasible(system: ConstraintSystem) -> Certificate:
 
 
 def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
-    """Re-check a certificate by direct arithmetic, solver-independently."""
+    """Re-check a certificate by direct arithmetic, solver-independently.
+
+    Only exact input passes: an ``int`` witness, and ``int`` or
+    ``Fraction`` multipliers.  An infeasible certificate is checked in
+    ``int`` arithmetic, scaled by the lcm of the multipliers'
+    denominators.
+    """
     try:
         _check_system(system)
     except MalformedSystem:
@@ -196,7 +200,7 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
 
     if cert.verdict == "Feasible":
         w = cert.witness
-        if w is None:
+        if not isinstance(w, dict):
             return False
         if any(not isinstance(v, int) or v < 0 for v in w.values()):
             return False
@@ -210,21 +214,24 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
 
     if cert.verdict == "Infeasible":
         mult = cert.multipliers
-        if mult is None:
+        if not isinstance(mult, dict):
+            return False
+        if any(not isinstance(v, (int, Fraction)) for v in mult.values()):
             return False
         tags = {f.tag: ("eq", f) for f in system.equalities}
         tags.update({f.tag: ("ineq", f) for f in system.inequalities})
-        combo: dict[str, Fraction] = {}
-        for s, c in sigma.coeffs:
-            combo[s] = combo.get(s, 0) + c
+        # the combination times scale, all in int
+        scale = lcm(*(v.denominator for v in mult.values()))
+        combo = {s: scale * c for s, c in sigma.coeffs}
         for tag, v in mult.items():
             if tag not in tags:
                 return False
             role, form = tags[tag]
             if role == "ineq" and v < 0:
                 return False
+            k = v.numerator * (scale // v.denominator)
             for s, c in form.coeffs:
-                combo[s] = combo.get(s, 0) + v * c
+                combo[s] = combo.get(s, 0) + k * c
         return all(v <= 0 for v in combo.values())
 
     return False

@@ -26,14 +26,15 @@ def test_phase_one_answer_checks_by_arithmetic(system):
     rows, rhs, n = system
     res = phase_one(rows, rhs, n)
     assert len(res.x) == n and len(res.duals) == len(rows)
-    if res.optimum == 0:
+    assert res.x_den > 0
+    if res.feasible:
+        # x / x_den solves the rows; times x_den, rows . x = x_den * rhs
         assert all(v >= 0 for v in res.x)
         for row, b in zip(rows, rhs):
-            assert sum(c * res.x[j] for j, c in row.items()) == b
+            assert sum(c * res.x[j] for j, c in row.items()) == res.x_den * b
     else:
-        # Farkas: the dual combination of the rows is <= 0 everywhere
-        # while that of the right-hand side is positive
-        assert res.optimum > 0
+        # Farkas, up to the duals' positive factor: the dual combination
+        # of the rows is <= 0 everywhere while that of the rhs is positive
         for j in range(n):
             assert sum(y * row.get(j, 0)
                        for y, row in zip(res.duals, rows)) <= 0

@@ -234,6 +234,35 @@ def test_malformed_systems_rejected():
         build_system(load("fix-torus.bsf"), "bogus")
 
 
+@pytest.mark.parametrize("c", [1.5, Fraction(3, 2), 2.0], ids=repr)
+def test_non_integer_coefficients_are_malformed(c):
+    # a - c b = 0 with b >= 0 strict; brute force once truncated 1.5 to 1
+    # and returned a = b = 1, where the equality is -0.5
+    sys_ = toy([{"b": 1}], [0], eqs=[{"a": 1, "b": -c}])
+    with pytest.raises(MalformedSystem, match="non-integer coefficient"):
+        feasible(sys_)
+    with pytest.raises(MalformedSystem, match="non-integer coefficient"):
+        brute_force(sys_, 3)
+    assert not verify_certificate(
+        sys_, Certificate("Feasible", witness={"a": 2, "b": 1}))
+
+
+def test_non_exact_certificates_are_rejected():
+    sys_ = toy([{"a": 1, "b": 3}, {"a": -3, "b": -2}], [0])
+    good = feasible(sys_).multipliers
+    assert verify_certificate(sys_, Certificate("Infeasible", multipliers=good))
+    for bad in ("3/2", None, float("inf"), 1.5):
+        assert not verify_certificate(
+            sys_, Certificate("Infeasible", multipliers={"i1": bad})), bad
+    assert verify_certificate(
+        sys_, Certificate("Infeasible", multipliers={"i1": 2}))
+    assert not verify_certificate(
+        sys_, Certificate("Infeasible", multipliers=list(good.items())))
+    feas = toy([{"a": 1, "b": -1}], [0])
+    assert verify_certificate(feas, Certificate("Feasible", witness={"a": 1}))
+    assert not verify_certificate(feas, Certificate("Feasible", witness=[1, 0]))
+
+
 def test_brute_force_refuses_oversized_search():
     # 7**24 candidates: refused up front instead of overflowing int64
     variables = tuple(f"s{i}" for i in range(24))
