@@ -1,7 +1,10 @@
 """Sparse fraction-free exact simplex (Bland's rule), phase one.
 
 Decides feasibility of ``A x = b, x >= 0`` by minimizing the sum of
-artificial variables.  Each tableau row is a sparse ``{column: int}`` map
+artificial variables.  The start is the slack basis (a crash start, after
+Bixby 1992): a row with a column of its own, entry +1 and in no other
+row, starts with that column basic at its ``b >= 0``; only the other
+rows get an artificial.  Each tableau row is a sparse ``{column: int}`` map
 with an ``int`` right-hand side, and stands for the rational row up to a
 positive factor.  A pivot cross-multiplies instead of dividing
 (fraction-free elimination, after Bareiss 1968) and then divides each
@@ -12,10 +15,14 @@ are reproducible.  Every basic entry stays positive, so the answer is
 read off in integers: the feasibility verdict, a primal point as integer
 numerators over one positive denominator, and the dual row multipliers
 up to one positive factor, which callers turn into Farkas certificates.
+A row's dual is read off the reduced cost of its starting column: an
+artificial (cost 1) gives ``den - red``, an own +1 column (cost 0)
+gives ``-red``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -51,8 +58,9 @@ def phase_one(rows: list[dict[int, int]], rhs: list[int],
               n: int) -> PhaseOneResult:
     """Minimize the artificial sum for ``rows . x = rhs``, ``x >= 0``.
 
-    ``rows`` are sparse integer maps over the ``n`` real columns; row
-    ``r`` gets artificial column ``n + r``.  ``rhs`` entries must be
+    ``rows`` are sparse integer maps over the ``n`` real columns.  Row
+    ``r`` starts on its least own +1 column if it has one, and otherwise
+    gets artificial column ``n + r``.  ``rhs`` entries must be
     nonnegative (callers pre-negate rows).  Optimum 0 means the system is
     feasible and ``x / x_den`` is a solution; a positive optimum
     certifies infeasibility via ``duals``: ``duals . rows <= 0``
@@ -62,17 +70,23 @@ def phase_one(rows: list[dict[int, int]], rhs: list[int],
     if any(b < 0 for b in rhs):
         raise InvariantViolation("phase_one requires nonnegative rhs")
 
-    tab = [{**{j: c for j, c in row.items() if c}, n + r: 1}
-           for r, row in enumerate(rows)]
+    tab = [{j: c for j, c in row.items() if c} for row in rows]
     b = list(rhs)
-    basis = [n + r for r in range(m)]
+    rows_of = Counter(j for row in tab for j in row)
+    start = tuple(min((j for j, c in row.items()
+                       if c == 1 and rows_of[j] == 1), default=n + r)
+                  for r, row in enumerate(tab))
+    basis = list(start)
 
     # reduced costs of the cost vector (0..0, 1..1) are red / den, den > 0;
-    # all basic costs are 1, so the artificial columns start at 0
+    # the start prices the artificial rows at 1 and the others at 0, and
+    # every basic column starts at 0
     red: dict[int, int] = {}
-    for row in rows:
-        for j, c in row.items():
-            red[j] = red.get(j, 0) - c
+    for r, row in enumerate(tab):
+        if start[r] >= n:
+            for j, c in row.items():
+                red[j] = red.get(j, 0) - c
+            row[n + r] = 1
     red = {j: c for j, c in red.items() if c}
     den = 1
 
@@ -110,5 +124,6 @@ def phase_one(rows: list[dict[int, int]], rhs: list[int],
     for r in real:
         x[basis[r]] = b[r] * (x_den // tab[r][basis[r]])
     feasible = not any(b[r] for r in range(m) if basis[r] >= n)
-    duals = tuple(den - red.get(n + r, 0) for r in range(m))
+    # a row's dual is its starting column's cost minus its reduced cost
+    duals = tuple((den if j >= n else 0) - red.get(j, 0) for j in start)
     return PhaseOneResult(feasible, tuple(x), x_den, duals)

@@ -154,9 +154,10 @@ def feasible(system: ConstraintSystem) -> Certificate:
     def sparse(form: LinForm) -> dict[int, int]:
         return {col[s]: c for s, c in form.coeffs}
 
-    # rows: equalities = 0; inequalities - slack = 0; aggregate - surplus = 1
+    # rows: equalities = 0; slack - inequalities = 0, so that each slack
+    # starts basic; aggregate - surplus = 1
     rows = [sparse(form) for form in system.equalities]
-    rows += [{**sparse(form), n + i: -1}
+    rows += [{**{col[s]: -c for s, c in form.coeffs}, n + i: 1}
              for i, form in enumerate(system.inequalities)]
     rows.append({**sparse(strict_aggregate(system)), n + nslack: -1})
     rhs = [0] * (len(rows) - 1) + [1]
@@ -169,8 +170,10 @@ def feasible(system: ConstraintSystem) -> Certificate:
         slacks = {f.tag: f.dot(witness) for f in system.inequalities}
         cert = Certificate("Feasible", witness=witness, slacks=slacks)
     else:
-        y = res.duals
-        y_sigma = y[-1]
+        # the inequality rows were negated, and so are their duals
+        neq = len(system.equalities)
+        y = res.duals[:neq] + tuple(-v for v in res.duals[neq:-1])
+        y_sigma = res.duals[-1]
         mult: dict[str, Fraction] = {}
         if y_sigma > 0:
             forms = system.equalities + system.inequalities
@@ -188,8 +191,10 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
     """Re-check a certificate by direct arithmetic, solver-independently.
 
     Only exact input passes: an ``int`` witness, and ``int`` or
-    ``Fraction`` multipliers.  An infeasible certificate is checked in
-    ``int`` arithmetic, scaled by the lcm of the multipliers'
+    ``Fraction`` multipliers.  A feasible certificate's slacks, when
+    given, must name every inequality tag and no other, each with the
+    value of its form at the witness.  An infeasible certificate is
+    checked in ``int`` arithmetic, scaled by the lcm of the multipliers'
     denominators.
     """
     try:
@@ -209,6 +214,14 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
         if any(f.dot(w) != 0 for f in system.equalities):
             return False
         if any(f.dot(w) < 0 for f in system.inequalities):
+            return False
+        slacks = cert.slacks
+        if slacks is not None and (
+                not isinstance(slacks, dict)
+                or set(slacks) != {f.tag for f in system.inequalities}
+                or any(not isinstance(slacks[f.tag], int)
+                       or slacks[f.tag] != f.dot(w)
+                       for f in system.inequalities)):
             return False
         return sigma.dot(w) >= 1
 

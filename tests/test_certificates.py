@@ -32,17 +32,17 @@ SNAPSHOT = FIXTURES / "certificates.json"
 SEEDS = range(200)
 RUNGS = (5, 10, 15, 20)
 SELFTEST_DIGEST = (
-    "d3fb06114c8bfb564cd1cb53a6f8a766a25a7585bd5730f2a90cc8ff83a0baa9")
+    "bf1e6205eb76b66af51980ff7701cb326e3c4c79cd9d7caad13d95812148c6ab")
 
 
 @lru_cache(maxsize=None)
 def ladder() -> tuple:
-    """``fix-clean3`` and the complexes after each of 40 over-splits, each
+    """``fix-clean3`` and the complexes after each of 80 over-splits, each
     at a good locus drawn by ``random.Random(0)``; entry k is rung Lk."""
     rng = random.Random(0)
     cur = load("fix-clean3.bsf")
     rungs = [cur]
-    for _ in range(40):
+    for _ in range(80):
         cur = split(cur, rng.choice(good_loci(cur)), "over").complex
         rungs.append(cur)
     return tuple(rungs)
@@ -127,7 +127,9 @@ def test_multiplier_with_a_denominator_above_one():
 @pytest.mark.parametrize("rung, sectors, verdicts", [
     (30, 54, ("Feasible", "Feasible", "Infeasible")),
     (40, 74, ("Feasible", "Feasible", "Infeasible")),
-], ids=["L30", "L40"])
+    (60, 113, ("Feasible", "Feasible", "Infeasible")),
+    (80, 153, ("Feasible", "Feasible", "Infeasible")),
+], ids=["L30", "L40", "L60", "L80"])
 def test_large_rungs_certificates_verify(rung, sectors, verdicts):
     # past brute force's reach, so soundness is the check here; the
     # over-ladder fails the criterion from L30 on (neg-tisc feasible)

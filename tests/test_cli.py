@@ -211,12 +211,11 @@ def test_detect_feasible_report(capsys):
 
 
 def test_detect_infeasible_report_carries_multipliers(capsys):
-    code, lines = run(capsys, "detect", "--kind", "neg-tisc",
-                      fx("fix-clean.bsf"))
+    code, lines = run(capsys, "detect", "--kind", "isc",
+                      fx("fix-cross.bsf"))
     assert code == 0
     assert "feasible: false" in lines
-    assert "multiplier seg:c1 1/1" in lines
-    assert "multiplier seg:c2 1/1" in lines
+    assert "multiplier corner:P 1/1" in lines
 
 
 def test_detect_criterion_passing(capsys):

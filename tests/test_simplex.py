@@ -15,6 +15,12 @@ def sparse_systems(draw):
     entry = st.dictionaries(st.integers(min_value=0, max_value=n - 1),
                             st.integers(min_value=-3, max_value=3))
     rows = [draw(entry) for _ in range(m)]
+    # some rows get a column of their own with entry +1, so phase one
+    # starts them on it instead of on an artificial
+    for row in rows:
+        if draw(st.booleans()):
+            row[n] = 1
+            n += 1
     rhs = draw(st.lists(st.integers(min_value=0, max_value=4),
                         min_size=m, max_size=m))
     return rows, rhs, n

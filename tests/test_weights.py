@@ -156,7 +156,7 @@ def test_split_fixture_tisc_systems_infeasible():
         assert not cert.feasible and verify_certificate(sys_, cert)
         assert brute_force(sys_, 4) is None
     isc = feasible(build_system(cx, ISC))
-    assert isc.feasible and _nonzero(isc.witness) == {"O": 1, "Bo": 1}
+    assert isc.feasible and _nonzero(isc.witness) == {"O": 1, "Ao": 1}
 
 
 @pytest.mark.parametrize("name,passes", [
@@ -211,6 +211,33 @@ def test_scaled_witness_accepted():
     for k in (2, 7):
         scaled = {s: k * v for s, v in w.items()}
         assert verify_certificate(sys_, Certificate("Feasible", witness=scaled))
+
+
+def _tdisc_pos_slacks():
+    sys_ = build_system(load("fix-tdisc.bsf"), POS_TISC)
+    cert = feasible(sys_)
+    return sys_, cert.witness, cert.slacks
+
+
+def test_slacks_of_the_witness_or_none_are_accepted():
+    sys_, w, slacks = _tdisc_pos_slacks()
+    assert verify_certificate(sys_, Certificate("Feasible", w, slacks))
+    assert verify_certificate(sys_, Certificate("Feasible", w, None))
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda s: {"nope": -5},
+    lambda s: {**s, "corner:P": s["corner:P"] + 1},
+    lambda s: {t: v for t, v in s.items() if t != "corner:P"},
+    lambda s: {**s, "nope": 0},
+    lambda s: {t: float(v) for t, v in s.items()},
+    lambda s: list(s.items()),
+], ids=["foreign-tag", "wrong-value", "missing-tag", "extra-tag",
+        "float-values", "not-a-dict"])
+def test_slacks_that_do_not_match_the_witness_are_rejected(tamper):
+    sys_, w, slacks = _tdisc_pos_slacks()
+    bad = tamper(slacks)
+    assert not verify_certificate(sys_, Certificate("Feasible", w, bad))
 
 
 def test_tampered_multipliers_rejected():
