@@ -28,9 +28,7 @@ _LAYER_NAMES = {
         "DoublePoint", "FreeItem", "RoleAssignment", "Sector", "SegItem",
         "SegmentEnd", "derive_roles", "validate",
     ),
-    "parser": (
-        "parse_complex", "parse_weights", "print_complex", "print_weights",
-    ),
+    "parser": ("parse_complex", "parse_weights", "print_complex"),
     "weights": (
         "CONCLUSION", "ISC", "NEG_TISC", "POS_TISC", "brute_force",
         "build_system", "criterion", "feasible", "verify_certificate",
@@ -38,8 +36,7 @@ _LAYER_NAMES = {
     "assembly": ("assemble",),
     "splitting": (
         "SplitLocus", "all_loci", "good_loci", "is_bad_move",
-        "pushforward_weights", "run_plan", "run_schedule", "safe_split",
-        "split",
+        "pushforward_weights", "run_plan", "safe_split", "split",
     ),
     "charts": (
         "ChartReport", "SlopeGrid", "check_box", "check_cylinder",

@@ -13,8 +13,8 @@ interior angle pi/2 + 2n*pi (1 + 4n units).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import (
     PreconditionFailed,
@@ -76,14 +76,10 @@ class Component:
     euler: int
     boundaries: tuple[tuple, ...]  # traces; entries are tagged tuples
     classification: str
-    corner_counts: tuple[tuple[str, int], ...]  # (dp id, total records)
 
 
 @dataclass(frozen=True)
 class AssembledSurface:
-    complex: BranchedSurfaceComplex
-    weights: dict[str, int]
-    kind: str
     components: tuple[Component, ...]
 
     @property
@@ -294,13 +290,11 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
         chi += vert_cells_by_comp.get(root, 0)
         boundaries = tuple(sorted(normalize_trace(t)
                                   for t in traces_by_comp.get(root, [])))
-        counts: dict[str, int] = {}
         signs: set[int] = set()
         has_free = False
         for trace in boundaries:
             for e in trace:
                 if e[0] == "corner":
-                    counts[e[1]] = counts.get(e[1], 0) + 1
                     signs.add(e[3])
                 elif e[0] == "free":
                     has_free = True
@@ -308,7 +302,7 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
             cls = CLOSED
         elif has_free:
             cls = OTHER
-        elif not counts:
+        elif not signs:
             cls = ISC_CLASS
         elif signs == {1}:
             cls = POS_TISC_CLASS
@@ -318,9 +312,8 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
             cls = OTHER
         components.append(Component(
             faces=comp_faces, euler=chi, boundaries=boundaries,
-            classification=cls,
-            corner_counts=tuple(sorted(counts.items()))))
-    return AssembledSurface(cx, dict(w), kind, tuple(components))
+            classification=cls))
+    return AssembledSurface(tuple(components))
 
 
 def normalize_trace(entries: tuple) -> tuple:
@@ -330,31 +323,3 @@ def normalize_trace(entries: tuple) -> tuple:
     rotations = [entries[i:] + entries[:i] for i in range(len(entries))]
     return min(rotations)
 
-
-def roundtrip_weights(asm: AssembledSurface) -> dict[str, int]:
-    """Recount copies per sector from the assembled faces."""
-    out = {s.id: 0 for s in asm.complex.sectors}
-    for comp in asm.components:
-        for sid, _lev in comp.faces:
-            out[sid] += 1
-    return out
-
-
-def boundary_run_counts(asm: AssembledSurface) -> dict[str, int]:
-    """Boundary-trace runs per segment, all components combined."""
-    out = {g.id: 0 for g in asm.complex.segments}
-    for comp in asm.components:
-        for trace in comp.boundaries:
-            for e in trace:
-                if e[0] == "run":
-                    out[e[1]] += 1
-    return out
-
-
-def corner_multiplicities(asm: AssembledSurface) -> dict[str, int]:
-    """Corner records per double point, all components combined."""
-    out = {d.id: 0 for d in asm.complex.dps}
-    for comp in asm.components:
-        for did, k in comp.corner_counts:
-            out[did] += k
-    return out

@@ -324,7 +324,7 @@ def _cmd_chart(args, lines) -> int:
                  f"/{report.contact_mask.size}")
     lines.append("max-violation: %.17g" % report.max_violation)
     lines.append("tol: %.17g" % report.tol)
-    if sub not in ("check-box", "check-cyl") and args.out:
+    if getattr(args, "out", None):
         Path(args.out).write_text(charts.print_grid(grid))
         lines.append(f"out: {args.out}")
     return 0
@@ -420,8 +420,10 @@ def _build_parser() -> _Parser:
         cp = csub.add_parser(name)
         cp.add_argument("input")
         cp.add_argument("--grid", default=None, metavar="NX,NY,NZ")
-        cp.add_argument("--tol", type=float, default=1e-9)
-        cp.add_argument("--out", default=None)
+        if name != "holonomy":
+            cp.add_argument("--tol", type=float, default=1e-9)
+        if name in ("purify-box", "purify-cyl", "extend"):
+            cp.add_argument("--out", default=None)
         if name == "purify-box":
             cp.add_argument("--y0", type=float, required=True)
             cp.add_argument("--y1", type=float, required=True)
@@ -441,34 +443,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# the layers each command runs; main loads them before the clock starts,
-# so # duration-ms leaves loading out, and the handlers import their names
-# from them locally, so a command loads no other layer
-_LAYERS = {
-    "validate": ("parser", "surface"),
-    "detect": ("parser", "surface", "weights"),
-    "assemble": ("parser", "surface", "assembly"),
-    "split": ("parser", "surface", "splitting"),
-    "schedule": ("parser", "surface", "splitting"),
-    "chart": ("charts",),
-    "selftest": ("gen", "weights", "charts"),
-}
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "detect": _cmd_detect,
-    "assemble": _cmd_assemble,
-    "split": _cmd_split,
-    "schedule": _cmd_schedule,
-    "chart": _cmd_chart,
-    "selftest": _cmd_selftest,
+# each command's handler and the layers it runs; main loads the layers
+# before the clock starts, so # duration-ms leaves loading out, and the
+# handlers import their names from them locally, so a command loads no
+# other layer
+_COMMANDS = {
+    "validate": (_cmd_validate, ("parser", "surface")),
+    "detect": (_cmd_detect, ("parser", "surface", "weights")),
+    "assemble": (_cmd_assemble, ("parser", "surface", "assembly")),
+    "split": (_cmd_split, ("parser", "surface", "splitting")),
+    "schedule": (_cmd_schedule, ("parser", "surface", "splitting")),
+    "chart": (_cmd_chart, ("charts",)),
+    "selftest": (_cmd_selftest, ("gen", "weights", "charts")),
 }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    for layer in _LAYERS.get(argv[0] if argv else None, ()):
+    _, layers = _COMMANDS.get(argv[0] if argv else None, (None, ()))
+    for layer in layers:
         import_module(f".{layer}", __package__)
     started = time.monotonic()
     try:
@@ -480,7 +474,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     lines = [f"bsgate-report {args.cmd}", f"version: {__version__}"]
     try:
-        code = _HANDLERS[args.cmd](args, lines)
+        handler, _ = _COMMANDS[args.cmd]
+        code = handler(args, lines)
     except Exception as exc:
         code = next((c for t, c in _EXIT_CODES if isinstance(exc, t)), None)
         if code is None:  # a bug: still one report, exit code 3

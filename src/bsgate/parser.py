@@ -355,8 +355,3 @@ def parse_weights(text: str, cx: BranchedSurfaceComplex) -> dict[str, int]:
         weights[sid] = val
     return weights
 
-
-def print_weights(weights: dict[str, int], nonzero_only: bool = True) -> str:
-    lines = [f"w {sid} {val}" for sid, val in sorted(weights.items())
-             if val or not nonzero_only]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -27,7 +27,7 @@ it:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     BadMove,
@@ -557,11 +557,12 @@ def safe_split(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SafeSplitResult
     return _commit(cx, locus)
 
 
-def _fold(cx: BranchedSurfaceComplex, rows: Iterable,
-          resolve: Callable[[BranchedSurfaceComplex, Any], SplitLocus],
-          ) -> ScheduleResult:
-    """Commit one safe split per row, tagging failures with the step.  A
-    committed output's verdict is the next step's input verdict."""
+def run_plan(cx: BranchedSurfaceComplex,
+             rows: Iterable[tuple[str, str, str]]) -> ScheduleResult:
+    """Commit one safe split per row, each naming its locus in text form
+    against the complex as it stands at that step, and tag failures with
+    the step.  A committed output's verdict is the next step's input
+    verdict."""
     verdict = criterion(cx)
     if not verdict.passes:
         raise PreconditionFailed("criterion fails on the initial complex")
@@ -569,7 +570,7 @@ def _fold(cx: BranchedSurfaceComplex, rows: Iterable,
     steps: list[ScheduleStep] = []
     for i, row in enumerate(rows):
         try:
-            locus = resolve(cur, row)
+            locus = locus_from_strings(cur, *row)
             res = _commit(cur, locus)
         except BsgateError as exc:
             exc.args = (f"step {i}: {exc}",)
@@ -577,16 +578,3 @@ def _fold(cx: BranchedSurfaceComplex, rows: Iterable,
         steps.append(ScheduleStep(i, locus, res.choice, res.verdicts))
         cur, verdict = res.complex, res.verdicts[-1][1]
     return ScheduleResult(cur, tuple(steps), verdict)
-
-
-def run_schedule(cx: BranchedSurfaceComplex,
-                 schedule: Sequence[SplitLocus]) -> ScheduleResult:
-    """Fold safe splits over a schedule, tagging failures with the step."""
-    return _fold(cx, schedule, lambda cur, locus: locus)
-
-
-def run_plan(cx: BranchedSurfaceComplex,
-             rows: Iterable[tuple[str, str, str]]) -> ScheduleResult:
-    """Like run_schedule, but each row names its locus in text form
-    against the complex as it stands at that step."""
-    return _fold(cx, rows, lambda cur, row: locus_from_strings(cur, *row))

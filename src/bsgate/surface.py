@@ -18,13 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import NoConsistentRoles
 
 SIDES = ("one", "up", "lo")
-
-ROLES = ("z", "x", "u", "v", "w", "y")
 
 
 @dataclass(frozen=True)
@@ -109,10 +107,6 @@ class RoleAssignment:
     ``z`` is the sector meeting both merged sides, ``x``/``v`` its
     neighbours across the two branch curves, ``u`` the opposite quadrant,
     and ``w``/``y`` the two sheets passing over/under the curves.
-    ``base_slot`` and ``w_side`` locate the reading on the boundary-word
-    corners: ``z``'s corner joins the merged sides of slots ``base_slot``
-    and ``base_slot + 1``, and ``w``'s joins the ``w_side`` ('up'/'lo')
-    sides of slots ``base_slot`` and ``base_slot + 2`` (slots mod 4).
     """
 
     dp: str
@@ -122,11 +116,6 @@ class RoleAssignment:
     v: str
     w: str
     y: str
-    base_slot: int
-    w_side: str
-
-    def as_dict(self) -> dict[str, str]:
-        return {r: getattr(self, r) for r in ROLES}
 
     def corner_coeffs(self) -> dict[str, int]:
         """Sparse coefficients of the corner form z + u - x - v."""
@@ -207,13 +196,6 @@ class BranchedSurfaceComplex:
         :func:`derive_roles` at the first double point that fails."""
         return {d.id: derive_roles(self, d.id) for d in self.dps}
 
-    def iter_items(self) -> Iterator[tuple[str, int, int, EdgeItem]]:
-        """Yield (sector id, word index, item index, item)."""
-        for s in self.sectors:
-            for wi, w in enumerate(s.words):
-                for ii, it in enumerate(w.items):
-                    yield s.id, wi, ii, it
-
 
 def _end_of_item(seg: BranchSegment, side: str, which: str) -> Union[SegmentEnd, None]:
     """Segment end at the 'prev'/'next' vertex of a word item.
@@ -240,15 +222,13 @@ _PATTERN = (
     ("v", (3, 0), (0, 2)),
 )
 
-# every reading of _PATTERN: base slot, w-sheet side, and per role the
-# two germ sides (slot, side) its corner joins
+# every reading of _PATTERN, one per base slot and w-sheet side: per role
+# the two germ sides (slot, side) its corner joins
 _READINGS = tuple(
-    (a, eps, tuple((role, ((a + ga) % 4, fields[fa]),
-                    ((a + gb) % 4, fields[fb]))
-                   for role, (ga, fa), (gb, fb) in _PATTERN))
+    tuple((role, ((a + ga) % 4, fields[fa]), ((a + gb) % 4, fields[fb]))
+          for role, (ga, fa), (gb, fb) in _PATTERN)
     for a in range(4)
-    for eps, fields in (("up", ("one", "up", "lo")),
-                        ("lo", ("one", "lo", "up"))))
+    for fields in (("one", "up", "lo"), ("one", "lo", "up")))
 
 
 def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
@@ -267,7 +247,7 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
     if any(e is None for e in slots):
         raise NoConsistentRoles(f"double point {dp_id} does not have four ends")
     corners = cx.dp_corners[dp_id]
-    for a, eps, joins in _READINGS:
+    for joins in _READINGS:
         roles = {}
         for role, here, there in joins:
             joined = corners.get(here)
@@ -275,7 +255,7 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
                 break
             roles[role] = joined[1]
         else:
-            return RoleAssignment(dp=dp_id, base_slot=a, w_side=eps, **roles)
+            return RoleAssignment(dp=dp_id, **roles)
     raise NoConsistentRoles(f"role derivation failed at dp:{dp_id}")
 
 
@@ -374,9 +354,11 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
     # side multiplicity: each (segment, side) appears exactly once, in the
     # declared sector's words
     occurrences: dict[tuple[str, str], list[str]] = {}
-    for sid, wi, ii, it in cx.iter_items():
-        if isinstance(it, SegItem) and it.side in SIDES:
-            occurrences.setdefault((it.seg, it.side), []).append(sid)
+    for s in cx.sectors:
+        for w in s.words:
+            for it in w.items:
+                if isinstance(it, SegItem) and it.side in SIDES:
+                    occurrences.setdefault((it.seg, it.side), []).append(s.id)
     for g in cx.segments:
         for role in SIDES:
             occ = occurrences.get((g.id, role), [])

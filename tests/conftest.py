@@ -40,3 +40,19 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def tally(cx, asm):
+    """Faces per sector, boundary runs per segment and corner records per
+    double point, over all of ``asm``'s components, zeros included."""
+    faces = dict.fromkeys((s.id for s in cx.sectors), 0)
+    runs = dict.fromkeys((g.id for g in cx.segments), 0)
+    corners = dict.fromkeys((d.id for d in cx.dps), 0)
+    for comp in asm.components:
+        for sid, _lev in comp.faces:
+            faces[sid] += 1
+        for trace in comp.boundaries:
+            for e in trace:
+                if e[0] in ("run", "corner"):
+                    (runs if e[0] == "run" else corners)[e[1]] += 1
+    return faces, runs, corners

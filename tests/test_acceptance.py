@@ -12,12 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from bsgate.assembly import (
-    assemble,
-    boundary_run_counts,
-    corner_multiplicities,
-    roundtrip_weights,
-)
+from bsgate.assembly import assemble
 from bsgate.charts import (
     INNER_CONTACT,
     check_box,
@@ -55,7 +50,7 @@ from bsgate.weights import (
     verify_certificate,
 )
 
-from conftest import load
+from conftest import load, tally
 
 # the six-complex reference corpus; clean3 is the larger sibling used
 # by the splitting checks
@@ -131,10 +126,8 @@ def test_criterion_witnesses_reassemble_into_matching_surfaces():
                 seen += 1
                 w = cert.witness
                 asm = assemble(cx, w, kind)
-                assert roundtrip_weights(asm) == {
-                    s.id: w.get(s.id, 0) for s in cx.sectors}
-                runs = boundary_run_counts(asm)
-                corners = corner_multiplicities(asm)
+                faces, runs, corners = tally(cx, asm)
+                assert faces == {s.id: w.get(s.id, 0) for s in cx.sectors}
                 for g in cx.segments:
                     assert runs[g.id] == cert.slacks.get(f"seg:{g.id}", 0)
                 for d in cx.dps:

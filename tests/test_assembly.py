@@ -15,13 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsgate import assembly
-from bsgate.assembly import (
-    assemble,
-    boundary_run_counts,
-    corner_multiplicities,
-    normalize_trace,
-    roundtrip_weights,
-)
+from bsgate.assembly import assemble, normalize_trace
 from bsgate.errors import PreconditionFailed, WeightsNotSatisfying
 from bsgate.surface import SegItem
 from bsgate.weights import (
@@ -33,7 +27,7 @@ from bsgate.weights import (
     segment_form,
 )
 
-from conftest import load
+from conftest import load, tally
 
 CORPUS = ["fix-torus.bsf", "fix-doc.bsf", "fix-tdisc.bsf", "fix-negtd.bsf",
           "fix-split.bsf", "fix-clean.bsf"]
@@ -101,7 +95,7 @@ def test_torus_three_closed_copies():
         asm = assemble(cx, {"T": 3}, kind)
         assert asm.classifications == ("Closed",) * 3
         assert [c.euler for c in asm.components] == [0, 0, 0]
-        assert roundtrip_weights(asm) == {"T": 3}
+        assert tally(cx, asm)[0] == {"T": 3}
 
 
 def test_doc_witness_is_a_disk():
@@ -113,10 +107,11 @@ def test_doc_witness_is_a_disk():
 
 
 def test_doc_doubled_witness_two_disks():
-    asm = assemble(load("fix-doc.bsf"), {"D": 2}, ISC)
+    cx = load("fix-doc.bsf")
+    asm = assemble(cx, {"D": 2}, ISC)
     assert asm.classifications == ("Isc", "Isc")
     assert [c.euler for c in asm.components] == [1, 1]
-    assert roundtrip_weights(asm) == {"D": 2, "T": 0}
+    assert tally(cx, asm)[0] == {"D": 2, "T": 0}
 
 
 TDISC_POS_TRACE = (
@@ -126,13 +121,14 @@ TDISC_POS_TRACE = (
 
 
 def test_tdisc_pos_witness_golden_trace():
-    asm = assemble(load("fix-tdisc.bsf"), {"mw": 1, "sw": 1}, POS_TISC)
+    cx = load("fix-tdisc.bsf")
+    asm = assemble(cx, {"mw": 1, "sw": 1}, POS_TISC)
     (comp,) = asm.components
     assert comp.faces == (("mw", 1), ("sw", 1))
     assert comp.euler == 1  # disk turning both positive corners
     assert comp.classification == "PosTisc"
     assert comp.boundaries == (TDISC_POS_TRACE,)
-    assert corner_multiplicities(asm) == {"P": 1, "P2": 1, "Q": 0, "Q2": 0}
+    assert tally(cx, asm)[2] == {"P": 1, "P2": 1, "Q": 0, "Q2": 0}
 
 
 def test_tdisc_neg_witness_golden_trace():
@@ -146,12 +142,13 @@ def test_tdisc_neg_witness_golden_trace():
 
 
 def test_negtd_mirror_witness():
-    asm = assemble(load("fix-negtd.bsf"), {"mw": 1, "sw": 1}, NEG_TISC)
+    cx = load("fix-negtd.bsf")
+    asm = assemble(cx, {"mw": 1, "sw": 1}, NEG_TISC)
     (comp,) = asm.components
     assert comp.classification == "NegTisc"
     assert all(e[3] == -1 for t in comp.boundaries for e in t
                if e[0] == "corner")
-    assert corner_multiplicities(asm) == {"P": 1, "P2": 1, "Q": 0, "Q2": 0}
+    assert tally(cx, asm)[2] == {"P": 1, "P2": 1, "Q": 0, "Q2": 0}
 
 
 def test_tdisc_isc_witness_no_corners():
@@ -170,11 +167,12 @@ def test_cross_self_gluing_closes_tori():
 
 
 def test_free_boundary_component_is_other():
-    asm = assemble(load("fix-fig5.bsf"), {"qz": 1}, NEG_TISC)
+    cx = load("fix-fig5.bsf")
+    asm = assemble(cx, {"qz": 1}, NEG_TISC)
     (comp,) = asm.components
     assert comp.classification == "Other"
     assert ("free", "f_z") in comp.boundaries[0]
-    assert corner_multiplicities(asm) == {"P": 1}
+    assert tally(cx, asm)[2] == {"P": 1}
 
 
 def test_trace_normalization_is_rotation_invariant():
@@ -240,13 +238,13 @@ WITNESSES = [
 def test_roundtrip_weights_exact(name, w, kind):
     cx = load(name)
     asm = assemble(cx, w, kind)
-    assert roundtrip_weights(asm) == {s.id: w.get(s.id, 0) for s in cx.sectors}
+    assert tally(cx, asm)[0] == {s.id: w.get(s.id, 0) for s in cx.sectors}
 
 
 @pytest.mark.parametrize("name,w,kind", WITNESSES)
 def test_boundary_runs_equal_segment_slacks(name, w, kind):
     cx = load(name)
-    runs = boundary_run_counts(assemble(cx, w, kind))
+    _, runs, _ = tally(cx, assemble(cx, w, kind))
     for g in cx.segments:
         assert runs[g.id] == segment_form(cx, g.id).dot(w), g.id
 
@@ -254,7 +252,7 @@ def test_boundary_runs_equal_segment_slacks(name, w, kind):
 @pytest.mark.parametrize("name,w,kind", WITNESSES)
 def test_corner_multiplicities_equal_corner_slacks(name, w, kind):
     cx = load(name)
-    corners = corner_multiplicities(assemble(cx, w, kind))
+    _, _, corners = tally(cx, assemble(cx, w, kind))
     for d in cx.dps:
         assert corners[d.id] == corner_form(cx, d.id).dot(w), d.id
 
@@ -338,10 +336,9 @@ def test_random_satisfying_vectors_conserve(data):
     kind = data.draw(st.sampled_from([NEG_TISC, POS_TISC, ISC]))
     w = data.draw(st.sampled_from(satisfying_vectors(name, kind)))
     asm = assemble(cx, w, kind)
-    assert roundtrip_weights(asm) == w
+    faces, runs, corners = tally(cx, asm)
+    assert faces == w
     assert sum(c.euler for c in asm.components) == chi_total_oracle(cx, w)
-    runs = boundary_run_counts(asm)
-    corners = corner_multiplicities(asm)
     for g in cx.segments:
         assert runs[g.id] == segment_form(cx, g.id).dot(w)
     for d in cx.dps:

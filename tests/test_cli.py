@@ -140,7 +140,8 @@ def test_stray_exception_exits_three_with_one_report(capsys, monkeypatch):
         lines.append("input-sha256: 0")
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._HANDLERS, "validate", broken)
+    monkeypatch.setitem(cli._COMMANDS, "validate",
+                        (broken, cli._COMMANDS["validate"][1]))
     assert main(["validate", fx("fix-split.bsf")]) == 3
     out = capsys.readouterr().out.rstrip("\n").split("\n")
     assert out[:-1] == ["bsgate-report validate", f"version: {__version__}",
@@ -532,6 +533,30 @@ def test_chart_holonomy_report(capsys, tmp_path):
     disp = float(lines[-1].split(": ")[1])
     assert z1 == pytest.approx(-0.05 * 2 * 3.141592653589793, abs=1e-9)
     assert disp == z1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("holonomy", "--z0", "0", "--step", "0.01", "--tol", "nan", "--out"),
+     "--tol nan --out"),
+    (("holonomy", "--z0", "0", "--step", "0.01", "--out"), "--out"),
+    (("check-box", "--out"), "--out"),
+    (("check-cyl", "--out"), "--out"),
+], ids=["holonomy-tol", "holonomy-out", "check-box-out", "check-cyl-out"])
+def test_chart_flags_a_subcommand_would_ignore_are_usage_errors(
+        capsys, tmp_path, annulus_path, box_path, argv, flag):
+    # holonomy reads no tol, and the checks write no grid
+    sub, *opts = argv
+    cyl = tmp_path / "cyl.grid"
+    cyl.write_text(print_grid(sample_cylinder(
+        lambda r, t, z: -r * r + 0 * z, (5, 4, 5),
+        h_fn=lambda r, t, z: -1.0 + 0 * z)))
+    inp = {"holonomy": annulus_path, "check-box": box_path,
+           "check-cyl": str(cyl)}[sub]
+    out = tmp_path / "x.grid"
+    assert main(["chart", sub, inp, *opts, str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: usage-error: unrecognized arguments: {flag} {out}\n")
+    assert not out.exists()
 
 
 def bsgate_child(*argv: str) -> tuple[int, list[str], str]:

@@ -46,6 +46,11 @@ def _germs(cx, did):
     return out
 
 
+def _roles(r):
+    """The role map of a RoleAssignment."""
+    return {role: getattr(r, role) for role in ROLE_NAMES}
+
+
 def _mirror(m):
     """The role map under the symmetry swapping x with v and w with y."""
     return {"z": m["z"], "u": m["u"], "x": m["v"], "v": m["x"],
@@ -92,7 +97,7 @@ def signature_oracle(germs):
 
 
 def _assert_read_within(oracle, r):
-    got = _canon(r.as_dict())
+    got = _canon(_roles(r))
     assert got in oracle
     if len(oracle) == 1:
         assert oracle == {got}
@@ -200,8 +205,7 @@ def test_every_two_label_image_of_fig5_reads_the_image_of_its_roles():
         assert validate(img).ok(), labels
         read = derive_roles(img, "P")
         assert read == RoleAssignment(
-            dp="P", base_slot=r.base_slot, w_side=r.w_side,
-            **{role: f[getattr(r, role)] for role in ROLE_NAMES})
+            dp="P", **{role: f[sid] for role, sid in _roles(r).items()})
         oracle = dihedral_oracle(_germs(img, "P"))
         _assert_read_within(oracle, read)
         label_ambiguous += len(oracle) > 1
@@ -214,7 +218,7 @@ def test_mirror_symmetry_leaves_corner_coefficients_fixed():
         cx = load(name)
         for did in dids:
             r = derive_roles(cx, did)
-            m = _mirror(r.as_dict())
+            m = _mirror(_roles(r))
             coeffs = {}
             for s, c in ((m["z"], 1), (m["u"], 1), (m["x"], -1), (m["v"], -1)):
                 coeffs[s] = coeffs.get(s, 0) + c
@@ -223,9 +227,10 @@ def test_mirror_symmetry_leaves_corner_coefficients_fixed():
 
 
 def _fitting_readings(cx, did):
-    """The (base slot, w side) readings whose six corners are all present."""
+    """The role maps of the readings whose six corners are all present."""
     corners = cx.dp_corners[did]
-    return [(a, eps) for a, eps, joins in surface._READINGS
+    return [{role: corners[here][1] for role, here, _there in joins}
+            for joins in surface._READINGS
             if all(corners.get(here, (None,))[0] == there
                    for _role, here, there in joins)]
 
@@ -237,7 +242,7 @@ def test_ambiguity_impossible_for_arising_tables():
     for _name, cx in _group("fixtures") + _group("seeds") + _group("ladder"):
         for d in cx.dps:
             r = derive_roles(cx, d.id)
-            assert _fitting_readings(cx, d.id) == [(r.base_slot, r.w_side)]
+            assert _fitting_readings(cx, d.id) == [_roles(r)]
     for tbl in product(product("AB", repeat=3), repeat=4):
         with pytest.raises(NoConsistentRoles):
             derive_roles(_dp_complex([tuple(g) for g in tbl]), "P")

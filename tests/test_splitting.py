@@ -35,7 +35,6 @@ from bsgate.splitting import (
     locus_from_strings,
     pushforward_weights,
     run_plan,
-    run_schedule,
     safe_split,
     split,
 )
@@ -368,7 +367,7 @@ def test_safe_split_reports_committed_verdict():
 
 def test_empty_schedule_is_identity():
     cx = load("fix-clean.bsf")
-    out = run_schedule(cx, [])
+    out = run_plan(cx, [])
     assert out.complex is cx
     assert out.steps == ()
 
@@ -378,7 +377,8 @@ def test_schedule_two_steps_stay_clean():
     first = good_loci(cx)[0]
     res1 = safe_split(cx, first)
     second = good_loci(res1.complex)[0]
-    out = run_schedule(cx, [first, second])
+    out = run_plan(cx, [format_locus(cx, first).split(),
+                        format_locus(res1.complex, second).split()])
     assert [s.choice for s in out.steps] == [res1.choice,
                                              out.steps[1].choice]
     assert criterion(out.complex).passes
@@ -389,10 +389,12 @@ def test_schedule_error_carries_step_index():
     good = good_loci(cx)[0]
     # in the evolved complex, word 1 starts on an outward lateral item
     bad_probe = SplitLocus("A_l1", (0, 0), (1, 0))
+    rows = [format_locus(cx, good).split(),
+            format_locus(safe_split(cx, good).complex, bad_probe).split()]
     with pytest.raises(BadMove, match="step 1"):
-        run_schedule(cx, [good, bad_probe])
+        run_plan(cx, rows)
     with pytest.raises(PreconditionFailed):
-        run_schedule(load("fix-doc.bsf"), [good])
+        run_plan(load("fix-doc.bsf"), rows[:1])
 
 
 def test_step_tag_keeps_the_error_and_its_verdicts(monkeypatch):
@@ -406,9 +408,11 @@ def test_step_tag_keeps_the_error_and_its_verdicts(monkeypatch):
     monkeypatch.setattr(splitting, "criterion", fussy)
     cx = load("fix-clean.bsf")
     first = good_loci(cx)[0]
-    second = good_loci(safe_split(cx, first).complex)[0]
+    once = safe_split(cx, first).complex
+    second = good_loci(once)[0]
     with pytest.raises(InvariantViolation) as info:
-        run_schedule(cx, [first, second])
+        run_plan(cx, [format_locus(cx, first).split(),
+                      format_locus(once, second).split()])
     assert str(info.value).startswith("step 1: neither the over nor")
     assert set(info.value.verdicts) == {"over", "under"}
     assert not info.value.verdicts["under"].passes
