@@ -1,5 +1,7 @@
 """Seeded-generator tests: deterministic, valid, bounded, varied."""
 
+import hashlib
+
 import pytest
 
 from bsgate import gen
@@ -54,3 +56,19 @@ def test_blocks_are_parsed_once_at_import(monkeypatch):
 
     monkeypatch.setattr(gen, "parse_complex", refuse)
     assert random_complex(0) == before
+
+
+def _digest(seeds, **budget):
+    h = hashlib.sha256()
+    for seed in seeds:
+        h.update(print_complex(random_complex(seed, **budget)).encode())
+    return h.hexdigest()
+
+
+def test_generated_complexes_are_pinned():
+    # every seed's printed complex, byte for byte; the second budget
+    # reaches a seventh block, past any position the default reaches
+    assert _digest(range(1000)) == (
+        "1cc86d7a35d7927bf2454aa3ee6f6a1cb5cdd4dc37f005c1ed5b0cf864d869f3")
+    assert _digest(range(200), max_sectors=12, max_dps=8) == (
+        "5d43b98241a92daef03793186904159e88f72d0aeebc72d917f38a8b0f510a29")
