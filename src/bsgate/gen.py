@@ -9,6 +9,7 @@ seed pins the output exactly.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from .parser import parse_complex
 from .surface import (
@@ -104,8 +105,12 @@ dp Q sign -
 _PARSED = {name: parse_complex(text) for name, (text, _) in _BLOCKS.items()}
 
 
-def _renamed(cx: BranchedSurfaceComplex, prefix: str,
-             ) -> BranchedSurfaceComplex:
+@cache
+def _block(name: str, i: int) -> BranchedSurfaceComplex:
+    """Block ``name`` renamed apart as the ``i``-th part of a union; built
+    once per pair and shared, as complexes are frozen."""
+    cx, prefix = _PARSED[name], f"b{i}_"
+
     def seg_item(it):
         if isinstance(it, SegItem):
             return SegItem(prefix + it.seg, it.side)
@@ -214,8 +219,7 @@ def random_complex(seed: int, max_sectors: int = 6, max_dps: int = 4,
         dps += _BLOCKS[name][1][1]
         if rng.random() < 0.4:
             break
-    parts = [_renamed(_PARSED[name], f"b{i}_")
-             for i, name in enumerate(chosen)]
+    parts = [_block(name, i) for i, name in enumerate(chosen)]
     cx = _union(f"gen-{seed}", parts)
     for k in range(rng.randint(0, 3)):
         move = rng.choice(("circle", "flip", "merge"))

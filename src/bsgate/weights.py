@@ -250,7 +250,8 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
     return False
 
 
-# int64 elements in the largest array one brute-force block builds (8 MiB)
+# elements in the largest array one brute-force block builds, of the
+# table's dtype: at most 8 MiB
 _CHUNK_ELEMENTS = 1 << 20
 _INT64_MAX = (1 << 63) - 1
 
@@ -260,17 +261,25 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
 
     Exhaustive; a miss does not prove infeasibility.  Serves as the
     independent oracle for :func:`feasible`.  The values of every form
-    over the trailing variables are tabulated one variable at a time by
-    broadcast adds.  Each assignment of the leading variables, taken in
-    lexicographic order, adds its own values to that table and checks
-    every constraint at once; only the first hit is decoded.  Refuses a
-    search space of (bound+1)**n > 2**26 candidates (a full search of
-    2**26 takes about 0.35 s on a 2-vCPU x86-64 VM; the tests need
-    7**9), and a form whose values could leave int64,
+    over the trailing variables are tabulated one variable at a time,
+    last first, each as the new leading digit of the table's long axis,
+    so that every broadcast add runs along that axis.  Each assignment
+    of the leading variables, taken in lexicographic order, compares
+    the table with its own values and checks every constraint at once;
+    only the first hit is decoded.  Every entry and every shift lies in
+    ``[-reach - 1, reach]``, where ``reach = bound * max(1, sum(|c|))``
+    over the forms, so the table is kept in the narrowest signed dtype
+    that holds that range (int8 for the ``selftest`` systems).  Refuses
+    a bound that is not an ``int``, a search space of (bound+1)**n >
+    2**26 candidates (a full search of 4**13 over three columns takes
+    about 0.03 s on a 2-vCPU x86-64 VM once numpy is loaded; the tests
+    need 7**9), and a form whose values could leave int64,
     ``bound * sum(|c|) > 2**63 - 1``.
     """
     import numpy as np  # here, so that only the oracle's callers load it
 
+    if not isinstance(bound, int):
+        raise MalformedSystem(f"bound must be an int, not {bound!r}")
     if bound < 1:
         raise MalformedSystem("bound must be >= 1")
     _check_system(system)
@@ -280,35 +289,39 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
         raise MalformedSystem(
             f"oracle search space {bound + 1}^{n} exceeds 2^26 candidates")
     forms = system.equalities + system.inequalities + (strict_aggregate(system),)
+    reach = bound  # the digits run to bound
     for form in forms:
-        if bound * sum(abs(c) for _s, c in form.coeffs) > _INT64_MAX:
+        reach = max(reach, bound * sum(abs(c) for _s, c in form.coeffs))
+        if reach > _INT64_MAX:
             raise MalformedSystem(f"oracle values of {form.tag} exceed int64")
+    dtype = np.min_scalar_type(-reach - 1)
 
     # one column per constraint, each required >= 0: an equality is a
     # pair of opposite columns, and the aggregate column starts at -1
     columns = [(f, -1) for f in system.equalities] + [(f, 1) for f in forms]
     width = len(columns)
     col = {s: j for j, s in enumerate(variables)}
-    per_unit = np.zeros((n, width), dtype=np.int64)
+    rows = [[0] * width for _ in variables]
     for k, (form, sign) in enumerate(columns):
         for s, c in form.coeffs:
-            per_unit[col[s], k] = sign * c
+            rows[col[s]][k] = sign * c
+    per_unit = np.array(rows, dtype=dtype).reshape(n, width)
 
     base = bound + 1
     t = n  # trailing variables in the table: base**t * width <= the cap
     while t and base ** t * width > _CHUNK_ELEMENTS:
         t -= 1
     # table[k, i]: column k's value at the i-th trailing assignment
-    digits = np.arange(base, dtype=np.int64)
-    table = np.zeros((width, 1), dtype=np.int64)
+    digits = np.arange(base, dtype=dtype)
+    table = np.zeros((width, 1), dtype=dtype)
     table[-1] = -1
-    for unit in per_unit[n - t:]:
-        table = (table[:, :, None]
-                 + unit[:, None, None] * digits).reshape(width, -1)
+    for unit in reversed(per_unit[n - t:]):
+        table = ((unit[:, None] * digits)[:, :, None]
+                 + table[:, None, :]).reshape(width, -1)
     lead = per_unit[:n - t]
     for prefix, values in enumerate(product(range(base), repeat=n - t)):
-        shift = np.array(values, dtype=np.int64) @ lead
-        ok = (table + shift[:, None] >= 0).all(axis=0)
+        shift = np.array(values, dtype=dtype) @ lead
+        ok = (table >= -shift[:, None]).all(axis=0)
         hit = int(ok.argmax())
         if ok[hit]:
             vec = np.unravel_index(prefix * table.shape[1] + hit, (base,) * n)

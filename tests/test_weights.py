@@ -300,7 +300,11 @@ def test_brute_force_refuses_oversized_search():
 
 def test_brute_force_memory_is_bounded():
     # 2**20 candidates over 20 variables; the least hit is v00 = v19 = 1.
-    # Enumerated as one chunk, this search peaks at 328 MiB traced.
+    # Enumerated as one int64 chunk, this search traces 328 MiB; in int8
+    # blocks of 2**18 candidates it needs about 2.5 MiB.  numpy is loaded
+    # first, so that only the search is traced.
+    import numpy  # noqa: F401
+
     variables = tuple(f"v{i:02d}" for i in range(20))
     sys_ = toy([{"v00": 1}], [0], variables=variables,
                eqs=[{"v00": 1, "v19": -1}])
@@ -311,7 +315,7 @@ def test_brute_force_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert found == {v: int(v in ("v00", "v19")) for v in variables}
-    assert peak < 32 << 20
+    assert peak < 4 << 20
 
 
 def test_brute_force_refuses_forms_that_leave_int64():
@@ -369,6 +373,41 @@ def test_brute_force_is_the_first_hit_of_a_plain_enumeration(case):
     with mock.patch.object(weights, "_CHUNK_ELEMENTS", chunk):
         found = brute_force(sys_, bound)
     assert found == reference_oracle(sys_, bound)
+
+
+def _edge_systems(span):
+    """Systems whose widest form reaches exactly ``span`` at bound 1."""
+    # the least hit is a = b = 1, where i0 reads span itself
+    top = toy([{"a": span}, {"a": -1, "b": span - 1}], [0],
+              variables=("a", "b", "c"))
+    # no hit; at a = 1, i0 reads -span and the aggregate column -span - 1
+    bottom = toy([{"a": -span}, {"b": 1}], [0])
+    return top, bottom
+
+
+@pytest.mark.parametrize("chunk", [weights._CHUNK_ELEMENTS, 8])
+@pytest.mark.parametrize("span", [127, 128, 32767, 32768, 2**31 - 1, 2**31])
+def test_brute_force_at_the_edges_of_each_dtype(span, chunk, monkeypatch):
+    # a table one dtype too narrow reads span as a negative number
+    monkeypatch.setattr(weights, "_CHUNK_ELEMENTS", chunk)
+    top, bottom = _edge_systems(span)
+    assert brute_force(top, 1) == reference_oracle(top, 1) == {
+        "a": 1, "b": 1, "c": 0}
+    assert brute_force(bottom, 1) is reference_oracle(bottom, 1) is None
+
+
+@pytest.mark.parametrize("chunk", [weights._CHUNK_ELEMENTS, 8])
+def test_brute_force_digits_wider_than_every_form(chunk, monkeypatch):
+    # every form is zero, yet the digits run to 200, past int8
+    monkeypatch.setattr(weights, "_CHUNK_ELEMENTS", chunk)
+    sys_ = toy([{}, {}], [0, 1], eqs=[{}])
+    assert brute_force(sys_, 200) is reference_oracle(sys_, 200) is None
+
+
+@pytest.mark.parametrize("bound", [2.5, 3.0, "3"], ids=repr)
+def test_brute_force_refuses_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(MalformedSystem, match="bound must be an int"):
+        brute_force(toy([{"a": 1}], [0]), bound)
 
 
 def test_brute_force_decodes_a_hit_past_the_first_block(monkeypatch):
