@@ -58,6 +58,47 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 
 
+_CHART_COMMANDS = ("check-box", "check-cyl", "purify-box", "purify-cyl",
+                   "extend", "holonomy")
+# every argv that ends in help or a usage error before any handler runs:
+# the tree's own, each command's and each chart subcommand's, bare and
+# with --help, one bad value per choices flag, and unknown flags
+_USAGE_ARGVS = (
+    [[], ["frob"], ["--help"], ["-h"], ["chart"], ["chart", "frob"],
+     ["chart", "--help"], ["chart", "-h"]]
+    + [[cmd] for cmd in cli._COMMANDS if cmd != "selftest"]
+    + [[cmd, "--help"] for cmd in cli._COMMANDS]
+    + [["chart", sub] for sub in _CHART_COMMANDS]
+    + [["chart", sub, "--help"] for sub in _CHART_COMMANDS]
+    + [["detect", "--kind", "frob", "x.bsf"],
+       ["assemble", "--kind", "frob", "--weights", "x.w", "x.bsf"],
+       ["split", "--sector", "A", "--entry", "0:0:one", "--exit", "3:0:one",
+        "--choice", "frob", "x.bsf"],
+       ["chart", "purify-cyl", "x.grid", "--r0", "0.5", "--mode", "sideways"],
+       ["selftest", "--seeds", "frob"],
+       ["detect", "--kind", "isc"],
+       ["validate", "x.bsf", "--bogus"],
+       ["chart", "holonomy", "x.grid", "--z0", "0", "--tol", "1"],
+       ["frob", "detect"], ["chart", "frob", "check-box"]])
+
+
+@pytest.mark.parametrize("argv", _USAGE_ARGVS,
+                         ids=[" ".join(a) or "(none)" for a in _USAGE_ARGVS])
+def test_usage_and_help_read_as_from_the_whole_tree(capsys, monkeypatch,
+                                                    argv):
+    # the parser main builds for argv, against the whole tree: the same
+    # exit code, stdout and stderr, whatever this argparse prints
+    code = main(list(argv))
+    got = code, *capsys.readouterr()
+    whole = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda *_: whole())
+    code = main(list(argv))
+    assert got == (code, *capsys.readouterr())
+    assert code in (0, 1)
+    assert got[2].startswith("error: usage-error: ") == (code == 1)
+    assert got[1].startswith("usage: bsgate") == (code == 0)
+
+
 def test_missing_input_file(capsys):
     code, lines = run(capsys, "validate", "/no/such/file.bsf")
     assert code == 1
