@@ -383,63 +383,84 @@ _CHOICES = ("over", "under", "neutral")
 _MODES = ("inner", "outer")
 
 
-def _build_parser() -> _Parser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_INPUT = _arg("input")
+_OUT = _arg("--out", default=None)
+_GRID = _arg("--grid", default=None, metavar="NX,NY,NZ")
+_TOL = _arg("--tol", type=float, default=1e-9)
+_R0 = _arg("--r0", type=float, required=True)
+
+# each command's help line and arguments, in the order --help lists them;
+# chart's arguments are those of its subcommands, below
+_COMMAND_ARGS = {
+    "validate": ("structural checks on a complex", (_INPUT,)),
+    "detect": ("decide a weight-system kind", (
+        _arg("--kind", required=True, choices=_KINDS + ("criterion",)),
+        _arg("--oracle-bound", type=int, default=None), _INPUT)),
+    "assemble": ("glue a carried surface", (
+        _arg("--kind", required=True, choices=_KINDS),
+        _arg("--weights", required=True), _INPUT)),
+    "split": ("one splitting move", (
+        _arg("--sector", required=True),
+        _arg("--entry", required=True, metavar="W:K:SIDE"),
+        _arg("--exit", required=True, metavar="W:K:SIDE"),
+        _arg("--choice", required=True, choices=_CHOICES + ("safe",)),
+        _OUT, _INPUT)),
+    "schedule": ("run a splitting plan", (
+        _arg("--plan", required=True), _OUT, _INPUT)),
+    "chart": ("slope-function checks", ()),
+    "selftest": ("seeded end-to-end checks", (
+        _arg("--seeds", type=int, default=10),)),
+}
+_CHART_ARGS = {
+    "check-box": (_INPUT, _GRID, _TOL),
+    "check-cyl": (_INPUT, _GRID, _TOL),
+    "purify-box": (_INPUT, _GRID, _TOL, _OUT,
+                   _arg("--y0", type=float, required=True),
+                   _arg("--y1", type=float, required=True),
+                   _arg("--delta", type=float, required=True)),
+    "purify-cyl": (_INPUT, _GRID, _TOL, _OUT, _R0,
+                   _arg("--mode", required=True, choices=_MODES)),
+    "extend": (_INPUT, _GRID, _TOL, _OUT, _R0,
+               _arg("--radius", type=float, default=1.0)),
+    "holonomy": (_INPUT, _GRID, _arg("--z0", type=float, required=True),
+                 _arg("--step", type=float, default=1e-3)),
+}
+
+
+def _branch(table: dict, name) -> tuple[str, ...]:
+    """The names of ``table`` to build: ``name`` alone if it is one."""
+    return (name,) if name in table else tuple(table)
+
+
+def _build_parser(argv=()) -> _Parser:
+    """The parser tree, cut to the branch that ``argv`` names.
+
+    When ``argv[0]`` is a command, only its parser is built, and for
+    ``chart`` only that of the subcommand ``argv[1]`` names.  A
+    subparser's prog, help and error messages do not depend on its
+    siblings, and :class:`_Parser` passes on only the message, so the
+    cut tree prints what the whole one would.  Any other ``argv`` (none,
+    an unknown name, ``-h``) gets the whole tree.
+    """
+    cmd, chart_cmd = (*argv[:2], None, None)[:2]
     parser = _Parser(prog="bsgate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("validate", help="structural checks on a complex")
-    p.add_argument("input")
-
-    p = sub.add_parser("detect", help="decide a weight-system kind")
-    p.add_argument("--kind", required=True, choices=_KINDS + ("criterion",))
-    p.add_argument("--oracle-bound", type=int, default=None)
-    p.add_argument("input")
-
-    p = sub.add_parser("assemble", help="glue a carried surface")
-    p.add_argument("--kind", required=True, choices=_KINDS)
-    p.add_argument("--weights", required=True)
-    p.add_argument("input")
-
-    p = sub.add_parser("split", help="one splitting move")
-    p.add_argument("--sector", required=True)
-    p.add_argument("--entry", required=True, metavar="W:K:SIDE")
-    p.add_argument("--exit", required=True, metavar="W:K:SIDE")
-    p.add_argument("--choice", required=True, choices=_CHOICES + ("safe",))
-    p.add_argument("--out", default=None)
-    p.add_argument("input")
-
-    p = sub.add_parser("schedule", help="run a splitting plan")
-    p.add_argument("--plan", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("input")
-
-    p = sub.add_parser("chart", help="slope-function checks")
-    csub = p.add_subparsers(dest="chart_cmd", required=True)
-    for name in ("check-box", "check-cyl", "purify-box", "purify-cyl",
-                 "extend", "holonomy"):
-        cp = csub.add_parser(name)
-        cp.add_argument("input")
-        cp.add_argument("--grid", default=None, metavar="NX,NY,NZ")
-        if name != "holonomy":
-            cp.add_argument("--tol", type=float, default=1e-9)
-        if name in ("purify-box", "purify-cyl", "extend"):
-            cp.add_argument("--out", default=None)
-        if name == "purify-box":
-            cp.add_argument("--y0", type=float, required=True)
-            cp.add_argument("--y1", type=float, required=True)
-            cp.add_argument("--delta", type=float, required=True)
-        elif name == "purify-cyl":
-            cp.add_argument("--r0", type=float, required=True)
-            cp.add_argument("--mode", required=True, choices=_MODES)
-        elif name == "extend":
-            cp.add_argument("--r0", type=float, required=True)
-            cp.add_argument("--radius", type=float, default=1.0)
-        elif name == "holonomy":
-            cp.add_argument("--z0", type=float, required=True)
-            cp.add_argument("--step", type=float, default=1e-3)
-
-    p = sub.add_parser("selftest", help="seeded end-to-end checks")
-    p.add_argument("--seeds", type=int, default=10)
+    for name in _branch(_COMMAND_ARGS, cmd):
+        help_line, args = _COMMAND_ARGS[name]
+        p = sub.add_parser(name, help=help_line)
+        if name == "chart":
+            csub = p.add_subparsers(dest="chart_cmd", required=True)
+            for chart_name in _branch(_CHART_ARGS,
+                                      chart_cmd if cmd == "chart" else None):
+                cp = csub.add_parser(chart_name)
+                for flags, kwargs in _CHART_ARGS[chart_name]:
+                    cp.add_argument(*flags, **kwargs)
+        for flags, kwargs in args:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -466,7 +487,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         import_module(f".{layer}", __package__)
     started = time.monotonic()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except UsageError as exc:
         print(f"error: usage-error: {exc}", file=sys.stderr)
         return 1

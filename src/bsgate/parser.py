@@ -8,7 +8,6 @@ afterwards, so documents may order their lines freely.  All errors carry
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -28,13 +27,22 @@ _FORBIDDEN = set(":#") | set(" \t\r\n\f\v")
 
 
 def _tokens(line: str) -> list[tuple[int, str]]:
-    """(1-based column, token) pairs of ``line`` before any ``#``."""
+    """(1-based column, token) pairs of ``line`` before any ``#``.
+
+    Only whitespace lies between the end of one token and the start of
+    the next, so the first match of a token from there is its own start.
+    """
     code = line.split("#", 1)[0]
-    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", code)]
+    pairs, pos = [], 0
+    for tok in code.split():
+        pos = code.index(tok, pos)
+        pairs.append((pos + 1, tok))
+        pos += len(tok)
+    return pairs
 
 
 def _check_id(tok: str, what: str, line: int, col: int) -> str:
-    if not tok or any(c in _FORBIDDEN for c in tok):
+    if not tok or not _FORBIDDEN.isdisjoint(tok):
         raise ParseError(f"invalid {what} {tok!r} (':'/'#'/whitespace "
                          f"not allowed)", line, col)
     return tok

@@ -261,12 +261,16 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
 
     Exhaustive; a miss does not prove infeasibility.  Serves as the
     independent oracle for :func:`feasible`.  The values of every form
-    over the trailing variables are tabulated one variable at a time,
-    last first, each as the new leading digit of the table's long axis,
-    so that every broadcast add runs along that axis.  Each assignment
-    of the leading variables, taken in lexicographic order, compares
-    the table with its own values and checks every constraint at once;
-    only the first hit is decoded.  Every entry and every shift lies in
+    are tabulated one variable at a time, last first, each as the new
+    leading digit of the table's long axis, so that every broadcast add
+    runs along that axis.  The table holds at most ``_CHUNK_ELEMENTS``
+    entries: the trailing variables whose full table fits, and a block
+    of as many values of the digit before them as fit, so that a digit
+    wider than that still costs one compare per block, not one per
+    value (bound 2**26 - 1 over one variable takes about 0.06 s).  Each
+    block, with the leading variables taken in lexicographic order,
+    compares the table with its own values and checks every constraint
+    at once; only the first hit is decoded.  Every entry and every shift lies in
     ``[-reach - 1, reach]``, where ``reach = bound * max(1, sum(|c|))``
     over the forms, so the table is kept in the narrowest signed dtype
     that holds that range (int8 for the ``selftest`` systems).  Refuses
@@ -307,24 +311,34 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
             rows[col[s]][k] = sign * c
     per_unit = np.array(rows, dtype=dtype).reshape(n, width)
 
+    if not n:  # the aggregate of no weights is 0, never >= 1
+        return None
     base = bound + 1
-    t = n  # trailing variables in the table: base**t * width <= the cap
+    # the table holds the last t variables in full, t < n, and the
+    # leading digit before them in blocks of `step` values, so that it
+    # keeps at most _CHUNK_ELEMENTS entries however wide a digit is
+    t = n - 1
     while t and base ** t * width > _CHUNK_ELEMENTS:
         t -= 1
-    # table[k, i]: column k's value at the i-th trailing assignment
-    digits = np.arange(base, dtype=dtype)
+    step = min(base, max(1, _CHUNK_ELEMENTS // (base ** t * width)))
+    head = n - t - 1  # the variables before the leading digit
+    # table[k, i]: column k's value at the i-th assignment of a block,
+    # `step` values of the leading digit, then the trailing variables
+    shape = (step,) + (base,) * t
     table = np.zeros((width, 1), dtype=dtype)
     table[-1] = -1
-    for unit in reversed(per_unit[n - t:]):
-        table = ((unit[:, None] * digits)[:, :, None]
+    for unit, size in zip(per_unit[::-1], shape[::-1]):
+        table = ((unit[:, None] * np.arange(size, dtype=dtype))[:, :, None]
                  + table[:, None, :]).reshape(width, -1)
-    lead = per_unit[:n - t]
-    for prefix, values in enumerate(product(range(base), repeat=n - t)):
-        shift = np.array(values, dtype=dtype) @ lead
-        ok = (table >= -shift[:, None]).all(axis=0)
+    for values in product(*[range(base)] * head, range(0, base, step)):
+        # the block's first assignment: a prefix and the digit's start
+        shift = np.array(values, dtype=dtype) @ per_unit[:head + 1]
+        span = min(step, base - values[-1]) * base ** t
+        ok = (table[:, :span] >= -shift[:, None]).all(axis=0)
         hit = int(ok.argmax())
         if ok[hit]:
-            vec = np.unravel_index(prefix * table.shape[1] + hit, (base,) * n)
+            digit, *rest = np.unravel_index(hit, shape)
+            vec = (*values[:-1], values[-1] + digit, *rest)
             return {s: int(v) for s, v in zip(variables, vec)}
     return None
 

@@ -260,6 +260,17 @@ def test_detect_infeasible_report_carries_multipliers(capsys):
     assert "multiplier corner:P 1/1" in lines
 
 
+def test_detect_oracle_runs_the_largest_bound_in_blocks():
+    # one variable at the largest bound under the 2**26 cap: one Python
+    # iteration per candidate ran for minutes; a fresh interpreter with
+    # a timeout, so that such a search fails instead of hanging
+    code, lines, err = bsgate_child("detect", "--kind", "isc",
+                                    "--oracle-bound", "67108863",
+                                    fx("fix-torus.bsf"))
+    assert (code, err) == (0, "")
+    assert lines[-2:] == ["oracle-witness: none", "oracle-agreement: ok"]
+
+
 def test_detect_criterion_passing(capsys):
     code, lines = run(capsys, "detect", "--kind", "criterion",
                       fx("fix-clean.bsf"))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,6 +174,31 @@ def test_token_columns_count_tab_and_ideographic_space_as_one():
                              (14, "seg:c1:one")]
 
 
+def _regex_tokens(line):
+    """The reference tokenizer: one regex match per token."""
+    code = line.split("#", 1)[0]
+    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", code)]
+
+
+@given(st.text(alphabet=" \t\x0b\x0c\x1c\xa0\u3000#:ab", max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_token_columns_are_those_of_one_regex_match_per_token(line):
+    assert _tokens(line) == _regex_tokens(line)
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("surface s\n\tsector A genus x bwords 0\n", (2, 17),
+     "expected integer genus, got 'x'"),
+    ("surface s\n  sector  A  genus  0\n", (2, 3), "malformed sector line"),
+    ("surface s\nsector  A  genus  0  bwords  -1\n", (2, 30),
+     "bwords count must be nonnegative"),
+], ids=["tab-indented", "double-spaced-malformed", "double-spaced-count"])
+def test_parse_errors_carry_the_token_column(text, where, message):
+    e = _err(text)
+    assert (e.line, e.col) == where
+    assert str(e).startswith(f"line {where[0]}, col {where[1]}: {message}")
+
+
 def test_implied_closing_vertex_is_smooth():
     text = ("surface s\nsector A genus 0 bwords 1\n"
             "bword A 0 : free:f v:smooth free:g\n")
@@ -206,6 +233,12 @@ def test_weights_reject_duplicate():
     cx = load("fix-torus.bsf")
     with pytest.raises(ParseError, match="duplicate weight"):
         parse_weights("w T 1\nw T 2\n", cx)
+
+
+def test_weight_errors_carry_the_token_column():
+    with pytest.raises(ParseError) as ei:
+        parse_weights("\n w\tT\t-1\n", load("fix-torus.bsf"))
+    assert (ei.value.line, ei.value.col) == (2, 6)
 
 
 # -- validator on programmatically broken complexes -------------------------

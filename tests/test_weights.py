@@ -420,6 +420,18 @@ def test_brute_force_decodes_a_hit_past_the_first_block(monkeypatch):
     assert brute_force(sys_, 3) == {v: 1 for v in variables}
 
 
+@pytest.mark.parametrize("sys_", [
+    toy([{"a": -1}], [0], variables=("a",)),
+    toy([{"a": 1}], [0], variables=("a",)),
+    # the least hit is a = 1, b = 37: past the first blocks of b
+    toy([{"a": 1}, {"a": -37, "b": 1}], [0]),
+], ids=["no-hit", "hit", "hit-past-the-first-blocks"])
+def test_brute_force_blocks_a_digit_wider_than_the_cap(sys_, monkeypatch):
+    # three columns and a cap of 8: the last digit runs in blocks of two
+    monkeypatch.setattr(weights, "_CHUNK_ELEMENTS", 8)
+    assert brute_force(sys_, 50) == reference_oracle(sys_, 50)
+
+
 def test_strict_aggregate_sums_group():
     sys_ = build_system(load("fix-clean.bsf"), ISC)
     assert strict_aggregate(sys_).coeffs == (("A", -2),)
