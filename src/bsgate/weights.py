@@ -270,10 +270,11 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
     value (bound 2**26 - 1 over one variable takes about 0.06 s).  Each
     block, with the leading variables taken in lexicographic order,
     compares the table with its own values and checks every constraint
-    at once; only the first hit is decoded.  Every entry and every shift lies in
-    ``[-reach - 1, reach]``, where ``reach = bound * max(1, sum(|c|))``
-    over the forms, so the table is kept in the narrowest signed dtype
-    that holds that range (int8 for the ``selftest`` systems).  Refuses
+    at once; only the first hit is decoded.  Every entry and every
+    shift lies in ``[-reach - 1, reach]``, where
+    ``reach = bound * max(1, sum(|c|))`` over the forms, so the table is
+    kept in the narrowest signed dtype that holds that range (int8 for
+    the ``selftest`` systems).  Refuses
     a bound that is not an ``int``, a search space of (bound+1)**n >
     2**26 candidates (a full search of 4**13 over three columns takes
     about 0.03 s on a 2-vCPU x86-64 VM once numpy is loaded; the tests
@@ -314,24 +315,25 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
     if not n:  # the aggregate of no weights is 0, never >= 1
         return None
     base = bound + 1
-    # the table holds the last t variables in full, t < n, and the
-    # leading digit before them in blocks of `step` values, so that it
-    # keeps at most _CHUNK_ELEMENTS entries however wide a digit is
+    # the table holds the last t < n variables in full and `step` values
+    # of the one before them, the blocked digit, so that it keeps at most
+    # _CHUNK_ELEMENTS entries however wide a digit is
     t = n - 1
     while t and base ** t * width > _CHUNK_ELEMENTS:
         t -= 1
     step = min(base, max(1, _CHUNK_ELEMENTS // (base ** t * width)))
-    head = n - t - 1  # the variables before the leading digit
-    # table[k, i]: column k's value at the i-th assignment of a block,
-    # `step` values of the leading digit, then the trailing variables
+    head = n - t - 1  # the variables before the blocked digit
+    # table[k, i]: column k's value at the i-th assignment of a block:
+    # `step` values of the blocked digit, then the trailing variables
     shape = (step,) + (base,) * t
+    digits = np.arange(base, dtype=dtype)
     table = np.zeros((width, 1), dtype=dtype)
     table[-1] = -1
-    for unit, size in zip(per_unit[::-1], shape[::-1]):
-        table = ((unit[:, None] * np.arange(size, dtype=dtype))[:, :, None]
+    for unit, run in zip(reversed(per_unit), [digits] * t + [digits[:step]]):
+        table = ((unit[:, None] * run)[:, :, None]
                  + table[:, None, :]).reshape(width, -1)
     for values in product(*[range(base)] * head, range(0, base, step)):
-        # the block's first assignment: a prefix and the digit's start
+        # the block's first assignment: a prefix, then the digit's start
         shift = np.array(values, dtype=dtype) @ per_unit[:head + 1]
         span = min(step, base - values[-1]) * base ** t
         ok = (table[:, :span] >= -shift[:, None]).all(axis=0)

@@ -425,7 +425,9 @@ def test_brute_force_decodes_a_hit_past_the_first_block(monkeypatch):
     toy([{"a": 1}], [0], variables=("a",)),
     # the least hit is a = 1, b = 37: past the first blocks of b
     toy([{"a": 1}, {"a": -37, "b": 1}], [0]),
-], ids=["no-hit", "hit", "hit-past-the-first-blocks"])
+    # b = 51 would be a hit, one past the bound, in b's last block
+    toy([{"a": 1}, {"a": -51, "b": 1}], [0]),
+], ids=["no-hit", "hit", "hit-past-the-first-blocks", "hit-past-the-bound"])
 def test_brute_force_blocks_a_digit_wider_than_the_cap(sys_, monkeypatch):
     # three columns and a cap of 8: the last digit runs in blocks of two
     monkeypatch.setattr(weights, "_CHUNK_ELEMENTS", 8)
