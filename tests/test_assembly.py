@@ -8,6 +8,7 @@ instead of the implementation's quotient-complex count.
 """
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,10 +17,16 @@ from hypothesis import strategies as st
 
 from bsgate import assembly
 from bsgate.assembly import assemble, normalize_trace
-from bsgate.errors import PreconditionFailed, WeightsNotSatisfying
+from bsgate.errors import (
+    BsgateError,
+    PreconditionFailed,
+    WeightsNotSatisfying,
+)
+from bsgate.gen import random_complex
 from bsgate.surface import SegItem
 from bsgate.weights import (
     ISC,
+    KINDS,
     NEG_TISC,
     POS_TISC,
     build_system,
@@ -27,7 +34,8 @@ from bsgate.weights import (
     segment_form,
 )
 
-from conftest import load, tally
+from conftest import FIXTURES, load, tally
+from test_certificates import ladder, snapshot
 
 CORPUS = ["fix-torus.bsf", "fix-doc.bsf", "fix-tdisc.bsf", "fix-negtd.bsf",
           "fix-split.bsf", "fix-clean.bsf"]
@@ -343,3 +351,54 @@ def test_random_satisfying_vectors_conserve(data):
         assert runs[g.id] == segment_form(cx, g.id).dot(w)
     for d in cx.dps:
         assert corners[d.id] == corner_form(cx, d.id).dot(w)
+
+
+# -- pinned output ------------------------------------------------------------
+
+# sha256 over the outcome of every case of pinned_cases(), in order
+ASSEMBLED_DIGEST = (
+    "b92855f3ec304692cac293728658974571966d1e46f939a7868c92d44446ca99")
+
+
+def pinned_cases():
+    """(label, complex, weights, kind) of every pinned assembly: every
+    satisfying vector of every fixture; each fixture's last satisfying
+    vector with one sector raised by 1 or set to -1, in turn (some of
+    each fixture refused); each
+    feasible witness of generator seeds 0-199, scaled by 1 and 3; and
+    each pos-tisc witness of the ladder rungs, scaled by 100."""
+    for path in sorted(FIXTURES.glob("*.bsf")):
+        cx = load(path.name)
+        for kind in KINDS:
+            vecs = satisfying_vectors(path.name, kind)
+            for w in vecs:
+                yield path.name, cx, w, kind
+            last = vecs[-1]
+            for s in cx.sectors:
+                for value in (last.get(s.id, 0) + 1, -1):
+                    yield path.name, cx, {**last, s.id: value}, kind
+    certs = snapshot()
+    for seed in range(200):
+        cx = random_complex(seed)
+        for kind in KINDS:
+            witness = certs[f"seed-{seed}/{kind}"].get("witness")
+            for scale in (1, 3) if witness else ():
+                w = {s: scale * v for s, v in witness.items()}
+                yield f"seed-{seed}", cx, w, kind
+    for rung in (5, 10, 15, 20):
+        witness = certs[f"L{rung}/{POS_TISC}"].get("witness")
+        if witness:
+            w = {s: 100 * v for s, v in witness.items()}
+            yield f"L{rung}", ladder()[rung], w, POS_TISC
+
+
+def test_assembled_surfaces_are_pinned():
+    digest = hashlib.sha256()
+    for label, cx, w, kind in pinned_cases():
+        try:
+            outcome = repr(assemble(cx, w, kind))
+        except BsgateError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        digest.update(f"{label} {kind} {sorted(w.items())} {outcome}\n"
+                      .encode())
+    assert digest.hexdigest() == ASSEMBLED_DIGEST
