@@ -30,7 +30,6 @@ from .surface import (
 from .weights import build_system
 
 FaceId = tuple[str, int]
-Occ = tuple[FaceId, int, int]  # (face, word index, item/vertex index)
 
 CLOSED = "Closed"
 ISC_CLASS = "Isc"
@@ -41,33 +40,6 @@ OTHER = "Other"
 # most faces assemble builds, one per unit of weight: 2^18 faces took
 # about 15 s and 700 MB on a 2-vCPU x86-64 VM
 _MAX_FACES = 1 << 18
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def classes(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
 
 
 @dataclass(frozen=True)
@@ -108,19 +80,81 @@ def check_weights(cx: BranchedSurfaceComplex, weights: dict[str, int],
             raise WeightsNotSatisfying(f"inequality violated: {form.tag}")
 
 
-def _edge_cell(cx, weights, face: FaceId, wi: int, ii: int, item):
-    sid, level = face
-    if isinstance(item, FreeItem):
-        return ("free", sid, wi, ii, level)
-    if item.side == "up":
-        g = cx.segment_by_id[item.seg]
-        level += weights.get(g.one, 0) - weights.get(g.up, 0)
-    return ("seg", item.seg, level)
+class _Template:
+    """A sector's boundary positions, its (word, item) pairs in order.
+
+    Per position: the item, the positions after and before it in its
+    word, the vertex after it, and its trace entry: ``("free", label)``
+    with offset None, or the segment id with the level offset of its
+    edge cell (``w(one) - w(up)`` on an ``up`` side, else 0).
+    """
+
+    def __init__(self, sector, segs, w: dict[str, int]):
+        self.items, self.nxt, self.prv, self.dps = [], [], [], []
+        self.entry, self.offset = [], []
+        for word in sector.words:
+            start, m = len(self.items), len(word.items)
+            for ii, item in enumerate(word.items):
+                self.items.append(item)
+                self.nxt.append(start + (ii + 1) % m)
+                self.prv.append(start + (ii - 1) % m)
+                if isinstance(item, FreeItem):
+                    self.entry.append(("free", item.label))
+                    self.offset.append(None)
+                    continue
+                g = segs[item.seg]
+                self.entry.append(item.seg)
+                self.offset.append(w[g.one] - w[g.up]
+                                   if item.side == "up" else 0)
+            self.dps.extend(word.verts)
+        # corner_units of the fan vertex after each position, on demand
+        self.units: list[Optional[int]] = [None] * len(self.items)
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _union(parent: list[int], a: int, b: int) -> int:
+    """Join the classes of ``a`` and ``b``; 1 if they were apart."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    parent[max(ra, rb)] = min(ra, rb)
+    return int(ra != rb)
+
+
+def _corner_units(cx, entering, leaving, did: str) -> int:
+    g_in = cx.segment_by_id[entering.seg]
+    g_out = cx.segment_by_id[leaving.seg]
+    end_in = _end_of_item(g_in, entering.side, "next")
+    end_out = _end_of_item(g_out, leaving.side, "prev")
+    if end_in is None or end_out is None \
+            or end_in.dp != did or end_out.dp != did:
+        raise TracingInconsistency(
+            f"segment ends disagree with vertex dp:{did}")
+    diff = (end_out.slot - end_in.slot) % 4
+    if diff in (1, 3):
+        return 1
+    if diff == 2:
+        return 2
+    raise TracingInconsistency(
+        f"fold-back at dp:{did} (slot {end_in.slot} to itself)")
 
 
 def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
              kind: str) -> AssembledSurface:
-    """Construct the canonical glued surface for a satisfying vector."""
+    """Construct the canonical glued surface for a satisfying vector.
+
+    Faces are numbered in ``cx.sectors`` order, then by level; the edge
+    or vertex occurrence at template position ``p`` of a face has the id
+    ``base(face) + p``.  Along a segment with weights ``(z; x, y)`` the
+    ``one`` side at level L is glued to the ``lo`` side at L for
+    L <= y, and to the ``up`` side at L - (z - x) for L > z - x.
+    """
+    if cx.violations:
+        raise PreconditionFailed(
+            "input complex fails validation: " + cx.violations[0])
     check_weights(cx, weights, kind)
     w = {s.id: weights.get(s.id, 0) for s in cx.sectors}
     total = sum(w.values())
@@ -129,167 +163,126 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
             f"weights sum to {total}: one face per unit is more than "
             f"the 2^18 faces assemble builds")
 
-    faces: list[FaceId] = [(s.id, lev) for s in cx.sectors
-                           for lev in range(1, w[s.id] + 1)]
+    segs = cx.segment_by_id
+    tpls = [_Template(s, segs, w) for s in cx.sectors]
+    where: dict[tuple[str, str], tuple[int, int]] = {
+        (item.seg, item.side): (k, p)
+        for k, t in enumerate(tpls) for p, item in enumerate(t.items)
+        if isinstance(item, SegItem)}
+    weight = [w[s.id] for s in cx.sectors]
+    first_face, first_occ = [], []  # per sector
+    face_tpl, face_level, face_base = [], [], []  # per face
+    occ_face: list[int] = []  # per occurrence
+    for t, n_faces in zip(tpls, weight):
+        first_face.append(len(face_tpl))
+        first_occ.append(len(occ_face))
+        for lev in range(1, n_faces + 1):
+            face_base.append(len(occ_face))
+            occ_face.extend([len(face_tpl)] * len(t.items))
+            face_tpl.append(t)
+            face_level.append(lev)
+    n_occ = len(occ_face)
 
-    # edge cells and their occurrences
-    occs_of_cell: dict[tuple, list[Occ]] = {}
-    item_of_occ: dict[Occ, object] = {}
-    for face in faces:
-        sector = cx.sector_by_id[face[0]]
-        for wi, word in enumerate(sector.words):
-            for ii, item in enumerate(word.items):
-                occ = (face, wi, ii)
-                item_of_occ[occ] = item
-                cell = _edge_cell(cx, w, face, wi, ii, item)
-                occs_of_cell.setdefault(cell, []).append(occ)
+    # pair the sheets of each segment; union faces and vertex occurrences
+    partner = [-1] * n_occ
+    face_up = list(range(len(face_tpl)))
+    vert_up = list(range(n_occ))
+    # per face: the pairs glued at its one sides, less the vertex
+    # classes they merge, i.e. what gluing adds to the Euler number
+    glue = [0] * len(face_tpl)
+    for g in cx.segments:
+        ko, po = where[g.id, "one"]
+        no = len(tpls[ko].items)
+        da = tpls[ko].prv[po] - po
+        for side, first in (("lo", 0), ("up", w[g.one] - w[g.up])):
+            kt, pt = where[g.id, side]
+            nt, count = len(tpls[kt].items), weight[kt]
+            db = tpls[kt].prv[pt] - pt
+            a0 = first_occ[ko] + first * no + po
+            b0 = first_occ[kt] + pt
+            partner[a0:a0 + count * no:no] = range(b0, b0 + count * nt, nt)
+            partner[b0:b0 + count * nt:nt] = range(a0, a0 + count * no, no)
+            fa0, fb0 = first_face[ko] + first, first_face[kt]
+            for i in range(count):
+                a, b = a0 + i * no, b0 + i * nt
+                _union(face_up, fa0 + i, fb0 + i)
+                # prev(a) ~ next(b) and next(a) ~ prev(b)
+                glue[fa0 + i] += (1 - _union(vert_up, a + da, b)
+                                  - _union(vert_up, a, b + db))
 
-    partner: dict[Occ, Occ] = {}
-    for cell, occs in occs_of_cell.items():
-        if len(occs) > 2:
-            raise TracingInconsistency(
-                f"edge cell {cell} has {len(occs)} occurrences")
-        if len(occs) == 2:
-            partner[occs[0]] = occs[1]
-            partner[occs[1]] = occs[0]
+    # components, in order of their least (sid, level) face; each is
+    # [faces, Euler number, traces]
+    order = sorted(range(len(tpls)), key=lambda k: cx.sectors[k].id)
+    comps: dict[int, list] = {}  # face root -> component
+    face_comp: list[list] = [None] * len(face_tpl)
+    for k in order:
+        sid, chi = cx.sectors[k].id, cx.sectors[k].euler()
+        for lev in range(1, weight[k] + 1):
+            f = first_face[k] + lev - 1
+            comp = comps.setdefault(_find(face_up, f), [[], 0, []])
+            comp[0].append((sid, lev))
+            comp[1] += chi + glue[f]
+            face_comp[f] = comp
 
-    # face components
-    comp_uf = _UnionFind()
-    for face in faces:
-        comp_uf.add(face)
-    for occs in occs_of_cell.values():
-        if len(occs) == 2:
-            comp_uf.union(occs[0][0], occs[1][0])
-
-    # vertex cells: union-find over vertex occurrences
-    vert_uf = _UnionFind()
-    word_len: dict[tuple[str, int], int] = {
-        (s.id, wi): len(wd.items)
-        for s in cx.sectors for wi, wd in enumerate(s.words)}
-    for face in faces:
-        sector = cx.sector_by_id[face[0]]
-        for wi, word in enumerate(sector.words):
-            for vi in range(len(word.verts)):
-                vert_uf.add((face, wi, vi))
-    for a, b in partner.items():
-        if a > b:
-            continue
-        (fa, wa, ia), (fb, wb, ib) = a, b
-        ma, mb = word_len[(fa[0], wa)], word_len[(fb[0], wb)]
-        # prev(a) ~ next(b) and next(a) ~ prev(b)
-        vert_uf.union((fa, wa, (ia - 1) % ma), (fb, wb, ib))
-        vert_uf.union((fa, wa, ia), (fb, wb, (ib - 1) % mb))
-
-    vert_classes = vert_uf.classes()
-    vert_root = {occ: root for root, occs in vert_classes.items()
-                 for occ in occs}
-
-    # boundary traces
-    traces_by_comp: dict[FaceId, list[tuple]] = {}
-    boundary_occs = sorted(
-        occ for occ, it in item_of_occ.items() if occ not in partner)
-    visited: set[Occ] = set()
-
-    def run_entry(occ: Occ) -> tuple:
-        item = item_of_occ[occ]
-        if isinstance(item, FreeItem):
-            return ("free", item.label)
-        cell = _edge_cell(cx, w, occ[0], occ[1], occ[2], item)
-        return ("run", cell[1], cell[2])
-
-    def vertex_dp(occ_face: FaceId, wi: int, vi: int) -> Optional[str]:
-        return cx.sector_by_id[occ_face[0]].words[wi].verts[vi]
-
-    def corner_units(entering, leaving, did: str) -> int:
-        g_in = cx.segment_by_id[entering.seg]
-        g_out = cx.segment_by_id[leaving.seg]
-        end_in = _end_of_item(g_in, entering.side, "next")
-        end_out = _end_of_item(g_out, leaving.side, "prev")
-        if end_in is None or end_out is None \
-                or end_in.dp != did or end_out.dp != did:
-            raise TracingInconsistency(
-                f"segment ends disagree with vertex dp:{did}")
-        diff = (end_out.slot - end_in.slot) % 4
-        if diff in (1, 3):
-            return 1
-        if diff == 2:
-            return 2
-        raise TracingInconsistency(
-            f"fold-back at dp:{did} (slot {end_in.slot} to itself)")
-
-    def successor(occ: Occ):
-        """Walk the vertex fan after traversing ``occ``; returns
-        (next boundary occurrence, corner record or None)."""
-        units = 0
-        corner_dp: Optional[str] = None
-        cur = occ
-        for _hop in range(len(item_of_occ) + 2):
-            face, wi, ii = cur
-            m = word_len[(face[0], wi)]
-            j = (ii + 1) % m
-            did = vertex_dp(face, wi, ii)
-            if did is not None:
-                entering = item_of_occ[cur]
-                leaving = item_of_occ[(face, wi, j)]
-                units += corner_units(entering, leaving, did)
-                if corner_dp is None:
-                    corner_dp = did
-                elif corner_dp != did:
-                    raise TracingInconsistency(
-                        "fan mixes double points "
-                        f"{corner_dp} and {did}")
-            nxt = (face, wi, j)
-            if nxt not in partner:
-                record = None
-                if corner_dp is not None:
-                    if units == 2:
-                        record = None  # smooth pass along a branch line
-                    elif units % 4 == 1:
-                        sign = cx.dp_by_id[corner_dp].sign
-                        record = ("corner", corner_dp, (units - 1) // 4, sign)
+    # boundary traces: from each boundary occurrence, walk the vertex fan
+    # after it to the next one, recording a corner unless the fan is a
+    # smooth pass (2 quarter-turns) along a branch line
+    visited = bytearray(n_occ)
+    for k in order:  # starts in (sid, level, word, item) order
+        for f in range(first_face[k], first_face[k] + weight[k]):
+            base = face_base[f]
+            for start in range(base, base + len(tpls[k].items)):
+                if partner[start] >= 0 or visited[start]:
+                    continue
+                entries: list[tuple] = []
+                occ = start
+                while True:
+                    visited[occ] = 1
+                    h = occ_face[occ]
+                    t, p = face_tpl[h], occ - face_base[h]
+                    off = t.offset[p]
+                    entries.append(t.entry[p] if off is None else
+                                   ("run", t.entry[p], face_level[h] + off))
+                    units = 0
+                    corner_dp: Optional[str] = None
+                    for _hop in range(n_occ + 2):
+                        j = t.nxt[p]
+                        did = t.dps[p]
+                        if did is not None:
+                            u = t.units[p]
+                            if u is None:
+                                u = t.units[p] = _corner_units(
+                                    cx, t.items[p], t.items[j], did)
+                            units += u
+                            if corner_dp is None:
+                                corner_dp = did
+                            elif corner_dp != did:
+                                raise TracingInconsistency(
+                                    "fan mixes double points "
+                                    f"{corner_dp} and {did}")
+                        occ = occ - p + j
+                        if partner[occ] < 0:
+                            break
+                        occ = partner[occ]
+                        h = occ_face[occ]
+                        t, p = face_tpl[h], occ - face_base[h]
                     else:
                         raise TracingInconsistency(
-                            f"fan at dp:{corner_dp} sweeps {units} "
-                            "quarter-turns")
-                return nxt, record
-            cur = partner[nxt]
-        raise TracingInconsistency("fan walk failed to terminate")
-
-    for start in boundary_occs:
-        if start in visited:
-            continue
-        entries: list[tuple] = []
-        occ = start
-        while True:
-            visited.add(occ)
-            entries.append(run_entry(occ))
-            occ, record = successor(occ)
-            if record is not None:
-                entries.append(record)
-            if occ == start:
-                break
-        comp_root = comp_uf.find(start[0])
-        traces_by_comp.setdefault(comp_root, []).append(tuple(entries))
-
-    # euler characteristic per component
-    comps = comp_uf.classes()
-    edge_cells_by_comp: dict[FaceId, int] = {}
-    for cell, occs in occs_of_cell.items():
-        root = comp_uf.find(occs[0][0])
-        edge_cells_by_comp[root] = edge_cells_by_comp.get(root, 0) + 1
-    vert_cells_by_comp: dict[FaceId, int] = {}
-    for root_v, occs in vert_classes.items():
-        root = comp_uf.find(occs[0][0])
-        vert_cells_by_comp[root] = vert_cells_by_comp.get(root, 0) + 1
+                            "fan walk failed to terminate")
+                    if corner_dp is not None and units != 2:
+                        if units % 4 != 1:
+                            raise TracingInconsistency(
+                                f"fan at dp:{corner_dp} sweeps {units} "
+                                "quarter-turns")
+                        entries.append(("corner", corner_dp, (units - 1) // 4,
+                                        cx.dp_by_id[corner_dp].sign))
+                    if occ == start:
+                        break
+                face_comp[f][2].append(tuple(entries))
 
     components = []
-    for root in sorted(comps):
-        comp_faces = tuple(sorted(comps[root]))
-        chi = sum(cx.sector_by_id[sid].euler() for sid, _lev in comp_faces)
-        chi -= edge_cells_by_comp.get(root, 0)
-        chi += vert_cells_by_comp.get(root, 0)
-        boundaries = tuple(sorted(normalize_trace(t)
-                                  for t in traces_by_comp.get(root, [])))
+    for faces, chi, comp_traces in comps.values():
+        boundaries = tuple(sorted(normalize_trace(t) for t in comp_traces))
         signs: set[int] = set()
         has_free = False
         for trace in boundaries:
@@ -311,7 +304,7 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
         else:
             cls = OTHER
         components.append(Component(
-            faces=comp_faces, euler=chi, boundaries=boundaries,
+            faces=tuple(faces), euler=chi, boundaries=boundaries,
             classification=cls))
     return AssembledSurface(tuple(components))
 
@@ -320,6 +313,7 @@ def normalize_trace(entries: tuple) -> tuple:
     """Lexicographically least rotation; traces are cyclic."""
     if not entries:
         return entries
-    rotations = [entries[i:] + entries[:i] for i in range(len(entries))]
-    return min(rotations)
+    first = min(entries)  # the least rotation starts at a least entry
+    return min(entries[i:] + entries[:i]
+               for i, e in enumerate(entries) if e == first)
 

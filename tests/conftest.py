@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,14 @@ def tally(cx, asm):
                 if e[0] in ("run", "corner"):
                     (runs if e[0] == "run" else corners)[e[1]] += 1
     return faces, runs, corners
+
+
+def traced_peak(fn) -> int:
+    """Call ``fn()``; return the peak of the memory Python allocated
+    meanwhile, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgate import assembly
 from bsgate.assembly import assemble, normalize_trace
 from bsgate.errors import (
     BsgateError,
@@ -23,6 +22,7 @@ from bsgate.errors import (
     WeightsNotSatisfying,
 )
 from bsgate.gen import random_complex
+from bsgate.parser import parse_complex
 from bsgate.surface import SegItem
 from bsgate.weights import (
     ISC,
@@ -34,7 +34,7 @@ from bsgate.weights import (
     segment_form,
 )
 
-from conftest import FIXTURES, load, tally
+from conftest import FIXTURES, fixture_text, load, tally, traced_peak
 from test_certificates import ladder, snapshot
 
 CORPUS = ["fix-torus.bsf", "fix-doc.bsf", "fix-tdisc.bsf", "fix-negtd.bsf",
@@ -201,16 +201,29 @@ def test_unsatisfying_weights_name_the_constraint():
         assemble(load("fix-torus.bsf"), {"T": -1}, ISC)
 
 
-def test_oversized_weights_are_refused_before_any_face(monkeypatch):
-    # one face per unit of weight: 2^18 + 1 faces is over the cap
-    def no_faces(*args):
-        raise AssertionError("assemble built a face")
+def test_complex_failing_validation_is_refused():
+    # the up side twice and the lo side never: the sheets do not pair
+    text = fixture_text("fix-doc.bsf").replace(
+        "bword T 1 : seg:g:lo", "bword T 1 : seg:g:up")
+    with pytest.raises(PreconditionFailed) as err:
+        assemble(parse_complex(text), {"D": 2, "T": 1}, ISC)
+    assert str(err.value) == (
+        "input complex fails validation: segment g side up must appear "
+        "exactly once on sector T's boundary (found ['T', 'T'])")
 
-    monkeypatch.setattr(assembly, "_edge_cell", no_faces)
+
+def test_oversized_weights_are_refused_before_any_face():
+    # one face per unit of weight: 2^18 + 1 faces is over the cap.  The
+    # ids of that many faces alone would take megabytes; the refusal
+    # allocates under 1 MiB
     cx = load("fix-doc.bsf")
     for w in ({"D": (1 << 18) + 1}, {"D": 10 ** 7}):
-        with pytest.raises(PreconditionFailed, match="more than the 2\\^18"):
-            assemble(cx, w, ISC)
+        def refuse():
+            with pytest.raises(PreconditionFailed,
+                               match="more than the 2\\^18"):
+                assemble(cx, w, ISC)
+
+        assert traced_peak(refuse) < 1 << 20
 
 
 def test_non_strict_vectors_still_assemble():

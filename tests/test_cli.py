@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsgate import __version__, assembly, cli, splitting, surface, weights
+from bsgate import __version__, cli, splitting, surface, weights
 from bsgate.charts import (
     INNER_CONTACT,
     OUTER_CONTACT,
@@ -28,7 +28,7 @@ from bsgate.cli import main
 from bsgate.parser import parse_complex
 from bsgate.surface import validate
 
-from conftest import FIXTURES, fixture_text, fx, run_python
+from conftest import FIXTURES, fixture_text, fx, run_python, traced_peak
 
 TRAILER = re.compile(r"^# duration-ms \d+$")
 
@@ -312,16 +312,18 @@ def test_assemble_rejects_unbalanced_weights(capsys, tmp_path):
     assert any(l.startswith("error: weights-not-satisfying") for l in lines)
 
 
-def test_assemble_refuses_oversized_weights_up_front(capsys, tmp_path,
-                                                    monkeypatch):
-    def no_faces(*args):
-        raise AssertionError("assemble built a face")
-
-    monkeypatch.setattr(assembly, "_edge_cell", no_faces)
+def test_assemble_refuses_oversized_weights_up_front(capsys, tmp_path):
+    # before any face is built: the whole call allocates under 1 MiB
     p = tmp_path / "big.w"
     p.write_text(f"w D {(1 << 18) + 1}\n")
-    code, lines = run(capsys, "assemble", "--kind", "isc",
-                      "--weights", str(p), fx("fix-doc.bsf"))
+    got = []
+
+    def call():
+        got.extend(run(capsys, "assemble", "--kind", "isc",
+                       "--weights", str(p), fx("fix-doc.bsf")))
+
+    assert traced_peak(call) < 1 << 20
+    code, lines = got
     assert (code, lines[-1]) == (
         2, "error: precondition-failed: weights sum to 262145: one face "
            "per unit is more than the 2^18 faces assemble builds")
