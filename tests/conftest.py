@@ -59,12 +59,11 @@ def tally(cx, asm):
     return faces, runs, corners
 
 
-def traced_peak(fn) -> int:
-    """Call ``fn()``; return the peak of the memory Python allocated
-    meanwhile, in bytes."""
+def traced_peak(fn) -> tuple:
+    """Call ``fn()``; return its result and the peak of the memory
+    Python allocated meanwhile, in bytes."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

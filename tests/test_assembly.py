@@ -223,7 +223,7 @@ def test_oversized_weights_are_refused_before_any_face():
                                match="more than the 2\\^18"):
                 assemble(cx, w, ISC)
 
-        assert traced_peak(refuse) < 1 << 20
+        assert traced_peak(refuse)[1] < 1 << 20
 
 
 def test_non_strict_vectors_still_assemble():
@@ -377,9 +377,9 @@ def pinned_cases():
     """(label, complex, weights, kind) of every pinned assembly: every
     satisfying vector of every fixture; each fixture's last satisfying
     vector with one sector raised by 1 or set to -1, in turn (some of
-    each fixture refused); each
-    feasible witness of generator seeds 0-199, scaled by 1 and 3; and
-    each pos-tisc witness of the ladder rungs, scaled by 100."""
+    each fixture's are refused); each feasible witness of generator
+    seeds 0-199, scaled by 1 and 3; and each pos-tisc witness of the
+    ladder rungs, scaled by 100."""
     for path in sorted(FIXTURES.glob("*.bsf")):
         cx = load(path.name)
         for kind in KINDS:

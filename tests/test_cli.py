@@ -316,14 +316,10 @@ def test_assemble_refuses_oversized_weights_up_front(capsys, tmp_path):
     # before any face is built: the whole call allocates under 1 MiB
     p = tmp_path / "big.w"
     p.write_text(f"w D {(1 << 18) + 1}\n")
-    got = []
-
-    def call():
-        got.extend(run(capsys, "assemble", "--kind", "isc",
-                       "--weights", str(p), fx("fix-doc.bsf")))
-
-    assert traced_peak(call) < 1 << 20
-    code, lines = got
+    (code, lines), peak = traced_peak(lambda: run(
+        capsys, "assemble", "--kind", "isc", "--weights", str(p),
+        fx("fix-doc.bsf")))
+    assert peak < 1 << 20
     assert (code, lines[-1]) == (
         2, "error: precondition-failed: weights sum to 262145: one face "
            "per unit is more than the 2^18 faces assemble builds")
