@@ -214,7 +214,7 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
     # [faces, Euler number, traces]
     order = sorted(range(len(tpls)), key=lambda k: cx.sectors[k].id)
     comps: dict[int, list] = {}  # face root -> component
-    face_comp: list[list] = [None] * len(face_tpl)
+    face_comp: list = [None] * len(face_tpl)  # per face
     for k in order:
         sid, chi = cx.sectors[k].id, cx.sectors[k].euler()
         for lev in range(1, weight[k] + 1):
