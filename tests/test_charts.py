@@ -12,6 +12,7 @@ f = -c(1-z^2) is tanh(artanh z0 - 2 pi c).
 import math
 import warnings
 from hashlib import sha256
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -649,6 +650,59 @@ def test_grid_parse_errors():
         parse_grid(text.replace("spacing 1 1 1", "spacing 1 1 2"))
 
 
+def _one_break(sep: str, at: int) -> Callable[[str], str]:
+    """The text with its line break number ``at`` (from 0) made ``sep``."""
+    def swap(text: str) -> str:
+        lines = text.split("\n")
+        return "\n".join(lines[:at + 1]) + sep + "\n".join(lines[at + 1:])
+    return swap
+
+
+# every way of ending lines that str.splitlines reads like "\n"
+_ENDINGS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "vt-header": _one_break("\x0b", 1),
+    "vt-body": _one_break("\x0b", 9),
+    "ls-header": _one_break("\u2028", 2),
+    "ls-body": _one_break("\u2028", 17),
+    "no-final-newline": lambda text: text[:-1],
+}
+
+
+@pytest.mark.parametrize("ending", _ENDINGS)
+@pytest.mark.parametrize("grid", [
+    sample_box(lambda x, y, z: x * y - z * z, (3, 4, 5)),
+    sample_cylinder(lambda r, t, z: -r ** 2 * (1 + 0.1 * np.sin(t)) * z,
+                    (3, 4, 5), radius=2.0,
+                    h_fn=lambda r, t, z: -(1 + 0.1 * np.sin(t)) * z),
+], ids=[BOX, CYLINDER])
+def test_grid_line_endings_read_like_lf(grid, ending):
+    change = _ENDINGS[ending]
+    text = print_grid(grid)
+    back = parse_grid(change(text))
+    assert back.values.tobytes() == grid.values.tobytes()
+    if grid.h is not None:
+        assert back.h.tobytes() == grid.h.tobytes()
+    # full-width digits are text that float() reads, several bytes a
+    # character in UTF-8: a line holding them must not shift the others
+    lines = text.split("\n")
+    wide = str.maketrans("0123456789", "".join(map(chr, range(0xFF10,
+                                                              0xFF1A))))
+    lines[5] = lines[5].translate(wide)
+    assert not lines[5].isascii()
+    back = parse_grid(change("\n".join(lines)))
+    assert back.values.tobytes() == grid.values.tobytes()
+    for at, bad, message in [
+            (12, "x1", "could not convert string to float: 'x1'"),
+            (14, "nan", "'nan' on line 15 is not finite")]:
+        lines = text.split("\n")
+        lines[at] = bad
+        with pytest.raises(ChartError) as err:
+            parse_grid(change("\n".join(lines)))
+        assert str(err.value) == "bad sample value: " + message
+
+
 # zeros of both signs, subnormals and a huge value: an axis along which
 # only these differ is not constant, and -0.0 must not merge into 0.0
 _TWINS = (0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e300)
@@ -697,6 +751,93 @@ def test_grid_io_equals_the_one_pass_conversion(grid):
     got = back.values.tobytes() + (b"" if back.h is None
                                    else back.h.tobytes())
     assert got == np.array(body.splitlines(), dtype=float).tobytes()
+
+
+@st.composite
+def _fibred_grids(draw):
+    """Grids whose z-fibres (runs of shape[-1] sample lines) repeat at
+    arbitrary places: a plateau of equal fibres along the axis before z,
+    fibres copied anywhere (f into h too), and constant fibres.  Some
+    copies differ from their source by a twin value only (0.0 against
+    -0.0, say): equal as floats, but not as text."""
+    kind = draw(st.sampled_from([BOX, CYLINDER, ANNULUS]))
+    shape = tuple(draw(st.integers(2, 5))
+                  for _ in range(2 if kind == ANNULUS else 3))
+    nz = shape[-1]
+    nfib = math.prod(shape[:-1]) * (2 if kind == CYLINDER else 1)
+    pool = st.one_of(st.sampled_from(_TWINS), st.floats(allow_nan=False,
+                                                        allow_infinity=False))
+    fibres = np.array(draw(st.lists(pool, min_size=nfib * nz,
+                                    max_size=nfib * nz))).reshape(nfib, nz)
+    run = shape[-2]  # fibres along the axis before z
+    j0 = draw(st.integers(0, run - 1))
+    j1 = draw(st.integers(j0, run - 1))
+    for start in range(0, nfib, run):
+        fibres[start + j0:start + j1 + 1] = fibres[start + j0]
+    index = st.integers(0, nfib - 1)
+    for src, dst in draw(st.lists(st.tuples(index, index), min_size=1,
+                                  max_size=4)):
+        fibres[dst] = fibres[src]
+        if draw(st.booleans()):
+            at = draw(st.integers(0, nz - 1))
+            fibres[src, at] = draw(st.sampled_from(_TWINS))
+            fibres[dst, at] = draw(st.sampled_from(_TWINS))
+    for at in draw(st.lists(index, max_size=3)):
+        fibres[at] = draw(pool)
+    f, *h = fibres.reshape(-1, *shape)
+    return SlopeGrid(kind, (2.0,) if kind == CYLINDER else (), f,
+                     h[0] if h else None)
+
+
+def _read_each_line(lines: list[str]) -> np.ndarray:
+    """The reference: every sample line converted with float() in file
+    order, or parse_grid's report of the first bad one."""
+    values = []
+    for s in lines:
+        try:
+            values.append(float(s))
+        except ValueError as exc:
+            raise ChartError(f"bad sample value: {exc}") from None
+    for at, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ChartError(f"bad sample value: {lines[at].strip()!r} on "
+                             f"line {at + 5} is not finite")
+    return np.array(values)
+
+
+@given(_fibred_grids())
+@settings(max_examples=200, deadline=None)
+def test_grid_with_repeated_fibres_equals_the_one_pass_conversion(grid):
+    text = print_grid(grid)
+    back = parse_grid(text)
+    got = back.values.tobytes() + (b"" if back.h is None
+                                   else back.h.tobytes())
+    assert got == _read_each_line(text.split("\n")[4:-1]).tobytes()
+
+
+@given(_fibred_grids(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_grid_bad_sample_in_a_repeated_fibre(grid, data):
+    # bad text planted at one place of some copies of a fibre that the
+    # text repeats; the report names the first bad line in file order
+    lines = print_grid(grid).split("\n")
+    nz = grid.shape[-1]
+    copies: dict[tuple, list[int]] = {}
+    for start in range(4, len(lines) - 1, nz):
+        copies.setdefault(tuple(lines[start:start + nz]), []).append(start)
+    repeated = [s for s in copies.values() if len(s) > 1] or list(
+        copies.values())
+    starts = data.draw(st.sampled_from(repeated))
+    at = data.draw(st.integers(0, nz - 1))
+    for start in data.draw(st.lists(st.sampled_from(starts), min_size=1,
+                                    unique=True)):
+        lines[start + at] = data.draw(st.sampled_from(["x1", "nan",
+                                                       " -inf "]))
+    with pytest.raises(ChartError) as want:
+        _read_each_line(lines[4:-1])
+    with pytest.raises(ChartError) as got:
+        parse_grid("\n".join(lines))
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("which", ["f", "h"])
