@@ -577,27 +577,36 @@ def _agrees(read: list[float], derived: Sequence[float]) -> bool:
         abs(s - t) <= 1e-12 for s, t in zip(read, derived))
 
 
+# str.splitlines ends a line at each of these, as it does at "\n"
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def parse_grid(text: str) -> SlopeGrid:
-    """Read print_grid's text back.  The header must agree with the kind's
-    axes: a shape entry per axis, each at least 2, and the bounds and
-    spacing they imply.  The sample lines are converted with ``float()``'s
-    rules; an axis-invariant grid (equal line text along an axis) is
-    converted once per distinct slice and broadcast, to the same bits as
-    converting every line.  A non-finite sample is refused with its line
-    number."""
-    lines = text.splitlines()
-    if len(lines) < 4:
+    """Read print_grid's text back.  Lines end as ``str.splitlines`` ends
+    them.  The header must agree with the kind's axes: a shape entry per
+    axis, each at least 2, and the bounds and spacing they imply.  The
+    samples are read one z-fibre (a run of shape[-1] lines) at a time:
+    the fibres are cut from the text's UTF-8 bytes, each distinct fibre
+    is converted once with ``float()``'s rules (one line once, when all
+    its lines are the same text), and f and h are gathered from them, to
+    the same bits as converting every line.  print_grid keeps its own
+    rule, one format per axis-cut core.  A bad sample is refused at its
+    first line in file order, f before h, an unparsable one before any
+    non-finite one; a non-finite one is named with its line number."""
+    if not text.endswith("\n") or any(c in text for c in _OTHER_BREAKS):
+        text = "\n".join(text.splitlines()) + "\n"
+    data = text.encode()
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+    if len(ends) < 4:
         raise ChartError("grid text needs a 4-line header")
-    head = lines[0].split()
+    head, btoks, stoks, ptoks = (
+        line.split() for line in data[:ends[3]].decode().split("\n"))
     if len(head) != 3 or head[0] != GRID_MAGIC:
         raise ChartError(f"not a grid file (expected '{GRID_MAGIC} "
                          "<kind> <has_h>')")
     kind, has_h = head[1], head[2]
     if has_h not in ("0", "1"):
         raise ChartError("h flag must be 0 or 1")
-    btoks = lines[1].split()
-    stoks = lines[2].split()
-    ptoks = lines[3].split()
     if btoks[:1] != ["bounds"] or stoks[:1] != ["shape"] \
             or ptoks[:1] != ["spacing"]:
         raise ChartError("header lines must be bounds, shape, spacing")
@@ -624,29 +633,39 @@ def parse_grid(text: str) -> SlopeGrid:
                        enumerate(_AXES[kind]) if hi is None)
     nvals = math.prod(shape)  # Python ints: a huge shape cannot wrap
     want = nvals * (2 if has_h == "1" else 1)
-    if len(lines) - 4 != want:
+    if len(ends) - 4 != want:
         raise ChartError(f"expected {want} sample lines, "
-                         f"got {len(lines) - 4}")
-    cells = np.fromiter(lines[4:], dtype=object, count=want)
-    # each array converts only its core of distinct slices, by text: equal
-    # lines parse alike; f converts before h, and both before the finite
-    # check, so the first bad line in file order is the one reported
-    cores = [_core(cells[i:i + nvals].reshape(shape))
-             for i in range(0, want, nvals)]
+                         f"got {len(ends) - 4}")
+    nz = shape[-1] if shape else 1  # no shape: SlopeGrid refuses the kind
+    # fibre i is the text between the line ends cuts[i] and cuts[i + 1];
+    # data is the text's size and ends 8 bytes a line: freeing both here
+    # keeps the line-end search above the peak
+    cuts = ends[3::nz].tolist()
+    del ends
+    fibres = [data[a + 1:b] for a, b in zip(cuts, cuts[1:])]
+    del data
+    ids: dict[bytes, int] = {}
+    codes = [ids.setdefault(fibre, len(ids)) for fibre in fibres]
+    # distinct fibres in order of first use, so the first unparsable
+    # line to raise is the first in the file
+    table = np.empty((len(ids), nz))
     try:
-        vals = [c.ravel().astype(float) for c in cores]
+        for row, fibre in zip(table, ids):
+            lines = fibre.decode().split("\n")
+            row[:] = (float(lines[0]) if lines.count(lines[0]) == nz
+                      else list(map(float, lines)))
     except ValueError as exc:
         raise ChartError(f"bad sample value: {exc}") from None
-    for start, c, v in zip(range(0, want, nvals), cores, vals):
-        bad = np.flatnonzero(~np.isfinite(v))
-        if len(bad):  # a cut axis has index 0, so this is the first line
-            at = start + int(np.ravel_multi_index(
-                np.unravel_index(bad[0], c.shape), shape))
-            raise ChartError(f"bad sample value: {cells[at].strip()!r} on "
-                             f"line {at + 5} is not finite")
-    # copied in C order: SlopeGrid's own copy keeps a broadcast's layout
-    f, *h = (np.broadcast_to(v.reshape(c.shape), shape).copy()
-             for c, v in zip(cores, vals))
+    bad = ~np.isfinite(table)
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=1)[codes])[0])
+        k = int(np.argmax(bad[codes[i]]))
+        line = fibres[i].decode().split("\n")[k]
+        raise ChartError(f"bad sample value: {line.strip()!r} on "
+                         f"line {i * nz + k + 5} is not finite")
+    per = nvals // nz
+    f, *h = (table[codes[i:i + per]].reshape(shape)
+             for i in range(0, len(codes), per))
     grid = SlopeGrid(kind, bounds, f, h[0] if h else None)
     if not _agrees(bvals, _ends(kind, bounds)):
         raise ChartError(f"bounds line disagrees with the {kind} axes")

@@ -40,6 +40,7 @@ from bsgate.charts import (
     sample_cylinder,
 )
 from bsgate.errors import ChartError
+from conftest import traced_peak
 
 SMALL = (17, 17, 17)
 
@@ -838,6 +839,22 @@ def test_grid_bad_sample_in_a_repeated_fibre(grid, data):
     with pytest.raises(ChartError) as got:
         parse_grid("\n".join(lines))
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("grid", [
+    sample_cylinder(lambda r, t, z: -r ** 2 * (1 + np.sin(t)) * (1 - z * z),
+                    (65, 64, 65), h_fn=lambda r, t, z: -1.0 - r + 0 * t * z),
+    sample_box(lambda x, y, z: 0.1 * x * z - np.maximum(0.0, y - 0.5) ** 3,
+               (65, 65, 65)),
+], ids=[CYLINDER, BOX])
+def test_grid_parse_peak_memory_is_bounded_by_the_text(grid):
+    # the sample lines are cut into z-fibres of the encoded text, not
+    # into one str per line; a cylinder whose h is constant in theta
+    # and z, and a box with a y-plateau
+    text = print_grid(grid)
+    back, peak = traced_peak(lambda: parse_grid(text))
+    assert back.values.tobytes() == grid.values.tobytes()
+    assert peak <= 3 * len(text)
 
 
 @pytest.mark.parametrize("which", ["f", "h"])
