@@ -289,7 +289,7 @@ def _cmd_chart(args, lines) -> int:
     text, digest = _read(args.input)
     lines.append(f"input-sha256: {digest}")
     grid = charts.parse_grid(text)
-    del text  # as large as the grid's text: the rest reads only the grid
+    del text  # megabytes on a large grid, and nothing below reads it
     if sub != "extend" and args.grid is not None:
         want = _grid_flag(args.grid)
         if want != grid.shape:
