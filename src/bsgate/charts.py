@@ -34,8 +34,8 @@ DEFAULT_TOL = 1e-9
 # most RK4 steps holonomy_map takes, ceil(2pi / step): about 50 s of
 # pure-Python integration on a 2-vCPU x86-64 VM
 _MAX_RK4_STEPS = 10 ** 7
-# RK4 steps whose theta cells holonomy_map tabulates at once: about 1 MB
-# of tables, whatever the step count
+# RK4 steps whose theta side _theta_runs tabulates at once: six lists of
+# weights, under 1 MB whatever the step count
 _HOLONOMY_BLOCK = 4096
 
 # fraction of the blend slope carried by the linear term; keeps the
@@ -434,18 +434,31 @@ def extend_cell(boundary: SlopeGrid, r0: float, radius: float, nr: int,
     return SlopeGrid(CYLINDER, (radius,), out, h)
 
 
-def _theta_cells(f: list, dth: float, theta: np.ndarray) -> tuple:
-    """The theta side of one RK4 stage at each theta: the weights 1 - fa
-    and fa of its cell's two sample rows, and those rows of f (nested
-    lists).  Theta wraps as Python's % and int() wrap it, to the same
-    bits, for theta >= 0."""
-    a = np.remainder(theta, TWO_PI) / dth
-    i = a.astype(np.int64)
-    fa = a - i
-    i %= len(f)
-    return ((1.0 - fa).tolist(), fa.tolist(),
-            list(map(f.__getitem__, i.tolist())),
-            list(map(f.__getitem__, ((i + 1) % len(f)).tolist())))
+def _theta_runs(f: list, dth: float, n: int, h: float):
+    """The theta side of holonomy_map's n steps of size h, in runs of
+    steps over which the three stages (theta, theta + h/2, theta + h)
+    all keep their cells.  Each run yields the two sample rows of each
+    stage's cell (rows of f, nested lists) and an iterator over its
+    steps of the weights 1 - fa and fa of each stage.  Theta wraps as
+    Python's % and int() wrap it, to the same bits, for theta >= 0."""
+    nth = len(f)
+    for start in range(0, n, _HOLONOMY_BLOCK):
+        th = np.arange(start, min(start + _HOLONOMY_BLOCK, n),
+                       dtype=float) * h
+        cells = np.empty((3, len(th)), dtype=np.int64)
+        weights = []
+        for stage, t in zip(cells, (th, th + h / 2.0, th + h)):
+            a = np.remainder(t, TWO_PI) / dth
+            stage[:] = a
+            fa = a - stage
+            weights += [(1.0 - fa).tolist(), fa.tolist()]
+        cells %= nth
+        edges = [0, *(np.flatnonzero((cells[:, 1:] != cells[:, :-1])
+                                     .any(axis=0)) + 1).tolist(), len(th)]
+        for lo, hi in zip(edges, edges[1:]):
+            yield ([f[c] for i in cells[:, lo].tolist()
+                    for c in (i, (i + 1) % nth)],
+                   zip(*[w[lo:hi] for w in weights]))
 
 
 def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
@@ -457,12 +470,14 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
     slope field returns the leaf strictly below its start.  The step
     must be finite and positive, and ceil(2pi / step) at most 10**7
     steps.  The theta side of every stage (the wrap, the cell, its
-    weight and its two sample rows) depends on the step index alone, so
-    it is tabulated with numpy for a block of steps at a time; the z
-    side and the RK4 update run on Python floats over the samples as
-    nested lists.  Each tabulated value is the same IEEE operation on
-    the same operands as evaluating it per step, so the result, a
-    Python float, has the same bits.
+    weights and its two sample rows) depends on the step index alone,
+    not on z, so it is tabulated with numpy a block of steps at a time
+    and cut into runs of steps over which all three stages keep their
+    cells: each run binds its sample rows once and steps through its
+    weights alone.  The z side and the RK4 update run on Python floats
+    over the samples as nested lists.  Each tabulated value is the same
+    IEEE operation on the same operands as evaluating it per step, so
+    the result, a Python float, has the same bits.
     """
     _expect(annulus, ANNULUS, "holonomy_map")
     if not 0.0 < step < math.inf:
@@ -480,8 +495,9 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
     last = nz - 1
     dz = 2.0 / last
 
-    # the z side of one stage, four calls a step (bench/tracing.py counts
-    # RK4 steps by them); ga, fa and the rows come from _theta_cells
+    # the z side of one stage, four calls a step; bench/tracing.py counts
+    # RK4 steps by calls of the code objects nested here, so slope stays
+    # the only one; ga, fa and the rows come from _theta_runs
     def slope(ga: float, fa: float, row: list, nxt: list,
               zz: float) -> float:
         b = (zz + 1.0) / dz
@@ -502,13 +518,9 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
     half = h / 2.0
     sixth = h / 6.0
     zcur = float(z0)
-    for start in range(0, n, _HOLONOMY_BLOCK):
-        th = np.arange(start, min(start + _HOLONOMY_BLOCK, n),
-                       dtype=float) * h
-        cells = (_theta_cells(f, dth, th) + _theta_cells(f, dth, th + half)
-                 + _theta_cells(f, dth, th + h))
-        for (ga1, fa1, row1, nxt1, ga2, fa2, row2, nxt2,
-             ga4, fa4, row4, nxt4) in zip(*cells):
+    for (row1, nxt1, row2, nxt2, row4, nxt4), steps in _theta_runs(
+            f, dth, n, h):
+        for ga1, fa1, ga2, fa2, ga4, fa4 in steps:
             k1 = slope(ga1, fa1, row1, nxt1, zcur)
             k2 = slope(ga2, fa2, row2, nxt2, zcur + half * k1)
             k3 = slope(ga2, fa2, row2, nxt2, zcur + half * k2)
@@ -526,41 +538,22 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
 GRID_MAGIC = "bsgate-grid"
 
 
-def _core(a: np.ndarray) -> np.ndarray:
-    """a cut to its first slice along every axis over which its entries
-    are all equal (==): the smallest view that broadcasts back to a.
-    One fibre is compared first, so a varying axis costs a few
-    comparisons, not a pass over a."""
-    for k in range(a.ndim):
-        fibre = a[(0,) * k + (slice(None),) + (0,) * (a.ndim - k - 1)]
-        first = a[(slice(None),) * k + (slice(0, 1),)]
-        if (fibre == fibre[:1]).all() and (a == first).all():
-            a = first
-    return a
-
-
-def _format(a: np.ndarray) -> str:
-    """``%.17g`` lines of a in C order, each distinct slice formatted
-    once: the core (constant meaning equal bits, so -0.0 and 0.0 stay
-    apart) is formatted in one pass per run of lines below its innermost
-    cut axis, and those runs are repeated out to a's shape."""
-    core = _core(a.view(np.int64)).view(np.float64)
-    inner = max((k for k in range(a.ndim) if core.shape[k] < a.shape[k]),
-                default=-1)
-    outer = core.shape[:inner + 1]
-    runs = core.reshape(math.prod(outer), -1).tolist()
-    chunks = np.array([("%.17g\n" * len(run)) % tuple(run) for run in runs],
-                      dtype=object).reshape(outer)
-    return "".join(np.broadcast_to(chunks, a.shape[:len(outer)])
-                   .ravel().tolist())
+def _distinct(fibres: list[bytes]) -> tuple[list[bytes], list[int]]:
+    """The distinct fibres in order of first use, and the index of each
+    fibre among them: the z-fibre rule that print_grid and parse_grid
+    share, on a fibre's bytes (so -0.0 and 0.0 stay apart)."""
+    ids: dict[bytes, int] = {}
+    codes = [ids.setdefault(fibre, len(ids)) for fibre in fibres]
+    return list(ids), codes
 
 
 def print_grid(grid: SlopeGrid) -> str:
     """Four-line ASCII header (kind, bounds, shape, spacing), then the
     samples one ``%.17g`` value per line in C order, h following f;
-    ``%.17g`` reads back bit-exact.  An axis-invariant grid is formatted
-    once per distinct slice and repeated: the bytes are those of
-    formatting every sample."""
+    ``%.17g`` reads back bit-exact.  The samples are cut into z-fibres
+    (runs of shape[-1] values) by their bytes, each distinct fibre is
+    formatted once, and the fibres' text is joined in order: the bytes
+    are those of formatting every sample."""
     head = [
         "%s %s %d" % (GRID_MAGIC, grid.kind, 0 if grid.h is None else 1),
         "bounds " + " ".join("%.17g" % v
@@ -568,8 +561,19 @@ def print_grid(grid: SlopeGrid) -> str:
         "shape " + " ".join(str(n) for n in grid.shape),
         "spacing " + " ".join("%.17g" % s for s in grid.spacings()),
     ]
-    return "\n".join(head) + "\n" + "".join(
-        _format(a) for a in (grid.values, grid.h) if a is not None)
+    nz = grid.shape[-1]
+    fibres = []
+    for a in (grid.values, grid.h):
+        if a is not None:
+            data = a.tobytes()
+            fibres += [data[i:i + 8 * nz]
+                       for i in range(0, len(data), 8 * nz)]
+    distinct, codes = _distinct(fibres)
+    line = "%.17g\n" * nz
+    texts = [line % tuple(row.tolist()) for row in
+             np.frombuffer(b"".join(distinct)).reshape(-1, nz)]
+    return "".join(["\n".join(head) + "\n",
+                    *map(texts.__getitem__, codes)])
 
 
 def _agrees(read: list[float], derived: Sequence[float]) -> bool:
@@ -577,30 +581,65 @@ def _agrees(read: list[float], derived: Sequence[float]) -> bool:
         abs(s - t) <= 1e-12 for s, t in zip(read, derived))
 
 
-# str.splitlines ends a line at each of these, as it does at "\n"
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# besides "\n", str.splitlines ends a line at each of these bytes (at
+# "\r\n" once), and in UTF-8 text at U+0085, U+2028 and U+2029: a last
+# byte, after the bytes that lead to it
+_ASCII_BREAKS = b"\r\v\f\x1c\x1d\x1e"
+_WIDE_BREAKS = ((0x85, b"\xc2"), (0xA8, b"\xe2\x80"), (0xA9, b"\xe2\x80"))
 
 
-def parse_grid(text: str) -> SlopeGrid:
-    """Read print_grid's text back.  Lines end as ``str.splitlines`` ends
-    them.  The header must agree with the kind's axes: a shape entry per
-    axis, each at least 2, and the bounds and spacing they imply.  The
-    samples are read one z-fibre (a run of shape[-1] lines) at a time:
-    the fibres are cut from the text's UTF-8 bytes, each distinct fibre
-    is converted once with ``float()``'s rules (one line once, when all
-    its lines are the same text), and f and h are gathered from them, to
-    the same bits as converting every line.  print_grid keeps its own
-    rule, one format per axis-cut core.  A bad sample is refused at its
-    first line in file order, f before h, an unparsable one before any
-    non-finite one; a non-finite one is named with its line number."""
-    if not text.endswith("\n") or any(c in text for c in _OTHER_BREAKS):
-        text = "\n".join(text.splitlines()) + "\n"
-    data = text.encode()
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+def _line_ends(data: bytes) -> np.ndarray:
+    """The index of the last byte of each line of the UTF-8 text data,
+    its line break included, with lines ended as ``str.splitlines``
+    ends them.  Each break is found on the bytes: the ASCII ones by
+    byte search, the multi-byte ones only in non-ASCII text, once it is
+    known to be UTF-8, where their bytes can match nothing else."""
+    arr = np.frombuffer(data, np.uint8)
+    other = []
+    for byte in _ASCII_BREAKS:
+        if byte in data:
+            at = np.flatnonzero(arr == byte)
+            if byte == 13:  # "\r\n" is one break, ending at the "\n"
+                at = at[arr[np.minimum(at + 1, len(arr) - 1)] != 10]
+            other.append(at)
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError:
+            raise ChartError("grid text is not UTF-8") from None
+        for byte, lead in _WIDE_BREAKS:
+            at = np.flatnonzero(arr == byte)
+            for k, prior in enumerate(reversed(lead), 1):
+                at = at[at >= k]
+                at = at[arr[at - k] == prior]
+            other.append(at)
+    ends = np.flatnonzero(arr == 10)
+    if sum(map(len, other)):
+        ends = np.sort(np.concatenate([ends, *other]))
+    if len(arr) and (not len(ends) or ends[-1] < len(arr) - 1):
+        ends = np.append(ends, len(arr) - 1)  # a last line with no break
+    return ends
+
+
+def parse_grid(text: str | bytes) -> SlopeGrid:
+    """Read print_grid's text back, as ``str`` or as its UTF-8 bytes.
+    Lines end as ``str.splitlines`` ends them.  The header must agree
+    with the kind's axes: a shape entry per axis, each at least 2, and
+    the bounds and spacing they imply.  The samples are read one z-fibre
+    (a run of shape[-1] lines) at a time, by print_grid's rule: the
+    fibres are cut from the bytes, each distinct fibre is converted once
+    with ``float()``'s rules on its decoded text (one line once, when
+    all its lines are the same text), and f and h are gathered from
+    them, to the same bits as converting every line.  A bad sample is
+    refused at its first line in file order, f before h, an unparsable
+    one before any non-finite one; a non-finite one is named with its
+    line number."""
+    data = text.encode() if isinstance(text, str) else text
+    ends = _line_ends(data)
     if len(ends) < 4:
         raise ChartError("grid text needs a 4-line header")
     head, btoks, stoks, ptoks = (
-        line.split() for line in data[:ends[3]].decode().split("\n"))
+        line.split() for line in data[:ends[3] + 1].decode().splitlines())
     if len(head) != 3 or head[0] != GRID_MAGIC:
         raise ChartError(f"not a grid file (expected '{GRID_MAGIC} "
                          "<kind> <has_h>')")
@@ -642,16 +681,15 @@ def parse_grid(text: str) -> SlopeGrid:
     # keeps the line-end search above the peak
     cuts = ends[3::nz].tolist()
     del ends
-    fibres = [data[a + 1:b] for a, b in zip(cuts, cuts[1:])]
+    fibres = [data[a + 1:b + 1] for a, b in zip(cuts, cuts[1:])]
     del data
-    ids: dict[bytes, int] = {}
-    codes = [ids.setdefault(fibre, len(ids)) for fibre in fibres]
     # distinct fibres in order of first use, so the first unparsable
     # line to raise is the first in the file
-    table = np.empty((len(ids), nz))
+    distinct, codes = _distinct(fibres)
+    table = np.empty((len(distinct), nz))
     try:
-        for row, fibre in zip(table, ids):
-            lines = fibre.decode().split("\n")
+        for row, fibre in zip(table, distinct):
+            lines = fibre.decode().splitlines()
             row[:] = (float(lines[0]) if lines.count(lines[0]) == nz
                       else list(map(float, lines)))
     except ValueError as exc:
@@ -660,7 +698,7 @@ def parse_grid(text: str) -> SlopeGrid:
     if bad.any():
         i = int(np.flatnonzero(bad.any(axis=1)[codes])[0])
         k = int(np.argmax(bad[codes[i]]))
-        line = fibres[i].decode().split("\n")[k]
+        line = fibres[i].decode().splitlines()[k]
         raise ChartError(f"bad sample value: {line.strip()!r} on "
                          f"line {i * nz + k + 5} is not finite")
     per = nvals // nz

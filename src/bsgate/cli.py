@@ -67,19 +67,29 @@ _EXIT_CODES = (
 )
 
 
-def _read(path_str: str) -> tuple[str, str]:
-    """The UTF-8 text of one input file and the sha256 of its bytes, from
-    one read; the parsers split lines with str.splitlines, so LF, CRLF
-    and CR endings read alike."""
+def _read_bytes(path_str: str) -> tuple[bytes, str]:
+    """The bytes of one input file and their sha256, from one read; the
+    bytes must be UTF-8 text, which is checked only when they are not
+    ASCII."""
     try:
         data = Path(path_str).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path_str}: {exc.strerror}")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise UsageError(f"cannot read {path_str}: not UTF-8 text") from None
-    return text, hashlib.sha256(data).hexdigest()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise UsageError(f"cannot read {path_str}: not UTF-8 "
+                             "text") from None
+    return data, hashlib.sha256(data).hexdigest()
+
+
+def _read(path_str: str) -> tuple[str, str]:
+    """The UTF-8 text of one input file and the sha256 of its bytes; the
+    parsers split lines with str.splitlines, so LF, CRLF and CR endings
+    read alike."""
+    data, digest = _read_bytes(path_str)
+    return data.decode("utf-8"), digest
 
 
 def _load_valid_complex(args, lines, sidecar: Optional[str] = None,
@@ -286,10 +296,10 @@ def _cmd_chart(args, lines) -> int:
     from . import charts
 
     sub = args.chart_cmd
-    text, digest = _read(args.input)
+    data, digest = _read_bytes(args.input)
     lines.append(f"input-sha256: {digest}")
-    grid = charts.parse_grid(text)
-    del text  # megabytes on a large grid, and nothing below reads it
+    grid = charts.parse_grid(data)
+    del data  # megabytes on a large grid, and nothing below reads it
     if sub != "extend" and args.grid is not None:
         want = _grid_flag(args.grid)
         if want != grid.shape:

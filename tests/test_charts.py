@@ -10,6 +10,8 @@ f = -c(1-z^2) is tanh(artanh z0 - 2 pi c).
 """
 
 import math
+import sys
+import types
 import warnings
 from hashlib import sha256
 from typing import Callable
@@ -402,6 +404,30 @@ def test_holonomy_is_bit_pinned_on_the_acceptance_annulus(c, z0, step, z1):
     assert holonomy_map(ann, z0, step).hex() == z1
 
 
+@pytest.mark.parametrize("step", [1e-3, 0.05, 1.0])
+def test_holonomy_nests_slope_alone_called_four_times_a_step(step):
+    # bench/tracing.py counts RK4 steps as the calls of the code objects
+    # nested in holonomy_map over 4, replayed under sys.settrace as here:
+    # a comprehension or lambda nested there would be counted too
+    inner = {c for c in holonomy_map.__code__.co_consts
+             if isinstance(c, types.CodeType)}
+    assert {c.co_name for c in inner} == {"slope"}
+    ann = sample_annulus(lambda t, z: -0.1 * (1.0 - z * z), (64, 2049))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if frame.f_code in inner:
+            calls += 1
+
+    sys.settrace(count)
+    try:
+        holonomy_map(ann, 0.5, step)
+    finally:
+        sys.settrace(None)
+    assert calls == 4 * math.ceil(2.0 * math.pi / step)
+
+
 @pytest.mark.parametrize("z0, step", [(0.5, 1e-2), (0.0, 3.0)],
                          ids=["inside", "clamped"])
 def test_holonomy_returns_a_python_float(z0, step):
@@ -649,6 +675,8 @@ def test_grid_parse_errors():
         parse_grid(text[:-2] + "x\n")
     with pytest.raises(ChartError, match="spacing line disagrees"):
         parse_grid(text.replace("spacing 1 1 1", "spacing 1 1 2"))
+    with pytest.raises(ChartError, match="grid text is not UTF-8"):
+        parse_grid(text.encode()[:-2] + b"\xff\n")
 
 
 def _one_break(sep: str, at: int) -> Callable[[str], str]:
@@ -809,7 +837,12 @@ def _read_each_line(lines: list[str]) -> np.ndarray:
 @given(_fibred_grids())
 @settings(max_examples=200, deadline=None)
 def test_grid_with_repeated_fibres_equals_the_one_pass_conversion(grid):
+    samples = grid.values.ravel().tolist()
+    if grid.h is not None:
+        samples += grid.h.ravel().tolist()
     text = print_grid(grid)
+    assert text.split("\n", 4)[4] == ("%.17g\n" * len(samples)) % tuple(
+        samples)
     back = parse_grid(text)
     got = back.values.tobytes() + (b"" if back.h is None
                                    else back.h.tobytes())
@@ -841,6 +874,32 @@ def test_grid_bad_sample_in_a_repeated_fibre(grid, data):
     assert str(got.value) == str(want.value)
 
 
+@given(_fibred_grids(), st.sampled_from(["lf", *_ENDINGS]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_grid_bytes_parse_like_their_text(grid, ending, data):
+    # the same bits or the same refusal from the text and from its UTF-8
+    # bytes, bad samples planted (one not ASCII: the message must quote
+    # the decoded line, not bytes) and lines ended every splitlines way
+    lines = print_grid(grid).split("\n")
+    for at in data.draw(st.lists(st.integers(4, len(lines) - 2),
+                                 max_size=3)):
+        lines[at] = data.draw(st.sampled_from(["x1", "nan", " -inf ",
+                                               "\uff11.5", "x\uff11"]))
+    text = "\n".join(lines)
+    if ending != "lf":
+        text = _ENDINGS[ending](text)
+    outcomes = []
+    for given_text in (text, text.encode()):
+        try:
+            back = parse_grid(given_text)
+        except ChartError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(back.values.tobytes() + (
+                b"" if back.h is None else back.h.tobytes()))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("grid", [
     sample_cylinder(lambda r, t, z: -r ** 2 * (1 + np.sin(t)) * (1 - z * z),
                     (65, 64, 65), h_fn=lambda r, t, z: -1.0 - r + 0 * t * z),
@@ -849,12 +908,13 @@ def test_grid_bad_sample_in_a_repeated_fibre(grid, data):
 ], ids=[CYLINDER, BOX])
 def test_grid_parse_peak_memory_is_bounded_by_the_text(grid):
     # the sample lines are cut into z-fibres of the encoded text, not
-    # into one str per line; a cylinder whose h is constant in theta
-    # and z, and a box with a y-plateau
-    text = print_grid(grid)
-    back, peak = traced_peak(lambda: parse_grid(text))
-    assert back.values.tobytes() == grid.values.tobytes()
-    assert peak <= 3 * len(text)
+    # into one str per line, and CRLF text is not rewritten; a cylinder
+    # whose h is constant in theta and z, and a box with a y-plateau
+    for ending in ("\n", "\r\n"):
+        text = print_grid(grid).replace("\n", ending)
+        back, peak = traced_peak(lambda: parse_grid(text))
+        assert back.values.tobytes() == grid.values.tobytes()
+        assert peak <= 3 * len(text)
 
 
 @pytest.mark.parametrize("which", ["f", "h"])
