@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -538,7 +538,7 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
 GRID_MAGIC = "bsgate-grid"
 
 
-def _distinct(fibres: list[bytes]) -> tuple[list[bytes], list[int]]:
+def _distinct(fibres: Iterable[bytes]) -> tuple[list[bytes], list[int]]:
     """The distinct fibres in order of first use, and the index of each
     fibre among them: the z-fibre rule that print_grid and parse_grid
     share, on a fibre's bytes (so -0.0 and 0.0 stay apart)."""
@@ -562,13 +562,9 @@ def print_grid(grid: SlopeGrid) -> str:
         "spacing " + " ".join("%.17g" % s for s in grid.spacings()),
     ]
     nz = grid.shape[-1]
-    fibres = []
-    for a in (grid.values, grid.h):
-        if a is not None:
-            data = a.tobytes()
-            fibres += [data[i:i + 8 * nz]
-                       for i in range(0, len(data), 8 * nz)]
-    distinct, codes = _distinct(fibres)
+    distinct, codes = _distinct(
+        fibre.tobytes() for a in (grid.values, grid.h) if a is not None
+        for fibre in a.reshape(-1, nz))
     line = "%.17g\n" * nz
     texts = [line % tuple(row.tolist()) for row in
              np.frombuffer(b"".join(distinct)).reshape(-1, nz)]
