@@ -672,9 +672,10 @@ def parse_grid(text: str | bytes) -> SlopeGrid:
         raise ChartError(f"expected {want} sample lines, "
                          f"got {len(ends) - 4}")
     nz = shape[-1] if shape else 1  # no shape: SlopeGrid refuses the kind
-    # fibre i is the text between the line ends cuts[i] and cuts[i + 1];
-    # data is the text's size and ends 8 bytes a line: freeing both here
-    # keeps the line-end search above the peak
+    # fibre i is the text after the line end cuts[i] up to and with the
+    # line end cuts[i + 1]; ends is 8 bytes a line, and data the text's
+    # size when it was encoded here: freeing both keeps the line-end
+    # search above the peak
     cuts = ends[3::nz].tolist()
     del ends
     fibres = [data[a + 1:b + 1] for a, b in zip(cuts, cuts[1:])]
