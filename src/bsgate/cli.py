@@ -92,12 +92,11 @@ def _read(path_str: str) -> tuple[str, str]:
     return data.decode("utf-8"), digest
 
 
-def _load_valid_complex(args, lines, sidecar: Optional[str] = None,
-                        header: tuple[str, ...] = ()):
-    """Read, digest, parse and validate ``args.input``; the text of the
-    file named by ``args.<sidecar>`` is read and digested alongside."""
+def _load_complex(args, lines, sidecar: Optional[str] = None,
+                  header: tuple[str, ...] = ()):
+    """Read, digest and parse ``args.input``; the text of the file named
+    by ``args.<sidecar>`` is read and digested alongside."""
     from .parser import parse_complex
-    from .surface import validate
 
     text, digest = _read(args.input)
     side_text, side_digest = (_read(getattr(args, sidecar)) if sidecar
@@ -106,11 +105,31 @@ def _load_valid_complex(args, lines, sidecar: Optional[str] = None,
     if sidecar:
         lines.append(f"{sidecar}-sha256: {side_digest}")
     lines.extend(header)
-    cx = parse_complex(text)
+    return parse_complex(text), side_text
+
+
+def _load_valid_complex(args, lines, sidecar: Optional[str] = None,
+                        header: tuple[str, ...] = ()):
+    """:func:`_load_complex`, refusing a complex that fails validation."""
+    from .surface import validate
+
+    cx, side_text = _load_complex(args, lines, sidecar, header)
     validation = validate(cx)
     if not validation.ok():
         raise _Violation(validation.violations[0])
     return cx, side_text
+
+
+_OUT_SLICE = 1 << 20  # characters
+
+
+def _write_out(path: str, lines: list[str], text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 and report the path.  One slice
+    is encoded at a time, never a second copy of the whole text."""
+    with open(path, "w", encoding="utf-8") as f:
+        for i in range(0, len(text), _OUT_SLICE):
+            f.write(text[i:i + _OUT_SLICE])
+    lines.append(f"out: {path}")
 
 
 def _error_code(exc: Exception) -> str:
@@ -136,11 +155,14 @@ def _trace_str(trace: tuple) -> str:
     return " ".join(parts) if parts else "(closed)"
 
 
+def _emit_witness(lines: list[str], witness: dict) -> None:
+    lines.extend(f"w {sid} {witness[sid]}" for sid in sorted(witness))
+
+
 def _emit_certificate(lines: list[str], cert) -> None:
     lines.append(f"feasible: {'true' if cert.feasible else 'false'}")
     if cert.feasible:
-        for sid in sorted(cert.witness):
-            lines.append(f"w {sid} {cert.witness[sid]}")
+        _emit_witness(lines, cert.witness)
         for tag in sorted(t for t, s in cert.slacks.items() if s == 0):
             lines.append(f"tight: {tag}")
     else:
@@ -152,12 +174,9 @@ def _emit_certificate(lines: list[str], cert) -> None:
 
 
 def _cmd_validate(args, lines) -> int:
-    from .parser import parse_complex
     from .surface import validate
 
-    text, digest = _read(args.input)
-    lines.append(f"input-sha256: {digest}")
-    cx = parse_complex(text)
+    cx, _ = _load_complex(args, lines)
     report = validate(cx)
     lines.append(f"name: {cx.name}")
     lines.append(f"sectors: {len(cx.sectors)}")
@@ -181,8 +200,7 @@ def _cmd_detect(args, lines) -> int:
             lines.append(f"{kind}: "
                          f"{'feasible' if cert.feasible else 'infeasible'}")
             if cert.feasible:
-                for sid in sorted(cert.witness):
-                    lines.append(f"w {sid} {cert.witness[sid]}")
+                _emit_witness(lines, cert.witness)
         if verdict.passes:
             lines.append(f"conclusion: {verdict.conclusion}")
         return 0
@@ -249,8 +267,7 @@ def _cmd_split(args, lines) -> int:
         res = split(cx, locus, args.choice)
     _describe_split(lines, res)
     if args.out:
-        Path(args.out).write_text(print_complex(res.complex))
-        lines.append(f"out: {args.out}")
+        _write_out(args.out, lines, print_complex(res.complex))
     return 0
 
 
@@ -279,8 +296,7 @@ def _cmd_schedule(args, lines) -> int:
     lines.append(
         f"criterion: {'passes' if result.verdict.passes else 'fails'}")
     if args.out:
-        Path(args.out).write_text(print_complex(result.complex))
-        lines.append(f"out: {args.out}")
+        _write_out(args.out, lines, print_complex(result.complex))
     return 0
 
 
@@ -336,8 +352,7 @@ def _cmd_chart(args, lines) -> int:
     lines.append("max-violation: %.17g" % report.max_violation)
     lines.append("tol: %.17g" % report.tol)
     if getattr(args, "out", None):
-        Path(args.out).write_text(charts.print_grid(grid))
-        lines.append(f"out: {args.out}")
+        _write_out(args.out, lines, charts.print_grid(grid))
     return 0
 
 

@@ -27,7 +27,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import InvariantViolation, MalformedSystem
-from .simplex import phase_one
+from .simplex import PhaseOneResult, phase_one
 from .surface import BranchedSurfaceComplex
 
 NEG_TISC = "neg-tisc"
@@ -76,7 +76,10 @@ def _check_system(system: ConstraintSystem) -> None:
     vars_ = set(system.variables)
     if len(vars_) != len(system.variables):
         raise MalformedSystem("duplicate variable")
-    for form in system.equalities + system.inequalities:
+    forms = system.equalities + system.inequalities
+    if len({f.tag for f in forms}) != len(forms):
+        raise MalformedSystem("duplicate form tag")
+    for form in forms:
         for s, c in form.coeffs:
             if s not in vars_:
                 raise MalformedSystem(f"form {form.tag} uses unknown "
@@ -135,6 +138,46 @@ def strict_aggregate(system: ConstraintSystem) -> LinForm:
     return LinForm.make(coeffs, "aggregate")
 
 
+def _rows(system: ConstraintSystem) -> tuple:
+    """Phase-one rows of ``system``: equalities ``form = 0``, inequalities
+    ``slack - form = 0`` (each slack starts basic), aggregate ``aggregate -
+    surplus = 1``.  Columns are named ``("sector", s)``, ``("slack", tag)``,
+    ``("surplus", None)``; rows ``("form", tag)``, then ``("aggregate",
+    None)``.  ``signs`` holds each row's factor on its form and dual."""
+    eqs, ineqs = system.equalities, system.inequalities
+    cols = ([("sector", s) for s in system.variables]
+            + [("slack", f.tag) for f in ineqs] + [("surplus", None)])
+    col = {s: j for j, s in enumerate(system.variables)}
+    forms = eqs + ineqs + (strict_aggregate(system),)
+    signs = [1] * len(eqs) + [-1] * len(ineqs) + [1]
+    rows = [{col[s]: sign * c for s, c in f.coeffs}
+            for f, sign in zip(forms, signs)]
+    for j, row in enumerate(rows[len(eqs):-1], len(col)):
+        row[j] = 1  # the inequality's slack
+    rows[-1][len(cols) - 1] = -1  # the surplus
+    rhs = [0] * (len(rows) - 1) + [1]
+    names = [("form", f.tag) for f in eqs + ineqs] + [("aggregate", None)]
+    return rows, rhs, cols, names, signs
+
+
+def _lift(cols: list, names: list, signs: list,
+          res: PhaseOneResult) -> Certificate:
+    """The certificate of phase-one answer ``res``, read off by name: the
+    primitive witness and its slacks, or multipliers keyed by tag."""
+    if res.feasible:
+        x = list(zip(cols, res.x))
+        nums = {s: v for (kind, s), v in x if kind == "sector"}
+        g = gcd(*nums.values()) or 1
+        witness = {s: v // g for s, v in nums.items()}
+        slacks = {tag: v // g for (kind, tag), v in x if kind == "slack"}
+        return Certificate("Feasible", witness=witness, slacks=slacks)
+    y = {name: sign * v for name, sign, v in zip(names, signs, res.duals)}
+    y_sigma = y.pop(("aggregate", None))
+    mult = ({tag: Fraction(v, y_sigma) for (_, tag), v in y.items() if v}
+            if y_sigma > 0 else {})
+    return Certificate("Infeasible", multipliers=mult)
+
+
 def feasible(system: ConstraintSystem) -> Certificate:
     """Exact feasibility decision with a checkable certificate.
 
@@ -146,41 +189,8 @@ def feasible(system: ConstraintSystem) -> Certificate:
     :class:`InvariantViolation`.
     """
     _check_system(system)
-    variables = system.variables
-    col = {s: j for j, s in enumerate(variables)}
-    n = len(variables)
-    nslack = len(system.inequalities)
-
-    def sparse(form: LinForm) -> dict[int, int]:
-        return {col[s]: c for s, c in form.coeffs}
-
-    # rows: equalities = 0; slack - inequalities = 0, so that each slack
-    # starts basic; aggregate - surplus = 1
-    rows = [sparse(form) for form in system.equalities]
-    rows += [{**{col[s]: -c for s, c in form.coeffs}, n + i: 1}
-             for i, form in enumerate(system.inequalities)]
-    rows.append({**sparse(strict_aggregate(system)), n + nslack: -1})
-    rhs = [0] * (len(rows) - 1) + [1]
-
-    res = phase_one(rows, rhs, n + nslack + 1)
-    if res.feasible:
-        nums = res.x[:n]
-        g = gcd(*nums) or 1
-        witness = {s: v // g for s, v in zip(variables, nums)}
-        slacks = {f.tag: f.dot(witness) for f in system.inequalities}
-        cert = Certificate("Feasible", witness=witness, slacks=slacks)
-    else:
-        # the inequality rows were negated, and so are their duals
-        neq = len(system.equalities)
-        y = res.duals[:neq] + tuple(-v for v in res.duals[neq:-1])
-        y_sigma = res.duals[-1]
-        mult: dict[str, Fraction] = {}
-        if y_sigma > 0:
-            forms = system.equalities + system.inequalities
-            for form, v in zip(forms, y):
-                if v:
-                    mult[form.tag] = Fraction(v, y_sigma)
-        cert = Certificate("Infeasible", multipliers=mult)
+    rows, rhs, cols, names, signs = _rows(system)
+    cert = _lift(cols, names, signs, phase_one(rows, rhs, len(cols)))
     if not verify_certificate(system, cert):
         raise InvariantViolation(
             f"emitted certificate for {system.kind} fails verification")

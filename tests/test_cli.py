@@ -352,6 +352,19 @@ def test_split_out_file_is_a_valid_complex(capsys, tmp_path):
     assert code2 == 0
 
 
+def test_out_text_is_written_in_slices(tmp_path):
+    # 12 MiB of text and a short last slice: Path.write_text encodes the
+    # whole text at once, a tracemalloc peak of 2.0x this text, and the
+    # slices peak at 0.25x
+    text = "".join(f"w s\u00e9{i} {i}\n" for i in range(700_000))
+    assert len(text) > 8 << 20 and len(text) % cli._OUT_SLICE
+    out, lines = tmp_path / "big.txt", []
+    _, peak = traced_peak(lambda: cli._write_out(str(out), lines, text))
+    assert out.read_bytes() == text.encode("utf-8")
+    assert lines == [f"out: {out}"]
+    assert peak < 0.5 * len(text), peak / len(text)
+
+
 def test_schedule_report(capsys):
     code, lines = run(capsys, "schedule", "--plan", fx("clean3.plan"),
                       fx("fix-clean3.bsf"))

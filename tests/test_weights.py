@@ -261,6 +261,20 @@ def test_malformed_systems_rejected():
         build_system(load("fix-torus.bsf"), "bogus")
 
 
+def test_duplicate_form_tags_are_malformed():
+    # A - B >= 0, strict, and B >= 0, both tagged t: multipliers keyed by
+    # tag would merge, and the solver once emitted a certificate for them
+    # that failed its own check
+    a_b, b = LinForm.make({"A": 1, "B": -1}, "t"), LinForm.make({"B": 1}, "t")
+    for eqs, ineqs in (((), (a_b, b)), ((b,), (a_b,))):
+        sys_ = ConstraintSystem(("A", "B"), eqs, ineqs, (0,), "dup")
+        for check in (feasible, lambda s: brute_force(s, 2)):
+            with pytest.raises(MalformedSystem, match="duplicate form tag"):
+                check(sys_)
+        assert not verify_certificate(
+            sys_, Certificate("Feasible", witness={"A": 1}))
+
+
 @pytest.mark.parametrize("c", [1.5, Fraction(3, 2), 2.0], ids=repr)
 def test_non_integer_coefficients_are_malformed(c):
     # a - c b = 0 with b >= 0 strict; brute force once truncated 1.5 to 1
@@ -441,8 +455,11 @@ def test_strict_aggregate_sums_group():
 
 @st.composite
 def small_systems(draw):
-    nv = draw(st.integers(min_value=1, max_value=3))
-    variables = tuple(f"v{i}" for i in range(nv))
+    # sector names may clash with form tags and with the names of the
+    # solver's own columns
+    variables = tuple(draw(st.lists(
+        st.sampled_from(("v0", "v1", "i0", "e0", "surplus", "slack:i0")),
+        min_size=1, max_size=3, unique=True)))
     coeff = st.integers(min_value=-2, max_value=2)
     nin = draw(st.integers(min_value=1, max_value=4))
     neq = draw(st.integers(min_value=0, max_value=2))
