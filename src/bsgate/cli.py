@@ -126,9 +126,12 @@ _OUT_SLICE = 1 << 20  # characters
 def _write_out(path: str, lines: list[str], text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8 and report the path.  One slice
     is encoded at a time, never a second copy of the whole text."""
-    with open(path, "w", encoding="utf-8") as f:
-        for i in range(0, len(text), _OUT_SLICE):
-            f.write(text[i:i + _OUT_SLICE])
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            for i in range(0, len(text), _OUT_SLICE):
+                f.write(text[i:i + _OUT_SLICE])
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}")
     lines.append(f"out: {path}")
 
 
@@ -159,12 +162,13 @@ def _emit_witness(lines: list[str], witness: dict) -> None:
     lines.extend(f"w {sid} {witness[sid]}" for sid in sorted(witness))
 
 
-def _emit_certificate(lines: list[str], cert) -> None:
+def _emit_certificate(lines: list[str], system, cert) -> None:
+    """Verdict, witness and tight inequalities (form 0), or multipliers."""
     lines.append(f"feasible: {'true' if cert.feasible else 'false'}")
     if cert.feasible:
         _emit_witness(lines, cert.witness)
-        for tag in sorted(t for t, s in cert.slacks.items() if s == 0):
-            lines.append(f"tight: {tag}")
+        lines.extend(f"tight: {tag}" for tag in sorted(
+            f.tag for f in system.inequalities if f.dot(cert.witness) == 0))
     else:
         for tag in sorted(cert.multipliers):
             lines.append(f"multiplier {tag} {_frac(cert.multipliers[tag])}")
@@ -206,7 +210,7 @@ def _cmd_detect(args, lines) -> int:
         return 0
     system = build_system(cx, args.kind)
     cert = feasible(system)
-    _emit_certificate(lines, cert)
+    _emit_certificate(lines, system, cert)
     if args.oracle_bound is not None:
         lines.append(f"oracle-bound: {args.oracle_bound}")
         found = brute_force(system, args.oracle_bound)

@@ -26,7 +26,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Optional
 
-from .errors import InvariantViolation, MalformedSystem
+from .errors import InvariantViolation, MalformedSystem, PreconditionFailed
 from .simplex import PhaseOneResult, phase_one
 from .surface import BranchedSurfaceComplex
 
@@ -64,7 +64,6 @@ class ConstraintSystem:
 class Certificate:
     verdict: str  # 'Feasible' | 'Infeasible'
     witness: Optional[dict[str, int]] = None
-    slacks: Optional[dict[str, int]] = None  # tag -> inequality slack
     multipliers: Optional[dict[str, Fraction]] = None
 
     @property
@@ -108,9 +107,13 @@ def segment_form(cx: BranchedSurfaceComplex, gid: str) -> LinForm:
 
 
 def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
-    """Constraint system for ``kind`` over all sectors of ``cx``."""
+    """Constraint system for ``kind`` over all sectors of ``cx``, which
+    must pass validation."""
     if kind not in KINDS:
         raise MalformedSystem(f"unknown system kind {kind!r}")
+    if cx.violations:
+        raise PreconditionFailed(
+            "input complex fails validation: " + cx.violations[0])
     variables = tuple(s.id for s in cx.sectors)
     inequalities = [segment_form(cx, g.id) for g in cx.segments]
     equalities: list[LinForm] = []
@@ -163,14 +166,12 @@ def _rows(system: ConstraintSystem) -> tuple:
 def _lift(cols: list, names: list, signs: list,
           res: PhaseOneResult) -> Certificate:
     """The certificate of phase-one answer ``res``, read off by name: the
-    primitive witness and its slacks, or multipliers keyed by tag."""
+    primitive witness, or multipliers keyed by tag."""
     if res.feasible:
-        x = list(zip(cols, res.x))
-        nums = {s: v for (kind, s), v in x if kind == "sector"}
+        nums = {s: v for (kind, s), v in zip(cols, res.x) if kind == "sector"}
         g = gcd(*nums.values()) or 1
-        witness = {s: v // g for s, v in nums.items()}
-        slacks = {tag: v // g for (kind, tag), v in x if kind == "slack"}
-        return Certificate("Feasible", witness=witness, slacks=slacks)
+        return Certificate("Feasible",
+                           witness={s: v // g for s, v in nums.items()})
     y = {name: sign * v for name, sign, v in zip(names, signs, res.duals)}
     y_sigma = y.pop(("aggregate", None))
     mult = ({tag: Fraction(v, y_sigma) for (_, tag), v in y.items() if v}
@@ -201,9 +202,7 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
     """Re-check a certificate by direct arithmetic, solver-independently.
 
     Only exact input passes: an ``int`` witness, and ``int`` or
-    ``Fraction`` multipliers.  A feasible certificate's slacks, when
-    given, must name every inequality tag and no other, each with the
-    value of its form at the witness.  An infeasible certificate is
+    ``Fraction`` multipliers.  An infeasible certificate is
     checked in ``int`` arithmetic, scaled by the lcm of the multipliers'
     denominators.
     """
@@ -224,14 +223,6 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
         if any(f.dot(w) != 0 for f in system.equalities):
             return False
         if any(f.dot(w) < 0 for f in system.inequalities):
-            return False
-        slacks = cert.slacks
-        if slacks is not None and (
-                not isinstance(slacks, dict)
-                or set(slacks) != {f.tag for f in system.inequalities}
-                or any(not isinstance(slacks[f.tag], int)
-                       or slacks[f.tag] != f.dot(w)
-                       for f in system.inequalities)):
             return False
         return sigma.dot(w) >= 1
 

@@ -128,11 +128,14 @@ def test_criterion_witnesses_reassemble_into_matching_surfaces():
                 asm = assemble(cx, w, kind)
                 faces, runs, corners = tally(cx, asm)
                 assert faces == {s.id: w.get(s.id, 0) for s in cx.sectors}
+                # each inequality's value at the witness; the equalities
+                # are 0 there
+                value = {f.tag: f.dot(w)
+                         for f in build_system(cx, kind).inequalities}
                 for g in cx.segments:
-                    assert runs[g.id] == cert.slacks.get(f"seg:{g.id}", 0)
+                    assert runs[g.id] == value.get(f"seg:{g.id}", 0)
                 for d in cx.dps:
-                    assert corners[d.id] == cert.slacks.get(
-                        f"corner:{d.id}", 0)
+                    assert corners[d.id] == value.get(f"corner:{d.id}", 0)
                 want = {NEG_TISC: "NegTisc", ISC: "Isc"}[kind]
                 assert want in [c.classification for c in asm.components]
         assert seen == 6  # doc, split once; tdisc, negtd twice

@@ -252,6 +252,28 @@ def test_detect_feasible_report(capsys):
     assert lines[-2:] == ["oracle-witness: found", "oracle-agreement: ok"]
 
 
+def test_tight_lines_are_the_forms_zero_at_the_witness(capsys):
+    # the rule bench/check.py applies: a feasible report names, sorted,
+    # each inequality whose form is 0 at the witness it prints
+    feasible_reports = 0
+    for path in sorted(FIXTURES.glob("*.bsf")):
+        cx = parse_complex(path.read_text())
+        for kind in weights.KINDS:
+            code, lines = run(capsys, "detect", "--kind", kind, str(path))
+            assert code == 0
+            if "feasible: true" not in lines:
+                continue
+            feasible_reports += 1
+            w = {sid: int(n) for _, sid, n in
+                 (line.split() for line in lines if line.startswith("w "))}
+            system = weights.build_system(cx, kind)
+            tight = sorted(f.tag for f in system.inequalities
+                           if f.dot(w) == 0)
+            assert [line for line in lines if line.startswith("tight: ")] \
+                == [f"tight: {tag}" for tag in tight], (path.name, kind)
+    assert feasible_reports == 10
+
+
 def test_detect_infeasible_report_carries_multipliers(capsys):
     code, lines = run(capsys, "detect", "--kind", "isc",
                       fx("fix-cross.bsf"))
@@ -363,6 +385,20 @@ def test_out_text_is_written_in_slices(tmp_path):
     assert out.read_bytes() == text.encode("utf-8")
     assert lines == [f"out: {out}"]
     assert peak < 0.5 * len(text), peak / len(text)
+
+
+def test_out_write_failure_is_a_usage_error(capsys, tmp_path):
+    # reported like an input that cannot be read: exit 1, and no out:
+    # line for a file that was not written
+    out = tmp_path / "missing" / "x.bsf"
+    code, lines = run(capsys, "split", "--sector", "A", "--entry", "0:0:one",
+                      "--exit", "3:0:one", "--choice", "under", "--out",
+                      str(out), fx("fix-clean.bsf"))
+    assert code == 1
+    assert lines[-1] == (f"error: usage-error: cannot write {out}: "
+                         "No such file or directory")
+    assert not any(line.startswith("out:") for line in lines)
+    assert not out.parent.exists()
 
 
 def test_schedule_report(capsys):

@@ -39,11 +39,11 @@ from bsgate.splitting import (
     split,
 )
 from bsgate.gen import random_complex
-from bsgate.parser import print_complex
+from bsgate.parser import parse_complex, print_complex
 from bsgate.surface import SegItem, validate
 from bsgate.weights import criterion, segment_form
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, fixture_text, load
 
 ALL_FIXTURES = ["fix-torus.bsf", "fix-doc.bsf", "fix-fig5.bsf",
                 "fix-tdisc.bsf", "fix-negtd.bsf", "fix-split.bsf",
@@ -344,6 +344,35 @@ def test_pushforward_additive(data):
 def test_safe_split_requires_clean_input():
     with pytest.raises(PreconditionFailed):
         safe_split(load("fix-doc.bsf"), SplitLocus("D", (0, 0), (0, 0)))
+
+
+INVALID = {
+    # a circle segment that no boundary word names
+    "loose": (fixture_text("fix-split.bsf")
+              + "segment zz circle one O up L lo L\n",
+              "segment zz side one must appear exactly once on sector O's "
+              "boundary (found [])"),
+    # both of the torus's words run along the segment's up side
+    "doc-up-up": (fixture_text("fix-doc.bsf").replace(
+        "bword T 1 : seg:g:lo", "bword T 1 : seg:g:up"),
+        "segment g side up must appear exactly once on sector T's "
+        "boundary (found ['T', 'T'])"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_a_complex_that_fails_validation_has_no_verdict(name):
+    # the weight systems refuse it, naming the first violation, so that
+    # no verdict on it reads as a failed criterion
+    text, violation = INVALID[name]
+    cx = parse_complex(text)
+    locus = SplitLocus(cx.sectors[0].id, (0, 0), (0, 1))
+    for call in (lambda: criterion(cx), lambda: safe_split(cx, locus),
+                 lambda: run_plan(cx, [])):
+        with pytest.raises(PreconditionFailed) as info:
+            call()
+        assert str(info.value) == ("input complex fails validation: "
+                                   + violation)
 
 
 def test_safe_split_family_never_breaks():

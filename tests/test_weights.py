@@ -137,7 +137,8 @@ def test_tdisc_pos_witness_strict_corners():
     cert = feasible(sys_)
     assert cert.witness == {v: {"mw": 1, "sw": 1}.get(v, 0)
                             for v in sys_.variables}
-    assert cert.slacks["corner:P"] == 1 and cert.slacks["corner:P2"] == 1
+    value = {f.tag: f.dot(cert.witness) for f in sys_.inequalities}
+    assert value["corner:P"] == 1 and value["corner:P2"] == 1
 
 
 def test_negtd_mirror():
@@ -211,33 +212,6 @@ def test_scaled_witness_accepted():
     for k in (2, 7):
         scaled = {s: k * v for s, v in w.items()}
         assert verify_certificate(sys_, Certificate("Feasible", witness=scaled))
-
-
-def _tdisc_pos_slacks():
-    sys_ = build_system(load("fix-tdisc.bsf"), POS_TISC)
-    cert = feasible(sys_)
-    return sys_, cert.witness, cert.slacks
-
-
-def test_slacks_of_the_witness_or_none_are_accepted():
-    sys_, w, slacks = _tdisc_pos_slacks()
-    assert verify_certificate(sys_, Certificate("Feasible", w, slacks))
-    assert verify_certificate(sys_, Certificate("Feasible", w, None))
-
-
-@pytest.mark.parametrize("tamper", [
-    lambda s: {"nope": -5},
-    lambda s: {**s, "corner:P": s["corner:P"] + 1},
-    lambda s: {t: v for t, v in s.items() if t != "corner:P"},
-    lambda s: {**s, "nope": 0},
-    lambda s: {t: float(v) for t, v in s.items()},
-    lambda s: list(s.items()),
-], ids=["foreign-tag", "wrong-value", "missing-tag", "extra-tag",
-        "float-values", "not-a-dict"])
-def test_slacks_that_do_not_match_the_witness_are_rejected(tamper):
-    sys_, w, slacks = _tdisc_pos_slacks()
-    bad = tamper(slacks)
-    assert not verify_certificate(sys_, Certificate("Feasible", w, bad))
 
 
 def test_tampered_multipliers_rejected():
