@@ -4,9 +4,12 @@ Decides feasibility of ``A x = b, x >= 0`` by minimizing the sum of
 artificial variables.  The start is the slack basis (a crash start, after
 Bixby 1992): a row with a column of its own, entry +1 and in no other
 row, starts with that column basic at its ``b >= 0``; only the other
-rows get an artificial.  Each tableau row is a sparse ``{column: int}`` map
-with an ``int`` right-hand side, and stands for the rational row up to a
-positive factor.  A pivot cross-multiplies instead of dividing
+rows get an artificial.  The start makes two passes over the entries:
+one copies the rows without zeros and counts each column's rows, the
+next picks each row's least own column and prices the artificial rows.
+Each tableau row is a sparse ``{column: int}`` map with an ``int``
+right-hand side, and stands for the rational row up to a positive
+factor.  A pivot cross-multiplies instead of dividing
 (fraction-free elimination, after Bareiss 1968) and then divides each
 changed row by the gcd of its entries, which keeps the integers small.
 A positive factor changes no sign and no ratio, so Bland's least-index
@@ -22,7 +25,6 @@ gives ``-red``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -71,23 +73,31 @@ def phase_one(rows: list[dict[int, int]], rhs: list[int],
     if any(b < 0 for b in rhs):
         raise InvariantViolation("phase_one requires nonnegative rhs")
 
-    tab = [{j: c for j, c in row.items() if c} for row in rows]
+    tab = []
+    rows_of: dict[int, int] = {}  # each column's number of rows
+    for row in rows:
+        row = {j: c for j, c in row.items() if c}
+        tab.append(row)
+        for j in row:
+            rows_of[j] = rows_of.get(j, 0) + 1
     b = list(rhs)
-    rows_of = Counter(j for row in tab for j in row)
-    start = tuple(min((j for j, c in row.items()
-                       if c == 1 and rows_of[j] == 1), default=n + r)
-                  for r, row in enumerate(tab))
-    basis = list(start)
 
     # reduced costs of the cost vector (0..0, 1..1) are red / den, den > 0;
     # the start prices the artificial rows at 1 and the others at 0, and
     # every basic column starts at 0
+    start = []
     red: dict[int, int] = {}
     for r, row in enumerate(tab):
-        if start[r] >= n:
+        own = n + r  # the row's artificial, unless it has an own +1 column
+        for j, c in row.items():
+            if c == 1 and j < own and rows_of[j] == 1:
+                own = j
+        start.append(own)
+        if own >= n:
             for j, c in row.items():
                 red[j] = red.get(j, 0) - c
             row[n + r] = 1
+    basis = list(start)
     red = {j: c for j, c in red.items() if c}
     den = 1
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 from typing import Optional
@@ -59,6 +60,17 @@ class ConstraintSystem:
     strict_group: tuple[int, ...]  # inequality indices; slacks must sum >= 1
     kind: str
 
+    # the check and the aggregate read the frozen fields alone, so each
+    # runs once per system however many solvers and oracles read it
+
+    @cached_property
+    def _refusal(self) -> Optional[str]:
+        return _check_system(self)
+
+    @cached_property
+    def _aggregate(self) -> "LinForm":
+        return strict_aggregate(self)
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -71,27 +83,28 @@ class Certificate:
         return self.verdict == "Feasible"
 
 
-def _check_system(system: ConstraintSystem) -> None:
+def _check_system(system: ConstraintSystem) -> Optional[str]:
+    """Why ``system`` is malformed, or None.  Callers read it once per
+    system, as ``system._refusal``."""
     vars_ = set(system.variables)
     if len(vars_) != len(system.variables):
-        raise MalformedSystem("duplicate variable")
+        return "duplicate variable"
     forms = system.equalities + system.inequalities
     if len({f.tag for f in forms}) != len(forms):
-        raise MalformedSystem("duplicate form tag")
+        return "duplicate form tag"
     for form in forms:
         for s, c in form.coeffs:
             if s not in vars_:
-                raise MalformedSystem(f"form {form.tag} uses unknown "
-                                      f"variable {s}")
+                return f"form {form.tag} uses unknown variable {s}"
             if not isinstance(c, int):
-                raise MalformedSystem(f"form {form.tag} has non-integer "
-                                      f"coefficient {c!r}")
+                return f"form {form.tag} has non-integer coefficient {c!r}"
     n = len(system.inequalities)
     if len(set(system.strict_group)) != len(system.strict_group):
-        raise MalformedSystem("duplicate strict_group index")
+        return "duplicate strict_group index"
     for i in system.strict_group:
         if not 0 <= i < n:
-            raise MalformedSystem(f"strict_group index {i} out of range")
+            return f"strict_group index {i} out of range"
+    return None
 
 
 def corner_form(cx: BranchedSurfaceComplex, did: str) -> LinForm:
@@ -106,6 +119,26 @@ def segment_form(cx: BranchedSurfaceComplex, gid: str) -> LinForm:
     return LinForm.make(coeffs, f"seg:{gid}")
 
 
+# (complex, its segment forms, its corner forms) for the last complex
+# build_system was asked about, matched by identity: the forms do not
+# depend on the kind, and criterion and selftest ask for several kinds of
+# one complex in a row.  Hashing a complex would cost a good part of a
+# build, and a complex is frozen, so identity is the cheap exact match.
+_last_forms: tuple = (None, (), ())
+
+
+def _forms(cx: BranchedSurfaceComplex) -> tuple[tuple[LinForm, ...],
+                                                tuple[LinForm, ...]]:
+    """The segment forms and the corner forms of ``cx``, in its order."""
+    global _last_forms
+    last, segs, corners = _last_forms
+    if last is not cx:
+        segs = tuple(segment_form(cx, g.id) for g in cx.segments)
+        corners = tuple(corner_form(cx, d.id) for d in cx.dps)
+        _last_forms = (cx, segs, corners)
+    return segs, corners
+
+
 def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
     """Constraint system for ``kind`` over all sectors of ``cx``, which
     must pass validation."""
@@ -115,13 +148,13 @@ def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
         raise PreconditionFailed(
             "input complex fails validation: " + cx.violations[0])
     variables = tuple(s.id for s in cx.sectors)
-    inequalities = [segment_form(cx, g.id) for g in cx.segments]
+    segs, corners = _forms(cx)
+    inequalities = list(segs)
     equalities: list[LinForm] = []
     strict: list[int] = []
     if kind == ISC:
         strict = list(range(len(inequalities)))
-    for d in cx.dps:
-        form = corner_form(cx, d.id)
+    for d, form in zip(cx.dps, corners):
         pinned = (d.sign > 0) if kind == NEG_TISC else (d.sign < 0)
         if kind == ISC or pinned:
             equalities.append(form)
@@ -151,7 +184,7 @@ def _rows(system: ConstraintSystem) -> tuple:
     cols = ([("sector", s) for s in system.variables]
             + [("slack", f.tag) for f in ineqs] + [("surplus", None)])
     col = {s: j for j, s in enumerate(system.variables)}
-    forms = eqs + ineqs + (strict_aggregate(system),)
+    forms = eqs + ineqs + (system._aggregate,)
     signs = [1] * len(eqs) + [-1] * len(ineqs) + [1]
     rows = [{col[s]: sign * c for s, c in f.coeffs}
             for f, sign in zip(forms, signs)]
@@ -189,7 +222,8 @@ def feasible(system: ConstraintSystem) -> Certificate:
     before it is returned; one that fails raises
     :class:`InvariantViolation`.
     """
-    _check_system(system)
+    if system._refusal is not None:
+        raise MalformedSystem(system._refusal)
     rows, rhs, cols, names, signs = _rows(system)
     cert = _lift(cols, names, signs, phase_one(rows, rhs, len(cols)))
     if not verify_certificate(system, cert):
@@ -206,11 +240,9 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
     checked in ``int`` arithmetic, scaled by the lcm of the multipliers'
     denominators.
     """
-    try:
-        _check_system(system)
-    except MalformedSystem:
+    if system._refusal is not None:
         return False
-    sigma = strict_aggregate(system)
+    sigma = system._aggregate
 
     if cert.verdict == "Feasible":
         w = cert.witness
@@ -288,13 +320,14 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
         raise MalformedSystem(f"bound must be an int, not {bound!r}")
     if bound < 1:
         raise MalformedSystem("bound must be >= 1")
-    _check_system(system)
+    if system._refusal is not None:
+        raise MalformedSystem(system._refusal)
     variables = system.variables
     n = len(variables)
     if (bound + 1) ** n > 1 << 26:
         raise MalformedSystem(
             f"oracle search space {bound + 1}^{n} exceeds 2^26 candidates")
-    forms = system.equalities + system.inequalities + (strict_aggregate(system),)
+    forms = system.equalities + system.inequalities + (system._aggregate,)
     reach = bound  # the digits run to bound
     for form in forms:
         reach = max(reach, bound * sum(abs(c) for _s, c in form.coeffs))

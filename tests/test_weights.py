@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from bsgate import surface, weights
 from bsgate.errors import InvariantViolation, MalformedSystem
+from bsgate.parser import parse_complex, print_complex
 from bsgate.surface import derive_roles, validate
 from bsgate.weights import (
     ISC,
@@ -26,7 +28,7 @@ from bsgate.weights import (
     verify_certificate,
 )
 
-from conftest import load
+from conftest import fixture_text, load
 
 
 def _nonzero(w):
@@ -69,6 +71,68 @@ def test_roles_are_derived_once_for_every_kind(monkeypatch):
     for kind in KINDS:
         build_system(cx, kind)
     assert sorted(derived) == sorted(d.id for d in cx.dps)
+
+
+def test_forms_are_built_once_per_complex_for_every_kind(monkeypatch):
+    # an equal but distinct complex, then one with a double point's sign
+    # flipped, each get their own forms and the system of a fresh build
+    text = fixture_text("fix-split.bsf")
+    cx, twin = parse_complex(text), parse_complex(text)
+    d = cx.dps[0]
+    flipped = replace(cx, dps=(replace(d, sign=-d.sign),) + cx.dps[1:])
+    want, want_flipped = ([build_system(parse_complex(print_complex(c)), k)
+                           for k in KINDS] for c in (cx, flipped))
+    assert want[0] != want_flipped[0]
+    built = []
+
+    def counting(c, gid, _form=weights.segment_form):
+        built.append(c)
+        return _form(c, gid)
+
+    monkeypatch.setattr(weights, "segment_form", counting)
+    order = (cx, twin, flipped, cx)
+    for c in order:
+        assert [build_system(c, kind) for kind in KINDS] \
+            == (want_flipped if c is flipped else want)
+    n = len(cx.segments)
+    assert len(built) == 4 * n
+    assert all(a is b for a, b in zip(built, (c for c in order
+                                               for _ in range(n))))
+
+
+def test_a_system_is_checked_and_aggregated_once(monkeypatch):
+    checked, summed = [], []
+    check, aggregate = weights._check_system, weights.strict_aggregate
+    monkeypatch.setattr(weights, "_check_system",
+                        lambda s: checked.append(s) or check(s))
+    monkeypatch.setattr(weights, "strict_aggregate",
+                        lambda s: summed.append(s) or aggregate(s))
+    sys_ = build_system(load("fix-cross.bsf"), ISC)
+    for _ in range(2):
+        cert = feasible(sys_)
+        assert verify_certificate(sys_, cert)
+        assert brute_force(sys_, 3) is None
+    assert [s is sys_ for s in checked + summed] == [True, True]
+
+
+@pytest.mark.parametrize("sys_, message", [
+    (toy([{"a": 1}], [5]), "strict_group index 5 out of range"),
+    (toy([{"c": 1}], [0]), "form i0 uses unknown variable c"),
+    (toy([{"a": 1}, {"b": 1}], [0, 0]), "duplicate strict_group index"),
+    (ConstraintSystem(("a", "a"), (), (), (), "toy"), "duplicate variable"),
+], ids=["index", "variable", "strict-twice", "variable-twice"])
+def test_a_malformed_system_refuses_on_every_call(sys_, message):
+    # the check runs once per system, but each call refuses afresh
+    refusals = []
+    for _ in range(2):
+        for call in (feasible, lambda s: brute_force(s, 2)):
+            with pytest.raises(MalformedSystem) as info:
+                call(sys_)
+            refusals.append(info.value)
+        assert not verify_certificate(
+            sys_, Certificate("Feasible", witness={"a": 1}))
+    assert [str(exc) for exc in refusals] == [message] * 4
+    assert len({id(exc) for exc in refusals}) == 4
 
 
 def test_empty_strict_group_is_infeasible():
