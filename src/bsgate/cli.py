@@ -196,6 +196,13 @@ def _cmd_detect(args, lines) -> int:
     from .weights import (ISC, NEG_TISC, brute_force, build_system,
                           criterion, feasible)
 
+    if args.oracle_bound is not None:  # refused before any work is done
+        if args.kind == "criterion":
+            raise UsageError("--oracle-bound needs a single system kind, "
+                             "not criterion")
+        if args.oracle_bound < 1:
+            raise UsageError(f"--oracle-bound must be at least 1, "
+                             f"got {args.oracle_bound}")
     cx, _ = _load_valid_complex(args, lines, header=(f"kind: {args.kind}",))
     if args.kind == "criterion":
         verdict = criterion(cx)

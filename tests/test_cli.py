@@ -293,6 +293,22 @@ def test_detect_oracle_runs_the_largest_bound_in_blocks():
     assert lines[-2:] == ["oracle-witness: none", "oracle-agreement: ok"]
 
 
+@pytest.mark.parametrize("kind, bound, message", [
+    ("criterion", "3", "--oracle-bound needs a single system kind, "
+                       "not criterion"),
+    ("isc", "0", "--oracle-bound must be at least 1, got 0"),
+    ("isc", "-2", "--oracle-bound must be at least 1, got -2"),
+], ids=["criterion", "zero", "negative"])
+def test_oracle_bound_is_refused_before_the_complex_is_read(capsys, kind,
+                                                            bound, message):
+    # criterion ran no oracle and said nothing, and a bound below 1 was
+    # refused only after the whole certificate, with exit 2
+    code, lines = run(capsys, "detect", "--kind", kind, "--oracle-bound",
+                      bound, fx("fix-cross.bsf"))
+    assert code == 1
+    assert lines[2:] == [f"error: usage-error: {message}"]
+
+
 def test_detect_criterion_passing(capsys):
     code, lines = run(capsys, "detect", "--kind", "criterion",
                       fx("fix-clean.bsf"))
