@@ -62,13 +62,12 @@ class ConstraintSystem:
 
     # the check and the aggregate read the frozen fields alone, so each
     # runs once per system however many solvers and oracles read it
-
     @cached_property
     def _refusal(self) -> Optional[str]:
         return _check_system(self)
 
     @cached_property
-    def _aggregate(self) -> "LinForm":
+    def _aggregate(self) -> LinForm:
         return strict_aggregate(self)
 
 
@@ -119,11 +118,10 @@ def segment_form(cx: BranchedSurfaceComplex, gid: str) -> LinForm:
     return LinForm.make(coeffs, f"seg:{gid}")
 
 
-# (complex, its segment forms, its corner forms) for the last complex
-# build_system was asked about, matched by identity: the forms do not
-# depend on the kind, and criterion and selftest ask for several kinds of
-# one complex in a row.  Hashing a complex would cost a good part of a
-# build, and a complex is frozen, so identity is the cheap exact match.
+# the last complex build_system was asked about, with its segment and
+# corner forms: they do not depend on the kind, and criterion and selftest
+# ask for several kinds of one complex in a row.  A complex is frozen, so
+# identity is an exact match, and far cheaper than hashing one.
 _last_forms: tuple = (None, (), ())
 
 
