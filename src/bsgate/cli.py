@@ -193,8 +193,8 @@ def _cmd_validate(args, lines) -> int:
 
 
 def _cmd_detect(args, lines) -> int:
-    from .weights import (ISC, NEG_TISC, brute_force, build_system,
-                          criterion, feasible)
+    from .weights import (CONCLUSION, ISC, NEG_TISC, brute_force,
+                          build_system, criterion, feasible)
 
     if args.oracle_bound is not None:  # refused before any work is done
         if args.kind == "criterion":
@@ -213,7 +213,7 @@ def _cmd_detect(args, lines) -> int:
             if cert.feasible:
                 _emit_witness(lines, cert.witness)
         if verdict.passes:
-            lines.append(f"conclusion: {verdict.conclusion}")
+            lines.append(f"conclusion: {CONCLUSION}")
         return 0
     system = build_system(cx, args.kind)
     cert = feasible(system)
@@ -347,7 +347,7 @@ def _cmd_chart(args, lines) -> int:
     elif sub == "extend":
         # --grid sizes the OUTPUT here: NX is the new radial sample
         # count; anything after it must be NY,NZ of the boundary data
-        want = _grid_flag(args.grid) if args.grid else (65,)
+        want = _grid_flag(args.grid) if args.grid is not None else (65,)
         if want[1:] and want[1:] != grid.shape:
             raise ChartError(f"boundary shape {grid.shape} does not match "
                              f"--grid {want}")

@@ -300,7 +300,7 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         raise InvalidLocus(f"unknown move choice {choice!r}")
     report = validate(cx)
     if report.violations:
-        raise InvalidLocus(
+        raise PreconditionFailed(
             "input complex fails validation: " + report.violations[0])
     sec, ent, ext = _resolve(cx, locus)
     if ext.side != "one":

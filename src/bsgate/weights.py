@@ -60,12 +60,11 @@ class ConstraintSystem:
     strict_group: tuple[int, ...]  # inequality indices; slacks must sum >= 1
     kind: str
 
-    # the check and the aggregate read the frozen fields alone, so each
-    # runs once per system however many solvers and oracles read it
-    @cached_property
-    def _refusal(self) -> Optional[str]:
-        return _check_system(self)
+    def __post_init__(self) -> None:
+        _check_system(self)
 
+    # the aggregate reads the frozen fields alone, so it is summed once
+    # per system however many solvers and oracles read it
     @cached_property
     def _aggregate(self) -> LinForm:
         return strict_aggregate(self)
@@ -82,28 +81,29 @@ class Certificate:
         return self.verdict == "Feasible"
 
 
-def _check_system(system: ConstraintSystem) -> Optional[str]:
-    """Why ``system`` is malformed, or None.  Callers read it once per
-    system, as ``system._refusal``."""
+def _check_system(system: ConstraintSystem) -> None:
+    """Raise :class:`MalformedSystem` naming why ``system`` is malformed.
+    Every system runs it once, as it is built."""
     vars_ = set(system.variables)
     if len(vars_) != len(system.variables):
-        return "duplicate variable"
+        raise MalformedSystem("duplicate variable")
     forms = system.equalities + system.inequalities
     if len({f.tag for f in forms}) != len(forms):
-        return "duplicate form tag"
+        raise MalformedSystem("duplicate form tag")
     for form in forms:
         for s, c in form.coeffs:
             if s not in vars_:
-                return f"form {form.tag} uses unknown variable {s}"
+                raise MalformedSystem(
+                    f"form {form.tag} uses unknown variable {s}")
             if not isinstance(c, int):
-                return f"form {form.tag} has non-integer coefficient {c!r}"
+                raise MalformedSystem(
+                    f"form {form.tag} has non-integer coefficient {c!r}")
     n = len(system.inequalities)
     if len(set(system.strict_group)) != len(system.strict_group):
-        return "duplicate strict_group index"
+        raise MalformedSystem("duplicate strict_group index")
     for i in system.strict_group:
         if not 0 <= i < n:
-            return f"strict_group index {i} out of range"
-    return None
+            raise MalformedSystem(f"strict_group index {i} out of range")
 
 
 def corner_form(cx: BranchedSurfaceComplex, did: str) -> LinForm:
@@ -172,40 +172,43 @@ def strict_aggregate(system: ConstraintSystem) -> LinForm:
     return LinForm.make(coeffs, "aggregate")
 
 
+def _signed_forms(system: ConstraintSystem) -> list[tuple[LinForm, int]]:
+    """The forms of the phase-one rows, in row order, each with the
+    row's factor on its form and its dual: the equalities, the
+    inequalities (negated), then the strictness aggregate."""
+    return ([(f, 1) for f in system.equalities]
+            + [(f, -1) for f in system.inequalities]
+            + [(system._aggregate, 1)])
+
+
 def _rows(system: ConstraintSystem) -> tuple:
-    """Phase-one rows of ``system``: equalities ``form = 0``, inequalities
-    ``slack - form = 0`` (each slack starts basic), aggregate ``aggregate -
-    surplus = 1``.  Columns are named ``("sector", s)``, ``("slack", tag)``,
-    ``("surplus", None)``; rows ``("form", tag)``, then ``("aggregate",
-    None)``.  ``signs`` holds each row's factor on its form and dual."""
-    eqs, ineqs = system.equalities, system.inequalities
-    cols = ([("sector", s) for s in system.variables]
-            + [("slack", f.tag) for f in ineqs] + [("surplus", None)])
+    """Phase-one rows of ``system``, its rhs and its column count: an
+    equality is ``form = 0``, an inequality ``slack - form = 0`` (each
+    slack starts basic), the aggregate ``aggregate - surplus = 1``.  The
+    sector columns come first, in ``system.variables`` order, then one
+    slack per inequality, then the surplus."""
     col = {s: j for j, s in enumerate(system.variables)}
-    forms = eqs + ineqs + (system._aggregate,)
-    signs = [1] * len(eqs) + [-1] * len(ineqs) + [1]
     rows = [{col[s]: sign * c for s, c in f.coeffs}
-            for f, sign in zip(forms, signs)]
-    for j, row in enumerate(rows[len(eqs):-1], len(col)):
+            for f, sign in _signed_forms(system)]
+    for j, row in enumerate(rows[len(system.equalities):-1], len(col)):
         row[j] = 1  # the inequality's slack
-    rows[-1][len(cols) - 1] = -1  # the surplus
-    rhs = [0] * (len(rows) - 1) + [1]
-    names = [("form", f.tag) for f in eqs + ineqs] + [("aggregate", None)]
-    return rows, rhs, cols, names, signs
+    n = len(col) + len(system.inequalities) + 1
+    rows[-1][n - 1] = -1  # the surplus
+    return rows, [0] * (len(rows) - 1) + [1], n
 
 
-def _lift(cols: list, names: list, signs: list,
-          res: PhaseOneResult) -> Certificate:
-    """The certificate of phase-one answer ``res``, read off by name: the
-    primitive witness, or multipliers keyed by tag."""
+def _lift(system: ConstraintSystem, res: PhaseOneResult) -> Certificate:
+    """The certificate of phase-one answer ``res``: the primitive witness,
+    read off the sector columns, or multipliers keyed by tag, read off
+    the form rows' duals over the aggregate's."""
     if res.feasible:
-        nums = {s: v for (kind, s), v in zip(cols, res.x) if kind == "sector"}
+        nums = dict(zip(system.variables, res.x))
         g = gcd(*nums.values()) or 1
         return Certificate("Feasible",
                            witness={s: v // g for s, v in nums.items()})
-    y = {name: sign * v for name, sign, v in zip(names, signs, res.duals)}
-    y_sigma = y.pop(("aggregate", None))
-    mult = ({tag: Fraction(v, y_sigma) for (_, tag), v in y.items() if v}
+    signed = _signed_forms(system)
+    *y, y_sigma = (sign * v for (_f, sign), v in zip(signed, res.duals))
+    mult = ({f.tag: Fraction(v, y_sigma) for (f, _s), v in zip(signed, y) if v}
             if y_sigma > 0 else {})
     return Certificate("Infeasible", multipliers=mult)
 
@@ -220,10 +223,7 @@ def feasible(system: ConstraintSystem) -> Certificate:
     before it is returned; one that fails raises
     :class:`InvariantViolation`.
     """
-    if system._refusal is not None:
-        raise MalformedSystem(system._refusal)
-    rows, rhs, cols, names, signs = _rows(system)
-    cert = _lift(cols, names, signs, phase_one(rows, rhs, len(cols)))
+    cert = _lift(system, phase_one(*_rows(system)))
     if not verify_certificate(system, cert):
         raise InvariantViolation(
             f"emitted certificate for {system.kind} fails verification")
@@ -238,8 +238,6 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
     checked in ``int`` arithmetic, scaled by the lcm of the multipliers'
     denominators.
     """
-    if system._refusal is not None:
-        return False
     sigma = system._aggregate
 
     if cert.verdict == "Feasible":
@@ -318,8 +316,6 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
         raise MalformedSystem(f"bound must be an int, not {bound!r}")
     if bound < 1:
         raise MalformedSystem("bound must be >= 1")
-    if system._refusal is not None:
-        raise MalformedSystem(system._refusal)
     variables = system.variables
     n = len(variables)
     if (bound + 1) ** n > 1 << 26:
@@ -379,10 +375,12 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
 
 @dataclass(frozen=True)
 class Verdict:
-    passes: bool
     neg_tisc: Certificate
     isc: Certificate
-    conclusion: Optional[str] = None
+
+    @property
+    def passes(self) -> bool:
+        return not self.neg_tisc.feasible and not self.isc.feasible
 
 
 CONCLUSION = "fully carries a pure positive contamination"
@@ -390,7 +388,5 @@ CONCLUSION = "fully carries a pure positive contamination"
 
 def criterion(cx: BranchedSurfaceComplex) -> Verdict:
     """Both obstruction systems must be infeasible for a pass."""
-    neg = feasible(build_system(cx, NEG_TISC))
-    isc = feasible(build_system(cx, ISC))
-    passes = (not neg.feasible) and (not isc.feasible)
-    return Verdict(passes, neg, isc, CONCLUSION if passes else None)
+    return Verdict(feasible(build_system(cx, NEG_TISC)),
+                   feasible(build_system(cx, ISC)))

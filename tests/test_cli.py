@@ -498,12 +498,14 @@ def test_chart_grid_flag_cross_checks_the_shape(capsys, box_path):
     assert any(l.startswith("error: chart-error") for l in lines)
 
 
-def test_chart_grid_flag_must_be_integers(capsys, box_path):
-    code, lines = run(capsys, "chart", "check-box", box_path,
-                      "--grid", "5,x,5")
-    assert code == 1
-    assert lines[-1] == ("error: usage-error: --grid needs comma-separated "
-                         "integers, got '5,x,5'")
+def test_chart_grid_flag_must_be_integers(capsys, box_path, annulus_path):
+    for argv in (("check-box", box_path, "--grid", "5,x,5"),
+                 ("check-box", box_path, "--grid", ""),
+                 ("extend", annulus_path, "--r0", "0.5", "--grid", "")):
+        code, lines = run(capsys, "chart", *argv)
+        assert code == 1
+        assert lines[-1] == ("error: usage-error: --grid needs "
+                             f"comma-separated integers, got {argv[-1]!r}")
 
 
 def test_chart_spacing_must_be_numbers(capsys, box_path, tmp_path):

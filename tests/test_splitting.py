@@ -41,7 +41,7 @@ from bsgate.splitting import (
 from bsgate.gen import random_complex
 from bsgate.parser import parse_complex, print_complex
 from bsgate.surface import SegItem, validate
-from bsgate.weights import criterion, segment_form
+from bsgate.weights import Certificate, criterion, segment_form
 
 from conftest import FIXTURES, fixture_text, load
 
@@ -375,6 +375,19 @@ def test_a_complex_that_fails_validation_has_no_verdict(name):
                                    + violation)
 
 
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_split_refuses_an_invalid_complex_as_a_precondition(name):
+    # as the weight systems do: the locus is not at fault
+    text, violation = INVALID[name]
+    cx = parse_complex(text)
+    locus = SplitLocus(cx.sectors[0].id, (0, 0), (0, 1))
+    for choice in (OVER, UNDER, NEUTRAL):
+        with pytest.raises(PreconditionFailed) as info:
+            split(cx, locus, choice)
+        assert str(info.value) == ("input complex fails validation: "
+                                   + violation)
+
+
 def test_safe_split_family_never_breaks():
     for name in ("fix-clean.bsf", "fix-clean3.bsf", "fix-split.bsf",
                  "fix-torus.bsf", "fix-cross.bsf"):
@@ -432,7 +445,10 @@ def test_step_tag_keeps_the_error_and_its_verdicts(monkeypatch):
     real = splitting.criterion
 
     def fussy(cx):
-        return replace(real(cx), passes=len(cx.dps) < 4)
+        v = real(cx)
+        if len(cx.dps) < 4:
+            return v
+        return replace(v, neg_tisc=Certificate("Feasible", witness={}))
 
     monkeypatch.setattr(splitting, "criterion", fussy)
     cx = load("fix-clean.bsf")
