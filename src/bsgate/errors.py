@@ -57,7 +57,7 @@ class PreconditionFailed(BsgateError):
 class InvariantViolation(BsgateError):
     """An invariant that can only fail through a bug failed at runtime."""
 
-    verdicts: dict | None = None  # a safe split's failed over/under verdicts
+    verdicts: tuple | None = None  # a safe split's (move, Verdict) pairs
 
 
 class ChartError(BsgateError):

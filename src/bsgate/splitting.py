@@ -67,27 +67,26 @@ class SplitLocus:
 
 
 @dataclass(frozen=True)
-class SplitRecord:
-    """Bookkeeping from one split, enough to pull weights back."""
-
-    choice: str
-    sector_images: tuple[tuple[str, str], ...]  # original id -> new id
-    new_sectors: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class SplitResult:
     complex: BranchedSurfaceComplex
+    choice: str
     dp_left: Optional[str]
     dp_right: Optional[str]
-    record: SplitRecord
+    sector_images: tuple[tuple[str, str], ...]  # original id -> new id
 
 
 @dataclass(frozen=True)
 class SafeSplitResult:
+    """One committed safe step: the locus, the committed split, and the
+    verdict of each move tried, in the order tried."""
+
+    locus: SplitLocus
     split: SplitResult
-    choice: str
     verdicts: tuple[tuple[str, Verdict], ...]
+
+    @property
+    def choice(self) -> str:
+        return self.split.choice
 
     @property
     def complex(self) -> BranchedSurfaceComplex:
@@ -95,18 +94,9 @@ class SafeSplitResult:
 
 
 @dataclass(frozen=True)
-class ScheduleStep:
-    index: int
-    locus: SplitLocus
-    choice: str
-    verdicts: tuple[tuple[str, Verdict], ...]
-
-
-@dataclass(frozen=True)
 class ScheduleResult:
     complex: BranchedSurfaceComplex
-    steps: tuple[ScheduleStep, ...]
-    verdict: Verdict  # criterion on ``complex``
+    steps: tuple[SafeSplitResult, ...]
 
 
 def _resolve(cx: BranchedSurfaceComplex, locus: SplitLocus):
@@ -424,12 +414,9 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         raise InvariantViolation("merged piece with no naming anchor")
 
     emitted: list[Sector] = []
-    new_sectors: list[str] = []
     images: dict[str, str] = {}  # original sector id -> new id
     for piece in pool:
         name = piece_name(piece)
-        if name not in cx.sector_by_id:
-            new_sectors.append(name)
         emitted.append(Sector(name, piece.genus,
                               tuple(_word(p) for p in piece.words)))
         images.update(dict.fromkeys(piece.members, name))
@@ -464,9 +451,6 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         }
         entry_key = "flr" if entry_circle else "fr"
         exit_key = "gf" if exit_circle else "gr"
-        wanted = (["flr"] if entry_circle else ["fl", "fr"])
-        wanted += (["gf"] if exit_circle else ["gl", "gr"])
-        wanted += ["gm", "tg"]
     else:
         table = {
             "fl": ("arc", gin.end0, gout.end1),
@@ -477,13 +461,13 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         }
         entry_key = exit_key = (
             "fn" if (entry_circle or exit_circle) else "fr")
-        wanted = ["fn"] if (entry_circle or exit_circle) else ["fl", "fr"]
 
-    new_segments = []
-    for key in wanted:
-        kind, e0, e1 = table[key]
-        new_segments.append(BranchSegment(
-            names[key], kind, **sheets(names[key]), end0=e0, end1=e1))
+    # a fused circle's halves are gone from the words, so the keys whose
+    # edges the words still carry are the new segments
+    new_segments = [
+        BranchSegment(names[key], kind, **sheets(names[key]), end0=e0, end1=e1)
+        for key, (kind, e0, e1) in table.items()
+        if (names[key], "one") in occ]
     segments = [replace(g, **sheets(g.id)) for g in cx.segments
                 if g.id not in (gin.id, gout.id)]
 
@@ -507,14 +491,12 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         images[g.lo] = occ[(names[key], "lo")]
     images[sec.id] = names["zl"]
 
-    record = SplitRecord(choice, tuple(sorted(images.items())),
-                         tuple(new_sectors))
-    return SplitResult(out, lvert, rvert, record)
+    return SplitResult(out, choice, lvert, rvert,
+                       tuple(sorted(images.items())))
 
 
-def pushforward_weights(cxp: BranchedSurfaceComplex,
-                        weights: Mapping[str, int],
-                        record: SplitRecord) -> dict[str, int]:
+def pushforward_weights(res: SplitResult,
+                        weights: Mapping[str, int]) -> dict[str, int]:
     """Pull a weight vector on the split complex back to the original.
 
     Each original sector reads off the weight of its canonical image
@@ -522,30 +504,27 @@ def pushforward_weights(cxp: BranchedSurfaceComplex,
     of the severed sector are forced equal, so this reproduces every
     closed-surface solution's preimage.
     """
-    known = {s.id for s in cxp.sectors}
     for key in weights:
-        if key not in known:
+        if key not in res.complex.sector_by_id:
             raise MalformedSystem(f"unknown sector {key} in weight vector")
-    return {old: weights.get(new, 0) for old, new in record.sector_images}
+    return {old: weights.get(new, 0) for old, new in res.sector_images}
 
 
 def _commit(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SafeSplitResult:
     """Over, else under, on a complex whose criterion passes."""
-    over_res = split(cx, locus, OVER)
-    v_over = criterion(over_res.complex)
-    if v_over.passes:
-        return SafeSplitResult(over_res, OVER, (("over", v_over),))
-    under_res = split(cx, locus, UNDER)
-    v_under = criterion(under_res.complex)
-    if v_under.passes:
-        return SafeSplitResult(under_res, UNDER,
-                               (("over", v_over), ("under", v_under)))
+    verdicts = []
+    for choice in (OVER, UNDER):
+        res = split(cx, locus, choice)
+        verdicts.append((choice, criterion(res.complex)))
+        if verdicts[-1][1].passes:
+            return SafeSplitResult(locus, res, tuple(verdicts))
+    (_, v_over), (_, v_under) = verdicts
     err = InvariantViolation(
         "neither the over nor the under move stays clean at "
         f"{locus.sector} {locus.entry}->{locus.exit}; "
         f"over witness {dict(v_over.neg_tisc.witness or {})}, "
         f"under witness {dict(v_under.neg_tisc.witness or {})}")
-    err.verdicts = {"over": v_over, "under": v_under}
+    err.verdicts = tuple(verdicts)
     raise err
 
 
@@ -561,20 +540,18 @@ def run_plan(cx: BranchedSurfaceComplex,
              rows: Iterable[tuple[str, str, str]]) -> ScheduleResult:
     """Commit one safe split per row, each naming its locus in text form
     against the complex as it stands at that step, and tag failures with
-    the step.  A committed output's verdict is the next step's input
-    verdict."""
-    verdict = criterion(cx)
-    if not verdict.passes:
+    the step.  Only passing steps are committed, so a committed output's
+    verdict is the next step's input verdict."""
+    if not criterion(cx).passes:
         raise PreconditionFailed("criterion fails on the initial complex")
     cur = cx
-    steps: list[ScheduleStep] = []
+    steps: list[SafeSplitResult] = []
     for i, row in enumerate(rows):
         try:
-            locus = locus_from_strings(cur, *row)
-            res = _commit(cur, locus)
+            step = _commit(cur, locus_from_strings(cur, *row))
         except BsgateError as exc:
             exc.args = (f"step {i}: {exc}",)
             raise
-        steps.append(ScheduleStep(i, locus, res.choice, res.verdicts))
-        cur, verdict = res.complex, res.verdicts[-1][1]
-    return ScheduleResult(cur, tuple(steps), verdict)
+        steps.append(step)
+        cur = step.complex
+    return ScheduleResult(cur, tuple(steps))

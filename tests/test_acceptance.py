@@ -183,7 +183,7 @@ def test_splits_bookkeep_crossings_and_transport_closed_weights():
                     w = dict(zip(ids, combo))
                     if any(f.dot(w) != 0 for f in forms):
                         continue
-                    back = pushforward_weights(res.complex, w, res.record)
+                    back = pushforward_weights(res, w)
                     assert all(f.dot(back) == 0 for f in old_forms), w
                     moved += 1
         assert moved > len(CHOICES) * 2  # more than the zero vectors

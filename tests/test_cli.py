@@ -134,6 +134,29 @@ def test_crlf_input_reads_like_lf(capsys, tmp_path):
     assert got[:2] + got[3:] == want[:2] + want[3:]
 
 
+@pytest.mark.parametrize("argv, marked", [
+    (("validate", "fix-clean.bsf"), "fix-clean.bsf"),
+    (("schedule", "--plan", "clean3.plan", "fix-clean3.bsf"), "clean3.plan"),
+    (("assemble", "--kind", "isc", "--weights", "fix-doc-isc.w",
+      "fix-doc.bsf"), "fix-doc-isc.w"),
+], ids=["complex", "plan", "weights"])
+def test_a_byte_order_mark_reads_as_no_text(capsys, tmp_path, argv, marked):
+    # a leading UTF-8 byte-order mark is not part of the first line; the
+    # digest is still taken over the file's bytes
+    p = tmp_path / marked
+    p.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / marked).read_bytes())
+    plain = [fx(a) if (FIXTURES / a).is_file() else a for a in argv]
+    code0, want = run(capsys, *plain)
+    code, got = run(capsys, *[str(p) if a == marked else b
+                              for a, b in zip(argv, plain)])
+    assert code == code0 == 0
+    digest = sha256(p.read_bytes()).hexdigest()
+    (i,) = [k for k, line in enumerate(got)
+            if line.endswith(f"-sha256: {digest}")]
+    assert got[i].split(":")[0] == want[i].split(":")[0]
+    assert got[:i] + got[i + 1:] == want[:i] + want[i + 1:]
+
+
 def test_structural_violations_exit_two(capsys, tmp_path):
     # parseable, but the extra circle never shows up in a boundary word
     p = tmp_path / "loose.bsf"
@@ -374,6 +397,26 @@ def test_split_safe_report(capsys):
     assert "dp-right: R1 +" in lines
     assert any(l.startswith("convention:") for l in lines)
     assert "image A A_l1" in lines
+
+
+@pytest.mark.parametrize("name", ["fix-clean.bsf", "fix-clean3.bsf"])
+def test_safe_split_reports_what_its_committed_move_reports(capsys, name):
+    # at every good locus: the committed move's report, with the
+    # criterion-preserved line before its choice line
+    cx = parse_complex(fixture_text(name))
+    loci = splitting.good_loci(cx)
+    assert loci
+    for locus in loci:
+        sector, entry, exit_ = splitting.format_locus(cx, locus).split()
+        argv = ("split", "--sector", sector, "--entry", entry,
+                "--exit", exit_, "--choice")
+        choice = splitting.safe_split(cx, locus).choice
+        code, safe = run(capsys, *argv, "safe", fx(name))
+        code0, committed = run(capsys, *argv, choice, fx(name))
+        assert code == code0 == 0
+        i = committed.index(f"choice: {choice}")
+        assert safe == (committed[:i] + ["criterion-preserved: true"]
+                        + committed[i:]), (name, sector, entry, exit_)
 
 
 def test_split_out_file_is_a_valid_complex(capsys, tmp_path):

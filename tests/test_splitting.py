@@ -113,6 +113,11 @@ def test_split_refuses_bad_moves():
 
 # -- golden rewrites ----------------------------------------------------------
 
+def _new_sectors(cx, out) -> tuple[str, ...]:
+    """The output's sector ids that the input lacks, in output order."""
+    return tuple(s.id for s in out.sectors if s.id not in cx.sector_by_id)
+
+
 def test_split_fixture_over_golden():
     cx = load("fix-split.bsf")
     res = split(cx, SplitLocus("O", (0, 0), (0, 1)), OVER)
@@ -125,9 +130,9 @@ def test_split_fixture_over_golden():
     assert [(d.id, d.sign) for d in out.dps] == [
         ("P", 1), ("Q", -1), ("L1", -1), ("R1", 1)]
     assert res.dp_left == "L1" and res.dp_right == "R1"
-    assert dict(res.record.sector_images) == {
+    assert dict(res.sector_images) == {
         "O": "O_l1", "L": "L", "Ao": "Ao", "Bo": "Bo", "Fa": "Fa", "Fb": "Fb"}
-    assert res.record.new_sectors == ("O_l1", "O_r1", "slv1")
+    assert _new_sectors(cx, out) == ("O_l1", "O_r1", "slv1")
 
 
 def test_split_fixture_under_mirrors_signs():
@@ -157,7 +162,7 @@ def test_split_fixture_neutral_golden():
     fl = out.segment_by_id["fl1"]
     assert (fl.end0.dp, fl.end0.slot, fl.end1.dp, fl.end1.slot) == (
         "Q", 2, "Q", 3)
-    assert dict(res.record.sector_images) == {
+    assert dict(res.sector_images) == {
         "O": "O_l1", "L": "L", "Ao": "Ao_m1", "Bo": "Fa_m1",
         "Fa": "Fa_m1", "Fb": "Ao_m1"}
 
@@ -173,7 +178,7 @@ def test_wheel_fixture_over_golden():
     assert [g.id for g in out.segments] == ["flr1", "gf1", "gm1", "tg1"]
     assert [(d.id, d.sign) for d in out.dps] == [("L1", -1), ("R1", 1)]
     assert all(g.kind == "arc" for g in out.segments)
-    assert res.record.sector_images == (("A", "A_l1"),)
+    assert res.sector_images == (("A", "A_l1"),)
     assert criterion(out).passes
 
 
@@ -230,9 +235,9 @@ def _split_outcome(cx, locus, choice) -> str:
         res = split(cx, locus, choice)
     except BsgateError as exc:
         return f"{type(exc).__name__}: {exc}\n"
-    r = res.record
     return (f"{print_complex(res.complex)}{res.dp_left} {res.dp_right} "
-            f"{r.choice}\n{r.sector_images}\n{r.new_sectors}\n")
+            f"{res.choice}\n{res.sector_images}\n"
+            f"{_new_sectors(cx, res.complex)}\n")
 
 
 def _split_digest(cases) -> tuple[int, str, list[str]]:
@@ -300,7 +305,7 @@ def test_pushforward_preserves_equalities_exhaustively(choice):
     res = split(cx, SplitLocus("O", (0, 0), (0, 1)), choice)
     seen = 0
     for w in _closed_vectors(res.complex, 2):
-        back = pushforward_weights(res.complex, w, res.record)
+        back = pushforward_weights(res, w)
         assert all(segment_form(cx, g.id).dot(back) == 0
                    for g in cx.segments), (w, back)
         seen += 1
@@ -310,9 +315,9 @@ def test_pushforward_preserves_equalities_exhaustively(choice):
 def test_pushforward_zero_and_indicator():
     cx = load("fix-split.bsf")
     res = split(cx, SplitLocus("O", (0, 0), (0, 1)), OVER)
-    zero = pushforward_weights(res.complex, {}, res.record)
+    zero = pushforward_weights(res, {})
     assert set(zero.values()) == {0}
-    ind = pushforward_weights(res.complex, {"L": 1}, res.record)
+    ind = pushforward_weights(res, {"L": 1})
     assert ind == {"O": 0, "L": 1, "Ao": 0, "Bo": 0, "Fa": 0, "Fb": 0}
 
 
@@ -320,7 +325,7 @@ def test_pushforward_rejects_unknown_sectors():
     cx = load("fix-split.bsf")
     res = split(cx, SplitLocus("O", (0, 0), (0, 1)), OVER)
     with pytest.raises(MalformedSystem, match="O"):
-        pushforward_weights(res.complex, {"O": 1}, res.record)
+        pushforward_weights(res, {"O": 1})
 
 
 @given(st.data())
@@ -333,9 +338,9 @@ def test_pushforward_additive(data):
     w1 = {i: data.draw(st.integers(0, 5), label=f"w1[{i}]") for i in ids}
     w2 = {i: data.draw(st.integers(0, 5), label=f"w2[{i}]") for i in ids}
     w12 = {i: w1[i] + w2[i] for i in ids}
-    p1 = pushforward_weights(res.complex, w1, res.record)
-    p2 = pushforward_weights(res.complex, w2, res.record)
-    p12 = pushforward_weights(res.complex, w12, res.record)
+    p1 = pushforward_weights(res, w1)
+    p2 = pushforward_weights(res, w2)
+    p12 = pushforward_weights(res, w12)
     assert p12 == {k: p1[k] + p2[k] for k in p1}
 
 
@@ -459,8 +464,10 @@ def test_step_tag_keeps_the_error_and_its_verdicts(monkeypatch):
         run_plan(cx, [format_locus(cx, first).split(),
                       format_locus(once, second).split()])
     assert str(info.value).startswith("step 1: neither the over nor")
-    assert set(info.value.verdicts) == {"over", "under"}
-    assert not info.value.verdicts["under"].passes
+    # the shape of a committed step's verdicts: (move, Verdict) pairs in
+    # the order tried
+    assert [move for move, _ in info.value.verdicts] == ["over", "under"]
+    assert not dict(info.value.verdicts)["under"].passes
 
 
 def test_plan_validates_and_solves_each_complex_once(monkeypatch):
@@ -484,7 +491,7 @@ def test_plan_validates_and_solves_each_complex_once(monkeypatch):
     tried = sum(len(step.verdicts) for step in out.steps)
     assert len(solved) == 1 + tried
     assert len({id(cx) for cx in validated}) == len(validated) == 1 + tried
-    assert out.verdict.passes
+    assert out.steps[-1].verdicts[-1][1].passes
 
 
 def test_plan_verifies_every_certificate_it_solves(monkeypatch):
@@ -511,6 +518,24 @@ def test_frozen_three_step_plan():
     assert [(s.id, s.genus, len(s.words)) for s in out.complex.sectors] == [
         ("A_l1_l2_l3", 0, 8), ("A_l1_l2_r3", 0, 1), ("A_l1_r2", 0, 1),
         ("slv1", 0, 1), ("slv2", 0, 1), ("slv3", 0, 1)]
+
+
+def test_plan_steps_are_the_safe_split_records():
+    # each step is the record safe_split makes at its locus, on the
+    # complex the plan has reached
+    rows = [tuple(line.split()) for line in
+            (FIXTURES / "clean3.plan").read_text().splitlines()]
+    prev = load("fix-clean3.bsf")
+    out = run_plan(prev, rows)
+    assert len(out.steps) == len(rows)
+    for step, row in zip(out.steps, rows):
+        alone = safe_split(prev, locus_from_strings(prev, *row))
+        assert step.locus == alone.locus
+        assert step.choice == alone.choice
+        assert step.verdicts == alone.verdicts
+        assert print_complex(step.complex) == print_complex(alone.complex)
+        prev = step.complex
+    assert out.complex is prev
 
 
 # -- locus text form ----------------------------------------------------------
