@@ -68,9 +68,12 @@ _EXIT_CODES = (
 
 
 def _read_bytes(path_str: str) -> tuple[bytes, str]:
-    """The bytes of one input file and their sha256, from one read; the
-    bytes must be UTF-8 text, which is checked only when they are not
-    ASCII."""
+    """The bytes of one input file, without a leading UTF-8 byte-order
+    mark, and the sha256 of all its bytes, from one read; the bytes must
+    be UTF-8 text, which is checked only when they are not ASCII.  The
+    mark is stripped from the bytes, not by the "utf-8-sig" codec: a
+    process's first lookup of that codec costs more than decoding a
+    typical input, and grids are parsed from their bytes."""
     try:
         data = Path(path_str).read_bytes()
     except OSError as exc:
@@ -81,17 +84,16 @@ def _read_bytes(path_str: str) -> tuple[bytes, str]:
         except UnicodeDecodeError:
             raise UsageError(f"cannot read {path_str}: not UTF-8 "
                              "text") from None
-    return data, hashlib.sha256(data).hexdigest()
+    return (data.removeprefix(b"\xef\xbb\xbf"),
+            hashlib.sha256(data).hexdigest())
 
 
 def _read(path_str: str) -> tuple[str, str]:
     """The UTF-8 text of one input file, without a leading byte-order
     mark, and the sha256 of its bytes; the parsers split lines with
-    str.splitlines, so LF, CRLF and CR endings read alike.  The mark is
-    stripped after decoding: a process's first lookup of the "utf-8-sig"
-    codec costs more than decoding a typical input."""
+    str.splitlines, so LF, CRLF and CR endings read alike."""
     data, digest = _read_bytes(path_str)
-    return data.decode("utf-8").removeprefix("\ufeff"), digest
+    return data.decode("utf-8"), digest
 
 
 def _load_complex(args, lines, sidecar: Optional[str] = None,

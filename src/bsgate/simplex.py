@@ -64,7 +64,8 @@ def phase_one(rows: list[dict[int, int]], rhs: list[int],
     ``r`` starts on its least own +1 column if it has one, and otherwise
     gets artificial column ``n + r``.  ``rhs`` entries must be
     nonnegative: ``weights._rows`` negates a row where needed and keeps
-    its sign, to read its dual back.  Optimum 0 means the system is
+    its sign, to read its dual back; it hands over only the rows of
+    what its forcing presolve leaves.  Optimum 0 means the system is
     feasible and ``x / x_den`` is a solution; a positive optimum
     certifies infeasibility via ``duals``: ``duals . rows <= 0``
     componentwise while ``duals . rhs > 0``.

@@ -15,7 +15,11 @@ positive somewhere:
 Everything is decided exactly, in integer arithmetic from the
 fraction-free tableau to the certificate; homogeneity makes integer and
 rational feasibility coincide once strictness is written as an
-aggregate slack ``>= 1``.
+aggregate slack ``>= 1``.  Each decision starts with a forcing presolve:
+a row whose signs allow no nonzero weight on its sectors fixes them at
+0, until nothing changes.  Phase one solves only what is left, and the
+certificate is lifted back to the whole system in integers, a witness
+by zeros and multipliers in reverse forcing order.
 """
 
 from __future__ import annotations
@@ -172,62 +176,175 @@ def strict_aggregate(system: ConstraintSystem) -> LinForm:
     return LinForm.make(coeffs, "aggregate")
 
 
-def _signed_forms(system: ConstraintSystem) -> list[tuple[LinForm, int]]:
-    """The forms of the phase-one rows, in row order, each with the
-    row's factor on its form and its dual: the equalities, the
-    inequalities (negated), then the strictness aggregate."""
-    return ([(f, 1) for f in system.equalities]
-            + [(f, -1) for f in system.inequalities]
-            + [(system._aggregate, 1)])
-
-
 def _rows(system: ConstraintSystem) -> tuple:
-    """Phase-one rows of ``system``, its rhs and its column count: an
-    equality is ``form = 0``, an inequality ``slack - form = 0`` (each
-    slack starts basic), the aggregate ``aggregate - surplus = 1``.  The
-    sector columns come first, in ``system.variables`` order, then one
-    slack per inequality, then the surplus."""
-    col = {s: j for j, s in enumerate(system.variables)}
-    rows = [{col[s]: sign * c for s, c in f.coeffs}
-            for f, sign in _signed_forms(system)]
-    for j, row in enumerate(rows[len(system.equalities):-1], len(col)):
+    """The forcing presolve of ``system`` and the phase-one rows of what
+    it leaves (Brearley, Mitra and Williams 1975).
+
+    A queue over each sector's rows runs until nothing changes.  An
+    inequality whose remaining coefficients are all negative, or an
+    equality whose remaining coefficients all have one sign, forces
+    each of its remaining sectors to 0: at ``w >= 0`` the row holds
+    only where they are all 0.  Each such row is one forcing step,
+    ``(form, [(sector, coefficient), ...])`` over the sectors it
+    forced, in forcing order.
+
+    The residual keeps the other sectors, in ``system.variables`` order,
+    in the layout of the whole system: an equality is ``form = 0``, an
+    inequality ``slack - form = 0`` (each slack starts basic), the
+    aggregate ``aggregate - surplus = 1``; the sector columns come
+    first, then one slack per kept inequality, then the surplus.  An
+    equality with no sector left is dropped, and so is an inequality
+    outside the strict group with no negative coefficient left, which
+    holds at every ``w >= 0``.  With nothing forced and nothing dropped,
+    these are the rows of the whole system.
+
+    Returns ``(rows, rhs, n)`` for phase one, or ``None`` when every
+    sector is forced (the aggregate is then 0, so the system is
+    infeasible), and ``(kept, signed, steps)`` for :func:`_lift`: the
+    kept sectors, each residual row's form with the row's factor on its
+    form and its dual (the aggregate last), and the forcing steps.
+    """
+    eqs, ineqs = system.equalities, system.inequalities
+    forms = eqs + ineqs
+    ne = len(eqs)
+    # each form's count of sectors not yet forced, and of those with a
+    # negative coefficient; a row joins the queue whenever it forces, and
+    # finds nothing left after its first turn
+    left, neg, queue = [], [], []
+    for r, f in enumerate(forms):
+        k = len(f.coeffs)
+        m = len([c for _s, c in f.coeffs if c < 0])
+        left.append(k)
+        neg.append(m)
+        if k and (m == k or (r < ne and not m)):
+            queue.append(r)
+    forced: set[str] = set()
+    steps = []
+    if queue:
+        rows_of: dict[str, list] = {}
+        for r, f in enumerate(forms):
+            for s, c in f.coeffs:
+                rows_of.setdefault(s, []).append((r, c < 0))
+        for r in queue:  # the queue grows as rows come to force
+            pairs = [(s, c) for s, c in forms[r].coeffs if s not in forced]
+            if not pairs:
+                continue
+            steps.append((forms[r], pairs))
+            for s, _c in pairs:
+                forced.add(s)
+                for r2, negative in rows_of[s]:
+                    k = left[r2] = left[r2] - 1
+                    m = neg[r2] = neg[r2] - negative
+                    if k and (m == k or (r2 < ne and not m)):
+                        queue.append(r2)
+
+    kept = [s for s in system.variables if s not in forced]
+    if not kept:
+        return None, (kept, [], steps)
+    strict = set(system.strict_group)
+    signed = [(f, 1) for f, k in zip(eqs, left) if k]
+    first = len(signed)  # the first inequality row
+    signed += [(f, -1) for i, f in enumerate(ineqs)
+               if neg[ne + i] or i in strict]
+    signed.append((system._aggregate, 1))
+    col = {s: j for j, s in enumerate(kept)}
+    rows = [{col[s]: sign * c for s, c in f.coeffs if s in col}
+            for f, sign in signed]
+    for j, row in enumerate(rows[first:-1], len(col)):
         row[j] = 1  # the inequality's slack
-    n = len(col) + len(system.inequalities) + 1
+    n = len(col) + len(rows) - first
     rows[-1][n - 1] = -1  # the surplus
-    return rows, [0] * (len(rows) - 1) + [1], n
+    return (rows, [0] * (len(rows) - 1) + [1], n), (kept, signed, steps)
 
 
-def _lift(system: ConstraintSystem, res: PhaseOneResult) -> Certificate:
-    """The certificate of phase-one answer ``res``: the primitive witness,
-    read off the sector columns, or multipliers keyed by tag, read off
-    the form rows' duals over the aggregate's."""
-    if res.feasible:
-        nums = dict(zip(system.variables, res.x))
-        g = gcd(*nums.values()) or 1
-        return Certificate("Feasible",
-                           witness={s: v // g for s, v in nums.items()})
-    signed = _signed_forms(system)
-    *y, y_sigma = (sign * v for (_f, sign), v in zip(signed, res.duals))
-    mult = ({f.tag: Fraction(v, y_sigma) for (f, _s), v in zip(signed, y) if v}
-            if y_sigma > 0 else {})
-    return Certificate("Infeasible", multipliers=mult)
+def _lift(system: ConstraintSystem, presolve: tuple,
+          res: Optional[PhaseOneResult]) -> Certificate:
+    """The certificate of ``system`` from its presolve and the residual's
+    phase-one answer ``res`` (``None`` when every sector was forced).
+
+    A witness is the residual's, read off the sector columns, with 0 on
+    every forced sector, made primitive.  Otherwise the residual rows'
+    duals, each times its row's factor, are integer multipliers over the
+    aggregate's ``y_sigma`` (``y_sigma = 1`` and no others when every
+    sector was forced); their combination with the aggregate is <= 0
+    on the kept sectors.  The forcing steps, walked in reverse, make it
+    <= 0 on the forced ones (Andersen and Andersen 1995): each forcing
+    row gets the least multiplier that does so on the sectors it forced,
+    the exact ratio ``max combo[s] / (-sign * a_s)``, where ``sign`` is
+    the multiplier's sign, -1 only for an equality with positive
+    coefficients.  A row touches only sectors forced at or before its
+    own step, so no later step's sectors move.  A ratio with a
+    denominator ``q > 1`` scales every multiplier and the common
+    denominator by ``q``.  The multipliers become ``Fraction``s, keyed
+    by tag, only at the end."""
+    kept, signed, steps = presolve
+    if res is not None and res.feasible:
+        x = res.x[:len(kept)]
+        g = gcd(*x) or 1
+        nums = dict(zip(kept, x))
+        return Certificate("Feasible", witness={
+            s: nums.get(s, 0) // g for s in system.variables})
+    if res is None:
+        used, den = [], 1
+    else:
+        *y, den = (sign * v for (_f, sign), v in zip(signed, res.duals))
+        if den <= 0:  # no Farkas certificate: verification refuses it
+            return Certificate("Infeasible", multipliers={})
+        used = [(f, v) for (f, _s), v in zip(signed, y) if v]
+    mult = {f.tag: v for f, v in used}
+    if steps:
+        # the combination, times den, on the forced sectors
+        combo = {s: 0 for _f, pairs in steps for s, _c in pairs}
+        for f, v in [(system._aggregate, den)] + used:
+            for s, c in f.coeffs:
+                if s in combo:
+                    combo[s] += v * c
+        for f, pairs in reversed(steps):
+            sign = 1 if pairs[0][1] < 0 else -1
+            p, q = 0, 1  # the least multiplier, p / q, so far
+            for s, c in pairs:
+                v, a = combo[s], -sign * c
+                if v * q > p * a:
+                    p, q = v, a
+            if not p:
+                continue
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            if q > 1:
+                combo = {s: q * v for s, v in combo.items()}
+                mult = {tag: q * v for tag, v in mult.items()}
+                den *= q
+            k = sign * p
+            mult[f.tag] = mult.get(f.tag, 0) + k
+            for s, c in f.coeffs:
+                combo[s] += k * c
+    return Certificate("Infeasible", multipliers={
+        tag: Fraction(v, den) for tag, v in mult.items() if v})
 
 
 def feasible(system: ConstraintSystem) -> Certificate:
     """Exact feasibility decision with a checkable certificate.
 
+    The forcing presolve of :func:`_rows` fixes the sectors that the
+    signs force to 0; phase one decides the rest, unless nothing is
+    left, and :func:`_lift` lifts its answer to the whole system.
     Feasible yields the primitive integer witness of the solved vertex;
     Infeasible yields rational multipliers combining the constraints into
     a componentwise-nonpositive form that the strictness aggregate
-    contradicts.  Every certificate passes :func:`verify_certificate`
-    before it is returned; one that fails raises
+    contradicts.  Every certificate passes :func:`verify_certificate` on
+    the whole system before it is returned; one that fails raises
     :class:`InvariantViolation`.
     """
-    cert = _lift(system, phase_one(*_rows(system)))
+    problem, presolve = _rows(system)
+    res = phase_one(*problem) if problem else None
+    cert = _lift(system, presolve, res)
     if not verify_certificate(system, cert):
         raise InvariantViolation(
             f"emitted certificate for {system.kind} fails verification")
     return cert
+
+
+
 
 
 def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:

@@ -298,11 +298,18 @@ def test_tight_lines_are_the_forms_zero_at_the_witness(capsys):
 
 
 def test_detect_infeasible_report_carries_multipliers(capsys):
-    code, lines = run(capsys, "detect", "--kind", "isc",
-                      fx("fix-cross.bsf"))
+    # a negative multiplier, on an equality
+    code, lines = run(capsys, "detect", "--kind", "pos-tisc",
+                      fx("fix-split.bsf"))
     assert code == 0
     assert "feasible: false" in lines
-    assert "multiplier corner:P 1/1" in lines
+    assert "multiplier corner:Q -1/1" in lines
+    # fix-cross's isc aggregate is <= 0 by itself, so its certificate
+    # combines no form: the report has no multiplier line
+    code, lines = run(capsys, "detect", "--kind", "isc", fx("fix-cross.bsf"))
+    assert code == 0
+    assert "feasible: false" in lines
+    assert not [line for line in lines if line.startswith("multiplier")]
 
 
 def test_detect_oracle_runs_the_largest_bound_in_blocks():
@@ -529,6 +536,22 @@ def test_chart_check_box_report(capsys, box_path):
     assert "contact-cells: 729/729" in lines
     assert "max-violation: 0" in lines
     assert "tol: 1.0000000000000001e-09" in lines
+
+
+def test_a_byte_order_mark_on_a_grid_reads_as_no_text(capsys, tmp_path,
+                                                      box_path):
+    # grids are parsed from the file's bytes, so the mark is dropped
+    # there; the digest is still taken over the file's bytes
+    p = tmp_path / "bom.grid"
+    p.write_bytes(b"\xef\xbb\xbf" + Path(box_path).read_bytes())
+    code0, want = run(capsys, "chart", "check-box", box_path)
+    code, got = run(capsys, "chart", "check-box", str(p))
+    assert code == code0 == 0
+    digests = [f"input-sha256: {sha256(Path(g).read_bytes()).hexdigest()}"
+               for g in (box_path, p)]
+    i = want.index(digests[0])
+    assert got[i] == digests[1]
+    assert got[:i] + got[i + 1:] == want[:i] + want[i + 1:]
 
 
 def test_chart_grid_flag_cross_checks_the_shape(capsys, box_path):

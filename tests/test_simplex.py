@@ -1,7 +1,9 @@
 """The phase-one solver on its own, checked by plain arithmetic, and its
-raw answers on the systems ``selftest`` and the benchmark corpus solve,
-pinned as one sha256 per group."""
+raw answers on the whole of each system that ``selftest`` and the
+benchmark corpus solve, pinned as one sha256 per group; the forcing
+presolve's outcome on the same systems is pinned apart."""
 
+from functools import lru_cache
 from hashlib import sha256
 from pathlib import Path
 
@@ -83,27 +85,82 @@ def _schedule_systems():
     run_plan(cx, [tuple(line.split()) for line in plan.splitlines()])
 
 
-@pytest.mark.parametrize("solve, calls, digest", [
-    (_selftest_systems, 3000,
-     "16aaff447c6a9d7db2f0e9628d7bab4de1e9c124493a1614ac33283fee4c09c8"),
-    (_ladder_systems, 12,
-     "39d5068b3bf5a4282a633b58c97241b797bafdbb9bbfe2f4ee35d03f86ff6ae7"),
-    (_schedule_systems, 38,
-     "ef62e8744af7665549fb287f37e23b2b11365c272397e802c87a31ff5dc8ee4d"),
-], ids=["selftest-seeds-0-999", "ladder-L5-L20", "schedule-plan"])
-def test_phase_one_answers_are_pinned(monkeypatch, solve, calls, digest):
-    # every PhaseOneResult that feasible receives, in call order: the
-    # seeded selftest systems, criterion and pos-tisc on the benchmark's
-    # over-ladder, and each criterion of the benchmark's schedule plan
-    answers = []
+def _full_rows(system):
+    """The phase-one rows of the whole of ``system``, with no presolve:
+    the equalities, each inequality with its slack, then the aggregate
+    with its surplus, as ``weights._rows`` lays out a residual."""
+    col = {s: j for j, s in enumerate(system.variables)}
+    signed = ([(f, 1) for f in system.equalities]
+              + [(f, -1) for f in system.inequalities]
+              + [(system._aggregate, 1)])
+    rows = [{col[s]: sign * c for s, c in f.coeffs} for f, sign in signed]
+    for j, row in enumerate(rows[len(system.equalities):-1], len(col)):
+        row[j] = 1
+    n = len(col) + len(system.inequalities) + 1
+    rows[-1][n - 1] = -1
+    return rows, [0] * (len(rows) - 1) + [1], n
 
-    def recording(rows, rhs, n):
-        res = phase_one(rows, rhs, n)
-        answers.append(repr(res))
-        return res
 
-    monkeypatch.setattr(weights, "phase_one", recording)
-    solve()
-    text = "\n".join(answers)
-    assert (len(answers), sha256(text.encode()).hexdigest()) \
+@lru_cache(maxsize=None)
+def _solved(solve) -> tuple[tuple, int]:
+    """Every system that ``solve()`` hands to ``feasible``, in call order,
+    and the number of phase-one calls the presolve leaves."""
+    systems, calls = [], []
+    feasible = weights.feasible
+
+    def recording(system):
+        systems.append(system)
+        return feasible(system)
+
+    def counting(*args):
+        calls.append(1)
+        return phase_one(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "feasible", recording)
+        mp.setattr(weights, "phase_one", counting)
+        solve()
+    return tuple(systems), len(calls)
+
+
+SOLVES = [_selftest_systems, _ladder_systems, _schedule_systems]
+SOLVE_IDS = ["selftest-seeds-0-999", "ladder-L5-L20", "schedule-plan"]
+
+
+@pytest.mark.parametrize("solve, calls, digest", zip(SOLVES, [3000, 12, 38], [
+    "16aaff447c6a9d7db2f0e9628d7bab4de1e9c124493a1614ac33283fee4c09c8",
+    "39d5068b3bf5a4282a633b58c97241b797bafdbb9bbfe2f4ee35d03f86ff6ae7",
+    "ef62e8744af7665549fb287f37e23b2b11365c272397e802c87a31ff5dc8ee4d",
+]), ids=SOLVE_IDS)
+def test_phase_one_answers_are_pinned(solve, calls, digest):
+    # phase one's answer on the whole of every system that feasible is
+    # asked about, in call order: the seeded selftest systems, criterion
+    # and pos-tisc on the benchmark's over-ladder, and each criterion of
+    # the benchmark's schedule plan
+    systems, _ = _solved(solve)
+    text = "\n".join(repr(phase_one(*_full_rows(s))) for s in systems)
+    assert (len(systems), sha256(text.encode()).hexdigest()) \
         == (calls, digest)
+
+
+@pytest.mark.parametrize("solve, calls, digest", zip(SOLVES, [1843, 3, 2], [
+    "be3632d20afddc8c3ca7b66801ea724c6e21595153ee4ebc2af10b6af0833887",
+    "75ec7dcfc229855e887166a47d4390c13f7879bc9b76eab62c64536added7063",
+    "0bd406f2a8c515deb344a3ff5b25b82453cc5a8951c65e50a00429026bae0508",
+]), ids=SOLVE_IDS)
+def test_presolve_outcomes_are_pinned(solve, calls, digest):
+    # the phase-one calls that the forcing presolve leaves, and, per
+    # system, its forced sectors in forcing order and the residual's row
+    # and column counts; a system with nothing forced keeps the rows of
+    # the whole system
+    systems, got = _solved(solve)
+    outcomes = []
+    for system in systems:
+        problem, (_kept, _signed, steps) = weights._rows(system)
+        if not steps:
+            assert problem == _full_rows(system)
+        forced = [s for _f, pairs in steps for s, _c in pairs]
+        size = problem and (len(problem[0]), problem[2])
+        outcomes.append(f"{forced} {size}")
+    text = "\n".join(outcomes)
+    assert (got, sha256(text.encode()).hexdigest()) == (calls, digest)
