@@ -44,6 +44,7 @@ from bsgate.surface import SegItem, validate
 from bsgate.weights import Certificate, criterion, segment_form
 
 from conftest import FIXTURES, fixture_text, load
+from test_certificates import ladder
 
 ALL_FIXTURES = ["fix-torus.bsf", "fix-doc.bsf", "fix-fig5.bsf",
                 "fix-tdisc.bsf", "fix-negtd.bsf", "fix-split.bsf",
@@ -79,6 +80,23 @@ def test_good_loci_counts():
     assert len(good_loci(load("fix-split.bsf"))) == 2
     assert len(good_loci(load("fix-clean.bsf"))) == 2
     assert len(good_loci(load("fix-clean3.bsf"))) == 6
+
+
+def test_every_locus_list_is_pinned():
+    """Both locus lists, in order, over the fixtures, seeds 0-199 and every
+    tenth rung of the over-ladder: ``ladder()``, the certificate snapshot
+    and the bench corpus draw from ``good_loci`` with ``rng.choice``."""
+    named = ([(name, load(name)) for name in ALL_FIXTURES]
+             + [(f"seed-{s}", random_complex(s)) for s in range(200)]
+             + [(f"L{k}", ladder()[k]) for k in range(0, 121, 10)])
+    h, counts = sha256(), [0, 0]
+    for name, cx in named:
+        every, good = all_loci(cx), good_loci(cx)
+        h.update(f"{name}\n{every!r}\n{good!r}\n".encode())
+        counts[0] += len(every)
+        counts[1] += len(good)
+    assert (counts, h.hexdigest()) == ([36900, 11298], (
+        "2cf9bb0c2cbfd40889dd2d155028b70f56cd691d8b3e4ffa6961be892a70055a"))
 
 
 @pytest.mark.parametrize("locus,message", [

@@ -1,10 +1,14 @@
+import random
 import re
+from dataclasses import replace
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsgate.errors import ParseError
+from bsgate.gen import random_complex
 from bsgate.parser import (
     _tokens,
     parse_complex,
@@ -12,6 +16,8 @@ from bsgate.parser import (
     print_complex,
 )
 from bsgate.surface import (
+    FREE_END,
+    SIDES,
     BoundaryWord,
     BranchSegment,
     BranchedSurfaceComplex,
@@ -325,6 +331,79 @@ def test_role_failure_reported_with_dp_name():
                         "segment N arc one qz up qx lo fy ends free dp:P:0")
     cx = parse_complex(text)
     assert validate(cx).violations == ["role derivation failed at dp:P"]
+
+
+def _corruptions(cx, rng):
+    """Five broken copies of ``cx``, one per kind of damage, each at a
+    place drawn by ``rng``; a kind with nothing to damage is ``None``."""
+    def pick(seq):
+        return rng.choice(seq) if seq else None
+
+    def with_sector(si, sec):
+        return replace(cx, sectors=cx.sectors[:si] + (sec,) + cx.sectors[si + 1:])
+
+    def with_segment(gi, seg):
+        return replace(cx, segments=cx.segments[:gi] + (seg,)
+                       + cx.segments[gi + 1:])
+
+    out = {}
+    si = pick([i for i, s in enumerate(cx.sectors) if s.words])
+    if si is None:
+        out["drop-word"] = None
+    else:
+        s = cx.sectors[si]
+        wi = rng.randrange(len(s.words))
+        out["drop-word"] = with_sector(
+            si, replace(s, words=s.words[:wi] + s.words[wi + 1:]))
+    site = pick([(si, wi, ii) for si, s in enumerate(cx.sectors)
+                 for wi, w in enumerate(s.words)
+                 for ii, it in enumerate(w.items) if isinstance(it, SegItem)])
+    if site is None:
+        out["swap-side"] = None
+    else:
+        si, wi, ii = site
+        s = cx.sectors[si]
+        w = s.words[wi]
+        it = w.items[ii]
+        swapped = SegItem(it.seg, SIDES[(SIDES.index(it.side) + 1) % 3])
+        words = list(s.words)
+        words[wi] = BoundaryWord(w.items[:ii] + (swapped,) + w.items[ii + 1:],
+                                 w.verts)
+        out["swap-side"] = with_sector(si, replace(s, words=tuple(words)))
+    gi = pick([i for i, g in enumerate(cx.segments) if g.kind == "arc"])
+    out["free-end"] = None if gi is None else with_segment(
+        gi, replace(cx.segments[gi], **{rng.choice(("end0", "end1")): FREE_END}))
+    di = pick(range(len(cx.dps)))
+    out["drop-dp"] = None if di is None else replace(
+        cx, dps=cx.dps[:di] + cx.dps[di + 1:])
+    gi = pick(range(len(cx.segments)))
+    if gi is None:
+        out["rename-sheet"] = None
+    else:
+        g = cx.segments[gi]
+        side = rng.choice(SIDES)
+        others = [s.id for s in cx.sectors if s.id != g.side(side)]
+        out["rename-sheet"] = with_segment(
+            gi, replace(g, **{side: pick(others) or "nowhere"}))
+    return out
+
+
+def test_every_violation_list_is_pinned():
+    """Every violation, in order, of five kinds of damage done to each of
+    seeds 0-199 at places drawn from the seed: dropped words, swapped
+    sides, freed arc ends, dropped double points, renamed sheets."""
+    h, counts = sha256(), {}
+    for seed in range(200):
+        cx = random_complex(seed)
+        for kind, broken in _corruptions(cx, random.Random(seed)).items():
+            vs = None if broken is None else validate(broken).violations
+            h.update(f"{seed} {kind} {vs!r}\n".encode())
+            counts[kind] = counts.get(kind, 0) + bool(vs)
+    # the kinds that found something to damage; every damaged copy fails
+    assert counts == {"drop-word": 191, "swap-side": 191, "free-end": 94,
+                      "drop-dp": 94, "rename-sheet": 191}
+    assert h.hexdigest() == (
+        "fdc45c65d8b6b9111d44c775382ab7e6c40cf2dbe658e39f19e36769e483741a")
 
 
 # -- generated documents ----------------------------------------------------
