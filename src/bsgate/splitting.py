@@ -133,27 +133,29 @@ def is_bad_move(cx: BranchedSurfaceComplex, locus: SplitLocus) -> bool:
     return ext.side != "one"
 
 
-def all_loci(cx: BranchedSurfaceComplex) -> list[SplitLocus]:
-    """Every resolvable locus: inward entry, any segment edge as exit."""
+def _loci(cx: BranchedSurfaceComplex, good: bool) -> list[SplitLocus]:
+    """Per sector, each inward entry paired with every other segment edge,
+    or with every other inward edge when ``good``: one walk of the words."""
     out = []
     for s in cx.sectors:
-        seg_positions = []
-        entries = []
-        for wi, w in enumerate(s.words):
-            for ii, it in enumerate(w.items):
-                if isinstance(it, SegItem):
-                    seg_positions.append((wi, ii))
-                    if it.side == "one":
-                        entries.append((wi, ii))
+        edges = [((wi, ii), it.side) for wi, w in enumerate(s.words)
+                 for ii, it in enumerate(w.items) if isinstance(it, SegItem)]
+        entries = [p for p, side in edges if side == "one"]
+        exits = entries if good else [p for p, _ in edges]
         for e in entries:
-            for x in seg_positions:
-                if x != e:
-                    out.append(SplitLocus(s.id, e, x))
+            out.extend(SplitLocus(s.id, e, x) for x in exits if x != e)
     return out
 
 
+def all_loci(cx: BranchedSurfaceComplex) -> list[SplitLocus]:
+    """Every resolvable locus: inward entry, any segment edge as exit."""
+    return _loci(cx, good=False)
+
+
 def good_loci(cx: BranchedSurfaceComplex) -> list[SplitLocus]:
-    return [loc for loc in all_loci(cx) if not is_bad_move(cx, loc)]
+    """The loci of :func:`all_loci` that :func:`is_bad_move` passes, those
+    whose exit carries a merged side too, in the same order."""
+    return _loci(cx, good=True)
 
 
 # -- locus text form (used by the command line and plan files) ---------------

@@ -145,19 +145,6 @@ class BranchedSurfaceComplex:
         return {d.id: d for d in self.dps}
 
     @cached_property
-    def dp_slots(self) -> dict[str, list]:
-        """Per double point: slot -> (segment id, end index) or None."""
-        table: dict[str, list] = {d.id: [None] * 4 for d in self.dps}
-        for g in self.segments:
-            for ei, end in ((0, g.end0), (1, g.end1)):
-                if end is None or end.dp is None:
-                    continue
-                if end.dp in table and end.slot is not None and 0 <= end.slot < 4:
-                    if table[end.dp][end.slot] is None:
-                        table[end.dp][end.slot] = (g.id, ei)
-        return table
-
-    @cached_property
     def dp_corners(self) -> dict[str, dict]:
         """Per double point: germ side (slot, side) -> (the germ side its
         sector's corner joins it to, that sector), read off every word
@@ -239,14 +226,13 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
     The roles are those of the first base slot and ``w``-sheet side whose
     six ``_PATTERN`` corners are all present, whichever way round each
     runs.  Only ``z``'s corner joins two merged sides, so at most one
-    reading fits; none raises :class:`NoConsistentRoles`.
+    reading fits; none raises :class:`NoConsistentRoles`.  The six corners
+    meet all four slots, so none fits a point that lacks an end at some
+    slot; :func:`validate` reports that arity before it reads roles.
     """
-    slots = cx.dp_slots.get(dp_id)
-    if slots is None:
+    corners = cx.dp_corners.get(dp_id)
+    if corners is None:
         raise NoConsistentRoles(f"unknown double point {dp_id}")
-    if any(e is None for e in slots):
-        raise NoConsistentRoles(f"double point {dp_id} does not have four ends")
-    corners = cx.dp_corners[dp_id]
     for joins in _READINGS:
         roles = {}
         for role, here, there in joins:
@@ -320,6 +306,8 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
         if d.sign not in (1, -1):
             rep.add(f"dp {d.id} has invalid sign")
 
+    # the sectors whose words carry each (segment, side), read further down
+    occurrences: dict[tuple[str, str], list[str]] = {}
     for s in cx.sectors:
         if s.genus < 0:
             rep.add(f"sector {s.id} has negative genus")
@@ -333,6 +321,8 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
                                 f"names unknown segment {it.seg}")
                     elif it.side not in SIDES:
                         rep.add(f"sector {s.id} word {wi}: bad side {it.side}")
+                    else:
+                        occurrences.setdefault((it.seg, it.side), []).append(s.id)
             for v in w.verts:
                 if v is not None and v not in cx.dp_by_id:
                     rep.add(f"dangling reference: sector {s.id} word {wi} "
@@ -353,12 +343,6 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
 
     # side multiplicity: each (segment, side) appears exactly once, in the
     # declared sector's words
-    occurrences: dict[tuple[str, str], list[str]] = {}
-    for s in cx.sectors:
-        for w in s.words:
-            for it in w.items:
-                if isinstance(it, SegItem) and it.side in SIDES:
-                    occurrences.setdefault((it.seg, it.side), []).append(s.id)
     for g in cx.segments:
         for role in SIDES:
             occ = occurrences.get((g.id, role), [])

@@ -344,9 +344,6 @@ def feasible(system: ConstraintSystem) -> Certificate:
     return cert
 
 
-
-
-
 def verify_certificate(system: ConstraintSystem, cert: Certificate) -> bool:
     """Re-check a certificate by direct arithmetic, solver-independently.
 

@@ -22,6 +22,7 @@ from bsgate.gen import random_complex
 from bsgate.splitting import (
     NEUTRAL, OVER, UNDER, format_locus, good_loci, split)
 from bsgate.surface import (
+    FREE_END,
     BranchSegment,
     BranchedSurfaceComplex,
     DoublePoint,
@@ -39,11 +40,11 @@ ROLE_NAMES = ("z", "x", "u", "v", "w", "y")
 
 
 def _germs(cx, did):
-    out = []
-    for gid, _ei in cx.dp_slots[did]:
-        g = cx.segment_by_id[gid]
-        out.append((g.one, g.up, g.lo))
-    return out
+    """Per slot 0-3, the sheets (one, up, lo) of the segment whose end sits
+    there, read off the segments' declared ends."""
+    at = {end.slot: g for g in cx.segments for end in (g.end0, g.end1)
+          if end is not None and end.dp == did}
+    return [(at[k].one, at[k].up, at[k].lo) for k in range(4)]
 
 
 def _roles(r):
@@ -155,6 +156,26 @@ def test_no_consistent_roles_raised():
                   [("A", "A", "A")] * 4):
         with pytest.raises(NoConsistentRoles):
             derive_roles(_dp_complex(table), "P")
+
+
+def test_unknown_double_point_refused():
+    with pytest.raises(NoConsistentRoles) as ei:
+        derive_roles(load("fix-cross.bsf"), "nope")
+    assert str(ei.value) == "unknown double point nope"
+
+
+def test_missing_end_leaves_no_reading():
+    """A point with no end at slot 0 has no corner there, so no reading
+    fits; validation reports the arity and reads no roles."""
+    cx = load("fix-cross.bsf")
+    cx = replace(cx, segments=tuple(
+        replace(g, end0=FREE_END) if g.id == "A" else g for g in cx.segments))
+    with pytest.raises(NoConsistentRoles,
+                       match="^role derivation failed at dp:P$"):
+        derive_roles(cx, "P")
+    vs = validate(cx).violations
+    assert "dp P has wrong end arity (slots filled [0, 1, 1, 1])" in vs
+    assert not any("role" in v for v in vs)
 
 
 def test_ambiguous_roles_raised():
