@@ -406,6 +406,28 @@ def test_every_violation_list_is_pinned():
         "fdc45c65d8b6b9111d44c775382ab7e6c40cf2dbe658e39f19e36769e483741a")
 
 
+def test_every_corner_table_is_pinned():
+    """Every double point's corner table, entries in the order they were
+    recorded, over the fixtures, seeds 0-199 and each seed's damaged
+    copies, whose tables hold what their words still record."""
+    named = [(name, load(name)) for name in ALL_FIXTURES]
+    for seed in range(200):
+        cx = random_complex(seed)
+        named.append((f"{seed}", cx))
+        named += [(f"{seed} {kind}", broken) for kind, broken
+                  in _corruptions(cx, random.Random(seed)).items()
+                  if broken is not None]
+    h, entries = sha256(), 0
+    for name, cx in named:
+        h.update(f"{name}\n".encode())
+        for did, corners in cx.dp_corners.items():
+            h.update(f"{did} {list(corners.items())!r}\n".encode())
+            entries += len(corners)
+    assert (len(named), entries) == (970, 7168)
+    assert h.hexdigest() == (
+        "4c0ccc784bf5394b0ffe973e9f74c0fc9c79b3ff668d70715eb2c8e663a751b9")
+
+
 # -- generated documents ----------------------------------------------------
 
 @st.composite
