@@ -144,33 +144,17 @@ class BranchedSurfaceComplex:
     def dp_by_id(self) -> dict[str, DoublePoint]:
         return {d.id: d for d in self.dps}
 
-    @cached_property
+    @property
     def dp_corners(self) -> dict[str, dict]:
         """Per double point: germ side (slot, side) -> (the germ side its
         sector's corner joins it to, that sector), read off every word
-        vertex at the point; each corner is entered from both sides."""
-        segs = self.segment_by_id
-        table: dict[str, dict] = {d.id: {} for d in self.dps}
-        for s in self.sectors:
-            for w in s.words:
-                items = w.items
-                for before, v, after in zip(items, w.verts,
-                                            items[1:] + items[:1]):
-                    if v not in table:
-                        continue
-                    sides = []
-                    for it, which in ((before, "next"), (after, "prev")):
-                        if not (isinstance(it, SegItem) and it.seg in segs):
-                            break
-                        end = _end_of_item(segs[it.seg], it.side, which)
-                        if end is None or end.dp != v:
-                            break
-                        sides.append((end.slot, it.side))
-                    else:
-                        a, b = sides
-                        table[v][a] = (b, s.id)
-                        table[v][b] = (a, s.id)
-        return table
+        vertex at the point; each corner is entered from both sides.  The
+        one walk of the words that yields the violations records it."""
+        return self._word_walk[0]
+
+    @cached_property
+    def _word_walk(self) -> tuple:
+        return _walk_words(self)
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -188,13 +172,93 @@ def _end_of_item(seg: BranchSegment, side: str, which: str) -> Union[SegmentEnd,
     """Segment end at the 'prev'/'next' vertex of a word item.
 
     one-side runs end0->end1, so its prev vertex sits at end0; up/lo run
-    the other way.  Circles return None (no ends).
+    the other way.  A circle declares no ends, so both are None.
     """
-    if seg.kind == "circle":
-        return None
     if side == "one":
         return seg.end0 if which == "prev" else seg.end1
     return seg.end1 if which == "prev" else seg.end0
+
+
+def _walk_words(cx: BranchedSurfaceComplex) -> tuple:
+    """One walk of the words: the corner table, and the words' reference,
+    side-multiplicity and flank violations.  It resolves each edge item's
+    segment ends once, at its two vertices; a corner is recorded exactly
+    where the flank check passes.  The sectors carrying each (segment,
+    side) are read here, so that no complex keeps them."""
+    segs = cx.segment_by_id
+    corners: dict[str, dict] = {d.id: {} for d in cx.dps}
+    carriers: dict[tuple[str, str], list[str]] = {}
+    # reference violations, in report order; the others are read once
+    # every reference resolves
+    refs, sides, flanks = [], [], []
+    for s in cx.sectors:
+        if s.genus < 0:
+            refs.append(f"sector {s.id} has negative genus")
+        for wi, w in enumerate(s.words):
+            if not w.items:
+                refs.append(f"sector {s.id} word {wi} is empty")
+                continue
+            # the previous item's germ side at the vertex between them, and
+            # the first item's at the vertex that closes the word
+            ahead = first = None
+            prev_v = w.verts[-1]
+            for ii, (it, v) in enumerate(zip(w.items, w.verts)):
+                germs = [None, None]  # its germ sides at prev and next
+                if isinstance(it, FreeItem):
+                    if prev_v is not None or v is not None:
+                        flanks.append(f"sector {s.id} word {wi}: free edge "
+                                      f"{it.label} abuts a double-point vertex")
+                elif (g := segs.get(it.seg)) is None:
+                    refs.append(f"dangling reference: sector {s.id} word {wi} "
+                                f"names unknown segment {it.seg}")
+                else:
+                    carriers.setdefault((it.seg, it.side), []).append(s.id)
+                    if it.side not in SIDES:
+                        refs.append(f"sector {s.id} word {wi}: "
+                                    f"bad side {it.side}")
+                    if g.kind != "circle":
+                        for k, (which, at) in enumerate((("prev", prev_v),
+                                                         ("next", v))):
+                            end = _end_of_item(g, it.side, which)
+                            want = None if end is None else end.dp
+                            if at != want:
+                                flanks.append(
+                                    f"sector {s.id} word {wi} item {ii} "
+                                    f"({it.seg}:{it.side}): {which} vertex is "
+                                    f"{at or 'smooth'} but segment end is "
+                                    f"{'free' if want is None else 'dp:' + want}")
+                            elif at in corners:
+                                germs[k] = (end.slot, it.side)
+                    elif len(w.items) != 1:
+                        flanks.append(f"sector {s.id} word {wi}: circle side "
+                                      f"{it.seg}:{it.side} must fill a "
+                                      "whole word")
+                    elif v is not None:
+                        flanks.append(f"sector {s.id} word {wi}: circle "
+                                      "basepoint must be smooth")
+                back, fwd = germs
+                if ii == 0:
+                    first = back
+                elif ahead is not None and back is not None:
+                    corners[prev_v].update({ahead: (back, s.id),
+                                            back: (ahead, s.id)})
+                ahead, prev_v = fwd, v
+            if ahead is not None and first is not None:
+                corners[prev_v].update({ahead: (first, s.id),
+                                        first: (ahead, s.id)})
+            for v in w.verts:
+                if v is not None and v not in corners:
+                    refs.append(f"dangling reference: sector {s.id} word {wi} "
+                                f"names unknown dp {v}")
+    # each (segment, side) appears once, in its declared sector's words
+    for g in cx.segments:
+        for role in SIDES:
+            occ = carriers.get((g.id, role), [])
+            want = g.side(role)
+            if len(occ) != 1 or occ[0] != want:
+                sides.append(f"segment {g.id} side {role} must appear exactly "
+                             f"once on sector {want}'s boundary (found {occ})")
+    return corners, refs, sides, flanks
 
 
 _PATTERN = (
@@ -222,13 +286,14 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
     """Read the corner-role assignment at a double point off the words.
 
     Each corner the boundary words record at the point joins two germ
-    sides through one sector (:attr:`BranchedSurfaceComplex.dp_corners`).
-    The roles are those of the first base slot and ``w``-sheet side whose
-    six ``_PATTERN`` corners are all present, whichever way round each
-    runs.  Only ``z``'s corner joins two merged sides, so at most one
-    reading fits; none raises :class:`NoConsistentRoles`.  The six corners
-    meet all four slots, so none fits a point that lacks an end at some
-    slot; :func:`validate` reports that arity before it reads roles.
+    sides through one sector (:attr:`BranchedSurfaceComplex.dp_corners`,
+    read in the walk of the words that yields the violations).  The roles
+    are those of the first base slot and ``w``-sheet side whose six
+    ``_PATTERN`` corners are all present, whichever way round each runs.
+    Only ``z``'s corner joins two merged sides, so at most one reading
+    fits; none raises :class:`NoConsistentRoles`.  The six corners meet
+    all four slots, so none fits a point that lacks an end at some slot;
+    :func:`validate` reports that arity before it reads roles.
     """
     corners = cx.dp_corners.get(dp_id)
     if corners is None:
@@ -252,22 +317,19 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, msg: str) -> None:
-        self.violations.append(msg)
-
 
 def validate(cx: BranchedSurfaceComplex) -> ValidationReport:
     """Check every structural invariant; returns the list of violations.
 
     A clean report (empty list) is the precondition for the weight,
-    assembly and splitting operations.  The checks run once per complex;
-    each call returns a fresh report.
+    assembly and splitting operations.  One walk of the words per complex
+    yields the corners and the violations; each call returns a fresh report.
     """
     return ValidationReport(list(cx.violations))
 
 
 def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
-    rep = ValidationReport()
+    out: list[str] = []
 
     # identifier uniqueness
     for kind, ids in (("sector", [s.id for s in cx.sectors]),
@@ -276,7 +338,7 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
         seen = set()
         for i in ids:
             if i in seen:
-                rep.add(f"duplicate {kind} id {i}")
+                out.append(f"duplicate {kind} id {i}")
             seen.add(i)
 
     # reference resolution
@@ -284,51 +346,32 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
         for role in SIDES:
             sid = g.side(role)
             if sid not in cx.sector_by_id:
-                rep.add(f"dangling reference: segment {g.id} side {role} "
-                        f"names unknown sector {sid}")
+                out.append(f"dangling reference: segment {g.id} side {role} "
+                           f"names unknown sector {sid}")
         if g.kind == "circle":
             if g.end0 is not None or g.end1 is not None:
-                rep.add(f"circle segment {g.id} must not declare ends")
+                out.append(f"circle segment {g.id} must not declare ends")
         elif g.kind == "arc":
             for label, end in (("end0", g.end0), ("end1", g.end1)):
                 if end is None:
-                    rep.add(f"arc segment {g.id} missing {label}")
+                    out.append(f"arc segment {g.id} missing {label}")
                 elif end.dp is not None:
                     if end.dp not in cx.dp_by_id:
-                        rep.add(f"dangling reference: segment {g.id} {label} "
-                                f"names unknown dp {end.dp}")
+                        out.append(f"dangling reference: segment {g.id} "
+                                   f"{label} names unknown dp {end.dp}")
                     elif not (end.slot is not None and 0 <= end.slot < 4):
-                        rep.add(f"segment {g.id} {label} has bad slot")
+                        out.append(f"segment {g.id} {label} has bad slot")
         else:
-            rep.add(f"segment {g.id} has unknown kind {g.kind}")
+            out.append(f"segment {g.id} has unknown kind {g.kind}")
 
     for d in cx.dps:
         if d.sign not in (1, -1):
-            rep.add(f"dp {d.id} has invalid sign")
+            out.append(f"dp {d.id} has invalid sign")
 
-    # the sectors whose words carry each (segment, side), read further down
-    occurrences: dict[tuple[str, str], list[str]] = {}
-    for s in cx.sectors:
-        if s.genus < 0:
-            rep.add(f"sector {s.id} has negative genus")
-        for wi, w in enumerate(s.words):
-            if not w.items:
-                rep.add(f"sector {s.id} word {wi} is empty")
-            for it in w.items:
-                if isinstance(it, SegItem):
-                    if it.seg not in cx.segment_by_id:
-                        rep.add(f"dangling reference: sector {s.id} word {wi} "
-                                f"names unknown segment {it.seg}")
-                    elif it.side not in SIDES:
-                        rep.add(f"sector {s.id} word {wi}: bad side {it.side}")
-                    else:
-                        occurrences.setdefault((it.seg, it.side), []).append(s.id)
-            for v in w.verts:
-                if v is not None and v not in cx.dp_by_id:
-                    rep.add(f"dangling reference: sector {s.id} word {wi} "
-                            f"names unknown dp {v}")
-    if rep.violations:  # later checks assume resolvable references
-        return tuple(rep.violations)
+    _corners, refs, sides, flanks = cx._word_walk
+    out += refs
+    if out:  # later checks assume resolvable references
+        return tuple(out)
 
     # four ends per double point, one per slot
     slot_fill: dict[str, list[int]] = {d.id: [0] * 4 for d in cx.dps}
@@ -338,65 +381,22 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
                 slot_fill[end.dp][end.slot] += 1
     for d in cx.dps:
         if slot_fill[d.id] != [1, 1, 1, 1]:
-            rep.add(f"dp {d.id} has wrong end arity "
-                    f"(slots filled {slot_fill[d.id]})")
+            out.append(f"dp {d.id} has wrong end arity "
+                       f"(slots filled {slot_fill[d.id]})")
 
-    # side multiplicity: each (segment, side) appears exactly once, in the
-    # declared sector's words
-    for g in cx.segments:
-        for role in SIDES:
-            occ = occurrences.get((g.id, role), [])
-            want = g.side(role)
-            if len(occ) != 1 or occ[0] != want:
-                rep.add(f"segment {g.id} side {role} must appear exactly once "
-                        f"on sector {want}'s boundary (found {occ})")
-
-    # vertex/end flank consistency and circle-word shape
-    for s in cx.sectors:
-        for wi, w in enumerate(s.words):
-            n = len(w.items)
-            for ii, it in enumerate(w.items):
-                prev_v = w.verts[(ii - 1) % n]
-                next_v = w.verts[ii]
-                if isinstance(it, FreeItem):
-                    if prev_v is not None or next_v is not None:
-                        rep.add(f"sector {s.id} word {wi}: free edge "
-                                f"{it.label} abuts a double-point vertex")
-                    continue
-                g = cx.segment_by_id[it.seg]
-                if g.kind == "circle":
-                    if n != 1:
-                        rep.add(f"sector {s.id} word {wi}: circle side "
-                                f"{it.seg}:{it.side} must fill a whole word")
-                    elif w.verts[0] is not None:
-                        rep.add(f"sector {s.id} word {wi}: circle basepoint "
-                                f"must be smooth")
-                    continue
-                for which, v in (("prev", prev_v), ("next", next_v)):
-                    end = _end_of_item(g, it.side, which)
-                    want = None if end.dp is None else end.dp
-                    if v != want:
-                        rep.add(
-                            f"sector {s.id} word {wi} item {ii} "
-                            f"({it.seg}:{it.side}): {which} vertex is "
-                            f"{v or 'smooth'} but segment end is "
-                            f"{'free' if want is None else 'dp:' + want}")
-
-    if rep.violations:
-        return tuple(rep.violations)
+    # side multiplicity, vertex/end flank consistency and circle-word shape
+    out += sides + flanks
+    if out:
+        return tuple(out)
 
     # corner roles must be read off the words at every double point; only
     # when the cached map fails is each point derived alone, to report all
     try:
         cx.roles
     except NoConsistentRoles:
-        pass
-    else:
-        return ()
-    for d in cx.dps:
-        try:
-            derive_roles(cx, d.id)
-        except NoConsistentRoles:
-            rep.add(f"role derivation failed at dp:{d.id}")
-
-    return tuple(rep.violations)
+        for d in cx.dps:
+            try:
+                derive_roles(cx, d.id)
+            except NoConsistentRoles:
+                out.append(f"role derivation failed at dp:{d.id}")
+    return tuple(out)

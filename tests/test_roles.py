@@ -28,13 +28,14 @@ from bsgate.surface import (
     DoublePoint,
     RoleAssignment,
     Sector,
+    SegItem,
     SegmentEnd,
     derive_roles,
     validate,
 )
 
 from conftest import FIXTURES, load
-from test_certificates import ladder
+from test_certificates import RUNGS, ladder
 
 ROLE_NAMES = ("z", "x", "u", "v", "w", "y")
 
@@ -267,6 +268,31 @@ def test_ambiguity_impossible_for_arising_tables():
     for tbl in product(product("AB", repeat=3), repeat=4):
         with pytest.raises(NoConsistentRoles):
             derive_roles(_dp_complex([tuple(g) for g in tbl]), "P")
+
+
+def test_each_segment_end_is_resolved_once_per_word_item(monkeypatch):
+    """A cold validation plus the roles resolve the segment end at each
+    vertex of each arc edge item once: one walk of the words yields the
+    corner table and the violations."""
+    calls = []
+
+    def counted(seg, side, which):
+        calls.append(which)
+        return end_of_item(seg, side, which)
+
+    named = _group("fixtures") + [(f"L{k}", ladder()[k]) for k in RUNGS]
+    end_of_item = surface._end_of_item
+    monkeypatch.setattr(surface, "_end_of_item", counted)
+    arc_items = 0
+    for _name, cx in named:
+        cx = replace(cx)  # a copy with no cached tables
+        assert validate(cx).ok()
+        cx.roles
+        arc_items += sum(isinstance(it, SegItem)
+                         and cx.segment_by_id[it.seg].kind == "arc"
+                         for s in cx.sectors for w in s.words for it in w.items)
+    assert (len(calls), arc_items) == (1356, 678)
+    assert calls.count("prev") == calls.count("next")
 
 
 # -- corner forms, pinned -----------------------------------------------------
