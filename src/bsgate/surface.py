@@ -91,7 +91,7 @@ class BranchSegment:
     end1: Union[SegmentEnd, None] = None
 
     def side(self, role: str) -> str:
-        return {"one": self.one, "up": self.up, "lo": self.lo}[role]
+        return getattr(self, role)
 
 
 @dataclass(frozen=True)

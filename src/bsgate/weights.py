@@ -410,22 +410,22 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
     entries: the trailing variables whose full table fits, and a block
     of as many values of the digit before them as fit, so that a digit
     wider than that still costs one compare per block, not one per
-    value (bound 2**26 - 1 over one variable takes about 0.06 s).  Each
-    block, with the leading variables taken in lexicographic order,
-    compares the table with its own values and checks every constraint
-    at once; only the first hit is decoded.  Every entry and every
-    shift lies in ``[-reach - 1, reach]``, where
+    value (bound 2**26 - 1 over one variable and three columns takes
+    about 0.35 s).  Each block, with the leading variables taken in
+    lexicographic order, compares the table with its own values and
+    checks every constraint at once; only the first hit is decoded.
+    Every entry and every shift lies in ``[-reach - 1, reach]``, where
     ``reach = bound * max(1, sum(|c|))`` over the forms, so the table is
     kept in the narrowest signed dtype that holds that range (int8 for
-    the ``selftest`` systems).  Refuses
-    a bound that is not an ``int``, a search space of (bound+1)**n >
-    2**26 candidates (a full search of 4**13 over three columns takes
-    about 0.03 s on a 2-vCPU x86-64 VM once numpy is loaded; the tests
-    need 7**9), and a form whose values could leave int64,
-    ``bound * sum(|c|) > 2**63 - 1``.
+    the ``selftest`` systems).  Refuses a bound that is not an ``int``,
+    a search space of (bound+1)**n > 2**26 candidates (a full search of
+    4**13 over three columns takes about 0.03 s on a 2-vCPU x86-64 VM
+    once numpy is loaded; the tests need 7**9), and a form whose values
+    could leave int64, ``bound * sum(|c|) > 2**63 - 1``.  After those
+    refusals, a strict aggregate with no positive coefficient, whose
+    largest value over the box is below 1, misses with no table built
+    and no numpy loaded.
     """
-    import numpy as np  # here, so that only the oracle's callers load it
-
     if not isinstance(bound, int):
         raise MalformedSystem(f"bound must be an int, not {bound!r}")
     if bound < 1:
@@ -441,6 +441,12 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
         reach = max(reach, bound * sum(abs(c) for _s, c in form.coeffs))
         if reach > _INT64_MAX:
             raise MalformedSystem(f"oracle values of {form.tag} exceed int64")
+    # over the box the aggregate reaches at most bound times its positive
+    # coefficients, so with none it never reaches 1, and no table is built
+    if not any(c > 0 for _s, c in system._aggregate.coeffs):
+        return None
+    import numpy as np  # here, so that only the oracle's tables load it
+
     dtype = np.min_scalar_type(-reach - 1)
 
     # one column per constraint, each required >= 0: an equality is a
@@ -454,8 +460,6 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
             rows[col[s]][k] = sign * c
     per_unit = np.array(rows, dtype=dtype).reshape(n, width)
 
-    if not n:  # the aggregate of no weights is 0, never >= 1
-        return None
     base = bound + 1
     # the table holds the last t < n variables in full and `step` values
     # of the one before them, the blocked digit, so that it keeps at most

@@ -32,6 +32,23 @@ def fix(request):
     return load(request.param)
 
 
+@pytest.fixture
+def oracle_tables(monkeypatch):
+    """The dtypes of the tables ``brute_force`` builds, in call order:
+    each table starts by choosing its dtype, and no other code of a
+    test that reads this calls ``numpy.min_scalar_type``."""
+    import numpy
+
+    picked, pick = [], numpy.min_scalar_type
+
+    def recording_pick(value):
+        picked.append(pick(value))
+        return picked[-1]
+
+    monkeypatch.setattr(numpy, "min_scalar_type", recording_pick)
+    return picked
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """``python <args>`` in a fresh interpreter that imports the bsgate
     under test: this process has numpy and the charts loaded already,

@@ -315,7 +315,9 @@ def test_detect_infeasible_report_carries_multipliers(capsys):
 def test_detect_oracle_runs_the_largest_bound_in_blocks():
     # one variable at the largest bound under the 2**26 cap: one Python
     # iteration per candidate ran for minutes; a fresh interpreter with
-    # a timeout, so that such a search fails instead of hanging
+    # a timeout, so that such a search fails instead of hanging.  The
+    # isc aggregate of fix-torus is empty, so the oracle now misses
+    # before any table; test_weights runs the blocked search itself
     code, lines, err = bsgate_child("detect", "--kind", "isc",
                                     "--oracle-bound", "67108863",
                                     fx("fix-torus.bsf"))
@@ -883,6 +885,23 @@ def test_selftest_asks_the_oracle_only_about_infeasible_verdicts(
     # seeds 0-3: isc is feasible on seeds 0 and 3, all else infeasible
     assert [ok for _s, ok in verdicts].count(True) == 2
     assert asked == [system for system, ok in verdicts if not ok]
+
+
+def test_selftest_oracle_builds_a_table_only_where_the_aggregate_can_reach_1(
+        capsys, monkeypatch, oracle_tables):
+    # seeds 0-999 ask the oracle 2627 times; 2355 of those systems have a
+    # strict aggregate with no positive coefficient, which misses with no
+    # table, and the other 272 build one each
+    calls, oracle = [], weights.brute_force
+
+    def recording_oracle(system, bound):
+        calls.append(system)
+        return oracle(system, bound)
+
+    monkeypatch.setattr(weights, "brute_force", recording_oracle)
+    code, lines = run(capsys, "selftest", "--seeds", "1000")
+    assert code == 0 and "solver-runs: 3000" in lines
+    assert (len(calls), len(oracle_tables)) == (2627, 272)
 
 
 def test_selftest_names_the_seed_and_kind_of_a_failed_check(capsys,

@@ -106,6 +106,17 @@ def test_the_oracle_loads_numpy_when_asked(capsys):
     assert report[-2:] == ["oracle-witness: found", "oracle-agreement: ok"]
 
 
+def test_the_oracle_answers_an_aggregate_that_cannot_reach_1_without_numpy():
+    # the isc aggregate of fix-cross has no positive coefficient, so no
+    # vector in the box reaches 1 and the oracle builds no table
+    report, verdict, modules = probe("detect", "--kind", "isc",
+                                     "--oracle-bound", "3",
+                                     fx("fix-cross.bsf"))
+    assert verdict == "exit 0 numpy-before False numpy-after False"
+    assert modules == layers(*EXACT)
+    assert report[-2:] == ["oracle-witness: none", "oracle-agreement: ok"]
+
+
 def test_every_public_name_resolves():
     for name in bsgate.__all__:
         getattr(bsgate, name)

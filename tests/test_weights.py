@@ -437,28 +437,40 @@ def _edge_systems(span):
     # the least hit is a = b = 1, where i0 reads span itself
     top = toy([{"a": span}, {"a": -1, "b": span - 1}], [0],
               variables=("a", "b", "c"))
-    # no hit; at a = 1, i0 reads -span and the aggregate column -span - 1
+    # no hit; at a = 1, i0 reads -span and the aggregate column -span - 1,
+    # but an aggregate with no positive coefficient misses with no table
     bottom = toy([{"a": -span}, {"b": 1}], [0])
-    return top, bottom
+    # no hit; the aggregate a can reach 1, so the search runs, and at
+    # a = 1 its table reads -span in column i1
+    low = toy([{"a": 1}, {"a": -span}], [0])
+    return top, bottom, low
 
 
 @pytest.mark.parametrize("chunk", [weights._CHUNK_ELEMENTS, 8])
 @pytest.mark.parametrize("span", [127, 128, 32767, 32768, 2**31 - 1, 2**31])
-def test_brute_force_at_the_edges_of_each_dtype(span, chunk, monkeypatch):
+def test_brute_force_at_the_edges_of_each_dtype(span, chunk, monkeypatch,
+                                                oracle_tables):
     # a table one dtype too narrow reads span as a negative number
     monkeypatch.setattr(weights, "_CHUNK_ELEMENTS", chunk)
-    top, bottom = _edge_systems(span)
+    top, bottom, low = _edge_systems(span)
     assert brute_force(top, 1) == reference_oracle(top, 1) == {
         "a": 1, "b": 1, "c": 0}
     assert brute_force(bottom, 1) is reference_oracle(bottom, 1) is None
+    assert brute_force(low, 1) is reference_oracle(low, 1) is None
+    # top and low share the dtype of span; bottom built no table
+    assert len(oracle_tables) == 2
+    assert oracle_tables[0] == oracle_tables[1]
 
 
 @pytest.mark.parametrize("chunk", [weights._CHUNK_ELEMENTS, 8])
-def test_brute_force_digits_wider_than_every_form(chunk, monkeypatch):
-    # every form is zero, yet the digits run to 200, past int8
+def test_brute_force_digits_wider_than_every_form(chunk, monkeypatch,
+                                                 oracle_tables):
+    # every form is zero, yet the digits run to 200, past int8; the
+    # aggregate is empty, so it misses before any table
     monkeypatch.setattr(weights, "_CHUNK_ELEMENTS", chunk)
     sys_ = toy([{}, {}], [0, 1], eqs=[{}])
     assert brute_force(sys_, 200) is reference_oracle(sys_, 200) is None
+    assert oracle_tables == []
 
 
 @pytest.mark.parametrize("bound", [2.5, 3.0, "3"], ids=repr)
@@ -477,18 +489,35 @@ def test_brute_force_decodes_a_hit_past_the_first_block(monkeypatch):
     assert brute_force(sys_, 3) == {v: 1 for v in variables}
 
 
-@pytest.mark.parametrize("sys_", [
-    toy([{"a": -1}], [0], variables=("a",)),
-    toy([{"a": 1}], [0], variables=("a",)),
+@pytest.mark.parametrize("sys_, tables", [
+    # the aggregate -a never reaches 1: no table
+    (toy([{"a": -1}], [0], variables=("a",)), 0),
+    # the aggregate a could, but a >= 1 breaks i1: every block misses
+    (toy([{"a": 1}, {"a": -1}], [0]), 1),
+    (toy([{"a": 1}], [0], variables=("a",)), 1),
     # the least hit is a = 1, b = 37: past the first blocks of b
-    toy([{"a": 1}, {"a": -37, "b": 1}], [0]),
+    (toy([{"a": 1}, {"a": -37, "b": 1}], [0]), 1),
     # b = 51 would be a hit, one past the bound, in b's last block
-    toy([{"a": 1}, {"a": -51, "b": 1}], [0]),
-], ids=["no-hit", "hit", "hit-past-the-first-blocks", "hit-past-the-bound"])
-def test_brute_force_blocks_a_digit_wider_than_the_cap(sys_, monkeypatch):
+    (toy([{"a": 1}, {"a": -51, "b": 1}], [0]), 1),
+], ids=["no-hit", "no-hit-in-every-block", "hit",
+        "hit-past-the-first-blocks", "hit-past-the-bound"])
+def test_brute_force_blocks_a_digit_wider_than_the_cap(sys_, tables,
+                                                       monkeypatch,
+                                                       oracle_tables):
     # three columns and a cap of 8: the last digit runs in blocks of two
     monkeypatch.setattr(weights, "_CHUNK_ELEMENTS", 8)
     assert brute_force(sys_, 50) == reference_oracle(sys_, 50)
+    assert len(oracle_tables) == tables
+
+
+def test_brute_force_searches_the_largest_bound_in_blocks(oracle_tables):
+    # one variable at the largest bound under the 2**26 cap, whose
+    # aggregate a could reach 1: three columns, so 2**26 candidates in
+    # 193 blocks of 349,525, all missing.  No CLI input can drive this
+    # search: every form of a one-sector complex is <= 0
+    sys_ = toy([{"a": 1}, {"a": -1}], [0], variables=("a",))
+    assert brute_force(sys_, (1 << 26) - 1) is None
+    assert len(oracle_tables) == 1
 
 
 def test_strict_aggregate_sums_group():
