@@ -12,7 +12,6 @@ from .errors import (
     NoConsistentRoles,
     ParseError,
     PreconditionFailed,
-    TracingInconsistency,
     WeightsNotSatisfying,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "NoConsistentRoles",
     "ParseError",
     "PreconditionFailed",
-    "TracingInconsistency",
     "WeightsNotSatisfying",
     *_HOME,
     "__version__",

@@ -8,7 +8,8 @@ level-preserving; the middle ``z - x - y`` copies keep free boundary
 there.  Boundary arcs are then traced through the glued complex; at a
 double-point vertex the crossing fan is measured in quarter-turn units,
 yielding either a silent smooth pass (2 units) or a corner record with
-interior angle pi/2 + 2n*pi (1 + 4n units).
+interior angle pi/2 + 2n*pi (1 + 4n units), each sector corner's units
+read off the corner table with one segment-end lookup per traced corner.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
+    InvariantViolation,
     PreconditionFailed,
-    TracingInconsistency,
     WeightsNotSatisfying,
 )
 from .surface import (
@@ -62,16 +63,17 @@ class AssembledSurface:
 
 def check_weights(cx: BranchedSurfaceComplex, weights: dict[str, int],
                   kind: str) -> None:
-    """Raise WeightsNotSatisfying naming the first violated constraint.
+    """Raise WeightsNotSatisfying naming the first violated constraint;
+    :func:`build_system` first refuses a complex that fails validation.
 
     Strictness is deliberately not enforced: zero vectors and other
     non-strict solutions still glue to legitimate (possibly empty or
     fully closed) surfaces.
     """
+    system = build_system(cx, kind)
     for s in cx.sectors:
         if weights.get(s.id, 0) < 0:
             raise WeightsNotSatisfying(f"negative weight on sector {s.id}")
-    system = build_system(cx, kind)
     w = {s: weights.get(s, 0) for s in system.variables}
     for form in system.equalities:
         if form.dot(w) != 0:
@@ -125,22 +127,16 @@ def _union(parent: list[int], a: int, b: int) -> int:
     return int(ra != rb)
 
 
-def _corner_units(cx, entering, leaving, did: str) -> int:
-    g_in = cx.segment_by_id[entering.seg]
-    g_out = cx.segment_by_id[leaving.seg]
-    end_in = _end_of_item(g_in, entering.side, "next")
-    end_out = _end_of_item(g_out, leaving.side, "prev")
-    if end_in is None or end_out is None \
-            or end_in.dp != did or end_out.dp != did:
-        raise TracingInconsistency(
-            f"segment ends disagree with vertex dp:{did}")
-    diff = (end_out.slot - end_in.slot) % 4
-    if diff in (1, 3):
-        return 1
-    if diff == 2:
-        return 2
-    raise TracingInconsistency(
-        f"fold-back at dp:{did} (slot {end_in.slot} to itself)")
+def _corner_units(cx, entering: SegItem, did: str) -> int:
+    """Quarter-turns of the corner at dp ``did`` after ``entering``: 1 to
+    an adjacent slot, 2 to the opposite one, read off the corner table."""
+    slot = _end_of_item(cx.segment_by_id[entering.seg], entering.side,
+                        "next").slot
+    joined = cx.dp_corners[did].get((slot, entering.side))
+    if joined is None or joined[0][0] == slot:
+        raise InvariantViolation(
+            f"no corner at dp:{did} turns from {entering.seg}:{entering.side}")
+    return 2 if (joined[0][0] - slot) % 4 == 2 else 1
 
 
 def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
@@ -153,9 +149,6 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
     ``one`` side at level L is glued to the ``lo`` side at L for
     L <= y, and to the ``up`` side at L - (z - x) for L > z - x.
     """
-    if cx.violations:
-        raise PreconditionFailed(
-            "input complex fails validation: " + cx.violations[0])
     check_weights(cx, weights, kind)
     w = {s.id: weights.get(s.id, 0) for s in cx.sectors}
     total = sum(w.values())
@@ -194,8 +187,9 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
         ko, po = where[g.id, "one"]
         no = len(tpls[ko].items)
         da = tpls[ko].prv[po] - po
-        for side, first in (("lo", 0), ("up", w[g.one] - w[g.up])):
+        for side in ("lo", "up"):
             kt, pt = where[g.id, side]
+            first = tpls[kt].offset[pt]
             nt, count = len(tpls[kt].items), weight[kt]
             db = tpls[kt].prv[pt] - pt
             a0 = first_occ[ko] + first * no + po
@@ -252,12 +246,12 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
                             u = t.units[p]
                             if u is None:
                                 u = t.units[p] = _corner_units(
-                                    cx, t.items[p], t.items[j], did)
+                                    cx, t.items[p], did)
                             units += u
                             if corner_dp is None:
                                 corner_dp = did
                             elif corner_dp != did:
-                                raise TracingInconsistency(
+                                raise InvariantViolation(
                                     "fan mixes double points "
                                     f"{corner_dp} and {did}")
                         occ = occ - p + j
@@ -267,11 +261,11 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
                         h = occ_face[occ]
                         t, p = face_tpl[h], occ - face_base[h]
                     else:
-                        raise TracingInconsistency(
+                        raise InvariantViolation(
                             "fan walk failed to terminate")
                     if corner_dp is not None and units != 2:
                         if units % 4 != 1:
-                            raise TracingInconsistency(
+                            raise InvariantViolation(
                                 f"fan at dp:{corner_dp} sweeps {units} "
                                 "quarter-turns")
                         entries.append(("corner", corner_dp, (units - 1) // 4,

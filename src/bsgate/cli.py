@@ -31,7 +31,6 @@ from .errors import (
     MalformedSystem,
     ParseError,
     PreconditionFailed,
-    TracingInconsistency,
     WeightsNotSatisfying,
 )
 
@@ -63,7 +62,6 @@ _EXIT_CODES = (
     (InvalidLocus, 2), (BadMove, 2), (PreconditionFailed, 2),
     (ChartError, 2),
     (OracleDisagreement, 3), (InvariantViolation, 3),
-    (TracingInconsistency, 3),
 )
 
 

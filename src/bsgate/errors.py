@@ -35,13 +35,6 @@ class WeightsNotSatisfying(BsgateError):
     """A weight vector offered for assembly violates a constraint."""
 
 
-class TracingInconsistency(BsgateError):
-    """Boundary tracing met a local picture that satisfying weights forbid.
-
-    Signals an implementation bug, never a data error.
-    """
-
-
 class InvalidLocus(BsgateError):
     """A split locus does not resolve on the given complex."""
 

@@ -13,6 +13,7 @@ from functools import cache
 
 from .parser import parse_complex
 from .surface import (
+    SIDES,
     BoundaryWord,
     BranchSegment,
     BranchedSurfaceComplex,
@@ -150,7 +151,7 @@ def _union(name: str, parts: list[BranchedSurfaceComplex],
 def _add_circle(cx: BranchedSurfaceComplex, rng: random.Random, tag: str,
                 ) -> BranchedSurfaceComplex:
     ids = [s.id for s in cx.sectors]
-    hosts = {side: rng.choice(ids) for side in ("one", "up", "lo")}
+    hosts = {side: rng.choice(ids) for side in SIDES}
     gid = f"mc{tag}"
     sectors = []
     for s in cx.sectors:

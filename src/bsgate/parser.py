@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import ParseError
 from .surface import (
     FREE_END,
+    SIDES,
     BoundaryWord,
     BranchSegment,
     BranchedSurfaceComplex,
@@ -21,6 +22,7 @@ from .surface import (
     Sector,
     SegItem,
     SegmentEnd,
+    _slot_fill,
 )
 
 _FORBIDDEN = set(":#") | set(" \t\r\n\f\v")
@@ -80,7 +82,7 @@ def _parse_item(tok: str, line: int, col: int):
         if len(parts) != 3:
             raise ParseError(f"malformed edge item {tok!r} "
                              f"(want seg:<gid>:<side>)", line, col)
-        if parts[2] not in ("one", "up", "lo"):
+        if parts[2] not in SIDES:
             raise ParseError(f"bad segment side {parts[2]!r} in {tok!r}",
                              line, col)
         _check_id(parts[1], "segment id", line, col)
@@ -265,7 +267,7 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                              f"{missing[0]}", decl.line)
 
     for gid, g in segments.items():
-        for role in ("one", "up", "lo"):
+        for role in SIDES:
             sid = g.side(role)
             if sid not in sector_decls:
                 raise ParseError(f"dangling reference: segment {gid} side "
@@ -276,15 +278,10 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                 raise ParseError(f"dangling reference: segment {gid} names "
                                  f"unknown dp {end.dp}", seg_lines[gid])
 
-    slot_fill: dict[str, list[int]] = {d: [0] * 4 for d in dps}
-    for g in segments.values():
-        for end in (g.end0, g.end1):
-            if end is not None and end.dp is not None:
-                slot_fill[end.dp][end.slot] += 1
-    for did in dps:
-        if slot_fill[did] != [1, 1, 1, 1]:
+    for did, fill in _slot_fill(segments.values(), dps).items():
+        if fill != [1, 1, 1, 1]:
             raise ParseError(f"double point {did} has wrong end arity "
-                             f"(slots filled {slot_fill[did]})")
+                             f"(slots filled {fill})")
 
     sectors = tuple(
         Sector(sid, sector_decls[sid].genus,

@@ -38,6 +38,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .surface import (
+    SIDES,
     BoundaryWord,
     BranchSegment,
     BranchedSurfaceComplex,
@@ -162,7 +163,7 @@ def good_loci(cx: BranchedSurfaceComplex) -> list[SplitLocus]:
 
 def parse_position(text: str) -> tuple[Position, str]:
     parts = text.split(":")
-    if len(parts) != 3 or parts[2] not in ("one", "up", "lo"):
+    if len(parts) != 3 or parts[2] not in SIDES:
         raise InvalidLocus(
             f"bad position {text!r}, expected <word>:<item>:<one|up|lo>")
     try:
@@ -433,7 +434,7 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
 
     def sheets(seg_id: str) -> dict[str, str]:
         try:
-            return {side: occ[(seg_id, side)] for side in ("one", "up", "lo")}
+            return {side: occ[(seg_id, side)] for side in SIDES}
         except KeyError as missing:
             raise InvariantViolation(f"edge {missing.args[0]} unplaced")
 

@@ -179,6 +179,17 @@ def _end_of_item(seg: BranchSegment, side: str, which: str) -> Union[SegmentEnd,
     return seg.end1 if which == "prev" else seg.end0
 
 
+def _slot_fill(segments, dp_ids) -> dict[str, list[int]]:
+    """Per double point in ``dp_ids``, the segment ends at each of its
+    four slots; every end must name one of them and a slot in 0..3."""
+    fill = {d: [0] * 4 for d in dp_ids}
+    for g in segments:
+        for end in (g.end0, g.end1):
+            if end is not None and end.dp is not None:
+                fill[end.dp][end.slot] += 1
+    return fill
+
+
 def _walk_words(cx: BranchedSurfaceComplex) -> tuple:
     """One walk of the words: the corner table, and the words' reference,
     side-multiplicity and flank violations.  It resolves each edge item's
@@ -374,15 +385,9 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
         return tuple(out)
 
     # four ends per double point, one per slot
-    slot_fill: dict[str, list[int]] = {d.id: [0] * 4 for d in cx.dps}
-    for g in cx.segments:
-        for end in (g.end0, g.end1):
-            if end is not None and end.dp is not None:
-                slot_fill[end.dp][end.slot] += 1
-    for d in cx.dps:
-        if slot_fill[d.id] != [1, 1, 1, 1]:
-            out.append(f"dp {d.id} has wrong end arity "
-                       f"(slots filled {slot_fill[d.id]})")
+    for did, fill in _slot_fill(cx.segments, cx.dp_by_id).items():
+        if fill != [1, 1, 1, 1]:
+            out.append(f"dp {did} has wrong end arity (slots filled {fill})")
 
     # side multiplicity, vertex/end flank consistency and circle-word shape
     out += sides + flanks

@@ -415,10 +415,11 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
     lexicographic order, compares the table with its own values and
     checks every constraint at once; only the first hit is decoded.
     Every entry and every shift lies in ``[-reach - 1, reach]``, where
-    ``reach = bound * max(1, sum(|c|))`` over the forms, so the table is
-    kept in the narrowest signed dtype that holds that range (int8 for
-    the ``selftest`` systems).  Refuses a bound that is not an ``int``,
-    a search space of (bound+1)**n > 2**26 candidates (a full search of
+    ``reach = bound * max sum(|c|)`` over the forms, so the table is kept
+    in the narrowest signed dtype that holds that range (int8 for the
+    ``selftest`` systems); a table's aggregate has a positive coefficient,
+    so the digits fit too.  Refuses a bound that is not an ``int``, a
+    search space of (bound+1)**n > 2**26 candidates (a full search of
     4**13 over three columns takes about 0.03 s on a 2-vCPU x86-64 VM
     once numpy is loaded; the tests need 7**9), and a form whose values
     could leave int64, ``bound * sum(|c|) > 2**63 - 1``.  After those
@@ -436,7 +437,7 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
         raise MalformedSystem(
             f"oracle search space {bound + 1}^{n} exceeds 2^26 candidates")
     forms = system.equalities + system.inequalities + (system._aggregate,)
-    reach = bound  # the digits run to bound
+    reach = 0
     for form in forms:
         reach = max(reach, bound * sum(abs(c) for _s, c in form.coeffs))
         if reach > _INT64_MAX:

@@ -15,14 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsgate import assembly
 from bsgate.assembly import assemble, normalize_trace
 from bsgate.errors import (
     BsgateError,
+    InvariantViolation,
     PreconditionFailed,
     WeightsNotSatisfying,
 )
 from bsgate.gen import random_complex
-from bsgate.parser import parse_complex
+from bsgate.parser import parse_complex, parse_weights
 from bsgate.surface import SegItem
 from bsgate.weights import (
     ISC,
@@ -181,6 +183,43 @@ def test_free_boundary_component_is_other():
     assert comp.classification == "Other"
     assert ("free", "f_z") in comp.boundaries[0]
     assert tally(cx, asm)[2] == {"P": 1}
+
+
+@pytest.mark.parametrize("name, sidecar, kind", [
+    ("fix-tdisc.bsf", "fix-tdisc-pos.w", POS_TISC),
+    ("fix-negtd.bsf", "fix-negtd-neg.w", NEG_TISC),
+])
+def test_each_traced_corner_looks_up_one_segment_end(name, sidecar, kind,
+                                                      monkeypatch):
+    # six sector corners are traced, each entered from one germ side; the
+    # germ it leaves by is read off the corner table
+    cx = load(name)
+    w = parse_weights(fixture_text(sidecar), cx)
+    assert not cx.violations
+    calls = []
+    end_of_item = assembly._end_of_item
+
+    def counted(*args):
+        calls.append(args)
+        return end_of_item(*args)
+
+    monkeypatch.setattr(assembly, "_end_of_item", counted)
+    assemble(cx, w, kind)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("damage", ["missing", "same-slot"])
+def test_a_corner_the_table_cannot_turn_is_an_invariant_violation(damage):
+    # the trace enters mw's corner at P from its merged germ at slot 3
+    cx = load("fix-tdisc.bsf")
+    assert not cx.violations
+    table = cx.dp_corners["P"]
+    if damage == "missing":
+        table.pop((3, "one"))
+    else:
+        table[3, "one"] = ((3, "up"), "mw")
+    with pytest.raises(InvariantViolation, match="no corner at dp:P"):
+        assemble(cx, {"mw": 1, "sw": 1}, POS_TISC)
 
 
 def test_trace_normalization_is_rotation_invariant():

@@ -465,8 +465,9 @@ def test_brute_force_at_the_edges_of_each_dtype(span, chunk, monkeypatch,
 @pytest.mark.parametrize("chunk", [weights._CHUNK_ELEMENTS, 8])
 def test_brute_force_digits_wider_than_every_form(chunk, monkeypatch,
                                                  oracle_tables):
-    # every form is zero, yet the digits run to 200, past int8; the
-    # aggregate is empty, so it misses before any table
+    # every form is zero, so reach stays 0 while the digits would run to
+    # 200, past int8: the empty aggregate takes the exit, and no table
+    # is built to need a dtype for them
     monkeypatch.setattr(weights, "_CHUNK_ELEMENTS", chunk)
     sys_ = toy([{}, {}], [0, 1], eqs=[{}])
     assert brute_force(sys_, 200) is reference_oracle(sys_, 200) is None
