@@ -205,6 +205,44 @@ def test_parse_errors_carry_the_token_column(text, where, message):
     assert str(e).startswith(f"line {where[0]}, col {where[1]}: {message}")
 
 
+# delete, duplicate, reverse and append x, append ':', double the first
+# ':', replace with x
+_TOKEN_EDITS = (lambda t: [], lambda t: [t, t], lambda t: [t[::-1] + "x"],
+                lambda t: [t + ":"], lambda t: [t.replace(":", "::", 1)],
+                lambda t: ["x"])
+
+
+def _corrupted_documents():
+    """Each fixture with one token of one line edited, that line
+    tab-indented and its tokens double-spaced, so that every column of
+    a token after the first differs from its index in the line."""
+    for name in ALL_FIXTURES:
+        lines = fixture_text(name).splitlines()
+        for i, line in enumerate(lines):
+            toks = line.split()
+            for j, tok in enumerate(toks):
+                for edit in _TOKEN_EDITS:
+                    new = "\t" + "  ".join(toks[:j] + edit(tok) + toks[j + 1:])
+                    yield "\n".join(lines[:i] + [new] + lines[i + 1:]) + "\n"
+
+
+def test_every_parse_outcome_of_the_corrupted_fixtures_is_pinned():
+    """Each edit of each token of each fixture line parses to the same
+    complex, or fails with the same error at the same line and column."""
+    h, docs, errors = sha256(), 0, 0
+    for doc in _corrupted_documents():
+        try:
+            out = print_complex(parse_complex(doc))
+        except ParseError as e:
+            out = (type(e).__name__, str(e), e.line, e.col)
+            errors += 1
+        h.update(f"{out!r}\n".encode())
+        docs += 1
+    assert (docs, errors) == (7548, 5522)
+    assert h.hexdigest() == (
+        "f5613b90689f954c00f4fbaf11ca7be9326fa65f668f64a6e3135ed45a4d0f27")
+
+
 def test_implied_closing_vertex_is_smooth():
     text = ("surface s\nsector A genus 0 bwords 1\n"
             "bword A 0 : free:f v:smooth free:g\n")
