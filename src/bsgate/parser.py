@@ -2,8 +2,16 @@
 
 Line-oriented, UTF-8, ``#`` starts a comment, tokens whitespace-separated.
 Parsing is two-pass: declarations are collected first, references resolved
-afterwards, so documents may order their lines freely.  All errors carry
-1-based line/column positions.
+afterwards, so documents may order their lines freely.  Each line is
+split once; a token's 1-based column is found only to report an error.
+
+- Line and column: every error of the first pass (a malformed line
+  points at its first token), a bword naming an unknown sector, and
+  every weight-sidecar error.
+- Line only: a word index out of range, a duplicate or missing bword,
+  and a dangling segment, dp or segment-side sector reference.
+- Neither: ``missing surface declaration`` and wrong end arity at a
+  double point.
 """
 
 from __future__ import annotations
@@ -25,9 +33,6 @@ from .surface import (
     _slot_fill,
 )
 
-_FORBIDDEN = set(":#") | set(" \t\r\n\f\v")
-
-
 def _tokens(line: str) -> list[tuple[int, str]]:
     """(1-based column, token) pairs of ``line`` before any ``#``.
 
@@ -43,19 +48,28 @@ def _tokens(line: str) -> list[tuple[int, str]]:
     return pairs
 
 
-def _check_id(tok: str, what: str, line: int, col: int) -> str:
-    if not tok or not _FORBIDDEN.isdisjoint(tok):
-        raise ParseError(f"invalid {what} {tok!r} (':'/'#'/whitespace "
-                         f"not allowed)", line, col)
+class _Bad(Exception):
+    """A defect at token ``args[1]`` of the line being read; :meth:`at`
+    makes it the :class:`ParseError` to raise, with that token's column."""
+
+    def at(self, line: int, raw: str) -> ParseError:
+        return ParseError(self.args[0], line, _tokens(raw)[self.args[1]][0])
+
+
+def _check_id(tok: str, what: str, j: int) -> str:
+    # ids are whitespace-split tokens of the text before any '#', or
+    # ':'-split parts of one, so neither whitespace nor '#' reaches here
+    if not tok or ":" in tok:
+        raise _Bad(f"invalid {what} {tok!r} (':'/'#'/whitespace "
+                   f"not allowed)", j)
     return tok
 
 
-def _int(tok: str, what: str, line: int, col: int) -> int:
+def _int(tok: str, what: str, j: int) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ParseError(f"expected integer {what}, got {tok!r}",
-                         line, col) from None
+        raise _Bad(f"expected integer {what}, got {tok!r}", j) from None
 
 
 @dataclass
@@ -73,52 +87,43 @@ class _WordDecl:
     items: list
     verts: list
     line: int
-    sid_col: int
 
 
-def _parse_item(tok: str, line: int, col: int):
+def _parse_item(tok: str, j: int):
     parts = tok.split(":")
     if parts[0] == "seg":
         if len(parts) != 3:
-            raise ParseError(f"malformed edge item {tok!r} "
-                             f"(want seg:<gid>:<side>)", line, col)
+            raise _Bad(f"malformed edge item {tok!r} "
+                       f"(want seg:<gid>:<side>)", j)
         if parts[2] not in SIDES:
-            raise ParseError(f"bad segment side {parts[2]!r} in {tok!r}",
-                             line, col)
-        _check_id(parts[1], "segment id", line, col)
-        return SegItem(parts[1], parts[2])
+            raise _Bad(f"bad segment side {parts[2]!r} in {tok!r}", j)
+        return SegItem(_check_id(parts[1], "segment id", j), parts[2])
     if parts[0] == "free":
         if len(parts) != 2:
-            raise ParseError(f"malformed free item {tok!r} "
-                             f"(want free:<label>)", line, col)
-        _check_id(parts[1], "free-edge label", line, col)
-        return FreeItem(parts[1])
-    raise ParseError(f"expected edge item, got {tok!r}", line, col)
+            raise _Bad(f"malformed free item {tok!r} (want free:<label>)", j)
+        return FreeItem(_check_id(parts[1], "free-edge label", j))
+    raise _Bad(f"expected edge item, got {tok!r}", j)
 
 
-def _parse_vtx(tok: str, line: int, col: int):
-    if tok == "v:smooth":
-        return None
+def _parse_vtx(tok: str, j: int):
     parts = tok.split(":")
     if len(parts) == 3 and parts[0] == "v" and parts[1] == "dp":
-        _check_id(parts[2], "double-point id", line, col)
-        return parts[2]
-    raise ParseError(f"expected vertex token (v:dp:<did> or v:smooth), "
-                     f"got {tok!r}", line, col)
+        return _check_id(parts[2], "double-point id", j)
+    raise _Bad(f"expected vertex token (v:dp:<did> or v:smooth), "
+               f"got {tok!r}", j)
 
 
-def _parse_end(tok: str, line: int, col: int) -> SegmentEnd:
+def _parse_end(tok: str, j: int) -> SegmentEnd:
     if tok == "free":
         return FREE_END
     parts = tok.split(":")
     if len(parts) == 3 and parts[0] == "dp":
-        _check_id(parts[1], "double-point id", line, col)
-        slot = _int(parts[2], "slot", line, col)
+        _check_id(parts[1], "double-point id", j)
+        slot = _int(parts[2], "slot", j)
         if not 0 <= slot <= 3:
-            raise ParseError(f"slot {slot} out of range 0..3", line, col)
+            raise _Bad(f"slot {slot} out of range 0..3", j)
         return SegmentEnd(parts[1], slot)
-    raise ParseError(f"expected end (dp:<did>:<slot> or free), got {tok!r}",
-                     line, col)
+    raise _Bad(f"expected end (dp:<did>:<slot> or free), got {tok!r}", j)
 
 
 def parse_complex(text: str) -> BranchedSurfaceComplex:
@@ -126,7 +131,7 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
 
     Defects include syntax errors, duplicate identifiers, dangling
     references and wrong end arity at a double point, each reported with
-    the offending position and name.
+    the offending name and, where the module docstring says so, position.
     """
     surface_name = None
     sector_decls: dict[str, _SectorDecl] = {}
@@ -134,105 +139,101 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
     segments: dict[str, BranchSegment] = {}
     seg_lines: dict[str, int] = {}
     dps: dict[str, DoublePoint] = {}
+    vtx = {"v:smooth": None}  # each vertex token, read once per document
+    lines = text.splitlines()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
-        if not toks:
-            continue
-        col0, head = toks[0]
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            toks = raw.split("#", 1)[0].split()
+            if not toks:
+                continue
+            head, n = toks[0], len(toks)
 
-        if head == "surface":
-            if len(toks) != 2:
-                raise ParseError("surface takes exactly one name", lineno, col0)
-            if surface_name is not None:
-                raise ParseError("duplicate surface declaration", lineno, col0)
-            surface_name = _check_id(toks[1][1], "surface name", lineno,
-                                     toks[1][0])
+            if head == "surface":
+                if n != 2:
+                    raise _Bad("surface takes exactly one name", 0)
+                if surface_name is not None:
+                    raise _Bad("duplicate surface declaration", 0)
+                surface_name = _check_id(toks[1], "surface name", 1)
 
-        elif head == "sector":
-            if len(toks) != 6 or toks[2][1] != "genus" or toks[4][1] != "bwords":
-                raise ParseError("malformed sector line "
-                                 "(want: sector <sid> genus <int> bwords <int>)",
-                                 lineno, col0)
-            sid = _check_id(toks[1][1], "sector id", lineno, toks[1][0])
-            if sid in sector_decls:
-                raise ParseError(f"duplicate sector id {sid}", lineno,
-                                 toks[1][0])
-            genus = _int(toks[3][1], "genus", lineno, toks[3][0])
-            if genus < 0:
-                raise ParseError("genus must be nonnegative", lineno,
-                                 toks[3][0])
-            nb = _int(toks[5][1], "bwords count", lineno, toks[5][0])
-            if nb < 0:
-                raise ParseError("bwords count must be nonnegative", lineno,
-                                 toks[5][0])
-            sector_decls[sid] = _SectorDecl(sid, genus, nb, lineno)
+            elif head == "sector":
+                if n != 6 or toks[2] != "genus" or toks[4] != "bwords":
+                    raise _Bad("malformed sector line (want: sector <sid> "
+                               "genus <int> bwords <int>)", 0)
+                sid = _check_id(toks[1], "sector id", 1)
+                if sid in sector_decls:
+                    raise _Bad(f"duplicate sector id {sid}", 1)
+                genus = _int(toks[3], "genus", 3)
+                if genus < 0:
+                    raise _Bad("genus must be nonnegative", 3)
+                nb = _int(toks[5], "bwords count", 5)
+                if nb < 0:
+                    raise _Bad("bwords count must be nonnegative", 5)
+                sector_decls[sid] = _SectorDecl(sid, genus, nb, lineno)
 
-        elif head == "bword":
-            if len(toks) < 5 or toks[3][1] != ":":
-                raise ParseError("malformed bword line "
-                                 "(want: bword <sid> <k> : <item> ...)",
-                                 lineno, col0)
-            sid = _check_id(toks[1][1], "sector id", lineno, toks[1][0])
-            k = _int(toks[2][1], "word index", lineno, toks[2][0])
-            body = toks[4:]
-            items, verts = [], []
-            for pos, (col, tok) in enumerate(body):
-                if pos % 2 == 0:
-                    items.append(_parse_item(tok, lineno, col))
-                else:
-                    verts.append(_parse_vtx(tok, lineno, col))
-            if len(verts) == len(items) - 1:
-                verts.append(None)  # implied smooth closing vertex
-            word_decls.append(_WordDecl(sid, k, items, verts, lineno,
-                                        toks[1][0]))
+            elif head == "bword":
+                if n < 5 or toks[3] != ":":
+                    raise _Bad("malformed bword line "
+                               "(want: bword <sid> <k> : <item> ...)", 0)
+                sid = _check_id(toks[1], "sector id", 1)
+                k = _int(toks[2], "word index", 2)
+                items, verts = [], []
+                for j in range(4, n):
+                    tok = toks[j]
+                    if j % 2 == 0:
+                        items.append(_parse_item(tok, j))
+                    else:
+                        if tok not in vtx:
+                            vtx[tok] = _parse_vtx(tok, j)
+                        verts.append(vtx[tok])
+                if len(verts) == len(items) - 1:
+                    verts.append(None)  # implied smooth closing vertex
+                word_decls.append(_WordDecl(sid, k, items, verts, lineno))
 
-        elif head == "segment":
-            ok = (len(toks) in (9, 12)
-                  and toks[3][1] == "one" and toks[5][1] == "up"
-                  and toks[7][1] == "lo"
-                  and (len(toks) == 9 or toks[9][1] == "ends"))
-            if not ok:
-                raise ParseError("malformed segment line (want: segment <gid> "
-                                 "<arc|circle> one <sid> up <sid> lo <sid> "
-                                 "[ends <end> <end>])", lineno, col0)
-            gid = _check_id(toks[1][1], "segment id", lineno, toks[1][0])
-            if gid in segments:
-                raise ParseError(f"duplicate segment id {gid}", lineno,
-                                 toks[1][0])
-            kind = toks[2][1]
-            if kind not in ("arc", "circle"):
-                raise ParseError(f"segment kind must be arc or circle, "
-                                 f"got {kind!r}", lineno, toks[2][0])
-            one = _check_id(toks[4][1], "sector id", lineno, toks[4][0])
-            up = _check_id(toks[6][1], "sector id", lineno, toks[6][0])
-            lo = _check_id(toks[8][1], "sector id", lineno, toks[8][0])
-            end0 = end1 = None
-            if len(toks) == 12:
-                if kind == "circle":
-                    raise ParseError(f"circle segment {gid} must not declare "
-                                     f"ends", lineno, toks[9][0])
-                end0 = _parse_end(toks[10][1], lineno, toks[10][0])
-                end1 = _parse_end(toks[11][1], lineno, toks[11][0])
-            elif kind == "arc":
-                raise ParseError(f"arc segment {gid} must declare ends",
-                                 lineno, col0)
-            segments[gid] = BranchSegment(gid, kind, one, up, lo, end0, end1)
-            seg_lines[gid] = lineno
+            elif head == "segment":
+                if not (n in (9, 12) and toks[3] == "one" and toks[5] == "up"
+                        and toks[7] == "lo" and (n == 9 or toks[9] == "ends")):
+                    raise _Bad("malformed segment line (want: segment <gid> "
+                               "<arc|circle> one <sid> up <sid> lo <sid> "
+                               "[ends <end> <end>])", 0)
+                gid = _check_id(toks[1], "segment id", 1)
+                if gid in segments:
+                    raise _Bad(f"duplicate segment id {gid}", 1)
+                kind = toks[2]
+                if kind not in ("arc", "circle"):
+                    raise _Bad(f"segment kind must be arc or circle, "
+                               f"got {kind!r}", 2)
+                one = _check_id(toks[4], "sector id", 4)
+                up = _check_id(toks[6], "sector id", 6)
+                lo = _check_id(toks[8], "sector id", 8)
+                end0 = end1 = None
+                if n == 12:
+                    if kind == "circle":
+                        raise _Bad(f"circle segment {gid} must not declare "
+                                   f"ends", 9)
+                    end0 = _parse_end(toks[10], 10)
+                    end1 = _parse_end(toks[11], 11)
+                elif kind == "arc":
+                    raise _Bad(f"arc segment {gid} must declare ends", 0)
+                segments[gid] = BranchSegment(gid, kind, one, up, lo, end0,
+                                              end1)
+                seg_lines[gid] = lineno
 
-        elif head == "dp":
-            if len(toks) != 4 or toks[2][1] != "sign":
-                raise ParseError("malformed dp line "
-                                 "(want: dp <did> sign <+|->)", lineno, col0)
-            did = _check_id(toks[1][1], "double-point id", lineno, toks[1][0])
-            if did in dps:
-                raise ParseError(f"duplicate dp id {did}", lineno, toks[1][0])
-            if toks[3][1] not in ("+", "-"):
-                raise ParseError("sign must be + or -", lineno, toks[3][0])
-            dps[did] = DoublePoint(did, 1 if toks[3][1] == "+" else -1)
+            elif head == "dp":
+                if n != 4 or toks[2] != "sign":
+                    raise _Bad("malformed dp line "
+                               "(want: dp <did> sign <+|->)", 0)
+                did = _check_id(toks[1], "double-point id", 1)
+                if did in dps:
+                    raise _Bad(f"duplicate dp id {did}", 1)
+                if toks[3] not in ("+", "-"):
+                    raise _Bad("sign must be + or -", 3)
+                dps[did] = DoublePoint(did, 1 if toks[3] == "+" else -1)
 
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno, col0)
+            else:
+                raise _Bad(f"unknown directive {head!r}", 0)
+    except _Bad as e:
+        raise e.at(lineno, raw) from None
 
     if surface_name is None:
         raise ParseError("missing surface declaration")
@@ -242,8 +243,8 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
     for wd in word_decls:
         decl = sector_decls.get(wd.sid)
         if decl is None:
-            raise ParseError(f"dangling reference: bword names unknown "
-                             f"sector {wd.sid}", wd.line, wd.sid_col)
+            raise _Bad(f"dangling reference: bword names unknown sector "
+                       f"{wd.sid}", 1).at(wd.line, lines[wd.line - 1])
         if not 0 <= wd.k < decl.bwords:
             raise ParseError(f"word index {wd.k} out of range for sector "
                              f"{wd.sid} (bwords {decl.bwords})", wd.line)
@@ -337,26 +338,24 @@ def parse_weights(text: str, cx: BranchedSurfaceComplex) -> dict[str, int]:
     """Parse a weight sidecar against ``cx``; omitted sectors get 0."""
     weights = {s.id: 0 for s in cx.sectors}
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
-        if not toks:
-            continue
-        col0, head = toks[0]
-        if head != "w" or len(toks) != 3:
-            raise ParseError("malformed weight line (want: w <sid> <int>)",
-                             lineno, col0)
-        sid = toks[1][1]
-        if sid not in weights:
-            raise ParseError(f"dangling reference: weight names unknown "
-                             f"sector {sid}", lineno, toks[1][0])
-        if sid in seen:
-            raise ParseError(f"duplicate weight for sector {sid}", lineno,
-                             toks[1][0])
-        seen.add(sid)
-        val = _int(toks[2][1], "weight", lineno, toks[2][0])
-        if val < 0:
-            raise ParseError(f"weight for sector {sid} must be nonnegative",
-                             lineno, toks[2][0])
-        weights[sid] = val
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            toks = raw.split("#", 1)[0].split()
+            if not toks:
+                continue
+            if toks[0] != "w" or len(toks) != 3:
+                raise _Bad("malformed weight line (want: w <sid> <int>)", 0)
+            sid = toks[1]
+            if sid not in weights:
+                raise _Bad(f"dangling reference: weight names unknown "
+                           f"sector {sid}", 1)
+            if sid in seen:
+                raise _Bad(f"duplicate weight for sector {sid}", 1)
+            seen.add(sid)
+            val = _int(toks[2], "weight", 2)
+            if val < 0:
+                raise _Bad(f"weight for sector {sid} must be nonnegative", 2)
+            weights[sid] = val
+    except _Bad as e:
+        raise e.at(lineno, raw) from None
     return weights
-

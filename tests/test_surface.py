@@ -30,6 +30,7 @@ from bsgate.surface import (
 )
 
 from conftest import FIXTURES, fixture_text, load
+from test_certificates import ladder
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.bsf"))
 
@@ -43,6 +44,16 @@ def test_fixtures_validate_clean(name):
 def test_print_parse_roundtrip(name):
     cx = load(name)
     assert parse_complex(print_complex(cx)) == cx
+
+
+def test_every_ladder_rung_roundtrips():
+    """Rungs L0-L120 of the over-ladder from fix-clean3, up to 233
+    sectors: each parses back to itself and prints to the same bytes."""
+    for k, cx in enumerate(ladder()):
+        text = print_complex(cx)
+        back = parse_complex(text)
+        assert back == cx, f"L{k}"
+        assert print_complex(back) == text, f"L{k}"
 
 
 def test_closed_torus_is_trivially_valid():
@@ -214,8 +225,8 @@ _TOKEN_EDITS = (lambda t: [], lambda t: [t, t], lambda t: [t[::-1] + "x"],
 
 def _corrupted_documents():
     """Each fixture with one token of one line edited, that line
-    tab-indented and its tokens double-spaced, so that every column of
-    a token after the first differs from its index in the line."""
+    tab-indented and its tokens double-spaced, so that no token on it
+    sits at the column it has in the fixture."""
     for name in ALL_FIXTURES:
         lines = fixture_text(name).splitlines()
         for i, line in enumerate(lines):
