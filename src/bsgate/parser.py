@@ -16,8 +16,6 @@ split once; a token's 1-based column is found only to report an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError
 from .surface import (
     FREE_END,
@@ -32,6 +30,7 @@ from .surface import (
     SegmentEnd,
     _slot_fill,
 )
+
 
 def _tokens(line: str) -> list[tuple[int, str]]:
     """(1-based column, token) pairs of ``line`` before any ``#``.
@@ -70,23 +69,6 @@ def _int(tok: str, what: str, j: int) -> int:
         return int(tok)
     except ValueError:
         raise _Bad(f"expected integer {what}, got {tok!r}", j) from None
-
-
-@dataclass
-class _SectorDecl:
-    sid: str
-    genus: int
-    bwords: int
-    line: int
-
-
-@dataclass
-class _WordDecl:
-    sid: str
-    k: int
-    items: list
-    verts: list
-    line: int
 
 
 def _parse_item(tok: str, j: int):
@@ -134,8 +116,8 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
     the offending name and, where the module docstring says so, position.
     """
     surface_name = None
-    sector_decls: dict[str, _SectorDecl] = {}
-    word_decls: list[_WordDecl] = []
+    sector_decls: dict[str, tuple] = {}  # sid -> (genus, bwords, line)
+    word_decls: list[tuple] = []  # (sid, k, word, line), in file order
     segments: dict[str, BranchSegment] = {}
     seg_lines: dict[str, int] = {}
     dps: dict[str, DoublePoint] = {}
@@ -169,7 +151,7 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                 nb = _int(toks[5], "bwords count", 5)
                 if nb < 0:
                     raise _Bad("bwords count must be nonnegative", 5)
-                sector_decls[sid] = _SectorDecl(sid, genus, nb, lineno)
+                sector_decls[sid] = (genus, nb, lineno)
 
             elif head == "bword":
                 if n < 5 or toks[3] != ":":
@@ -188,7 +170,8 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                         verts.append(vtx[tok])
                 if len(verts) == len(items) - 1:
                     verts.append(None)  # implied smooth closing vertex
-                word_decls.append(_WordDecl(sid, k, items, verts, lineno))
+                word_decls.append((sid, k, BoundaryWord(tuple(items),
+                                                        tuple(verts)), lineno))
 
             elif head == "segment":
                 if not (n in (9, 12) and toks[3] == "one" and toks[5] == "up"
@@ -239,33 +222,37 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
         raise ParseError("missing surface declaration")
 
     # -- resolution pass ---------------------------------------------------
-    words_by_sector: dict[str, dict[int, _WordDecl]] = {s: {} for s in sector_decls}
-    for wd in word_decls:
-        decl = sector_decls.get(wd.sid)
-        if decl is None:
+    words_by_sector: dict[str, dict[int, BoundaryWord]] = {
+        s: {} for s in sector_decls}
+    for sid, k, word, line in word_decls:
+        if sid not in sector_decls:
             raise _Bad(f"dangling reference: bword names unknown sector "
-                       f"{wd.sid}", 1).at(wd.line, lines[wd.line - 1])
-        if not 0 <= wd.k < decl.bwords:
-            raise ParseError(f"word index {wd.k} out of range for sector "
-                             f"{wd.sid} (bwords {decl.bwords})", wd.line)
-        if wd.k in words_by_sector[wd.sid]:
-            raise ParseError(f"duplicate bword {wd.sid} {wd.k}", wd.line)
-        words_by_sector[wd.sid][wd.k] = wd
+                       f"{sid}", 1).at(line, lines[line - 1])
+        nb = sector_decls[sid][1]
+        if not 0 <= k < nb:
+            raise ParseError(f"word index {k} out of range for sector "
+                             f"{sid} (bwords {nb})", line)
+        words = words_by_sector[sid]
+        if k in words:
+            raise ParseError(f"duplicate bword {sid} {k}", line)
+        words[k] = word
 
-        for it in wd.items:
+        for it in word.items:
             if isinstance(it, SegItem) and it.seg not in segments:
-                raise ParseError(f"dangling reference: bword {wd.sid} {wd.k} "
-                                 f"names unknown segment {it.seg}", wd.line)
-        for v in wd.verts:
+                raise ParseError(f"dangling reference: bword {sid} {k} "
+                                 f"names unknown segment {it.seg}", line)
+        for v in word.verts:
             if v is not None and v not in dps:
-                raise ParseError(f"dangling reference: bword {wd.sid} {wd.k} "
-                                 f"names unknown dp {v}", wd.line)
+                raise ParseError(f"dangling reference: bword {sid} {k} "
+                                 f"names unknown dp {v}", line)
 
-    for sid, decl in sector_decls.items():
-        missing = sorted(set(range(decl.bwords)) - set(words_by_sector[sid]))
-        if missing:
+    # every word kept is in range and no index twice, so a short sector
+    # lacks an index
+    for sid, (_, nb, line) in sector_decls.items():
+        if len(words_by_sector[sid]) < nb:
+            missing = set(range(nb)) - words_by_sector[sid].keys()
             raise ParseError(f"sector {sid} missing bword index "
-                             f"{missing[0]}", decl.line)
+                             f"{min(missing)}", line)
 
     for gid, g in segments.items():
         for role in SIDES:
@@ -285,11 +272,8 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                              f"(slots filled {fill})")
 
     sectors = tuple(
-        Sector(sid, sector_decls[sid].genus,
-               tuple(BoundaryWord(tuple(words_by_sector[sid][k].items),
-                                  tuple(words_by_sector[sid][k].verts))
-                     for k in range(sector_decls[sid].bwords)))
-        for sid in sector_decls)
+        Sector(sid, genus, tuple(words_by_sector[sid][k] for k in range(nb)))
+        for sid, (genus, nb, _) in sector_decls.items())
     return BranchedSurfaceComplex(
         name=surface_name,
         sectors=sectors,
