@@ -170,8 +170,8 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                         verts.append(vtx[tok])
                 if len(verts) == len(items) - 1:
                     verts.append(None)  # implied smooth closing vertex
-                word_decls.append((sid, k, BoundaryWord(tuple(items),
-                                                        tuple(verts)), lineno))
+                word = BoundaryWord(tuple(items), tuple(verts))
+                word_decls.append((sid, k, word, lineno))
 
             elif head == "segment":
                 if not (n in (9, 12) and toks[3] == "one" and toks[5] == "up"
