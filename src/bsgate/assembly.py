@@ -14,8 +14,7 @@ read off the corner table with one segment-end lookup per traced corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     InvariantViolation,
@@ -44,16 +43,14 @@ OTHER = "Other"
 _MAX_FACES = 1 << 18
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     faces: tuple[FaceId, ...]
     euler: int
     boundaries: tuple[tuple, ...]  # traces; entries are tagged tuples
     classification: str
 
 
-@dataclass(frozen=True)
-class AssembledSurface:
+class AssembledSurface(NamedTuple):
     components: tuple[Component, ...]
 
     @property

@@ -15,8 +15,7 @@ column is never stored.  All operations are pure; grids are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -77,46 +76,47 @@ def _axes(kind: str, bounds: tuple[float, ...], shape: tuple[int, ...],
             in zip(ends[::2], ends[1::2], _AXES[kind], shape)]
 
 
-@dataclass(frozen=True)
 class SlopeGrid:
     """One chart's worth of slope-function samples.
 
     bounds is () for box and annulus charts (their domains are fixed)
     and (R,) for a cylinder of radius R.  values is indexed in axis
-    order: (x, y, z), (r, theta, z), or (theta, z).
+    order: (x, y, z), (r, theta, z), or (theta, z).  A grid keeps
+    read-only float copies of its samples, and assigning to it raises.
     """
 
-    kind: str
-    bounds: tuple[float, ...]
-    values: np.ndarray
-    h: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _AXES:
-            raise ChartError(f"unknown chart kind: {self.kind!r}")
-        vals = np.array(self.values, dtype=float)
-        want = len(_AXES[self.kind])
+    def __init__(self, kind: str, bounds: tuple[float, ...],
+                 values: np.ndarray, h: Optional[np.ndarray] = None):
+        if kind not in _AXES:
+            raise ChartError(f"unknown chart kind: {kind!r}")
+        vals = np.array(values, dtype=float)
+        want = len(_AXES[kind])
         if vals.ndim != want:
             raise ChartError(
-                f"{self.kind} grid needs a {want}-dimensional sample array, "
+                f"{kind} grid needs a {want}-dimensional sample array, "
                 f"got {vals.ndim} dimensions")
         if min(vals.shape) < 2:
             raise ChartError("each axis needs at least 2 samples")
-        _check_bounds(self.kind, self.bounds)
+        _check_bounds(kind, bounds)
         if not np.isfinite(vals).all():
             raise ChartError("f samples must be finite")
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if self.h is not None:
-            if self.kind != CYLINDER:
+        if h is not None:
+            if kind != CYLINDER:
                 raise ChartError("only cylinder grids carry h")
-            hv = np.array(self.h, dtype=float)
-            if hv.shape != vals.shape:
+            h = np.array(h, dtype=float)
+            if h.shape != vals.shape:
                 raise ChartError("h samples must match f in shape")
-            if not np.isfinite(hv).all():
+            if not np.isfinite(h).all():
                 raise ChartError("h samples must be finite")
-            hv.setflags(write=False)
-            object.__setattr__(self, "h", hv)
+            h.setflags(write=False)
+        self.__dict__.update(kind=kind, bounds=bounds, values=vals, h=h)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -160,8 +160,7 @@ def sample_annulus(fn: Callable, shape: tuple[int, int] = (64, 65),
     return _sample(ANNULUS, fn, shape)
 
 
-@dataclass(frozen=True)
-class ChartReport:
+class ChartReport(NamedTuple):
     """Outcome of a per-cell sign check.
 
     max_violation is the largest positive excess over the confoliation

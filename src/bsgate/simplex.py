@@ -25,14 +25,13 @@ gives ``-red``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 
 
-@dataclass(frozen=True)
-class PhaseOneResult:
+class PhaseOneResult(NamedTuple):
     feasible: bool  # optimum 0: no artificial stays basic at a nonzero value
     x: tuple[int, ...]  # primal point times x_den (real variables only)
     x_den: int  # > 0

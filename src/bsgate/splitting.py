@@ -26,8 +26,7 @@ it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
     BadMove,
@@ -58,8 +57,7 @@ CHOICES = (OVER, UNDER, NEUTRAL)
 Position = tuple[int, int]  # (word index, item index) on the sector boundary
 
 
-@dataclass(frozen=True)
-class SplitLocus:
+class SplitLocus(NamedTuple):
     """A directed arc through ``sector`` from ``entry`` to ``exit``."""
 
     sector: str
@@ -67,8 +65,7 @@ class SplitLocus:
     exit: Position
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     complex: BranchedSurfaceComplex
     choice: str
     dp_left: Optional[str]
@@ -76,8 +73,7 @@ class SplitResult:
     sector_images: tuple[tuple[str, str], ...]  # original id -> new id
 
 
-@dataclass(frozen=True)
-class SafeSplitResult:
+class SafeSplitResult(NamedTuple):
     """One committed safe step: the locus, the committed split, and the
     verdict of each move tried, in the order tried."""
 
@@ -94,8 +90,7 @@ class SafeSplitResult:
         return self.split.complex
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
+class ScheduleResult(NamedTuple):
     complex: BranchedSurfaceComplex
     steps: tuple[SafeSplitResult, ...]
 
@@ -204,14 +199,15 @@ def format_locus(cx: BranchedSurfaceComplex, locus: SplitLocus) -> str:
 _Pairs = list[tuple[SegItem, Optional[str]]]
 
 
-@dataclass(eq=False)
 class _Piece:
     """A sector of the output complex while words are under surgery."""
 
-    genus: int
-    words: list[_Pairs]
-    members: tuple[str, ...]  # the input sectors merged into this piece
-    tags: frozenset  # "zl", "zr" or "slv" when the piece is one of those
+    def __init__(self, genus: int, words: list[_Pairs],
+                 members: tuple[str, ...], tags: frozenset):
+        self.genus = genus
+        self.words = words
+        self.members = members  # the input sectors merged into this piece
+        self.tags = tags  # "zl", "zr" or "slv" when the piece is one of those
 
 
 def _pairs(word: BoundaryWord) -> _Pairs:
@@ -471,8 +467,13 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         BranchSegment(names[key], kind, **sheets(names[key]), end0=e0, end1=e1)
         for key, (kind, e0, e1) in table.items()
         if (names[key], "one") in occ]
-    segments = [replace(g, **sheets(g.id)) for g in cx.segments
-                if g.id not in (gin.id, gout.id)]
+    # an input segment stays the same object unless one of its sheets moved
+    segments = []
+    for g in cx.segments:
+        if g.id not in (gin.id, gout.id):
+            moved = {side: sid for side, sid in sheets(g.id).items()
+                     if sid != g.side(side)}
+            segments.append(g._replace(**moved) if moved else g)
 
     dps = list(cx.dps)
     if over_like:

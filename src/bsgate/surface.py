@@ -16,25 +16,52 @@ segment's declared ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import NoConsistentRoles
 
 SIDES = ("one", "up", "lo")
 
 
-@dataclass(frozen=True)
-class SegItem:
+class _Frozen:
+    """A record whose fields ``__init__`` sets once.  It compares and
+    hashes by their values, in ``_fields`` order, and assigning to it
+    raises; a ``cached_property`` still stores into its ``__dict__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}"
+                           for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SegItem(NamedTuple):
     """Edge item: one side of a branch segment on a sector boundary."""
 
     seg: str
     side: str  # 'one' | 'up' | 'lo'
 
 
-@dataclass(frozen=True)
-class FreeItem:
+class FreeItem(NamedTuple):
     """Edge item: a boundary arc away from the branch locus."""
 
     label: str
@@ -43,24 +70,23 @@ class FreeItem:
 EdgeItem = Union[SegItem, FreeItem]
 
 
-@dataclass(frozen=True)
-class BoundaryWord:
+class BoundaryWord(_Frozen):
     """Cyclic alternation of edge items and vertex items.
 
     ``verts[i]`` sits between ``items[i]`` and ``items[(i+1) % n]``; a
     vertex is a double-point id or ``None`` for a smooth vertex.
     """
 
-    items: tuple[EdgeItem, ...]
-    verts: tuple[Union[str, None], ...]
+    _fields = ("items", "verts")
 
-    def __post_init__(self):
-        if len(self.items) != len(self.verts):
+    def __init__(self, items: tuple[EdgeItem, ...],
+                 verts: tuple[Union[str, None], ...]):
+        if len(items) != len(verts):
             raise ValueError("boundary word needs one vertex per edge item")
+        self.__dict__.update(items=items, verts=verts)
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(NamedTuple):
     id: str
     genus: int
     words: tuple[BoundaryWord, ...]
@@ -69,8 +95,7 @@ class Sector:
         return 2 - 2 * self.genus - len(self.words)
 
 
-@dataclass(frozen=True)
-class SegmentEnd:
+class SegmentEnd(NamedTuple):
     """Arc-segment endpoint: a double-point slot or a free end."""
 
     dp: Union[str, None]  # None = free end
@@ -80,8 +105,7 @@ class SegmentEnd:
 FREE_END = SegmentEnd(None, None)
 
 
-@dataclass(frozen=True)
-class BranchSegment:
+class BranchSegment(NamedTuple):
     id: str
     kind: str  # 'arc' | 'circle'
     one: str
@@ -94,14 +118,12 @@ class BranchSegment:
         return getattr(self, role)
 
 
-@dataclass(frozen=True)
-class DoublePoint:
+class DoublePoint(NamedTuple):
     id: str
     sign: int  # +1 | -1
 
 
-@dataclass(frozen=True)
-class RoleAssignment:
+class RoleAssignment(NamedTuple):
     """Corner roles at a double point.
 
     ``z`` is the sector meeting both merged sides, ``x``/``v`` its
@@ -125,12 +147,14 @@ class RoleAssignment:
         return {s: c for s, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class BranchedSurfaceComplex:
-    name: str
-    sectors: tuple[Sector, ...]
-    segments: tuple[BranchSegment, ...]
-    dps: tuple[DoublePoint, ...]
+class BranchedSurfaceComplex(_Frozen):
+    _fields = ("name", "sectors", "segments", "dps")
+
+    def __init__(self, name: str, sectors: tuple[Sector, ...],
+                 segments: tuple[BranchSegment, ...],
+                 dps: tuple[DoublePoint, ...]):
+        self.__dict__.update(name=name, sectors=sectors, segments=segments,
+                             dps=dps)
 
     @cached_property
     def sector_by_id(self) -> dict[str, Sector]:
@@ -321,9 +345,11 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
     raise NoConsistentRoles(f"role derivation failed at dp:{dp_id}")
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
+class ValidationReport(_Frozen):
+    _fields = ("violations",)
+
+    def __init__(self, violations: list[str]):
+        self.__dict__["violations"] = violations
 
     def ok(self) -> bool:
         return not self.violations

@@ -24,16 +24,15 @@ by zeros and multipliers in reverse forcing order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvariantViolation, MalformedSystem, PreconditionFailed
 from .simplex import PhaseOneResult, phase_one
-from .surface import BranchedSurfaceComplex
+from .surface import BranchedSurfaceComplex, _Frozen
 
 NEG_TISC = "neg-tisc"
 POS_TISC = "pos-tisc"
@@ -41,8 +40,7 @@ ISC = "isc"
 KINDS = (NEG_TISC, POS_TISC, ISC)
 
 
-@dataclass(frozen=True)
-class LinForm:
+class LinForm(NamedTuple):
     """Homogeneous integer-coefficient form over sector weights."""
 
     coeffs: tuple[tuple[str, int], ...]  # sorted by sector id, zero-free
@@ -56,15 +54,20 @@ class LinForm:
         return sum(weights.get(s, 0) * c for s, c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    variables: tuple[str, ...]
-    equalities: tuple[LinForm, ...]  # each required = 0
-    inequalities: tuple[LinForm, ...]  # each required >= 0
-    strict_group: tuple[int, ...]  # inequality indices; slacks must sum >= 1
-    kind: str
+class ConstraintSystem(_Frozen):
+    """Each equality is required = 0 and each inequality >= 0; the
+    slacks of the inequalities at ``strict_group`` must sum to >= 1."""
 
-    def __post_init__(self) -> None:
+    _fields = ("variables", "equalities", "inequalities", "strict_group",
+               "kind")
+
+    def __init__(self, variables: tuple[str, ...],
+                 equalities: tuple[LinForm, ...],
+                 inequalities: tuple[LinForm, ...],
+                 strict_group: tuple[int, ...], kind: str):
+        self.__dict__.update(variables=variables, equalities=equalities,
+                             inequalities=inequalities,
+                             strict_group=strict_group, kind=kind)
         _check_system(self)
 
     # the aggregate reads the frozen fields alone, so it is summed once
@@ -74,8 +77,7 @@ class ConstraintSystem:
         return strict_aggregate(self)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     verdict: str  # 'Feasible' | 'Infeasible'
     witness: Optional[dict[str, int]] = None
     multipliers: Optional[dict[str, Fraction]] = None
@@ -492,8 +494,7 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
     return None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     neg_tisc: Certificate
     isc: Certificate
 

@@ -1,5 +1,6 @@
-"""Each command loads only the layers it runs, and only the chart layer
-and the brute-force oracle load numpy.
+"""Each command loads only the layers it runs, only the chart layer
+and the brute-force oracle load numpy, and no command loads
+``dataclasses``.
 
 ``import bsgate`` loads no layer: every public name but the errors is
 served from its layer on first use.  The exact layers work on integers
@@ -20,7 +21,7 @@ from bsgate.cli import main
 from conftest import fx, run_python
 
 # runs one command, then says whether numpy was loaded before and after,
-# and names the bsgate modules loaded after
+# names the bsgate modules loaded after, and says whether dataclasses was
 PROBE = """
 import sys
 from bsgate.cli import main
@@ -29,6 +30,7 @@ code = main(sys.argv[1:])
 print("exit", code, "numpy-before", before, "numpy-after",
       "numpy" in sys.modules)
 print(*sorted(m for m in sys.modules if m.partition(".")[0] == "bsgate"))
+print("dataclasses", "dataclasses" in sys.modules)
 """
 # what every command loads: the package, its errors and the command line
 BASE = ("bsgate", "bsgate.cli", "bsgate.errors")
@@ -37,7 +39,10 @@ BASE = ("bsgate", "bsgate.cli", "bsgate.errors")
 def probe(*argv: str) -> tuple[list[str], str, list[str]]:
     proc = run_python("-c", PROBE, *argv)
     assert proc.stderr == ""
-    *report, verdict, modules = proc.stdout.splitlines()
+    *report, verdict, modules, dataclasses = proc.stdout.splitlines()
+    # every record is a NamedTuple or a plain class, so no command pays
+    # for the dataclasses machinery (and inspect, ast, dis) at start-up
+    assert dataclasses == "dataclasses False"
     # report[-1] is the # duration-ms trailer
     return report[:-1], verdict, modules.split()
 
@@ -93,6 +98,13 @@ def test_chart_commands_load_the_chart_layer_alone(tmp_path, argv):
     _, verdict, modules = probe("chart", sub, str(tmp_path / name), *rest)
     assert verdict == "exit 0 numpy-before False numpy-after True"
     assert modules == layers("charts")
+
+
+def test_selftest_loads_no_dataclasses():
+    report, verdict, modules = probe("selftest", "--seeds", "2")
+    assert report[-1] == "selftest: ok"
+    assert verdict == "exit 0 numpy-before False numpy-after True"
+    assert modules == layers(*EXACT, "gen", "charts")
 
 
 def test_the_oracle_loads_numpy_when_asked(capsys):

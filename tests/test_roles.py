@@ -10,7 +10,6 @@ maps when one sector fills several sheets; the words fix one, so the read
 map must lie in each oracle's set, and equal it when the set has one map.
 """
 
-from dataclasses import replace
 from hashlib import sha256
 from itertools import product
 
@@ -169,8 +168,9 @@ def test_missing_end_leaves_no_reading():
     """A point with no end at slot 0 has no corner there, so no reading
     fits; validation reports the arity and reads no roles."""
     cx = load("fix-cross.bsf")
-    cx = replace(cx, segments=tuple(
-        replace(g, end0=FREE_END) if g.id == "A" else g for g in cx.segments))
+    cx = BranchedSurfaceComplex(cx.name, cx.sectors, tuple(
+        g._replace(end0=FREE_END) if g.id == "A" else g for g in cx.segments),
+        cx.dps)
     with pytest.raises(NoConsistentRoles,
                        match="^role derivation failed at dp:P$"):
         derive_roles(cx, "P")
@@ -198,7 +198,7 @@ def _relabel(cx, f):
         words.setdefault(f[s.id], []).extend(s.words)
     return BranchedSurfaceComplex(
         cx.name, tuple(Sector(sid, 0, tuple(ws)) for sid, ws in words.items()),
-        tuple(replace(g, one=f[g.one], up=f[g.up], lo=f[g.lo])
+        tuple(g._replace(one=f[g.one], up=f[g.up], lo=f[g.lo])
               for g in cx.segments),
         cx.dps)
 
@@ -285,7 +285,8 @@ def test_each_segment_end_is_resolved_once_per_word_item(monkeypatch):
     monkeypatch.setattr(surface, "_end_of_item", counted)
     arc_items = 0
     for _name, cx in named:
-        cx = replace(cx)  # a copy with no cached tables
+        # a copy with no cached tables
+        cx = BranchedSurfaceComplex(cx.name, cx.sectors, cx.segments, cx.dps)
         assert validate(cx).ok()
         cx.roles
         arc_items += sum(isinstance(it, SegItem)

@@ -7,7 +7,6 @@ checked against exhaustive enumeration of closed solutions.
 """
 
 import itertools
-from dataclasses import replace
 from hashlib import sha256
 
 import pytest
@@ -288,6 +287,24 @@ def test_every_seeded_good_split_is_pinned():
         [])
 
 
+def test_a_split_keeps_each_segment_whose_sheets_stay():
+    """Over the seeded good splits, an input segment that the output
+    carries on the same sheets is the input's own object; one whose
+    sheets moved is a new copy."""
+    counts = {"kept": 0, "moved": 0, "new": 0}
+    for seed in range(200):
+        cx = random_complex(seed)
+        for loc in good_loci(cx):
+            for choice in (OVER, UNDER, NEUTRAL):
+                for g in split(cx, loc, choice).complex.segments:
+                    old = cx.segment_by_id.get(g.id)
+                    kind = ("new" if old is None else
+                            "kept" if g == old else "moved")
+                    counts[kind] += 1
+                    assert (g is old) == (kind == "kept")
+    assert counts == {"kept": 7366, "moved": 5552, "new": 11284}
+
+
 def test_every_depth_two_split_of_three_seeds_validates():
     """Seeds 6, 38 and 198 over-split at every good locus, then split
     again at every good locus with each choice; at depth two their outputs
@@ -471,7 +488,7 @@ def test_step_tag_keeps_the_error_and_its_verdicts(monkeypatch):
         v = real(cx)
         if len(cx.dps) < 4:
             return v
-        return replace(v, neg_tisc=Certificate("Feasible", witness={}))
+        return v._replace(neg_tisc=Certificate("Feasible", witness={}))
 
     monkeypatch.setattr(splitting, "criterion", fussy)
     cx = load("fix-clean.bsf")

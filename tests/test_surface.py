@@ -1,12 +1,13 @@
 import random
 import re
-from dataclasses import replace
 from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsgate.assembly import assemble
+from bsgate.charts import check_box, sample_box
 from bsgate.errors import ParseError
 from bsgate.gen import random_complex
 from bsgate.parser import (
@@ -28,6 +29,9 @@ from bsgate.surface import (
     SegmentEnd,
     validate,
 )
+from bsgate.simplex import phase_one
+from bsgate.splitting import good_loci, run_plan, safe_split
+from bsgate.weights import ISC, NEG_TISC, build_system, criterion, feasible
 
 from conftest import FIXTURES, fixture_text, load
 from test_certificates import ladder
@@ -86,6 +90,62 @@ def test_side_multiplicity_invariant():
         expect = {(g.id, side): 1 for g in cx.segments
                   for side in ("one", "up", "lo")}
         assert counts == expect
+
+
+# -- records ----------------------------------------------------------------
+
+# every public record type: NamedTuples, and the plain classes that check
+# their fields (BoundaryWord, ConstraintSystem, SlopeGrid) or cache tables
+# on themselves (BranchedSurfaceComplex, ConstraintSystem)
+RECORD_TYPES = (
+    "AssembledSurface", "BoundaryWord", "BranchSegment",
+    "BranchedSurfaceComplex", "Certificate", "ChartReport", "Component",
+    "ConstraintSystem", "DoublePoint", "FreeItem", "LinForm",
+    "PhaseOneResult", "RoleAssignment", "SafeSplitResult", "ScheduleResult",
+    "Sector", "SegItem", "SegmentEnd", "SlopeGrid", "SplitLocus",
+    "SplitResult", "ValidationReport", "Verdict")
+
+
+def test_every_record_is_frozen_and_complexes_and_systems_equal_by_value():
+    cx = load("fix-clean.bsf")
+    step = safe_split(cx, good_loci(cx)[0])
+    out = step.complex
+    word = out.sectors[0].words[0]
+    seg = next(g for g in out.segments if g.kind == "arc")
+    system = build_system(out, ISC)
+    grid = sample_box(lambda x, y, z: -1.0 - y, (3, 3, 3))
+    asm = assemble(load("fix-doc.bsf"), {"D": 1}, ISC)
+    records = [
+        out, out.sectors[0], word, word.items[0], FreeItem("f"), seg,
+        seg.end0, out.dps[0], out.roles[out.dps[0].id], system,
+        system.inequalities[0], feasible(system), criterion(out),
+        phase_one([{0: 1}], [1], 1), step.locus, step.split, step,
+        run_plan(cx, []), asm, asm.components[0], grid, check_box(grid),
+        validate(out)]
+    assert sorted(type(r).__name__ for r in records) == list(RECORD_TYPES)
+    for r in records:
+        for f in getattr(r, "_fields", None) or tuple(vars(r)):
+            with pytest.raises(AttributeError):
+                setattr(r, f, getattr(r, f))
+            with pytest.raises(AttributeError):
+                delattr(r, f)
+
+    text = fixture_text("fix-split.bsf")
+    cx, twin = parse_complex(text), parse_complex(text)
+    assert cx is not twin and cx == twin and hash(cx) == hash(twin)
+    assert BranchedSurfaceComplex("other", cx.sectors, cx.segments,
+                                  cx.dps) != cx
+    system, again = build_system(cx, ISC), build_system(twin, ISC)
+    assert system is not again and system == again
+    assert hash(system) == hash(again)
+    assert build_system(cx, NEG_TISC) != system
+
+    # a cached table is stored on its complex; a copy built from the four
+    # fields starts with none
+    assert "roles" in vars(cx)
+    copy = BranchedSurfaceComplex(cx.name, cx.sectors, cx.segments, cx.dps)
+    assert copy == cx
+    assert sorted(vars(copy)) == ["dps", "name", "sectors", "segments"]
 
 
 # -- parser error reporting -------------------------------------------------
@@ -389,11 +449,14 @@ def _corruptions(cx, rng):
         return rng.choice(seq) if seq else None
 
     def with_sector(si, sec):
-        return replace(cx, sectors=cx.sectors[:si] + (sec,) + cx.sectors[si + 1:])
+        return BranchedSurfaceComplex(
+            cx.name, cx.sectors[:si] + (sec,) + cx.sectors[si + 1:],
+            cx.segments, cx.dps)
 
     def with_segment(gi, seg):
-        return replace(cx, segments=cx.segments[:gi] + (seg,)
-                       + cx.segments[gi + 1:])
+        return BranchedSurfaceComplex(
+            cx.name, cx.sectors,
+            cx.segments[:gi] + (seg,) + cx.segments[gi + 1:], cx.dps)
 
     out = {}
     si = pick([i for i, s in enumerate(cx.sectors) if s.words])
@@ -403,7 +466,7 @@ def _corruptions(cx, rng):
         s = cx.sectors[si]
         wi = rng.randrange(len(s.words))
         out["drop-word"] = with_sector(
-            si, replace(s, words=s.words[:wi] + s.words[wi + 1:]))
+            si, s._replace(words=s.words[:wi] + s.words[wi + 1:]))
     site = pick([(si, wi, ii) for si, s in enumerate(cx.sectors)
                  for wi, w in enumerate(s.words)
                  for ii, it in enumerate(w.items) if isinstance(it, SegItem)])
@@ -418,13 +481,13 @@ def _corruptions(cx, rng):
         words = list(s.words)
         words[wi] = BoundaryWord(w.items[:ii] + (swapped,) + w.items[ii + 1:],
                                  w.verts)
-        out["swap-side"] = with_sector(si, replace(s, words=tuple(words)))
+        out["swap-side"] = with_sector(si, s._replace(words=tuple(words)))
     gi = pick([i for i, g in enumerate(cx.segments) if g.kind == "arc"])
     out["free-end"] = None if gi is None else with_segment(
-        gi, replace(cx.segments[gi], **{rng.choice(("end0", "end1")): FREE_END}))
+        gi, cx.segments[gi]._replace(**{rng.choice(("end0", "end1")): FREE_END}))
     di = pick(range(len(cx.dps)))
-    out["drop-dp"] = None if di is None else replace(
-        cx, dps=cx.dps[:di] + cx.dps[di + 1:])
+    out["drop-dp"] = None if di is None else BranchedSurfaceComplex(
+        cx.name, cx.sectors, cx.segments, cx.dps[:di] + cx.dps[di + 1:])
     gi = pick(range(len(cx.segments)))
     if gi is None:
         out["rename-sheet"] = None
@@ -433,7 +496,7 @@ def _corruptions(cx, rng):
         side = rng.choice(SIDES)
         others = [s.id for s in cx.sectors if s.id != g.side(side)]
         out["rename-sheet"] = with_segment(
-            gi, replace(g, **{side: pick(others) or "nowhere"}))
+            gi, g._replace(**{side: pick(others) or "nowhere"}))
     return out
 
 

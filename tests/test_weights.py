@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from bsgate import surface, weights
 from bsgate.errors import InvariantViolation, MalformedSystem
 from bsgate.parser import parse_complex, print_complex
-from bsgate.surface import derive_roles, validate
+from bsgate.surface import BranchedSurfaceComplex, derive_roles, validate
 from bsgate.weights import (
     ISC,
     KINDS,
@@ -39,6 +38,14 @@ def toy(coeffs_list, strict, variables=("a", "b"), eqs=()):
     ineqs = tuple(LinForm.make(c, f"i{i}") for i, c in enumerate(coeffs_list))
     eqs = tuple(LinForm.make(c, f"e{i}") for i, c in enumerate(eqs))
     return ConstraintSystem(tuple(variables), eqs, ineqs, tuple(strict), "toy")
+
+
+def rebuilt(system, **changes):
+    """A new system built from ``system``'s fields, ``changes`` in place."""
+    fields = {"variables": system.variables, "equalities": system.equalities,
+              "inequalities": system.inequalities,
+              "strict_group": system.strict_group, "kind": system.kind}
+    return ConstraintSystem(**{**fields, **changes})
 
 
 def test_smallest_strict_system():
@@ -79,7 +86,8 @@ def test_forms_are_built_once_per_complex_for_every_kind(monkeypatch):
     text = fixture_text("fix-split.bsf")
     cx, twin = parse_complex(text), parse_complex(text)
     d = cx.dps[0]
-    flipped = replace(cx, dps=(replace(d, sign=-d.sign),) + cx.dps[1:])
+    flipped = BranchedSurfaceComplex(cx.name, cx.sectors, cx.segments,
+                                     (d._replace(sign=-d.sign),) + cx.dps[1:])
     want, want_flipped = ([build_system(parse_complex(print_complex(c)), k)
                            for k in KINDS] for c in (cx, flipped))
     assert want[0] != want_flipped[0]
@@ -131,12 +139,12 @@ GOOD_FIELDS = {"variables": ("a", "b"), "equalities": (),
 ], ids=["index", "variable", "strict-twice", "variable-twice"])
 def test_a_malformed_system_refuses_on_every_call(fields, message):
     # no malformed system exists: each build refuses afresh, and so does
-    # each replace of a good system's fields
+    # each rebuild of a good system's fields
     good = ConstraintSystem(**GOOD_FIELDS)
     refusals = []
     for _ in range(2):
         for make in (lambda: ConstraintSystem(**{**GOOD_FIELDS, **fields}),
-                     lambda: replace(good, **fields)):
+                     lambda: rebuilt(good, **fields)):
             with pytest.raises(MalformedSystem) as info:
                 make()
             refusals.append(info.value)
@@ -299,7 +307,7 @@ def test_malformed_systems_rejected():
     with pytest.raises(MalformedSystem, match="index 5 out of range"):
         toy([{"a": 1}], [5])
     with pytest.raises(MalformedSystem, match="unknown variable c"):
-        replace(toy([{"a": 1}], [0]),
+        rebuilt(toy([{"a": 1}], [0]),
                 inequalities=(LinForm.make({"c": 1}, "i0"),))
     with pytest.raises(MalformedSystem):
         brute_force(toy([{"a": 1}], [0]), 0)
@@ -317,7 +325,7 @@ def test_duplicate_form_tags_are_malformed():
         with pytest.raises(MalformedSystem, match="duplicate form tag"):
             ConstraintSystem(("A", "B"), eqs, ineqs, (0,), "dup")
         with pytest.raises(MalformedSystem, match="duplicate form tag"):
-            replace(good, equalities=eqs, inequalities=ineqs)
+            rebuilt(good, equalities=eqs, inequalities=ineqs)
 
 
 @pytest.mark.parametrize("c", [1.5, Fraction(3, 2), 2.0], ids=repr)
@@ -328,7 +336,7 @@ def test_non_integer_coefficients_are_malformed(c):
         toy([{"b": 1}], [0], eqs=[{"a": 1, "b": -c}])
     good = toy([{"b": 1}], [0], eqs=[{"a": 1, "b": -2}])
     with pytest.raises(MalformedSystem, match="non-integer coefficient"):
-        replace(good, equalities=(LinForm.make({"a": 1, "b": -c}, "e0"),))
+        rebuilt(good, equalities=(LinForm.make({"a": 1, "b": -c}, "e0"),))
 
 
 def test_non_exact_certificates_are_rejected():
