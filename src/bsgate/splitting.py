@@ -45,6 +45,8 @@ from .surface import (
     SegItem,
     SegmentEnd,
     Sector,
+    _misplaced_sides,
+    _walk_sectors,
     validate,
 )
 from .weights import Verdict, criterion
@@ -229,13 +231,15 @@ def _forward(pairs: _Pairs, i: int, j: int) -> _Pairs:
     return out
 
 
-def _find(pool: list[_Piece], seg: str, side: str):
-    for piece in pool:
+def _find(homes: dict[str, list[_Piece]], g: BranchSegment, side: str):
+    """Where edge ``g``:``side`` sits, among the pieces of its sheet."""
+    want = SegItem(g.id, side)
+    for piece in homes[g.side(side)]:
         for wi, pairs in enumerate(piece.words):
             for ii, (it, _) in enumerate(pairs):
-                if isinstance(it, SegItem) and it.seg == seg and it.side == side:
+                if it == want:
                     return piece, wi, ii
-    raise InvariantViolation(f"lost track of edge {seg}:{side} during splice")
+    raise InvariantViolation(f"lost track of edge {g.id}:{side} during splice")
 
 
 def _replace_item(pairs: _Pairs, i: int, seq: _Pairs) -> _Pairs:
@@ -260,9 +264,6 @@ def _fuse_adjacent(pool: list[_Piece], first: SegItem, second: SegItem,
 
 def _allocate_names(cx: BranchedSurfaceComplex, z: str, gin: BranchSegment,
                     choice: str) -> dict[str, str]:
-    sec_ids = set(cx.sector_by_id)
-    seg_ids = set(cx.segment_by_id)
-    dp_ids = set(cx.dp_by_id)
     n = 1
     while True:
         if choice == NEUTRAL:
@@ -275,10 +276,9 @@ def _allocate_names(cx: BranchedSurfaceComplex, z: str, gin: BranchSegment,
             segs = {k: f"{k}{n}"
                     for k in ("fl", "fr", "flr", "gl", "gm", "gr", "gf", "tg")}
             dps = {"L": f"L{n}", "R": f"R{n}"}
-        clash = (set(secs.values()) & sec_ids or
-                 set(segs.values()) & seg_ids or
-                 set(dps.values()) & dp_ids)
-        if not clash:
+        if not any(name in taken for new, taken in (
+                (secs, cx.sector_by_id), (segs, cx.segment_by_id),
+                (dps, cx.dp_by_id)) for name in new.values()):
             return {**secs, **segs, **dps}
         n += 1
 
@@ -308,11 +308,22 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
     def seg_item(key: str, side: str) -> SegItem:
         return SegItem(names[key], side)
 
-    # one pool piece per input sector; the locus sector is rebuilt below
-    pool = [_Piece(s.genus, [_pairs(w) for w in s.words], (s.id,),
-                   frozenset({"zl"} if s.id == sec.id else ()))
-            for s in cx.sectors]
-    zp = next(piece for piece in pool if "zl" in piece.tags)
+    # the move rewrites the words of the locus sector and of the lateral
+    # sheets at the entry and exit: each becomes a piece, held in ``homes``
+    # with the pieces it splits into.  Every other sector passes through
+    consumed = {sec.id, gin.up, gin.lo, gout.up, gout.lo}
+    pool: list = []
+    homes: dict[str, list[_Piece]] = {}
+    touched: set[str] = set()
+    for s in cx.sectors:
+        if s.id in consumed:
+            touched.update(it.seg for w in s.words for it in w.items
+                           if isinstance(it, SegItem))
+            s = _Piece(s.genus, [_pairs(w) for w in s.words], (s.id,),
+                       frozenset({"zl"} if s.id == sec.id else ()))
+            homes[s.members[0]] = [s]
+        pool.append(s)
+    zp = homes[sec.id][0]
 
     # --- cut the locus sector along the arc -------------------------------
     (ew, ei), (xw, xi) = locus.entry, locus.exit
@@ -328,8 +339,9 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         w = zp.words[ew]
         right = back + [(fr_one, w[ei][1])] + _forward(w, ei, xi)
         zp.words[ew] = lead + [(turn, w[xi][1])] + _forward(w, xi, ei)
-        pool.insert(pool.index(zp) + 1,
-                    _Piece(0, [right], (), frozenset({"zr"})))
+        zr = _Piece(0, [right], (), frozenset({"zr"}))
+        pool.insert(pool.index(zp) + 1, zr)
+        homes[sec.id].append(zr)
     else:
         we, wx = zp.words[ew], zp.words[xw]
         zp.words[ew] = ([(fr_one, we[ei][1])] + _forward(we, ei, ei) + lead
@@ -343,13 +355,13 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         entry_mid = {a: seg_item("tg", a), b: seg_item("gm", "one")}
         exit_mid = {a: seg_item("tg", "one"), b: seg_item("gm", b)}
         for side in ("up", "lo"):
-            piece, wi, ii = _find(pool, gin.id, side)
+            piece, wi, ii = _find(homes, gin, side)
             after = piece.words[wi][ii][1]
             piece.words[wi] = _replace_item(
                 piece.words[wi], ii,
                 [(seg_item("fr", side), rvert), (entry_mid[side], lvert),
                  (seg_item("fl", side), after)])
-            piece, wi, ii = _find(pool, gout.id, side)
+            piece, wi, ii = _find(homes, gout, side)
             after = piece.words[wi][ii][1]
             piece.words[wi] = _replace_item(
                 piece.words[wi], ii,
@@ -359,8 +371,8 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         pool.append(_Piece(0, [sliver], (), frozenset({"slv"})))
     else:
         for side in ("up", "lo"):
-            pa, wa, ia = _find(pool, gin.id, side)
-            pb, wb, ib = _find(pool, gout.id, side)
+            pa, wa, ia = _find(homes, gin, side)
+            pb, wb, ib = _find(homes, gout, side)
             frs, fls = seg_item("fr", side), seg_item("fl", side)
             if pa is pb and wa == wb:
                 w = pa.words[wa]
@@ -382,14 +394,18 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
                     pa.members += pb.members
                     pa.tags |= pb.tags
                     pool.remove(pb)
+                    for held in homes.values():
+                        held[:] = [pa if p is pb else p for p in held]
 
     # --- circle entries and exits fuse the severed halves ------------------
+    pieces = [p for p in pool if isinstance(p, _Piece)]
+
     def fuse(first: str, second: str, key: str) -> None:
         """Merge the halves ``first``, ``second`` of a circle into ``key``."""
-        _fuse_adjacent(pool, seg_item(first, "one"), seg_item(second, "one"),
-                       seg_item(key, "one"))
+        _fuse_adjacent(pieces, seg_item(first, "one"),
+                       seg_item(second, "one"), seg_item(key, "one"))
         for side in ("up", "lo"):
-            _fuse_adjacent(pool, seg_item(second, side),
+            _fuse_adjacent(pieces, seg_item(second, side),
                            seg_item(first, side), seg_item(key, side))
 
     if entry_circle:
@@ -412,25 +428,27 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
             return names["ym"]
         raise InvariantViolation("merged piece with no naming anchor")
 
-    emitted: list[Sector] = []
+    emitted, new = [], []  # every output sector, and the pieces' ones
     images: dict[str, str] = {}  # original sector id -> new id
     for piece in pool:
-        name = piece_name(piece)
-        emitted.append(Sector(name, piece.genus,
-                              tuple(_word(p) for p in piece.words)))
-        images.update(dict.fromkeys(piece.members, name))
+        if isinstance(piece, _Piece):
+            name = piece_name(piece)
+            images.update(dict.fromkeys(piece.members, name))
+            piece = Sector(name, piece.genus,
+                           tuple(_word(p) for p in piece.words))
+            new.append(piece)
+        else:
+            images[piece.id] = piece.id
+        emitted.append(piece)
 
     # --- rebuild segments from where their edges now sit --------------------
-    occ: dict[tuple[str, str], str] = {}
-    for s in emitted:
-        for w in s.words:
-            for it in w.items:
-                if isinstance(it, SegItem):
-                    occ[(it.seg, it.side)] = s.id
+    occ: dict[tuple[str, str], str] = {
+        it: s.id for s in new for w in s.words for it in w.items
+        if isinstance(it, SegItem)}
 
-    def sheets(seg_id: str) -> dict[str, str]:
+    def sheet(seg_id: str, side: str) -> str:
         try:
-            return {side: occ[(seg_id, side)] for side in SIDES}
+            return occ[(seg_id, side)]
         except KeyError as missing:
             raise InvariantViolation(f"edge {missing.args[0]} unplaced")
 
@@ -464,25 +482,37 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
     # a fused circle's halves are gone from the words, so the keys whose
     # edges the words still carry are the new segments
     new_segments = [
-        BranchSegment(names[key], kind, **sheets(names[key]), end0=e0, end1=e1)
+        BranchSegment(names[key], kind,
+                      **{side: sheet(names[key], side) for side in SIDES},
+                      end0=e0, end1=e1)
         for key, (kind, e0, e1) in table.items()
         if (names[key], "one") in occ]
-    # an input segment stays the same object unless one of its sheets moved
+    # an input segment stays the same object unless one of its sheets
+    # moved, which only one with an edge on a consumed sector can do
+    segs = {g.id: g for g in new_segments}  # those the new sectors name
     segments = []
     for g in cx.segments:
-        if g.id not in (gin.id, gout.id):
-            moved = {side: sid for side, sid in sheets(g.id).items()
-                     if sid != g.side(side)}
-            segments.append(g._replace(**moved) if moved else g)
+        if g.id in touched:
+            if g.id in (gin.id, gout.id):
+                continue
+            moved = {side: sid for side, old in zip(SIDES, (g.one, g.up, g.lo))
+                     if old in consumed and (sid := sheet(g.id, side)) != old}
+            if moved:
+                g = g._replace(**moved)
+            segs[g.id] = g
+        segments.append(g)
 
-    dps = list(cx.dps)
+    new_dps = ()
     if over_like:
         lsign = -1 if choice == OVER else 1
-        dps.append(DoublePoint(names["L"], lsign))
-        dps.append(DoublePoint(names["R"], -lsign))
+        new_dps = (DoublePoint(names["L"], lsign),
+                   DoublePoint(names["R"], -lsign))
 
+    walk = _carried_walk(cx, [cx.sector_by_id[s] for s in consumed], new,
+                         segs, [d.id for d in new_dps])
     out = BranchedSurfaceComplex(cx.name, tuple(emitted),
-                                 tuple(segments + new_segments), tuple(dps))
+                                 tuple(segments + new_segments),
+                                 cx.dps + new_dps, walk=walk)
     report = validate(out)
     if report.violations:
         raise InvariantViolation(
@@ -497,6 +527,42 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
 
     return SplitResult(out, choice, lvert, rvert,
                        tuple(sorted(images.items())))
+
+
+def _carried_walk(cx: BranchedSurfaceComplex, gone: list[Sector],
+                  new: list[Sector], segs: dict[str, BranchSegment],
+                  new_dps: list[str]) -> Optional[tuple]:
+    """The walk of a split output's words, carried from that of ``cx``, its
+    clean input, or ``None`` when it finds a violation: the output then
+    walks cold, and reports as a cold walk does.
+
+    The output keeps the sectors of ``cx`` but ``gone``, holds ``new`` in
+    their place, adds ``new_dps``, and keeps each segment that no gone or
+    new sector names; ``segs`` holds those that one does.  Only the new
+    sectors are walked, onto copies, without the gone sectors' entries, of
+    the tables of the points that a gone or new sector names; every other
+    table is shared with ``cx``, never written to.  A kept sector carries
+    the edges that it carried in ``cx``, once, on their declared sheets."""
+    gone_ids = {s.id for s in gone}
+    was = cx.dp_corners
+    corners = dict(was)
+    corners.update((d, {}) for d in new_dps)
+    named = {v for s in gone + new for w in s.words for v in w.verts
+             if v in corners}
+    for v in named:
+        corners[v] = {k: c for k, c in corners[v].items()
+                      if c[1] not in gone_ids}
+    carriers, refs, flanks = _walk_sectors(new, segs, corners)
+    for v in named:  # a table that came back unchanged stays shared
+        if corners[v] == was.get(v):
+            corners[v] = was[v]
+    for gid in segs.keys() & cx.segment_by_id.keys():
+        for role in SIDES:  # the sheets as cx declared them
+            if (sid := cx.segment_by_id[gid].side(role)) not in gone_ids:
+                carriers.setdefault((gid, role), []).append(sid)
+    if refs or flanks or any(_misplaced_sides(segs.values(), carriers)):
+        return None
+    return corners, (), (), ()
 
 
 def pushforward_weights(res: SplitResult,

@@ -105,7 +105,7 @@ class SegmentEnd(NamedTuple):
 FREE_END = SegmentEnd(None, None)
 
 
-class BranchSegment(NamedTuple):
+class _SegmentFields(NamedTuple):
     id: str
     kind: str  # 'arc' | 'circle'
     one: str
@@ -113,6 +113,11 @@ class BranchSegment(NamedTuple):
     lo: str
     end0: Union[SegmentEnd, None] = None  # None for circles
     end1: Union[SegmentEnd, None] = None
+
+
+class BranchSegment(_SegmentFields):
+    """Read-only fields, and a ``__dict__`` in which the weight layer keeps
+    the segment's form, built once per segment object."""
 
     def side(self, role: str) -> str:
         return getattr(self, role)
@@ -152,9 +157,13 @@ class BranchedSurfaceComplex(_Frozen):
 
     def __init__(self, name: str, sectors: tuple[Sector, ...],
                  segments: tuple[BranchSegment, ...],
-                 dps: tuple[DoublePoint, ...]):
+                 dps: tuple[DoublePoint, ...],
+                 walk: Union[tuple, None] = None):
+        # a split hands its output the walk it carried over from its input
         self.__dict__.update(name=name, sectors=sectors, segments=segments,
                              dps=dps)
+        if walk is not None:
+            self.__dict__["_word_walk"] = walk
 
     @cached_property
     def sector_by_id(self) -> dict[str, Sector]:
@@ -178,7 +187,13 @@ class BranchedSurfaceComplex(_Frozen):
 
     @cached_property
     def _word_walk(self) -> tuple:
-        return _walk_words(self)
+        """The cold walk: the corner table, and the words' reference, side
+        and flank violations; no complex keeps the edges' carriers."""
+        corners: dict[str, dict] = {d.id: {} for d in self.dps}
+        carriers, refs, flanks = _walk_sectors(self.sectors,
+                                               self.segment_by_id, corners)
+        return (corners, refs,
+                list(_misplaced_sides(self.segments, carriers)), flanks)
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -214,86 +229,85 @@ def _slot_fill(segments, dp_ids) -> dict[str, list[int]]:
     return fill
 
 
-def _walk_words(cx: BranchedSurfaceComplex) -> tuple:
-    """One walk of the words: the corner table, and the words' reference,
-    side-multiplicity and flank violations.  It resolves each edge item's
-    segment ends once, at its two vertices; a corner is recorded exactly
-    where the flank check passes.  The sectors carrying each (segment,
-    side) are read here, so that no complex keeps them."""
-    segs = cx.segment_by_id
-    corners: dict[str, dict] = {d.id: {} for d in cx.dps}
-    carriers: dict[tuple[str, str], list[str]] = {}
-    # reference violations, in report order; the others are read once
-    # every reference resolves
-    refs, sides, flanks = [], [], []
-    for s in cx.sectors:
-        if s.genus < 0:
-            refs.append(f"sector {s.id} has negative genus")
-        for wi, w in enumerate(s.words):
-            if not w.items:
-                refs.append(f"sector {s.id} word {wi} is empty")
+def _walk_sectors(sectors, segs: dict, corners: dict) -> tuple:
+    """Walk the words of ``sectors``, which may name the segments in
+    ``segs`` and the points keyed in ``corners``, onto the tables of the
+    points they name; return the sectors carrying each (segment, side)
+    item, and the reference and flank violations in report order.  Each
+    edge item's segment ends are resolved once, at its two vertices; a
+    corner is recorded exactly where the flank check passes."""
+    carriers, refs, flanks = {}, [], []
+    for sid, genus, words in sectors:
+        if genus < 0:
+            refs.append(f"sector {sid} has negative genus")
+        for wi, w in enumerate(words):
+            items, verts = w.items, w.verts
+            if not items:
+                refs.append(f"sector {sid} word {wi} is empty")
                 continue
             # the previous item's germ side at the vertex between them, and
             # the first item's at the vertex that closes the word
             ahead = first = None
-            prev_v = w.verts[-1]
-            for ii, (it, v) in enumerate(zip(w.items, w.verts)):
+            prev_v = verts[-1]
+            for ii, (it, v) in enumerate(zip(items, verts)):
                 germs = [None, None]  # its germ sides at prev and next
-                if isinstance(it, FreeItem):
+                seg, side = it if isinstance(it, SegItem) else (None, None)
+                if seg is None:
                     if prev_v is not None or v is not None:
-                        flanks.append(f"sector {s.id} word {wi}: free edge "
+                        flanks.append(f"sector {sid} word {wi}: free edge "
                                       f"{it.label} abuts a double-point vertex")
-                elif (g := segs.get(it.seg)) is None:
-                    refs.append(f"dangling reference: sector {s.id} word {wi} "
-                                f"names unknown segment {it.seg}")
+                elif (g := segs.get(seg)) is None:
+                    refs.append(f"dangling reference: sector {sid} word {wi} "
+                                f"names unknown segment {seg}")
                 else:
-                    carriers.setdefault((it.seg, it.side), []).append(s.id)
-                    if it.side not in SIDES:
-                        refs.append(f"sector {s.id} word {wi}: "
-                                    f"bad side {it.side}")
+                    carriers.setdefault(it, []).append(sid)
+                    if side not in SIDES:
+                        refs.append(f"sector {sid} word {wi}: bad side {side}")
                     if g.kind != "circle":
                         for k, (which, at) in enumerate((("prev", prev_v),
                                                          ("next", v))):
-                            end = _end_of_item(g, it.side, which)
+                            end = _end_of_item(g, side, which)
                             want = None if end is None else end.dp
                             if at != want:
                                 flanks.append(
-                                    f"sector {s.id} word {wi} item {ii} "
-                                    f"({it.seg}:{it.side}): {which} vertex is "
+                                    f"sector {sid} word {wi} item {ii} "
+                                    f"({seg}:{side}): {which} vertex is "
                                     f"{at or 'smooth'} but segment end is "
                                     f"{'free' if want is None else 'dp:' + want}")
                             elif at in corners:
-                                germs[k] = (end.slot, it.side)
-                    elif len(w.items) != 1:
-                        flanks.append(f"sector {s.id} word {wi}: circle side "
-                                      f"{it.seg}:{it.side} must fill a "
-                                      "whole word")
+                                germs[k] = (end.slot, side)
+                    elif len(items) != 1:
+                        flanks.append(f"sector {sid} word {wi}: circle side "
+                                      f"{seg}:{side} must fill a whole word")
                     elif v is not None:
-                        flanks.append(f"sector {s.id} word {wi}: circle "
+                        flanks.append(f"sector {sid} word {wi}: circle "
                                       "basepoint must be smooth")
                 back, fwd = germs
                 if ii == 0:
                     first = back
                 elif ahead is not None and back is not None:
-                    corners[prev_v].update({ahead: (back, s.id),
-                                            back: (ahead, s.id)})
+                    corners[prev_v].update({ahead: (back, sid),
+                                            back: (ahead, sid)})
                 ahead, prev_v = fwd, v
             if ahead is not None and first is not None:
-                corners[prev_v].update({ahead: (first, s.id),
-                                        first: (ahead, s.id)})
-            for v in w.verts:
+                corners[prev_v].update({ahead: (first, sid),
+                                        first: (ahead, sid)})
+            for v in verts:
                 if v is not None and v not in corners:
-                    refs.append(f"dangling reference: sector {s.id} word {wi} "
+                    refs.append(f"dangling reference: sector {sid} word {wi} "
                                 f"names unknown dp {v}")
-    # each (segment, side) appears once, in its declared sector's words
-    for g in cx.segments:
-        for role in SIDES:
-            occ = carriers.get((g.id, role), [])
-            want = g.side(role)
+    return carriers, refs, flanks
+
+
+def _misplaced_sides(segments, carriers: dict):
+    """A violation for each side of ``segments`` that does not appear
+    exactly once, in its declared sector's words, by ``carriers``."""
+    for gid, _kind, one, up, lo, _end0, _end1 in segments:
+        for role, want in (("one", one), ("up", up), ("lo", lo)):
+            occ = carriers.get((gid, role), [])
             if len(occ) != 1 or occ[0] != want:
-                sides.append(f"segment {g.id} side {role} must appear exactly "
-                             f"once on sector {want}'s boundary (found {occ})")
-    return corners, refs, sides, flanks
+                yield (f"segment {gid} side {role} must appear exactly once "
+                       f"on sector {want}'s boundary (found {occ})")
 
 
 _PATTERN = (
@@ -379,27 +393,27 @@ def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
             seen.add(i)
 
     # reference resolution
-    for g in cx.segments:
-        for role in SIDES:
-            sid = g.side(role)
-            if sid not in cx.sector_by_id:
-                out.append(f"dangling reference: segment {g.id} side {role} "
+    sectors, dps = cx.sector_by_id, cx.dp_by_id
+    for gid, kind, one, up, lo, end0, end1 in cx.segments:
+        for role, sid in (("one", one), ("up", up), ("lo", lo)):
+            if sid not in sectors:
+                out.append(f"dangling reference: segment {gid} side {role} "
                            f"names unknown sector {sid}")
-        if g.kind == "circle":
-            if g.end0 is not None or g.end1 is not None:
-                out.append(f"circle segment {g.id} must not declare ends")
-        elif g.kind == "arc":
-            for label, end in (("end0", g.end0), ("end1", g.end1)):
+        if kind == "circle":
+            if end0 is not None or end1 is not None:
+                out.append(f"circle segment {gid} must not declare ends")
+        elif kind == "arc":
+            for label, end in (("end0", end0), ("end1", end1)):
                 if end is None:
-                    out.append(f"arc segment {g.id} missing {label}")
+                    out.append(f"arc segment {gid} missing {label}")
                 elif end.dp is not None:
-                    if end.dp not in cx.dp_by_id:
-                        out.append(f"dangling reference: segment {g.id} "
+                    if end.dp not in dps:
+                        out.append(f"dangling reference: segment {gid} "
                                    f"{label} names unknown dp {end.dp}")
                     elif not (end.slot is not None and 0 <= end.slot < 4):
-                        out.append(f"segment {g.id} {label} has bad slot")
+                        out.append(f"segment {gid} {label} has bad slot")
         else:
-            out.append(f"segment {g.id} has unknown kind {g.kind}")
+            out.append(f"segment {gid} has unknown kind {kind}")
 
     for d in cx.dps:
         if d.sign not in (1, -1):

@@ -124,23 +124,24 @@ def segment_form(cx: BranchedSurfaceComplex, gid: str) -> LinForm:
     return LinForm.make(coeffs, f"seg:{gid}")
 
 
-# the last complex build_system was asked about, with its segment and
-# corner forms: they do not depend on the kind, and criterion and selftest
-# ask for several kinds of one complex in a row.  A complex is frozen, so
-# identity is an exact match, and far cheaper than hashing one.
-_last_forms: tuple = (None, (), ())
-
-
-def _forms(cx: BranchedSurfaceComplex) -> tuple[tuple[LinForm, ...],
-                                                tuple[LinForm, ...]]:
-    """The segment forms and the corner forms of ``cx``, in its order."""
-    global _last_forms
-    last, segs, corners = _last_forms
-    if last is not cx:
-        segs = tuple(segment_form(cx, g.id) for g in cx.segments)
-        corners = tuple(corner_form(cx, d.id) for d in cx.dps)
-        _last_forms = (cx, segs, corners)
-    return segs, corners
+def _forms(cx: BranchedSurfaceComplex) -> tuple[list[LinForm],
+                                                list[LinForm]]:
+    """The segment forms and the corner forms of ``cx``, in its order.
+    Neither depends on the kind, and criterion and selftest ask for
+    several kinds of one complex, so the corner forms are kept on the
+    complex.  A segment's form reads that segment alone, so it is kept on
+    the segment object: a split output shares every segment that the move
+    leaves alone, and builds only the forms of the others."""
+    segs = []
+    for g in cx.segments:
+        memo = vars(g)
+        if "form" not in memo:
+            memo["form"] = segment_form(cx, g.id)
+        segs.append(memo["form"])
+    memo = vars(cx)
+    if "corner_forms" not in memo:
+        memo["corner_forms"] = [corner_form(cx, d.id) for d in cx.dps]
+    return segs, memo["corner_forms"]
 
 
 def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
@@ -152,8 +153,7 @@ def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
         raise PreconditionFailed(
             "input complex fails validation: " + cx.violations[0])
     variables = tuple(s.id for s in cx.sectors)
-    segs, corners = _forms(cx)
-    inequalities = list(segs)
+    inequalities, corners = _forms(cx)
     equalities: list[LinForm] = []
     strict: list[int] = []
     if kind == ISC:

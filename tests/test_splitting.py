@@ -7,6 +7,7 @@ checked against exhaustive enumeration of closed solutions.
 """
 
 import itertools
+import random
 from hashlib import sha256
 
 import pytest
@@ -40,7 +41,8 @@ from bsgate.splitting import (
 from bsgate.gen import random_complex
 from bsgate.parser import parse_complex, print_complex
 from bsgate.surface import SegItem, validate
-from bsgate.weights import Certificate, criterion, segment_form
+from bsgate.weights import (KINDS, Certificate, build_system, criterion,
+                            segment_form)
 
 from conftest import FIXTURES, fixture_text, load
 from test_certificates import ladder
@@ -303,6 +305,86 @@ def test_a_split_keeps_each_segment_whose_sheets_stay():
                     counts[kind] += 1
                     assert (g is old) == (kind == "kept")
     assert counts == {"kept": 7366, "moved": 5552, "new": 11284}
+
+
+def test_a_split_keeps_each_sector_whose_words_stay():
+    """Over the seeded good splits, an input sector whose words the move
+    does not rewrite is the output's own object, in the same place among
+    the kept sectors; a rewritten one is a new object."""
+    counts = {"kept": 0, "rewritten": 0, "new": 0}
+    for seed in range(200):
+        cx = random_complex(seed)
+        for loc in good_loci(cx):
+            for choice in (OVER, UNDER, NEUTRAL):
+                out = split(cx, loc, choice).complex
+                kept = []
+                for s in out.sectors:
+                    old = cx.sector_by_id.get(s.id)
+                    kind = ("new" if old is None else
+                            "kept" if s == old else "rewritten")
+                    counts[kind] += 1
+                    assert (s is old) == (kind == "kept")
+                    if kind == "kept":
+                        kept.append(s)
+                assert kept == [s for s in cx.sectors if s in kept]
+    assert counts == {"kept": 5766, "rewritten": 1644, "new": 6359}
+
+
+def _cold_equals_carried(out) -> None:
+    """Every table of ``out`` equals that of a cold copy of it."""
+    cold = parse_complex(print_complex(out))
+    assert out.dp_corners == cold.dp_corners
+    assert out.violations == cold.violations == ()
+    assert out.roles == cold.roles
+    for kind in KINDS:
+        assert build_system(out, kind) == build_system(cold, kind)
+
+
+def _safe_walk(steps: int, seed: int = 0):
+    """The complexes of a safe walk from ``fix-clean3``: at each step, the
+    first good locus, in a ``random.Random(seed)`` shuffle, whose over or
+    under output keeps the criterion."""
+    rng = random.Random(seed)
+    cur = load("fix-clean3.bsf")
+    for _ in range(steps):
+        loci = good_loci(cur)
+        rng.shuffle(loci)
+        for loc in loci:
+            try:
+                cur = safe_split(cur, loc).complex
+            except InvariantViolation:  # neither move keeps it
+                continue
+            yield cur
+            break
+
+
+def test_carried_tables_equal_cold_ones(monkeypatch):
+    """A split output's corner table, carried from its input's, and the
+    violations, roles and systems read off it equal those of a cold copy:
+    over every good split of seeds 0-199, the over-ladder and a 60-step
+    safe walk.  No split of the seeds or of the walk falls back to a cold
+    walk."""
+    carried = []
+    walk = splitting._carried_walk
+    monkeypatch.setattr(splitting, "_carried_walk",
+                        lambda *a: carried.append(walk(*a)) or carried[-1])
+    outputs = 0
+    for seed in range(200):
+        cx = random_complex(seed)
+        for loc in good_loci(cx):
+            for choice in (OVER, UNDER, NEUTRAL):
+                _cold_equals_carried(split(cx, loc, choice).complex)
+                outputs += 1
+        _cold_equals_carried(cx)  # its shared tables were never written to
+    for out in _safe_walk(60):
+        _cold_equals_carried(out)
+        outputs += 1
+    # the walk's split calls include the over moves that it does not commit
+    assert (outputs, len(carried)) == (3432, 3438)
+    assert None not in carried
+    # the ladder was built in an earlier test, or is built here
+    for out in ladder():
+        _cold_equals_carried(out)
 
 
 def test_every_depth_two_split_of_three_seeds_validates():

@@ -80,9 +80,11 @@ def test_roles_are_derived_once_for_every_kind(monkeypatch):
     assert sorted(derived) == sorted(d.id for d in cx.dps)
 
 
-def test_forms_are_built_once_per_complex_for_every_kind(monkeypatch):
-    # an equal but distinct complex, then one with a double point's sign
-    # flipped, each get their own forms and the system of a fresh build
+def test_a_segment_form_is_built_once_per_segment_object(monkeypatch):
+    # an equal but distinct complex builds the forms of its own segments;
+    # one with a double point's sign flipped shares the segments, so it
+    # builds none, yet gets the system of a fresh build, as does the first
+    # complex asked again
     text = fixture_text("fix-split.bsf")
     cx, twin = parse_complex(text), parse_complex(text)
     d = cx.dps[0]
@@ -103,8 +105,8 @@ def test_forms_are_built_once_per_complex_for_every_kind(monkeypatch):
         assert [build_system(c, kind) for kind in KINDS] \
             == (want_flipped if c is flipped else want)
     n = len(cx.segments)
-    assert len(built) == 4 * n
-    assert all(a is b for a, b in zip(built, (c for c in order
+    assert len(built) == 2 * n
+    assert all(a is b for a, b in zip(built, (c for c in (cx, twin)
                                                for _ in range(n))))
 
 
