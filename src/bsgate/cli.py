@@ -12,7 +12,6 @@ that corrupts its output) or any other exception escapes
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import os
 import re
@@ -20,6 +19,7 @@ import sys
 import time
 from importlib import import_module
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 from . import __version__
@@ -37,13 +37,6 @@ from .errors import (
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; the report contract
-    # reserves 2 for validation failures, so reroute to exit code 1
-    def error(self, message):
-        raise UsageError(message)
 
 
 class OracleDisagreement(Exception):
@@ -471,37 +464,196 @@ _CHART_ARGS = {
 }
 
 
-def _branch(table: dict, name) -> tuple[str, ...]:
-    """The names of ``table`` to build: ``name`` alone if it is one."""
-    return (name,) if name in table else tuple(table)
+# the top level's help line; the module docstring is stripped under -OO
+_DESCRIPTION = ("Decide weight-system verdicts on branched-surface "
+                "complexes, split them, and check slope-function charts.")
+_HELP = ("-h", "--help")
 
 
-def _build_parser(argv=()) -> _Parser:
-    """The parser tree, cut to the branch that ``argv`` names.
+def _level(path: tuple[str, ...]) -> tuple:
+    """The help line, arguments and subcommands (their dest and table) of
+    the parser ``path`` names: () for the top, then a command, then a
+    chart subcommand."""
+    if not path:
+        return _DESCRIPTION, (), ("cmd", _COMMAND_ARGS)
+    if path == ("chart",):
+        return _COMMAND_ARGS["chart"][0], (), ("chart_cmd", _CHART_ARGS)
+    if path[0] == "chart":
+        return "", _CHART_ARGS[path[1]], None
+    return (*_COMMAND_ARGS[path[0]], None)
 
-    When ``argv[0]`` is a command, only its parser is built, and for
-    ``chart`` only that of the subcommand ``argv[1]`` names.  A
-    subparser's prog, help and error messages do not depend on its
-    siblings, and :class:`_Parser` passes on only the message, so the
-    cut tree prints what the whole one would.  Any other ``argv`` (none,
-    an unknown name, ``-h``) gets the whole tree.
-    """
-    cmd, chart_cmd = (*argv[:2], None, None)[:2]
-    parser = _Parser(prog="bsgate", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    for name in _branch(_COMMAND_ARGS, cmd):
-        help_line, args = _COMMAND_ARGS[name]
-        p = sub.add_parser(name, help=help_line)
-        if name == "chart":
-            csub = p.add_subparsers(dest="chart_cmd", required=True)
-            for chart_name in _branch(_CHART_ARGS,
-                                      chart_cmd if cmd == "chart" else None):
-                cp = csub.add_parser(chart_name)
-                for flags, kwargs in _CHART_ARGS[chart_name]:
-                    cp.add_argument(*flags, **kwargs)
-        for flags, kwargs in args:
-            p.add_argument(*flags, **kwargs)
-    return parser
+
+def _dest(names: tuple[str, ...]) -> str:
+    return names[0].lstrip("-").replace("-", "_")
+
+
+def _check_choice(name: str, value, choices) -> None:
+    if value not in choices:
+        raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+
+
+def _negative_number(token: str) -> bool:
+    """Whether ``token`` is a minus and a decimal number: digits, or
+    digits, a point and digits, the first digits optional.  One final
+    newline is allowed, as a regular expression's ``$`` allows it."""
+    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return frac.isdecimal() and (whole + "0").isdecimal()
+
+
+def _reading(token: str, flags: dict) -> Optional[tuple]:
+    """How a parser with ``flags`` reads ``token`` before any ``--``:
+    None for a positional, else the flag it names ("" for an unknown
+    option) and the value given in the same token, or None.  A long flag
+    may be cut to a unique prefix; an ambiguous one is an error."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":
+        hits = [flag for flag in flags if flag.startswith(name)]
+        value = value if eq else None
+    else:  # a one-letter flag with a value glued on
+        hits = [token[:2]] if token[:2] in flags else []
+        value = token[2:]
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {token} could match "
+                         f"{', '.join(hits)}")
+    if hits:
+        return hits[0], value
+    if " " in token or _negative_number(token):
+        return None
+    return "", None
+
+
+def _usage(names: tuple[str, ...], kwargs: dict) -> str:
+    if names[0][0] != "-":
+        return names[0]
+    choices = kwargs.get("choices")
+    shown = f"{names[0]} " + (kwargs.get("metavar")
+                              or (choices and "{%s}" % ",".join(choices))
+                              or _dest(names).upper())
+    return shown if kwargs.get("required") else f"[{shown}]"
+
+
+def _help(path: tuple[str, ...]) -> str:
+    """The help of the parser ``path`` names, from the command table:
+    its subcommands, then each argument with its type, choices and
+    default or whether it is required."""
+    about, args, sub = _level(path)
+    usage = ["usage: bsgate", *path, "[-h]"]
+    usage += [_usage(names, kwargs) for names, kwargs in args]
+    rows = []
+    if sub:
+        usage.append("{%s} ..." % ",".join(sub[1]))
+        rows += [(name, _level((*path, name))[0]) for name in sub[1]]
+    for names, kwargs in args:
+        notes = [kwargs["type"].__name__] if "type" in kwargs else []
+        if kwargs.get("required") or names[0][0] != "-":
+            notes.append("required")
+        elif kwargs.get("default") is not None:
+            notes.append(f"default {kwargs['default']}")
+        rows.append((_usage(names, kwargs).strip("[]"), ", ".join(notes)))
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(shown) for shown, _ in rows)
+    return "\n".join([" ".join(usage), "", *([about, ""] if about else []),
+                      *(f"  {shown:<{width}}  {notes}".rstrip()
+                        for shown, notes in rows)]) + "\n"
+
+
+def _parse_level(path: tuple[str, ...], tokens: list[str], values: dict,
+                 extras: list[str]) -> bool:
+    """Read ``tokens`` with the parser ``path`` names, then with the
+    subcommand's that takes the rest: options and positionals in any
+    order, the last repeated flag winning, ``--`` ending the options, a
+    bad value refused when it is reached, then missing required
+    arguments.  Sets ``values`` and collects in ``extras`` the tokens no
+    argument takes.  Returns False after printing help."""
+    _, args, sub = _level(path)
+    flags = dict.fromkeys(_HELP)
+    positional = None
+    for names, kwargs in args:
+        values[_dest(names)] = kwargs.get("default")
+        if names[0][0] == "-":
+            flags.update(dict.fromkeys(names, (names, kwargs)))
+        else:
+            positional = names
+    n = len(tokens)
+    mark = tokens.index("--") if "--" in tokens else n
+    readings = [_reading(token, flags) for token in tokens[:mark]]
+    readings += [None] * (n - mark)
+    seen, i = set(), 0
+    while i < n:
+        if not readings[i]:  # a run of positionals, up to the next option
+            end = next((k for k in range(i + 1, n) if readings[k]), n)
+            first = i + (i == mark)  # a leading -- is part of the run
+            if sub and first < n:
+                # the subcommand takes the rest; a leading -- is its name
+                _check_choice(sub[0], tokens[i], sub[1])
+                values[sub[0]] = tokens[i]
+                return _parse_level((*path, tokens[i]), tokens[i + 1:],
+                                    values, extras)
+            if positional and positional not in seen and first < n:
+                values[_dest(positional)] = tokens[first]
+                seen.add(positional)
+                i = first + 1 + (first + 1 == mark)  # and a -- after it
+            extras.extend(tokens[i:end])
+            i = end
+            continue
+        flag, value = readings[i]
+        i += 1
+        if not flag:
+            extras.append(tokens[i - 1])
+        elif flag in _HELP:
+            # -hh reads as -h -h; any other value given to help is refused
+            if value is not None and (flag == "--help" or
+                                      not value or value.lstrip("h")):
+                ignored = value.lstrip("h") if flag == "-h" else value
+                raise UsageError("argument -h/--help: ignored explicit "
+                                 f"argument {ignored!r}")
+            print(_help(path), end="")
+            return False
+        else:
+            names, kwargs = flags[flag]
+            name = "/".join(names)
+            if value is None:
+                if i == n or i == mark or readings[i]:
+                    raise UsageError(f"argument {name}: expected one "
+                                     "argument")
+                value, i = tokens[i], i + 1
+            convert = kwargs.get("type", str)
+            try:
+                value = convert(value)
+            except ValueError:
+                raise UsageError(f"argument {name}: invalid "
+                                 f"{convert.__name__} value: "
+                                 f"{value!r}") from None
+            if "choices" in kwargs:
+                _check_choice(name, value, kwargs["choices"])
+            values[_dest(names)] = value
+            seen.add(names)
+    missing = ["/".join(names) for names, kwargs in args if names not in seen
+               and (kwargs.get("required") or names == positional)]
+    if missing or sub:  # a subcommand found has taken the rest
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(missing or [sub[0]]))
+    return True
+
+
+def _parse_args(argv) -> Optional[SimpleNamespace]:
+    """``argv`` read against the command table: the namespace, or None
+    after printing help.  A usage error raises :class:`UsageError`."""
+    values, extras = {}, []
+    if not _parse_level((), list(argv), values, extras):
+        return None
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 # each command's handler and the layers it runs; main loads the layers
@@ -527,12 +679,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         import_module(f".{layer}", __package__)
     started = time.monotonic()
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _parse_args(argv)
     except UsageError as exc:
         print(f"error: usage-error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    if args is None:  # --help
+        return 0
     lines = [f"bsgate-report {args.cmd}", f"version: {__version__}"]
     try:
         handler, _ = _COMMANDS[args.cmd]

@@ -6,6 +6,7 @@ pinned as line goldens with the ``# duration-ms`` trailer stripped, so
 these double as a determinism check.
 """
 
+import json
 import math
 import re
 from hashlib import sha256
@@ -82,21 +83,129 @@ _USAGE_ARGVS = (
        ["frob", "detect"], ["chart", "frob", "check-box"]])
 
 
+# the message of each usage error above, as argparse's whole tree printed
+# it; the table-driven reading keeps every one
+_USAGE_ERRORS = {
+    "": "the following arguments are required: cmd",
+    "frob": "argument cmd: invalid choice: 'frob' (choose from 'validate', "
+            "'detect', 'assemble', 'split', 'schedule', 'chart', "
+            "'selftest')",
+    "chart": "the following arguments are required: chart_cmd",
+    "chart frob": "argument chart_cmd: invalid choice: 'frob' (choose from "
+                  "'check-box', 'check-cyl', 'purify-box', 'purify-cyl', "
+                  "'extend', 'holonomy')",
+    "validate": "the following arguments are required: input",
+    "detect": "the following arguments are required: --kind, input",
+    "assemble": "the following arguments are required: --kind, --weights, "
+                "input",
+    "split": "the following arguments are required: --sector, --entry, "
+             "--exit, --choice, input",
+    "schedule": "the following arguments are required: --plan, input",
+    "chart check-box": "the following arguments are required: input",
+    "chart check-cyl": "the following arguments are required: input",
+    "chart purify-box": "the following arguments are required: input, "
+                        "--y0, --y1, --delta",
+    "chart purify-cyl": "the following arguments are required: input, "
+                        "--r0, --mode",
+    "chart extend": "the following arguments are required: input, --r0",
+    "chart holonomy": "the following arguments are required: input, --z0",
+    "detect --kind frob x.bsf": "argument --kind: invalid choice: 'frob' "
+                                "(choose from 'neg-tisc', 'pos-tisc', "
+                                "'isc', 'criterion')",
+    "assemble --kind frob --weights x.w x.bsf":
+        "argument --kind: invalid choice: 'frob' (choose from 'neg-tisc', "
+        "'pos-tisc', 'isc')",
+    "split --sector A --entry 0:0:one --exit 3:0:one --choice frob x.bsf":
+        "argument --choice: invalid choice: 'frob' (choose from 'over', "
+        "'under', 'neutral', 'safe')",
+    "chart purify-cyl x.grid --r0 0.5 --mode sideways":
+        "argument --mode: invalid choice: 'sideways' (choose from 'inner', "
+        "'outer')",
+    "selftest --seeds frob": "argument --seeds: invalid int value: 'frob'",
+    "detect --kind isc": "the following arguments are required: input",
+    "validate x.bsf --bogus": "unrecognized arguments: --bogus",
+    "chart holonomy x.grid --z0 0 --tol 1": "unrecognized arguments: --tol 1",
+    "frob detect": "argument cmd: invalid choice: 'frob' (choose from "
+                   "'validate', 'detect', 'assemble', 'split', 'schedule', "
+                   "'chart', 'selftest')",
+    "chart frob check-box": "argument chart_cmd: invalid choice: 'frob' "
+                            "(choose from 'check-box', 'check-cyl', "
+                            "'purify-box', 'purify-cyl', 'extend', "
+                            "'holonomy')",
+}
+
+
 @pytest.mark.parametrize("argv", _USAGE_ARGVS,
                          ids=[" ".join(a) or "(none)" for a in _USAGE_ARGVS])
-def test_usage_and_help_read_as_from_the_whole_tree(capsys, monkeypatch,
-                                                    argv):
-    # the parser main builds for argv, against the whole tree: the same
-    # exit code, stdout and stderr, whatever this argparse prints
+def test_usage_and_help_read_as_from_the_whole_tree(capsys, argv):
+    # a usage error prints the pinned message alone, on stderr, and exits
+    # 1; help prints the help of the parser argv names and exits 0
     code = main(list(argv))
-    got = code, *capsys.readouterr()
-    whole = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda *_: whole())
-    code = main(list(argv))
-    assert got == (code, *capsys.readouterr())
-    assert code in (0, 1)
-    assert got[2].startswith("error: usage-error: ") == (code == 1)
-    assert got[1].startswith("usage: bsgate") == (code == 0)
+    out, err = capsys.readouterr()
+    if argv[-1:] in (["--help"], ["-h"]):
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: {' '.join(['bsgate', *argv[:-1]])} "
+                              "[-h]")
+    else:
+        message = _USAGE_ERRORS[" ".join(argv)]
+        assert (code, out, err) == (1, "", f"error: usage-error: {message}\n")
+
+
+def _help_page(capsys, *argv) -> str:
+    assert main([*argv, "--help"]) == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_the_command_table(capsys):
+    # each page is generated from the table: the top one lists every
+    # command with its help line, chart's every subcommand, and each
+    # command's every flag, choice set and default
+    top = [line.split() for line in _help_page(capsys).splitlines()]
+    for name, (help_line, _) in cli._COMMAND_ARGS.items():
+        assert [name, *help_line.split()] in top
+    chart = _help_page(capsys, "chart").splitlines()
+    assert all(f"  {name}" in chart for name in cli._CHART_ARGS)
+    pages = [((cmd,), args) for cmd, (_, args) in cli._COMMAND_ARGS.items()]
+    pages += [(("chart", sub), args) for sub, args in cli._CHART_ARGS.items()]
+    for argv, args in pages:
+        page = _help_page(capsys, *argv)
+        assert page.startswith(f"usage: bsgate {' '.join(argv)} [-h]")
+        for flags, kwargs in args:
+            assert flags[0] in page
+            if "choices" in kwargs:
+                assert "{%s}" % ",".join(kwargs["choices"]) in page
+            if kwargs.get("default") is not None:
+                assert f"default {kwargs['default']}" in page
+
+
+def test_commands_and_help_run_without_docstrings(tmp_path):
+    # python -OO strips docstrings; the help's description is a literal
+    box = tmp_path / "box.grid"
+    box.write_text(print_grid(sample_box(lambda x, y, z: -1.0 - y,
+                                         (5, 5, 5))))
+    argvs = [
+        ["--help"], ["chart", "holonomy", "--help"],
+        ["validate", fx("fix-clean.bsf")],
+        ["detect", "--kind", "criterion", fx("fix-clean.bsf")],
+        ["assemble", "--kind", "isc", "--weights", fx("fix-doc-isc.w"),
+         fx("fix-doc.bsf")],
+        ["split", "--sector", "A", "--entry", "0:0:one", "--exit",
+         "3:0:one", "--choice", "safe", fx("fix-clean.bsf")],
+        ["schedule", "--plan", fx("clean3.plan"), fx("fix-clean3.bsf")],
+        ["chart", "check-box", str(box)],
+        ["selftest", "--seeds", "1"]]
+    proc = run_python("-OO", "-c", "import json, sys\n"
+                      "from bsgate.cli import main\n"
+                      "for argv in json.loads(sys.argv[1]):\n"
+                      "    print('exit', main(argv))",
+                      json.dumps(argvs))
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert [l for l in lines if l.startswith("exit ")] == ["exit 0"] * 9
+    assert lines[0].startswith("usage: bsgate [-h]")
+    assert "violations: 0" in lines
+    assert "passes: true" in lines
+    assert "selftest: ok" in lines
 
 
 def test_missing_input_file(capsys):
@@ -801,9 +910,9 @@ def test_purify_cyl_modes_are_the_chart_constants(mode):
     argv = ["chart", "purify-cyl", "in.grid", "--r0", "0.5", "--mode", mode]
     if mode == "sideways":
         with pytest.raises(cli.UsageError, match="invalid choice"):
-            cli._build_parser().parse_args(argv)
+            cli._parse_args(argv)
     else:
-        assert cli._build_parser().parse_args(argv).mode == mode
+        assert cli._parse_args(argv).mode == mode
 
 
 # -- determinism and selftest ---------------------------------------------

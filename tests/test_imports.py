@@ -1,6 +1,6 @@
 """Each command loads only the layers it runs, only the chart layer
 and the brute-force oracle load numpy, and no command loads
-``dataclasses``.
+``dataclasses``, ``argparse`` or ``gettext``.
 
 ``import bsgate`` loads no layer: every public name but the errors is
 served from its layer on first use.  The exact layers work on integers
@@ -21,7 +21,8 @@ from bsgate.cli import main
 from conftest import fx, run_python
 
 # runs one command, then says whether numpy was loaded before and after,
-# names the bsgate modules loaded after, and says whether dataclasses was
+# names the bsgate modules loaded after, and says whether dataclasses,
+# argparse and gettext were
 PROBE = """
 import sys
 from bsgate.cli import main
@@ -30,7 +31,8 @@ code = main(sys.argv[1:])
 print("exit", code, "numpy-before", before, "numpy-after",
       "numpy" in sys.modules)
 print(*sorted(m for m in sys.modules if m.partition(".")[0] == "bsgate"))
-print("dataclasses", "dataclasses" in sys.modules)
+print(*(f"{name} {name in sys.modules}"
+        for name in ("dataclasses", "argparse", "gettext")))
 """
 # what every command loads: the package, its errors and the command line
 BASE = ("bsgate", "bsgate.cli", "bsgate.errors")
@@ -39,10 +41,12 @@ BASE = ("bsgate", "bsgate.cli", "bsgate.errors")
 def probe(*argv: str) -> tuple[list[str], str, list[str]]:
     proc = run_python("-c", PROBE, *argv)
     assert proc.stderr == ""
-    *report, verdict, modules, dataclasses = proc.stdout.splitlines()
+    *report, verdict, modules, loaded = proc.stdout.splitlines()
     # every record is a NamedTuple or a plain class, so no command pays
-    # for the dataclasses machinery (and inspect, ast, dis) at start-up
-    assert dataclasses == "dataclasses False"
+    # for the dataclasses machinery (and inspect, ast, dis) at start-up;
+    # argv is read from the command table, so none pays for argparse and
+    # its gettext and locale either
+    assert loaded == "dataclasses False argparse False gettext False"
     # report[-1] is the # duration-ms trailer
     return report[:-1], verdict, modules.split()
 
