@@ -1,22 +1,23 @@
 """Text format for complexes and weight sidecars.
 
 Line-oriented, UTF-8, ``#`` starts a comment, tokens whitespace-separated.
-Parsing is two-pass: declarations are collected first, references resolved
-afterwards, so documents may order their lines freely.  Each line is
-split once; a token's 1-based column is found only to report an error.
+Declarations are collected first and the complex built from them checks
+their references, so documents may order their lines freely.  Each line
+is split once; a token's 1-based column is found only to report an error.
 
 - Line and column: every error of the first pass (a malformed line
   points at its first token), a bword naming an unknown sector, and
   every weight-sidecar error.
 - Line only: a word index out of range, a duplicate or missing bword,
-  and a dangling segment, dp or segment-side sector reference.
+  and an unknown segment, dp or sector that the constructor refuses, at
+  the line of the bword or segment that names it.
 - Neither: ``missing surface declaration`` and wrong end arity at a
   double point.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import InvariantViolation, ParseError
 from .surface import (
     FREE_END,
     SIDES,
@@ -28,7 +29,6 @@ from .surface import (
     Sector,
     SegItem,
     SegmentEnd,
-    _slot_fill,
 )
 
 
@@ -119,7 +119,7 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
     sector_decls: dict[str, tuple] = {}  # sid -> (genus, bwords, line)
     word_decls: list[tuple] = []  # (sid, k, word, line), in file order
     segments: dict[str, BranchSegment] = {}
-    seg_lines: dict[str, int] = {}
+    decl_lines: dict[tuple, int] = {}  # the line of each part a refusal names
     dps: dict[str, DoublePoint] = {}
     vtx = {"v:smooth": None}  # each vertex token, read once per document
     lines = text.splitlines()
@@ -200,7 +200,7 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                     raise _Bad(f"arc segment {gid} must declare ends", 0)
                 segments[gid] = BranchSegment(gid, kind, one, up, lo, end0,
                                               end1)
-                seg_lines[gid] = lineno
+                decl_lines["segment", gid] = lineno
 
             elif head == "dp":
                 if n != 4 or toks[2] != "sign":
@@ -236,15 +236,7 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
         if k in words:
             raise ParseError(f"duplicate bword {sid} {k}", line)
         words[k] = word
-
-        for it in word.items:
-            if isinstance(it, SegItem) and it.seg not in segments:
-                raise ParseError(f"dangling reference: bword {sid} {k} "
-                                 f"names unknown segment {it.seg}", line)
-        for v in word.verts:
-            if v is not None and v not in dps:
-                raise ParseError(f"dangling reference: bword {sid} {k} "
-                                 f"names unknown dp {v}", line)
+        decl_lines["bword", sid, k] = line
 
     # every word kept is in range and no index twice, so a short sector
     # lacks an index
@@ -254,32 +246,15 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
             raise ParseError(f"sector {sid} missing bword index "
                              f"{min(missing)}", line)
 
-    for gid, g in segments.items():
-        for role in SIDES:
-            sid = g.side(role)
-            if sid not in sector_decls:
-                raise ParseError(f"dangling reference: segment {gid} side "
-                                 f"{role} names unknown sector {sid}",
-                                 seg_lines[gid])
-        for end in (g.end0, g.end1):
-            if end is not None and end.dp is not None and end.dp not in dps:
-                raise ParseError(f"dangling reference: segment {gid} names "
-                                 f"unknown dp {end.dp}", seg_lines[gid])
-
-    for did, fill in _slot_fill(segments.values(), dps).items():
-        if fill != [1, 1, 1, 1]:
-            raise ParseError(f"double point {did} has wrong end arity "
-                             f"(slots filled {fill})")
-
     sectors = tuple(
         Sector(sid, genus, tuple(words_by_sector[sid][k] for k in range(nb)))
         for sid, (genus, nb, _) in sector_decls.items())
-    return BranchedSurfaceComplex(
-        name=surface_name,
-        sectors=sectors,
-        segments=tuple(segments.values()),
-        dps=tuple(dps.values()),
-    )
+    try:
+        return BranchedSurfaceComplex(surface_name, sectors,
+                                      tuple(segments.values()),
+                                      tuple(dps.values()))
+    except InvariantViolation as e:  # reported on its part's line, if any
+        raise ParseError(str(e), decl_lines.get(e.part)) from None
 
 
 def _item_str(it) -> str:
@@ -310,7 +285,7 @@ def print_complex(cx: BranchedSurfaceComplex) -> str:
             lines.append(f"bword {s.id} {k} : " + " ".join(parts))
     for g in cx.segments:
         line = f"segment {g.id} {g.kind} one {g.one} up {g.up} lo {g.lo}"
-        if g.kind == "arc" and g.end0 is not None and g.end1 is not None:
+        if g.kind == "arc":
             line += f" ends {_end_str(g.end0)} {_end_str(g.end1)}"
         lines.append(line)
     for d in cx.dps:

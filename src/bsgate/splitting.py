@@ -20,8 +20,9 @@ it:
   swapped in its one lateral table; so the over move's new left double
   point is negative and its right one positive, and the under move's
   signs are the mirror image;
-* every output complex is re-validated, so a template error surfaces as
-  ``InvariantViolation`` rather than silent corruption.
+* every output complex checks its references as it is built and is
+  re-validated, so a template error surfaces as ``InvariantViolation``
+  rather than silent corruption.
 """
 
 from __future__ import annotations
@@ -552,7 +553,7 @@ def _carried_walk(cx: BranchedSurfaceComplex, gone: list[Sector],
     for v in named:
         corners[v] = {k: c for k, c in corners[v].items()
                       if c[1] not in gone_ids}
-    carriers, refs, flanks = _walk_sectors(new, segs, corners)
+    carriers, flanks = _walk_sectors(new, segs, corners)
     for v in named:  # a table that came back unchanged stays shared
         if corners[v] == was.get(v):
             corners[v] = was[v]
@@ -560,9 +561,9 @@ def _carried_walk(cx: BranchedSurfaceComplex, gone: list[Sector],
         for role in SIDES:  # the sheets as cx declared them
             if (sid := cx.segment_by_id[gid].side(role)) not in gone_ids:
                 carriers.setdefault((gid, role), []).append(sid)
-    if refs or flanks or any(_misplaced_sides(segs.values(), carriers)):
+    if flanks or any(_misplaced_sides(segs.values(), carriers)):
         return None
-    return corners, (), (), ()
+    return corners, ()
 
 
 def pushforward_weights(res: SplitResult,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Union
 
-from .errors import NoConsistentRoles
+from .errors import InvariantViolation, NoConsistentRoles
 
 SIDES = ("one", "up", "lo")
 
@@ -159,23 +159,16 @@ class BranchedSurfaceComplex(_Frozen):
                  segments: tuple[BranchSegment, ...],
                  dps: tuple[DoublePoint, ...],
                  walk: Union[tuple, None] = None):
+        # the id tables, which the reference check reads first
+        self.__dict__.update(
+            name=name, sectors=sectors, segments=segments, dps=dps,
+            sector_by_id={s.id: s for s in sectors},
+            segment_by_id={g.id: g for g in segments},
+            dp_by_id={d.id: d for d in dps})
+        _check_references(self)
         # a split hands its output the walk it carried over from its input
-        self.__dict__.update(name=name, sectors=sectors, segments=segments,
-                             dps=dps)
         if walk is not None:
             self.__dict__["_word_walk"] = walk
-
-    @cached_property
-    def sector_by_id(self) -> dict[str, Sector]:
-        return {s.id: s for s in self.sectors}
-
-    @cached_property
-    def segment_by_id(self) -> dict[str, BranchSegment]:
-        return {g.id: g for g in self.segments}
-
-    @cached_property
-    def dp_by_id(self) -> dict[str, DoublePoint]:
-        return {d.id: d for d in self.dps}
 
     @property
     def dp_corners(self) -> dict[str, dict]:
@@ -187,13 +180,12 @@ class BranchedSurfaceComplex(_Frozen):
 
     @cached_property
     def _word_walk(self) -> tuple:
-        """The cold walk: the corner table, and the words' reference, side
-        and flank violations; no complex keeps the edges' carriers."""
+        """The cold walk: the corner table, and the words' side and flank
+        violations, in report order; no complex keeps the edges' carriers."""
         corners: dict[str, dict] = {d.id: {} for d in self.dps}
-        carriers, refs, flanks = _walk_sectors(self.sectors,
-                                               self.segment_by_id, corners)
-        return (corners, refs,
-                list(_misplaced_sides(self.segments, carriers)), flanks)
+        carriers, flanks = _walk_sectors(self.sectors, self.segment_by_id,
+                                         corners)
+        return corners, [*_misplaced_sides(self.segments, carriers), *flanks]
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -207,44 +199,98 @@ class BranchedSurfaceComplex(_Frozen):
         return {d.id: derive_roles(self, d.id) for d in self.dps}
 
 
-def _end_of_item(seg: BranchSegment, side: str, which: str) -> Union[SegmentEnd, None]:
-    """Segment end at the 'prev'/'next' vertex of a word item.
+def _end_of_item(seg: BranchSegment, side: str, which: str) -> SegmentEnd:
+    """Arc-segment end at the 'prev'/'next' vertex of a word item.
 
     one-side runs end0->end1, so its prev vertex sits at end0; up/lo run
-    the other way.  A circle declares no ends, so both are None.
+    the other way.
     """
     if side == "one":
         return seg.end0 if which == "prev" else seg.end1
     return seg.end1 if which == "prev" else seg.end0
 
 
-def _slot_fill(segments, dp_ids) -> dict[str, list[int]]:
-    """Per double point in ``dp_ids``, the segment ends at each of its
-    four slots; every end must name one of them and a slot in 0..3."""
-    fill = {d: [0] * 4 for d in dp_ids}
-    for g in segments:
-        for end in (g.end0, g.end1):
-            if end is not None and end.dp is not None:
-                fill[end.dp][end.slot] += 1
-    return fill
+def _refusal(message: str, part: tuple) -> InvariantViolation:
+    err = InvariantViolation(message)
+    err.part = part
+    return err
+
+
+def _check_references(cx: BranchedSurfaceComplex) -> None:
+    """Raise :class:`InvariantViolation` at the first broken reference of
+    ``cx``, its ``part`` naming the part at fault: ``("bword", sector id,
+    word index)``, or a kind and an id.  Every complex runs it once, as it
+    is built."""
+    sectors, segs, dps = cx.sector_by_id, cx.segment_by_id, cx.dp_by_id
+    for kind, table, parts in (("sector", sectors, cx.sectors),
+                               ("segment", segs, cx.segments),
+                               ("dp", dps, cx.dps)):
+        if len(table) != len(parts):
+            ids = [p.id for p in parts]
+            dup = next(i for n, i in enumerate(ids) if i in ids[:n])
+            raise _refusal(f"duplicate {kind} id {dup}", (kind, dup))
+    for sid, genus, words in cx.sectors:
+        if genus < 0:
+            raise _refusal(f"sector {sid} has negative genus", ("sector", sid))
+        for k, w in enumerate(words):
+            part = ("bword", sid, k)
+            if not w.items:
+                raise _refusal(f"bword {sid} {k} is empty", part)
+            for it in w.items:
+                if isinstance(it, SegItem):
+                    seg, side = it
+                    if seg not in segs:
+                        raise _refusal(f"dangling reference: bword {sid} {k} "
+                                       f"names unknown segment {seg}", part)
+                    if side not in SIDES:
+                        raise _refusal(f"bword {sid} {k} names bad side "
+                                       f"{side!r}", part)
+            for v in w.verts:
+                if v is not None and v not in dps:
+                    raise _refusal(f"dangling reference: bword {sid} {k} "
+                                   f"names unknown dp {v}", part)
+    fill = {d: [0, 0, 0, 0] for d in dps}  # the ends at each point's slots
+    for gid, kind, one, up, lo, end0, end1 in cx.segments:
+        part = ("segment", gid)
+        if one not in sectors or up not in sectors or lo not in sectors:
+            role, sid = next((r, s) for r, s in zip(SIDES, (one, up, lo))
+                             if s not in sectors)
+            raise _refusal(f"dangling reference: segment {gid} side {role} "
+                           f"names unknown sector {sid}", part)
+        if kind not in ("arc", "circle"):
+            raise _refusal(f"segment {gid} has unknown kind {kind!r}", part)
+        want = 2 if kind == "arc" else 0  # both for an arc, none for a circle
+        if (end0 is not None) + (end1 is not None) != want:
+            raise _refusal(f"{kind} segment {gid} must declare {want} ends",
+                           part)
+        for dp, slot in (end0, end1)[:want]:
+            if dp is not None:
+                if dp not in dps:
+                    raise _refusal(f"dangling reference: segment {gid} "
+                                   f"names unknown dp {dp}", part)
+                if slot not in (0, 1, 2, 3):
+                    raise _refusal(f"segment {gid} names slot {slot!r} of "
+                                   f"dp {dp}", part)
+                fill[dp][slot] += 1
+    for did, sign in cx.dps:
+        if sign not in (1, -1):
+            raise _refusal(f"dp {did} has invalid sign {sign!r}", ("dp", did))
+        if fill[did] != [1, 1, 1, 1]:
+            raise _refusal(f"double point {did} has wrong end arity (slots "
+                           f"filled {fill[did]})", ("dp", did))
 
 
 def _walk_sectors(sectors, segs: dict, corners: dict) -> tuple:
-    """Walk the words of ``sectors``, which may name the segments in
+    """Walk the words of ``sectors``, which name only the segments in
     ``segs`` and the points keyed in ``corners``, onto the tables of the
     points they name; return the sectors carrying each (segment, side)
-    item, and the reference and flank violations in report order.  Each
-    edge item's segment ends are resolved once, at its two vertices; a
-    corner is recorded exactly where the flank check passes."""
-    carriers, refs, flanks = {}, [], []
-    for sid, genus, words in sectors:
-        if genus < 0:
-            refs.append(f"sector {sid} has negative genus")
+    item, and the flank violations in report order.  Each edge item's
+    segment ends are resolved once, at its two vertices; a corner is
+    recorded exactly where the flank check passes."""
+    carriers, flanks = {}, []
+    for sid, _genus, words in sectors:
         for wi, w in enumerate(words):
             items, verts = w.items, w.verts
-            if not items:
-                refs.append(f"sector {sid} word {wi} is empty")
-                continue
             # the previous item's germ side at the vertex between them, and
             # the first item's at the vertex that closes the word
             ahead = first = None
@@ -256,25 +302,21 @@ def _walk_sectors(sectors, segs: dict, corners: dict) -> tuple:
                     if prev_v is not None or v is not None:
                         flanks.append(f"sector {sid} word {wi}: free edge "
                                       f"{it.label} abuts a double-point vertex")
-                elif (g := segs.get(seg)) is None:
-                    refs.append(f"dangling reference: sector {sid} word {wi} "
-                                f"names unknown segment {seg}")
                 else:
+                    g = segs[seg]
                     carriers.setdefault(it, []).append(sid)
-                    if side not in SIDES:
-                        refs.append(f"sector {sid} word {wi}: bad side {side}")
                     if g.kind != "circle":
                         for k, (which, at) in enumerate((("prev", prev_v),
                                                          ("next", v))):
                             end = _end_of_item(g, side, which)
-                            want = None if end is None else end.dp
+                            want = end.dp
                             if at != want:
                                 flanks.append(
                                     f"sector {sid} word {wi} item {ii} "
                                     f"({seg}:{side}): {which} vertex is "
                                     f"{at or 'smooth'} but segment end is "
                                     f"{'free' if want is None else 'dp:' + want}")
-                            elif at in corners:
+                            elif at is not None:
                                 germs[k] = (end.slot, side)
                     elif len(items) != 1:
                         flanks.append(f"sector {sid} word {wi}: circle side "
@@ -292,11 +334,7 @@ def _walk_sectors(sectors, segs: dict, corners: dict) -> tuple:
             if ahead is not None and first is not None:
                 corners[prev_v].update({ahead: (first, sid),
                                         first: (ahead, sid)})
-            for v in verts:
-                if v is not None and v not in corners:
-                    refs.append(f"dangling reference: sector {sid} word {wi} "
-                                f"names unknown dp {v}")
-    return carriers, refs, flanks
+    return carriers, flanks
 
 
 def _misplaced_sides(segments, carriers: dict):
@@ -341,8 +379,8 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
     ``_PATTERN`` corners are all present, whichever way round each runs.
     Only ``z``'s corner joins two merged sides, so at most one reading
     fits; none raises :class:`NoConsistentRoles`.  The six corners meet
-    all four slots, so none fits a point that lacks an end at some slot;
-    :func:`validate` reports that arity before it reads roles.
+    all four slots, each of which holds one end, as every complex is
+    checked to have when it is built.
     """
     corners = cx.dp_corners.get(dp_id)
     if corners is None:
@@ -370,67 +408,19 @@ class ValidationReport(_Frozen):
 
 
 def validate(cx: BranchedSurfaceComplex) -> ValidationReport:
-    """Check every structural invariant; returns the list of violations.
-
-    A clean report (empty list) is the precondition for the weight,
-    assembly and splitting operations.  One walk of the words per complex
-    yields the corners and the violations; each call returns a fresh report.
+    """Check the local model at every crossing; returns the violations:
+    side multiplicity, flanks, circle words and corner roles, as the
+    constructor has refused every broken reference.  A clean report (empty
+    list) is the precondition for the weight, assembly and splitting
+    operations.  One walk of the words per complex yields the corners and
+    the violations; each call returns a fresh report.
     """
     return ValidationReport(list(cx.violations))
 
 
 def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
-    out: list[str] = []
-
-    # identifier uniqueness
-    for kind, ids in (("sector", [s.id for s in cx.sectors]),
-                      ("segment", [g.id for g in cx.segments]),
-                      ("dp", [d.id for d in cx.dps])):
-        seen = set()
-        for i in ids:
-            if i in seen:
-                out.append(f"duplicate {kind} id {i}")
-            seen.add(i)
-
-    # reference resolution
-    sectors, dps = cx.sector_by_id, cx.dp_by_id
-    for gid, kind, one, up, lo, end0, end1 in cx.segments:
-        for role, sid in (("one", one), ("up", up), ("lo", lo)):
-            if sid not in sectors:
-                out.append(f"dangling reference: segment {gid} side {role} "
-                           f"names unknown sector {sid}")
-        if kind == "circle":
-            if end0 is not None or end1 is not None:
-                out.append(f"circle segment {gid} must not declare ends")
-        elif kind == "arc":
-            for label, end in (("end0", end0), ("end1", end1)):
-                if end is None:
-                    out.append(f"arc segment {gid} missing {label}")
-                elif end.dp is not None:
-                    if end.dp not in dps:
-                        out.append(f"dangling reference: segment {gid} "
-                                   f"{label} names unknown dp {end.dp}")
-                    elif not (end.slot is not None and 0 <= end.slot < 4):
-                        out.append(f"segment {gid} {label} has bad slot")
-        else:
-            out.append(f"segment {gid} has unknown kind {kind}")
-
-    for d in cx.dps:
-        if d.sign not in (1, -1):
-            out.append(f"dp {d.id} has invalid sign")
-
-    _corners, refs, sides, flanks = cx._word_walk
-    out += refs
-    if out:  # later checks assume resolvable references
-        return tuple(out)
-
-    # four ends per double point, one per slot
-    for did, fill in _slot_fill(cx.segments, cx.dp_by_id).items():
-        if fill != [1, 1, 1, 1]:
-            out.append(f"dp {did} has wrong end arity (slots filled {fill})")
-
     # side multiplicity, vertex/end flank consistency and circle-word shape
-    out += sides + flanks
+    out = list(cx._word_walk[1])
     if out:
         return tuple(out)
 

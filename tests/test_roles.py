@@ -165,18 +165,16 @@ def test_unknown_double_point_refused():
 
 
 def test_missing_end_leaves_no_reading():
-    """A point with no end at slot 0 has no corner there, so no reading
-    fits; validation reports the arity and reads no roles."""
+    """A point with no end at slot 0 would have no corner there, so no
+    reading would fit; such a complex is refused as it is built, for its
+    end arity, and no roles are ever read on it."""
     cx = load("fix-cross.bsf")
-    cx = BranchedSurfaceComplex(cx.name, cx.sectors, tuple(
-        g._replace(end0=FREE_END) if g.id == "A" else g for g in cx.segments),
-        cx.dps)
-    with pytest.raises(NoConsistentRoles,
-                       match="^role derivation failed at dp:P$"):
-        derive_roles(cx, "P")
-    vs = validate(cx).violations
-    assert "dp P has wrong end arity (slots filled [0, 1, 1, 1])" in vs
-    assert not any("role" in v for v in vs)
+    with pytest.raises(InvariantViolation, match=(
+            r"^double point P has wrong end arity \(slots filled "
+            r"\[0, 1, 1, 1\]\)$")):
+        BranchedSurfaceComplex(cx.name, cx.sectors, tuple(
+            g._replace(end0=FREE_END) if g.id == "A" else g
+            for g in cx.segments), cx.dps)
 
 
 def test_ambiguous_roles_raised():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bsgate.assembly import assemble
 from bsgate.charts import check_box, sample_box
-from bsgate.errors import ParseError
+from bsgate.errors import InvariantViolation, ParseError
 from bsgate.gen import random_complex
 from bsgate.parser import (
     _tokens,
@@ -141,11 +141,12 @@ def test_every_record_is_frozen_and_complexes_and_systems_equal_by_value():
     assert build_system(cx, NEG_TISC) != system
 
     # a cached table is stored on its complex; a copy built from the four
-    # fields starts with none
+    # fields starts with only the id tables its reference check reads
     assert "roles" in vars(cx)
     copy = BranchedSurfaceComplex(cx.name, cx.sectors, cx.segments, cx.dps)
     assert copy == cx
-    assert sorted(vars(copy)) == ["dps", "name", "sectors", "segments"]
+    assert sorted(vars(copy)) == ["dp_by_id", "dps", "name", "sector_by_id",
+                                  "sectors", "segment_by_id", "segments"]
 
 
 # -- parser error reporting -------------------------------------------------
@@ -364,29 +365,143 @@ def _word(*items, verts=None):
 
 
 def test_negative_genus_reported():
-    cx = BranchedSurfaceComplex("s", (Sector("A", -1, ()),), (), ())
-    assert any("negative genus" in v for v in validate(cx).violations)
+    with pytest.raises(InvariantViolation,
+                       match="^sector A has negative genus$"):
+        BranchedSurfaceComplex("s", (Sector("A", -1, ()),), (), ())
 
 
 def test_empty_word_reported():
-    cx = BranchedSurfaceComplex(
-        "s", (Sector("A", 0, (BoundaryWord((), ()),)),), (), ())
-    assert any("is empty" in v for v in validate(cx).violations)
+    with pytest.raises(InvariantViolation, match="^bword A 0 is empty$"):
+        BranchedSurfaceComplex(
+            "s", (Sector("A", 0, (BoundaryWord((), ()),)),), (), ())
 
 
 def test_free_edge_next_to_double_point_vertex_reported():
-    seg = BranchSegment("g", "circle", "A", "A", "A")
-    cx = BranchedSurfaceComplex(
-        "s",
-        (Sector("A", 0, (
-            _word(SegItem("g", "one")),
-            _word(SegItem("g", "up")),
-            _word(SegItem("g", "lo"), FreeItem("f"), verts=["P", None]),
-        )),),
-        (seg,), (DoublePoint("P", 1),))
-    # dp P has no ends at all -> arity violation, plus the free-edge flank
+    # fix-cross with a free edge after the flap's vertex at P
+    cx = load("fix-cross.bsf")
+    (w,) = cx.sector_by_id["Wf"].words
+    word = BoundaryWord(w.items + (FreeItem("f"),), w.verts + (None,))
+    cx = BranchedSurfaceComplex(cx.name, tuple(
+        s._replace(words=(word,)) if s.id == "Wf" else s
+        for s in cx.sectors), cx.segments, cx.dps)
     vs = validate(cx).violations
-    assert any("abuts a double-point vertex" in v for v in vs)
+    assert "sector Wf word 0: free edge f abuts a double-point vertex" in vs
+
+
+def _with_word(cx, sid, k, edit):
+    """The fields of ``cx`` with word ``k`` of sector ``sid`` rebuilt from
+    ``edit(items, verts)``."""
+    def word(w):
+        return BoundaryWord(*edit(list(w.items), list(w.verts)))
+    return (tuple(s._replace(words=tuple(
+        word(w) if (s.id, i) == (sid, k) else w for i, w in enumerate(s.words)))
+        if s.id == sid else s for s in cx.sectors), cx.segments, cx.dps)
+
+
+def _with_segment(cx, gid, **fields):
+    return (cx.sectors, tuple(g._replace(**fields) if g.id == gid else g
+                              for g in cx.segments), cx.dps)
+
+
+def _set(seq, i, value):
+    seq[i] = value
+    return tuple(seq)
+
+
+# one case per fact the constructor checks: (fixture, the broken fields
+# built from it, the message, the part it names)
+_BROKEN_REFERENCES = {
+    "duplicate-sector": ("fix-cross.bsf", lambda cx: (
+        cx.sectors + cx.sectors[1:2], cx.segments, cx.dps),
+        "duplicate sector id Wf", ("sector", "Wf")),
+    "duplicate-segment": ("fix-cross.bsf", lambda cx: (
+        cx.sectors, cx.segments + cx.segments[:1], cx.dps),
+        "duplicate segment id A", ("segment", "A")),
+    "duplicate-dp": ("fix-cross.bsf", lambda cx: (
+        cx.sectors, cx.segments, cx.dps + (cx.dps[0]._replace(sign=-1),)),
+        "duplicate dp id P", ("dp", "P")),
+    "negative-genus": ("fix-cross.bsf", lambda cx: (
+        (cx.sectors[0]._replace(genus=-1),) + cx.sectors[1:], cx.segments,
+        cx.dps), "sector Q has negative genus", ("sector", "Q")),
+    "empty-word": ("fix-doc.bsf", lambda cx: (
+        cx.sectors[:1] + (cx.sectors[1]._replace(
+            words=cx.sectors[1].words + (BoundaryWord((), ()),)),),
+        cx.segments, cx.dps), "bword T 2 is empty", ("bword", "T", 2)),
+    "item-unknown-segment": ("fix-cross.bsf", lambda cx: _with_word(
+        cx, "Q", 0, lambda items, verts: (
+            _set(items, 2, SegItem("Z", "up")), tuple(verts))),
+        "dangling reference: bword Q 0 names unknown segment Z",
+        ("bword", "Q", 0)),
+    "item-bad-side": ("fix-cross.bsf", lambda cx: _with_word(
+        cx, "Yf", 0, lambda items, verts: (
+            _set(items, 0, SegItem("B", "down")), tuple(verts))),
+        "bword Yf 0 names bad side 'down'", ("bword", "Yf", 0)),
+    "vertex-unknown-dp": ("fix-cross.bsf", lambda cx: _with_word(
+        cx, "Q", 0, lambda items, verts: (tuple(items), _set(verts, 3, "R"))),
+        "dangling reference: bword Q 0 names unknown dp R",
+        ("bword", "Q", 0)),
+    "unknown-kind": ("fix-doc.bsf", lambda cx: _with_segment(
+        cx, "g", kind="loop"), "segment g has unknown kind 'loop'",
+        ("segment", "g")),
+    "side-unknown-sector": ("fix-cross.bsf", lambda cx: _with_segment(
+        cx, "B", lo="Z"),
+        "dangling reference: segment B side lo names unknown sector Z",
+        ("segment", "B")),
+    "circle-with-ends": ("fix-doc.bsf", lambda cx: _with_segment(
+        cx, "g", end0=FREE_END, end1=FREE_END),
+        "circle segment g must declare 0 ends", ("segment", "g")),
+    "arc-without-end": ("fix-cross.bsf", lambda cx: _with_segment(
+        cx, "A", end1=None), "arc segment A must declare 2 ends",
+        ("segment", "A")),
+    "end-unknown-dp": ("fix-cross.bsf", lambda cx: _with_segment(
+        cx, "B", end0=SegmentEnd("R", 1)),
+        "dangling reference: segment B names unknown dp R", ("segment", "B")),
+    "bad-slot": ("fix-cross.bsf", lambda cx: _with_segment(
+        cx, "B", end1=SegmentEnd("P", 4)), "segment B names slot 4 of dp P",
+        ("segment", "B")),
+    "bad-sign": ("fix-cross.bsf", lambda cx: (
+        cx.sectors, cx.segments, (cx.dps[0]._replace(sign=0),)),
+        "dp P has invalid sign 0", ("dp", "P")),
+    "wrong-arity": ("fix-cross.bsf", lambda cx: _with_segment(
+        cx, "B", end1=SegmentEnd("P", 1)),
+        "double point P has wrong end arity (slots filled [1, 2, 1, 0])",
+        ("dp", "P")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_REFERENCES))
+def test_constructor_refuses_each_broken_reference(case):
+    """Every complex checks its references as it is built, and names the
+    part at fault."""
+    name, broken, message, part = _BROKEN_REFERENCES[case]
+    cx = load(name)
+    with pytest.raises(InvariantViolation) as ei:
+        BranchedSurfaceComplex(cx.name, *broken(cx))
+    assert str(ei.value) == message
+    assert ei.value.part == part
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (("bword Q 0 : seg:A:one", "bword Q 0 : seg:Z:one"), 8,
+     "dangling reference: bword Q 0 names unknown segment Z"),
+    (("bword Yf 0 : seg:B:lo v:dp:P", "bword Yf 0 : seg:B:lo v:dp:R"), 10,
+     "dangling reference: bword Yf 0 names unknown dp R"),
+    (("lo Yf ends", "lo Zf ends"), 12,
+     "dangling reference: segment B side lo names unknown sector Zf"),
+    (("ends dp:P:1 dp:P:3", "ends dp:R:1 dp:P:3"), 12,
+     "dangling reference: segment B names unknown dp R"),
+    (("ends dp:P:1 dp:P:3", "ends dp:P:1 dp:P:2"), None,
+     "double point P has wrong end arity (slots filled [1, 1, 2, 0])"),
+], ids=["word-segment", "word-dp", "segment-sector", "segment-dp", "arity"])
+def test_a_refused_reference_is_reported_on_its_declaring_line(
+        edit, line, message):
+    """The constructor's refusal becomes a parse error on the line of the
+    bword or segment that makes the reference; arity has no line."""
+    text = fixture_text("fix-cross.bsf")
+    assert edit[0] in text
+    e = _err(text.replace(*edit))
+    assert (e.line, e.col) == (line, None)
+    assert str(e) == (message if line is None else f"line {line}: {message}")
 
 
 def test_circle_side_must_fill_whole_word():
@@ -444,19 +559,24 @@ def test_role_failure_reported_with_dp_name():
 
 def _corruptions(cx, rng):
     """Five broken copies of ``cx``, one per kind of damage, each at a
-    place drawn by ``rng``; a kind with nothing to damage is ``None``."""
+    place drawn by ``rng``; a kind with nothing to damage is ``None``, and
+    a copy the constructor refuses is its ``InvariantViolation``."""
     def pick(seq):
         return rng.choice(seq) if seq else None
 
+    def build(sectors, segments, dps):
+        try:
+            return BranchedSurfaceComplex(cx.name, sectors, segments, dps)
+        except InvariantViolation as e:
+            return e
+
     def with_sector(si, sec):
-        return BranchedSurfaceComplex(
-            cx.name, cx.sectors[:si] + (sec,) + cx.sectors[si + 1:],
-            cx.segments, cx.dps)
+        return build(cx.sectors[:si] + (sec,) + cx.sectors[si + 1:],
+                     cx.segments, cx.dps)
 
     def with_segment(gi, seg):
-        return BranchedSurfaceComplex(
-            cx.name, cx.sectors,
-            cx.segments[:gi] + (seg,) + cx.segments[gi + 1:], cx.dps)
+        return build(cx.sectors,
+                     cx.segments[:gi] + (seg,) + cx.segments[gi + 1:], cx.dps)
 
     out = {}
     si = pick([i for i, s in enumerate(cx.sectors) if s.words])
@@ -486,8 +606,8 @@ def _corruptions(cx, rng):
     out["free-end"] = None if gi is None else with_segment(
         gi, cx.segments[gi]._replace(**{rng.choice(("end0", "end1")): FREE_END}))
     di = pick(range(len(cx.dps)))
-    out["drop-dp"] = None if di is None else BranchedSurfaceComplex(
-        cx.name, cx.sectors, cx.segments, cx.dps[:di] + cx.dps[di + 1:])
+    out["drop-dp"] = None if di is None else build(
+        cx.sectors, cx.segments, cx.dps[:di] + cx.dps[di + 1:])
     gi = pick(range(len(cx.segments)))
     if gi is None:
         out["rename-sheet"] = None
@@ -500,28 +620,37 @@ def _corruptions(cx, rng):
     return out
 
 
+def _refusal(e):
+    return f"{type(e).__name__}: {e}"
+
+
 def test_every_violation_list_is_pinned():
     """Every violation, in order, of five kinds of damage done to each of
     seeds 0-199 at places drawn from the seed: dropped words, swapped
-    sides, freed arc ends, dropped double points, renamed sheets."""
+    sides, freed arc ends, dropped double points, renamed sheets; or the
+    constructor's refusal of a copy, by error type and message."""
     h, counts = sha256(), {}
     for seed in range(200):
         cx = random_complex(seed)
         for kind, broken in _corruptions(cx, random.Random(seed)).items():
-            vs = None if broken is None else validate(broken).violations
+            if isinstance(broken, InvariantViolation):
+                vs = _refusal(broken)
+            else:
+                vs = None if broken is None else validate(broken).violations
             h.update(f"{seed} {kind} {vs!r}\n".encode())
             counts[kind] = counts.get(kind, 0) + bool(vs)
     # the kinds that found something to damage; every damaged copy fails
     assert counts == {"drop-word": 191, "swap-side": 191, "free-end": 94,
                       "drop-dp": 94, "rename-sheet": 191}
     assert h.hexdigest() == (
-        "fdc45c65d8b6b9111d44c775382ab7e6c40cf2dbe658e39f19e36769e483741a")
+        "9cabe1d1d7e6617b9417675f1fd4f65ac238d9e396bd74b5843018e757f3013e")
 
 
 def test_every_corner_table_is_pinned():
     """Every double point's corner table, entries in the order they were
     recorded, over the fixtures, seeds 0-199 and each seed's damaged
-    copies, whose tables hold what their words still record."""
+    copies, whose tables hold what their words still record; a copy the
+    constructor refuses, by error type and message."""
     named = [(name, load(name)) for name in ALL_FIXTURES]
     for seed in range(200):
         cx = random_complex(seed)
@@ -532,12 +661,15 @@ def test_every_corner_table_is_pinned():
     h, entries = sha256(), 0
     for name, cx in named:
         h.update(f"{name}\n".encode())
+        if isinstance(cx, InvariantViolation):
+            h.update(f"{_refusal(cx)}\n".encode())
+            continue
         for did, corners in cx.dp_corners.items():
             h.update(f"{did} {list(corners.items())!r}\n".encode())
             entries += len(corners)
-    assert (len(named), entries) == (970, 7168)
+    assert (len(named), entries) == (970, 5752)
     assert h.hexdigest() == (
-        "4c0ccc784bf5394b0ffe973e9f74c0fc9c79b3ff668d70715eb2c8e663a751b9")
+        "16110494c1fbde0004d2aacb85ee3900fbb2ddae798d588fc8c556341e91569d")
 
 
 # -- generated documents ----------------------------------------------------
