@@ -30,8 +30,8 @@ OUTER_CONTACT = "outer"
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TOL = 1e-9
-# most RK4 steps holonomy_map takes, ceil(2pi / step): about 50 s of
-# pure-Python integration on a 2-vCPU x86-64 VM
+# most RK4 steps holonomy_map takes, ceil(2pi / step): 16-21 s of
+# pure-Python integration on a 64 x 65 annulus, on a 2-vCPU x86-64 VM
 _MAX_RK4_STEPS = 10 ** 7
 # RK4 steps whose theta side _theta_runs tabulates at once: six lists of
 # weights, under 1 MB whatever the step count
@@ -474,9 +474,16 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
     and cut into runs of steps over which all three stages keep their
     cells: each run binds its sample rows once and steps through its
     weights alone.  The z side and the RK4 update run on Python floats
-    over the samples as nested lists.  Each tabulated value is the same
-    IEEE operation on the same operands as evaluating it per step, so
-    the result, a Python float, has the same bits.
+    over the samples as nested lists.  A leaf moves slowly through the z
+    cells, so the z side keeps the cell of its last stage, [lo, hi) with
+    lo = float(j), and reads b = (z + 1) / dz in it when lo <= b < hi,
+    with b - lo; otherwise it clamps, or takes the cell int(b), and keeps
+    that cell.  In the kept cell int(b) is j and b - j is b - float(j),
+    the same IEEE subtraction, so the common stage compares and subtracts
+    floats alone, and every product and sum keeps its operands and order.
+    Each tabulated value is the same IEEE operation on the same operands
+    as evaluating it per step, so the result, a Python float, has the
+    same bits.
     """
     _expect(annulus, ANNULUS, "holonomy_map")
     if not 0.0 < step < math.inf:
@@ -496,20 +503,29 @@ def holonomy_map(annulus: SlopeGrid, z0: float, step: float) -> float:
 
     # the z side of one stage, four calls a step; bench/tracing.py counts
     # RK4 steps by calls of the code objects nested here, so slope stays
-    # the only one; ga, fa and the rows come from _theta_runs
+    # the only one; ga, fa and the rows come from _theta_runs.  The z
+    # cell of the last call: j, j1 = j + 1, lo = float(j), hi = lo + 1.0
+    j, j1, lo, hi = 0, 1, 0.0, 1.0
+
     def slope(ga: float, fa: float, row: list, nxt: list,
               zz: float) -> float:
+        nonlocal j, j1, lo, hi
         b = (zz + 1.0) / dz
-        if b <= 0.0:
-            j, fb = 0, 0.0
+        if lo <= b < hi:
+            fb = b - lo
+        elif b <= 0.0:
+            j, j1, lo, hi, fb = 0, 1, 0.0, 1.0, 0.0
         elif b >= last:
-            j, fb = last - 1, 1.0
+            j, j1, lo, hi, fb = last - 1, last, last - 1.0, float(last), 1.0
         else:
             j = int(b)
-            fb = b - j
+            j1 = j + 1
+            lo = float(j)
+            hi = lo + 1.0
+            fb = b - lo
         gb = 1.0 - fb
-        top = gb * row[j] + fb * row[j + 1]
-        bot = gb * nxt[j] + fb * nxt[j + 1]
+        top = gb * row[j] + fb * row[j1]
+        bot = gb * nxt[j] + fb * nxt[j1]
         return ga * top + fa * bot
 
     n = math.ceil(TWO_PI / step)

@@ -566,6 +566,21 @@ def _help(path: tuple[str, ...]) -> str:
                         for shown, notes in rows)]) + "\n"
 
 
+def _print(text: str) -> None:
+    """Write text to stdout and flush it.  Once its reader has gone (a
+    pipe whose read end is closed), stdout is pointed at os.devnull, as
+    the signal module's docs advise, so that neither the rest of the
+    report nor the flush at exit raises: the command keeps its own exit
+    code and prints no traceback."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _parse_level(path: tuple[str, ...], tokens: list[str], values: dict,
                  extras: list[str]) -> bool:
     """Read ``tokens`` with the parser ``path`` names, then with the
@@ -616,7 +631,7 @@ def _parse_level(path: tuple[str, ...], tokens: list[str], values: dict,
                 ignored = value.lstrip("h") if flag == "-h" else value
                 raise UsageError("argument -h/--help: ignored explicit "
                                  f"argument {ignored!r}")
-            print(_help(path), end="")
+            _print(_help(path))
             return False
         else:
             names, kwargs = flags[flag]
@@ -699,8 +714,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             lines.append(f"violation: {exc}")
         else:
             lines.append(f"error: {_error_code(exc)}: {exc}")
-    print("\n".join(lines))
-    print(f"# duration-ms {int((time.monotonic() - started) * 1000)}")
+    _print("\n".join(lines) + "\n")
+    _print(f"# duration-ms {int((time.monotonic() - started) * 1000)}\n")
     return code
 
 

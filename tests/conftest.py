@@ -49,14 +49,16 @@ def oracle_tables(monkeypatch):
     return picked
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, stdout=subprocess.PIPE,
+               ) -> subprocess.CompletedProcess:
     """``python <args>`` in a fresh interpreter that imports the bsgate
     under test: this process has numpy and the charts loaded already,
-    and pytest captures the warnings a real run prints on stderr."""
+    and pytest captures the warnings a real run prints on stderr.  Its
+    stdout is captured, or goes to the given file descriptor."""
     path = os.pathsep.join(filter(None, (_PACKAGE_ROOT,
                                          os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, timeout=120,
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
 
 

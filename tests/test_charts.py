@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsgate.charts import (
@@ -524,6 +524,19 @@ def _nonpositive_annuli(draw):
 _TOP = math.nextafter(1.0, 0.0)
 
 
+# a leaf that stays on z sample 1 of 3, where cell 0 ends and cell 1
+# begins (b = 1.0): every sample is a zero, so it never moves.  Read in
+# cell 1, f there is 1.0 * -0.0 + 0.0 * 0.0 = 0.0.  holonomy_map tests b
+# against cell 0, [0, 1), first, and must not take b = 1.0 there: f would
+# read 0.0 * -1.0 + 1.0 * -0.0 = -0.0, and z1 keeps the sign of that zero
+_ON_A_SAMPLE = SlopeGrid(ANNULUS, (), [[-1.0, -0.0, 0.0]] * 3)
+# 2048 z cells, about 0.001 wide: over the integrators' step counts a leaf
+# from z0 = 0.5 crosses 600-odd cell edges downwards and a few upwards
+# (the first stage of a step above the last stage of the one before)
+_MANY_CELLS = SlopeGrid(
+    ANNULUS, (), -0.25 * np.random.default_rng(2049).random((8, 2049)))
+
+
 # step counts n, with step 2pi / n: one step (its last stage at theta =
 # 2pi exactly, wrapping to 0); 21 and 6, whose last stage lands just past
 # and just short of 2pi; one below, at and above one 4096-step block; and
@@ -532,6 +545,8 @@ _TOP = math.nextafter(1.0, 0.0)
 @given(_nonpositive_annuli(),
        st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
                  st.sampled_from([_TOP, -_TOP, 0.0])))
+@example(_ON_A_SAMPLE, -0.0)
+@example(_MANY_CELLS, 0.5)
 @settings(max_examples=12, deadline=None)
 def test_holonomy_matches_the_per_step_integrator(n, annulus, z0):
     step = 2.0 * math.pi / n
@@ -554,6 +569,10 @@ def test_reference_cases_reach_their_corners():
     assert (_TOP + 1.0) / (2.0 / 8) >= 8  # b on the top clamp, nz = 9
     steep = sample_annulus(lambda t, z: -20.0 + 0 * t, (8, 9))
     assert holonomy_map(steep, 0.0, two_pi / 21) == -1.0
+    # the leaf on a sample reads f in cell 1, and so ends on +0.0
+    assert (-0.0 + 1.0) / (2.0 / 2) == 1.0
+    assert _per_step_holonomy(_ON_A_SAMPLE, -0.0, two_pi / 6).hex() \
+        == "0x0.0p+0"
 
 
 @given(st.floats(0.05, 0.8), st.floats(0.0, 1.0), st.floats(-0.8, 0.8),

@@ -8,6 +8,7 @@ these double as a determinism check.
 
 import json
 import math
+import os
 import re
 from hashlib import sha256
 from pathlib import Path
@@ -860,6 +861,29 @@ def bsgate_child(*argv: str) -> tuple[int, list[str], str]:
     out = proc.stdout.rstrip("\n").split("\n")
     assert TRAILER.match(out[-1]), out[-1]
     return proc.returncode, out[:-1], proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "fix-clean.bsf"], 0),
+    (["detect", "--kind", "criterion", "fix-split.bsf"], 0),
+    (["detect", "--help"], 0),
+    (["validate", "missing.bsf"], 1),
+    (["chart", "holonomy", "ann.grid", "--z0", "0", "--step", "nan"], 2),
+], ids=["report", "failing-criterion", "help", "usage-error", "chart-error"])
+def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(
+        annulus_path, argv, code):
+    # the read end is closed before the child starts, so its first write
+    # to stdout always meets a broken pipe
+    paths = {"fix-clean.bsf": fx("fix-clean.bsf"),
+             "fix-split.bsf": fx("fix-split.bsf"), "ann.grid": annulus_path}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_python("-m", "bsgate.cli",
+                          *(paths.get(a, a) for a in argv), stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 @pytest.mark.parametrize("step, message", [
