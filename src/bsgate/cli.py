@@ -18,7 +18,6 @@ import re
 import sys
 import time
 from importlib import import_module
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
 
@@ -66,7 +65,8 @@ def _read_bytes(path_str: str) -> tuple[bytes, str]:
     process's first lookup of that codec costs more than decoding a
     typical input, and grids are parsed from their bytes."""
     try:
-        data = Path(path_str).read_bytes()
+        with open(path_str, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path_str}: {exc.strerror}")
     if not data.isascii():
@@ -672,9 +672,9 @@ def _parse_args(argv) -> Optional[SimpleNamespace]:
 
 
 # each command's handler and the layers it runs; main loads the layers
-# before the clock starts, so # duration-ms leaves loading out, and the
-# handlers import their names from them locally, so a command loads no
-# other layer
+# after reading argv, so help and usage errors load none, and before the
+# clock starts, so # duration-ms leaves loading out; the handlers import
+# their names from them locally, so a command loads no other layer
 _COMMANDS = {
     "validate": (_cmd_validate, ("parser", "surface")),
     "detect": (_cmd_detect, ("parser", "surface", "weights")),
@@ -689,10 +689,6 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    _, layers = _COMMANDS.get(argv[0] if argv else None, (None, ()))
-    for layer in layers:
-        import_module(f".{layer}", __package__)
-    started = time.monotonic()
     try:
         args = _parse_args(argv)
     except UsageError as exc:
@@ -701,8 +697,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args is None:  # --help
         return 0
     lines = [f"bsgate-report {args.cmd}", f"version: {__version__}"]
+    handler, layers = _COMMANDS[args.cmd]
+    started = time.monotonic()
     try:
-        handler, _ = _COMMANDS[args.cmd]
+        for layer in layers:  # a layer that fails to load is a bug, too
+            import_module(f".{layer}", __package__)
+        started = time.monotonic()
         code = handler(args, lines)
     except Exception as exc:
         code = next((c for t, c in _EXIT_CODES if isinstance(exc, t)), None)

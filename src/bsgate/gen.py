@@ -1,15 +1,16 @@
 """Seeded random complexes for cross-checking the exact solver.
 
 A generated complex is a disjoint union of hand-verified building
-blocks, renamed apart, followed by a few structure-preserving
-mutations.  Everything is driven by one ``random.Random(seed)``, so a
-seed pins the output exactly.
+blocks, renamed apart, and a few structure-preserving mutations of
+those parts, built as one complex.  Everything is driven by one
+``random.Random(seed)``, so a seed pins the output exactly.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cache
+from typing import Optional
 
 from .parser import parse_complex
 from .surface import (
@@ -104,12 +105,18 @@ dp Q sign -
 """, (6, 2)),
 }
 _PARSED = {name: parse_complex(text) for name, (text, _) in _BLOCKS.items()}
+# the budget pairs by block name, in the order random_complex draws from
+_BUDGETS = {name: budget for name, (_, budget) in sorted(_BLOCKS.items())}
+
+# the sectors, segments and double points that the moves rewrite
+_Parts = tuple[tuple[Sector, ...], tuple[BranchSegment, ...],
+               tuple[DoublePoint, ...]]
 
 
 @cache
-def _block(name: str, i: int) -> BranchedSurfaceComplex:
-    """Block ``name`` renamed apart as the ``i``-th part of a union; built
-    once per pair and shared, as complexes are frozen."""
+def _block(name: str, i: int) -> _Parts:
+    """The parts of block ``name`` renamed apart as the ``i``-th part of a
+    union; made once per pair and shared, as parts are immutable."""
     cx, prefix = _PARSED[name], f"b{i}_"
 
     def seg_item(it):
@@ -136,100 +143,90 @@ def _block(name: str, i: int) -> BranchedSurfaceComplex:
                       prefix + g.lo, end(g.end0), end(g.end1))
         for g in cx.segments)
     dps = tuple(DoublePoint(prefix + d.id, d.sign) for d in cx.dps)
-    return BranchedSurfaceComplex(cx.name, sectors, segments, dps)
+    return sectors, segments, dps
 
 
-def _union(name: str, parts: list[BranchedSurfaceComplex],
-           ) -> BranchedSurfaceComplex:
-    return BranchedSurfaceComplex(
-        name,
-        tuple(s for p in parts for s in p.sectors),
-        tuple(g for p in parts for g in p.segments),
-        tuple(d for p in parts for d in p.dps))
-
-
-def _add_circle(cx: BranchedSurfaceComplex, rng: random.Random, tag: str,
-                ) -> BranchedSurfaceComplex:
-    ids = [s.id for s in cx.sectors]
+def _add_circle(parts: _Parts, rng: random.Random, tag: str) -> _Parts:
+    sectors, segments, dps = parts
+    ids = [s.id for s in sectors]
     hosts = {side: rng.choice(ids) for side in SIDES}
     gid = f"mc{tag}"
-    sectors = []
-    for s in cx.sectors:
-        extra = tuple(
+    sectors = tuple(
+        Sector(s.id, s.genus, s.words + tuple(
             BoundaryWord((SegItem(gid, side),), (None,))
-            for side, host in sorted(hosts.items()) if host == s.id)
-        sectors.append(Sector(s.id, s.genus, s.words + extra))
+            for side, host in sorted(hosts.items()) if host == s.id))
+        for s in sectors)
     seg = BranchSegment(gid, "circle", hosts["one"], hosts["up"], hosts["lo"])
-    return BranchedSurfaceComplex(cx.name, tuple(sectors),
-                                  cx.segments + (seg,), cx.dps)
+    return sectors, segments + (seg,), dps
 
 
-def _flip_sign(cx: BranchedSurfaceComplex, rng: random.Random,
-               ) -> BranchedSurfaceComplex:
-    if not cx.dps:
-        return cx
-    victim = rng.choice([d.id for d in cx.dps])
-    dps = tuple(DoublePoint(d.id, -d.sign if d.id == victim else d.sign)
-                for d in cx.dps)
-    return BranchedSurfaceComplex(cx.name, cx.sectors, cx.segments, dps)
+def _flip_sign(parts: _Parts, rng: random.Random) -> _Parts:
+    sectors, segments, dps = parts
+    if not dps:
+        return parts
+    victim = rng.choice([d.id for d in dps])
+    return sectors, segments, tuple(
+        DoublePoint(d.id, -d.sign if d.id == victim else d.sign) for d in dps)
 
 
-def _merge_sectors(cx: BranchedSurfaceComplex, rng: random.Random,
-                   ) -> BranchedSurfaceComplex:
-    if len(cx.sectors) < 2:
-        return cx
-    keep, gone = rng.sample([s.id for s in cx.sectors], 2)
+def _merge_sectors(name: str, parts: _Parts, rng: random.Random,
+                   ) -> Optional[BranchedSurfaceComplex]:
+    """Complex ``name`` with two random sectors merged; None for fewer than
+    two, or when the merge fails validation, as it can at a double point."""
+    sectors, segments, dps = parts
+    if len(sectors) < 2:
+        return None
+    keep, gone = rng.sample([s.id for s in sectors], 2)
+    other = next(s for s in sectors if s.id == gone)
 
     def sid(s: str) -> str:
         return keep if s == gone else s
 
-    sectors = []
-    for s in cx.sectors:
-        if s.id == gone:
-            continue
-        if s.id == keep:
-            other = cx.sector_by_id[gone]
-            sectors.append(Sector(keep, s.genus + other.genus,
-                                  s.words + other.words))
-        else:
-            sectors.append(s)
+    merged = tuple(
+        Sector(keep, s.genus + other.genus, s.words + other.words)
+        if s.id == keep else s
+        for s in sectors if s.id != gone)
     segments = tuple(
         BranchSegment(g.id, g.kind, sid(g.one), sid(g.up), sid(g.lo),
                       g.end0, g.end1)
-        for g in cx.segments)
-    out = BranchedSurfaceComplex(cx.name, tuple(sectors), segments, cx.dps)
-    # a merge can collapse the role pattern at a double point; keep it
-    # only if the complex still validates
-    return out if validate(out).ok() else cx
+        for g in segments)
+    out = BranchedSurfaceComplex(name, merged, segments, dps)
+    return out if validate(out).ok() else None
 
 
 def random_complex(seed: int, max_sectors: int = 6, max_dps: int = 4,
                    ) -> BranchedSurfaceComplex:
     """Deterministic valid complex within the given size budget."""
-    rng = random.Random(seed)
-    chosen: list[str] = []
+    rng, name = random.Random(seed), f"gen-{seed}"
+    blocks: list[_Parts] = []
     sectors = dps = 0
     while True:
-        fits = [n for n, (_, (ns, nd)) in sorted(_BLOCKS.items())
+        fits = [n for n, (ns, nd) in _BUDGETS.items()
                 if sectors + ns <= max_sectors and dps + nd <= max_dps]
         if not fits:
             break
-        name = rng.choice(fits)
-        chosen.append(name)
-        sectors += _BLOCKS[name][1][0]
-        dps += _BLOCKS[name][1][1]
+        block = rng.choice(fits)
+        blocks.append(_block(block, len(blocks)))
+        sectors += _BUDGETS[block][0]
+        dps += _BUDGETS[block][1]
         if rng.random() < 0.4:
             break
-    parts = [_block(name, i) for i, name in enumerate(chosen)]
-    cx = _union(f"gen-{seed}", parts)
+    parts = tuple(tuple(p for b in blocks for p in b[k]) for k in range(3))
+    cx = None  # the complex of parts, once a kept merge has built it
     for k in range(rng.randint(0, 3)):
         move = rng.choice(("circle", "flip", "merge"))
-        if move == "circle":
-            cx = _add_circle(cx, rng, str(k))
-        elif move == "flip":
-            cx = _flip_sign(cx, rng)
-        else:
-            cx = _merge_sectors(cx, rng)
+        if move == "merge":
+            merged = _merge_sectors(name, parts, rng)
+            if merged is not None:
+                cx = merged
+                parts = cx.sectors, cx.segments, cx.dps
+            continue
+        moved = (_add_circle(parts, rng, str(k)) if move == "circle"
+                 else _flip_sign(parts, rng))
+        if moved is not parts:  # a flip with no double point moves nothing
+            parts, cx = moved, None
+    if cx is None:
+        cx = BranchedSurfaceComplex(name, *parts)
     report = validate(cx)
     if not report.ok():  # pragma: no cover - composition is closed
         raise AssertionError(f"generator bug: {report.violations[0]}")

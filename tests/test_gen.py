@@ -7,7 +7,7 @@ import pytest
 from bsgate import gen
 from bsgate.gen import random_complex
 from bsgate.parser import print_complex
-from bsgate.surface import validate
+from bsgate.surface import BranchedSurfaceComplex, validate
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 99])
@@ -56,6 +56,25 @@ def test_blocks_are_parsed_once_at_import(monkeypatch):
 
     monkeypatch.setattr(gen, "parse_complex", refuse)
     assert random_complex(0) == before
+
+
+def test_each_seed_builds_one_complex_and_its_merge_candidates(monkeypatch):
+    # blocks and moves rewrite parts; each seed builds its complex once,
+    # unless its last kept merge built it, and each merge of two or more
+    # sectors builds the candidate it validates: 768 final complexes and
+    # 411 candidates over seeds 0-999
+    built = []
+    init = BranchedSurfaceComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BranchedSurfaceComplex, "__init__", counting_init)
+    gen._block.cache_clear()
+    for seed in range(1000):
+        random_complex(seed)
+    assert len(built) == 1179
 
 
 def _digest(seeds, **budget):

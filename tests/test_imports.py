@@ -133,6 +133,57 @@ def test_the_oracle_answers_an_aggregate_that_cannot_reach_1_without_numpy():
     assert report[-2:] == ["oracle-witness: none", "oracle-agreement: ok"]
 
 
+def test_detect_loads_no_pathlib_without_site():
+    # -S leaves out site-packages and their .pth files, which may load
+    # pathlib before any command runs; inputs are read with open()
+    proc = run_python("-S", "-c", "import sys; from bsgate.cli import main; "
+                      "code = main(sys.argv[1:]); print('exit', code, "
+                      "'pathlib', 'pathlib' in sys.modules)",
+                      "detect", "--kind", "criterion", fx("fix-clean.bsf"))
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "exit 0 pathlib False"
+
+
+# runs one command with numpy hidden, as in an install that lacks it
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from bsgate.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+NO_NUMPY = ("error: internal-error: ModuleNotFoundError: import of numpy "
+            "halted; None in sys.modules")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("chart", "holonomy", "--help"), 0),
+    (("chart", "--bogus"), 1),
+    (("chart", "check-box", "box.grid"), 3),
+    (("selftest", "--seeds", "1"), 3),
+], ids=["help", "usage", "check-box", "selftest"])
+def test_commands_without_numpy_end_in_one_report(tmp_path, argv, code):
+    # help and usage errors load no layer; a layer that fails to load is
+    # the command's one report, an internal error, with no traceback
+    (tmp_path / "box.grid").write_text(print_grid(
+        sample_box(lambda x, y, z: -1.0 - y, (5, 5, 5))))
+    argv = [str(tmp_path / a) if a.endswith(".grid") else a for a in argv]
+    proc = run_python("-c", WITHOUT_NUMPY, *argv)
+    assert proc.returncode == code
+    out = proc.stdout.splitlines()
+    if code == 0:
+        assert proc.stderr == ""
+        assert out[0].startswith("usage: bsgate chart holonomy ")
+    elif code == 1:
+        assert out == []
+        assert proc.stderr.startswith("error: usage-error: ")
+        assert len(proc.stderr.splitlines()) == 1
+    else:
+        assert proc.stderr == ""
+        assert out[:-1] == [f"bsgate-report {argv[0]}",
+                            f"version: {bsgate.__version__}", NO_NUMPY]
+        assert out[-1].startswith("# duration-ms ")
+
+
 def test_every_public_name_resolves():
     for name in bsgate.__all__:
         getattr(bsgate, name)
