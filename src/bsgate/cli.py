@@ -267,7 +267,7 @@ def _cmd_split(args, lines) -> int:
     cx, _ = _load_valid_complex(args, lines)
     locus = locus_from_strings(cx, args.sector, args.entry, args.exit)
     if args.choice == "safe":
-        res = safe_split(cx, locus).split
+        res = safe_split(cx, locus)
         lines.append("criterion-preserved: true")
     else:
         res = split(cx, locus, args.choice)

@@ -76,26 +76,18 @@ class SplitResult(NamedTuple):
     sector_images: tuple[tuple[str, str], ...]  # original id -> new id
 
 
-class SafeSplitResult(NamedTuple):
-    """One committed safe step: the locus, the committed split, and the
+class PlanStep(NamedTuple):
+    """One committed safe step: the locus, the move committed, and the
     verdict of each move tried, in the order tried."""
 
     locus: SplitLocus
-    split: SplitResult
+    choice: str
     verdicts: tuple[tuple[str, Verdict], ...]
-
-    @property
-    def choice(self) -> str:
-        return self.split.choice
-
-    @property
-    def complex(self) -> BranchedSurfaceComplex:
-        return self.split.complex
 
 
 class ScheduleResult(NamedTuple):
     complex: BranchedSurfaceComplex
-    steps: tuple[SafeSplitResult, ...]
+    steps: tuple[PlanStep, ...]
 
 
 def _resolve(cx: BranchedSurfaceComplex, locus: SplitLocus):
@@ -581,14 +573,16 @@ def pushforward_weights(res: SplitResult,
     return {old: weights.get(new, 0) for old, new in res.sector_images}
 
 
-def _commit(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SafeSplitResult:
-    """Over, else under, on a complex whose criterion passes."""
+def _commit(cx: BranchedSurfaceComplex,
+            locus: SplitLocus) -> tuple[SplitResult, PlanStep]:
+    """Over, else under, on a complex whose criterion passes: the
+    committed split and its step record."""
     verdicts = []
     for choice in (OVER, UNDER):
         res = split(cx, locus, choice)
         verdicts.append((choice, criterion(res.complex)))
         if verdicts[-1][1].passes:
-            return SafeSplitResult(locus, res, tuple(verdicts))
+            return res, PlanStep(locus, choice, tuple(verdicts))
     (_, v_over), (_, v_under) = verdicts
     err = InvariantViolation(
         "neither the over nor the under move stays clean at "
@@ -599,12 +593,13 @@ def _commit(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SafeSplitResult:
     raise err
 
 
-def safe_split(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SafeSplitResult:
-    """Split so the result stays clean, trying over before under."""
+def safe_split(cx: BranchedSurfaceComplex, locus: SplitLocus) -> SplitResult:
+    """Split so the result stays clean, trying over before under, and
+    return the committed split."""
     if not criterion(cx).passes:
         raise PreconditionFailed(
             "criterion fails on the input complex; nothing to preserve")
-    return _commit(cx, locus)
+    return _commit(cx, locus)[0]
 
 
 def run_plan(cx: BranchedSurfaceComplex,
@@ -612,17 +607,18 @@ def run_plan(cx: BranchedSurfaceComplex,
     """Commit one safe split per row, each naming its locus in text form
     against the complex as it stands at that step, and tag failures with
     the step.  Only passing steps are committed, so a committed output's
-    verdict is the next step's input verdict."""
+    verdict is the next step's input verdict.  The result keeps each
+    step's record and only the last complex."""
     if not criterion(cx).passes:
         raise PreconditionFailed("criterion fails on the initial complex")
     cur = cx
-    steps: list[SafeSplitResult] = []
+    steps: list[PlanStep] = []
     for i, row in enumerate(rows):
         try:
-            step = _commit(cur, locus_from_strings(cur, *row))
+            res, step = _commit(cur, locus_from_strings(cur, *row))
         except BsgateError as exc:
             exc.args = (f"step {i}: {exc}",)
             raise
         steps.append(step)
-        cur = step.complex
+        cur = res.complex
     return ScheduleResult(cur, tuple(steps))

@@ -150,8 +150,8 @@ def test_safe_split_stays_clean_over_every_good_locus():
             assert len(loci) <= 50
             for locus in loci:
                 safe = safe_split(cx, locus)  # a raise here is a failure
-                assert validate(safe.split.complex).ok()
-                assert criterion(safe.split.complex).passes
+                assert validate(safe.complex).ok()
+                assert criterion(safe.complex).passes
                 checked += 1
         assert checked == 8
 

@@ -8,6 +8,7 @@ checked against exhaustive enumeration of closed solutions.
 
 import itertools
 import random
+from fractions import Fraction
 from hashlib import sha256
 
 import pytest
@@ -341,9 +342,10 @@ def _cold_equals_carried(out) -> None:
 
 
 def _safe_walk(steps: int, seed: int = 0):
-    """The complexes of a safe walk from ``fix-clean3``: at each step, the
-    first good locus, in a ``random.Random(seed)`` shuffle, whose over or
-    under output keeps the criterion."""
+    """The steps of a safe walk from ``fix-clean3``, each as its plan row
+    and output complex: at each step, the first good locus, in a
+    ``random.Random(seed)`` shuffle, whose over or under output keeps the
+    criterion."""
     rng = random.Random(seed)
     cur = load("fix-clean3.bsf")
     for _ in range(steps):
@@ -351,10 +353,11 @@ def _safe_walk(steps: int, seed: int = 0):
         rng.shuffle(loci)
         for loc in loci:
             try:
-                cur = safe_split(cur, loc).complex
+                out = safe_split(cur, loc).complex
             except InvariantViolation:  # neither move keeps it
                 continue
-            yield cur
+            yield format_locus(cur, loc).split(), out
+            cur = out
             break
 
 
@@ -376,7 +379,7 @@ def test_carried_tables_equal_cold_ones(monkeypatch):
                 _cold_equals_carried(split(cx, loc, choice).complex)
                 outputs += 1
         _cold_equals_carried(cx)  # its shared tables were never written to
-    for out in _safe_walk(60):
+    for _, out in _safe_walk(60):
         _cold_equals_carried(out)
         outputs += 1
     # the walk's split calls include the over moves that it does not commit
@@ -524,9 +527,9 @@ def test_safe_split_family_never_breaks():
 
 def test_safe_split_reports_committed_verdict():
     cx = load("fix-clean.bsf")
-    res = safe_split(cx, good_loci(cx)[0])
-    verdicts = dict(res.verdicts)
-    assert verdicts[res.choice].passes
+    step, = run_plan(cx, [format_locus(cx, good_loci(cx)[0]).split()]).steps
+    verdicts = dict(step.verdicts)
+    assert verdicts[step.choice].passes
 
 
 def test_empty_schedule_is_identity():
@@ -638,21 +641,59 @@ def test_frozen_three_step_plan():
 
 
 def test_plan_steps_are_the_safe_split_records():
-    # each step is the record safe_split makes at its locus, on the
-    # complex the plan has reached
+    # each step records the locus, the move and the verdicts that the
+    # plan's locus gives on the complex the plan has reached, replayed
+    # here move by move
     rows = [tuple(line.split()) for line in
             (FIXTURES / "clean3.plan").read_text().splitlines()]
     prev = load("fix-clean3.bsf")
     out = run_plan(prev, rows)
     assert len(out.steps) == len(rows)
     for step, row in zip(out.steps, rows):
-        alone = safe_split(prev, locus_from_strings(prev, *row))
-        assert step.locus == alone.locus
-        assert step.choice == alone.choice
-        assert step.verdicts == alone.verdicts
-        assert print_complex(step.complex) == print_complex(alone.complex)
-        prev = step.complex
-    assert out.complex is prev
+        locus = locus_from_strings(prev, *row)
+        assert step.locus == locus
+        assert step.choice == safe_split(prev, locus).choice
+        assert [move for move, _ in step.verdicts] == \
+            [OVER, UNDER][:len(step.verdicts)]
+        assert step.verdicts[-1][0] == step.choice
+        for move, verdict in step.verdicts:
+            assert verdict == criterion(split(prev, locus, move).complex)
+        prev = split(prev, locus, step.choice).complex
+    assert print_complex(out.complex) == print_complex(prev)
+
+
+def _held(obj) -> list:
+    """Every value reachable through the fields of ``obj``, stopping at
+    complexes; a value of any other kind fails the walk."""
+    stack, held = [obj], []
+    while stack:
+        cur = stack.pop()
+        held.append(cur)
+        if isinstance(cur, surface.BranchedSurfaceComplex):
+            continue
+        if isinstance(cur, dict):
+            stack.extend(cur.items())
+        elif isinstance(cur, tuple):  # a NamedTuple's fields too
+            stack.extend(cur)
+        else:
+            assert cur is None or isinstance(cur, (str, int, Fraction)), cur
+    return held
+
+
+def test_schedule_holds_only_its_final_complex():
+    clean3 = [tuple(line.split()) for line in
+              (FIXTURES / "clean3.plan").read_text().splitlines()]
+    walk = list(_safe_walk(30))
+    for rows in (clean3, [row for row, _ in walk]):
+        out = run_plan(load("fix-clean3.bsf"), rows)
+        held = _held(out)
+        assert [id(x) for x in held
+                if isinstance(x, surface.BranchedSurfaceComplex)] == \
+            [id(out.complex)]
+        assert not any(isinstance(x, splitting.SplitResult) for x in held)
+    # the one complex a 30-step plan keeps is its last step's output
+    assert len(walk) == 30
+    assert print_complex(out.complex) == print_complex(walk[-1][1])
 
 
 # -- locus text form ----------------------------------------------------------

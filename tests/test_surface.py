@@ -30,7 +30,7 @@ from bsgate.surface import (
     validate,
 )
 from bsgate.simplex import phase_one
-from bsgate.splitting import good_loci, run_plan, safe_split
+from bsgate.splitting import format_locus, good_loci, run_plan, safe_split
 from bsgate.weights import ISC, NEG_TISC, build_system, criterion, feasible
 
 from conftest import FIXTURES, fixture_text, load
@@ -101,15 +101,17 @@ RECORD_TYPES = (
     "AssembledSurface", "BoundaryWord", "BranchSegment",
     "BranchedSurfaceComplex", "Certificate", "ChartReport", "Component",
     "ConstraintSystem", "DoublePoint", "FreeItem", "LinForm",
-    "PhaseOneResult", "RoleAssignment", "SafeSplitResult", "ScheduleResult",
+    "PhaseOneResult", "PlanStep", "RoleAssignment", "ScheduleResult",
     "Sector", "SegItem", "SegmentEnd", "SlopeGrid", "SplitLocus",
     "SplitResult", "ValidationReport", "Verdict")
 
 
 def test_every_record_is_frozen_and_complexes_and_systems_equal_by_value():
     cx = load("fix-clean.bsf")
-    step = safe_split(cx, good_loci(cx)[0])
-    out = step.complex
+    locus = good_loci(cx)[0]
+    res = safe_split(cx, locus)
+    plan = run_plan(cx, [format_locus(cx, locus).split()])
+    step, out = plan.steps[0], res.complex
     word = out.sectors[0].words[0]
     seg = next(g for g in out.segments if g.kind == "arc")
     system = build_system(out, ISC)
@@ -119,9 +121,8 @@ def test_every_record_is_frozen_and_complexes_and_systems_equal_by_value():
         out, out.sectors[0], word, word.items[0], FreeItem("f"), seg,
         seg.end0, out.dps[0], out.roles[out.dps[0].id], system,
         system.inequalities[0], feasible(system), criterion(out),
-        phase_one([{0: 1}], [1], 1), step.locus, step.split, step,
-        run_plan(cx, []), asm, asm.components[0], grid, check_box(grid),
-        validate(out)]
+        phase_one([{0: 1}], [1], 1), step.locus, res, step, plan, asm,
+        asm.components[0], grid, check_box(grid), validate(out)]
     assert sorted(type(r).__name__ for r in records) == list(RECORD_TYPES)
     for r in records:
         for f in getattr(r, "_fields", None) or tuple(vars(r)):
