@@ -210,8 +210,8 @@ def _pairs(word: BoundaryWord) -> _Pairs:
 
 
 def _word(pairs: _Pairs) -> BoundaryWord:
-    return BoundaryWord(tuple(p[0] for p in pairs),
-                        tuple(p[1] for p in pairs))
+    items, verts = zip(*pairs) if pairs else ((), ())
+    return BoundaryWord(items, verts)
 
 
 def _forward(pairs: _Pairs, i: int, j: int) -> _Pairs:
@@ -257,22 +257,29 @@ def _fuse_adjacent(pool: list[_Piece], first: SegItem, second: SegItem,
 
 def _allocate_names(cx: BranchedSurfaceComplex, z: str, gin: BranchSegment,
                     choice: str) -> dict[str, str]:
+    """The move's new names, keyed by role, with the least suffix ``n``
+    that none of them has taken; each try stops at its first taken name."""
+    secs, segs, dps = cx.sector_by_id, cx.segment_by_id, cx.dp_by_id
+    if choice == NEUTRAL:
+        stems = [("zl", f"{z}_l", secs), ("zr", f"{z}_r", secs),
+                 ("xm", f"{gin.up}_m", secs), ("ym", f"{gin.lo}_m", secs)]
+        stems += [(k, k, segs) for k in ("fl", "fr", "fn")]
+    else:
+        stems = [("zl", f"{z}_l", secs), ("zr", f"{z}_r", secs),
+                 ("slv", "slv", secs)]
+        stems += [(k, k, segs)
+                  for k in ("fl", "fr", "flr", "gl", "gm", "gr", "gf", "tg")]
+        stems += [("L", "L", dps), ("R", "R", dps)]
     n = 1
     while True:
-        if choice == NEUTRAL:
-            secs = {"zl": f"{z}_l{n}", "zr": f"{z}_r{n}",
-                    "xm": f"{gin.up}_m{n}", "ym": f"{gin.lo}_m{n}"}
-            segs = {k: f"{k}{n}" for k in ("fl", "fr", "fn")}
-            dps: dict[str, str] = {}
+        names = {}
+        for key, stem, taken in stems:
+            name = f"{stem}{n}"
+            if name in taken:
+                break
+            names[key] = name
         else:
-            secs = {"zl": f"{z}_l{n}", "zr": f"{z}_r{n}", "slv": f"slv{n}"}
-            segs = {k: f"{k}{n}"
-                    for k in ("fl", "fr", "flr", "gl", "gm", "gr", "gf", "tg")}
-            dps = {"L": f"L{n}", "R": f"R{n}"}
-        if not any(name in taken for new, taken in (
-                (secs, cx.sector_by_id), (segs, cx.segment_by_id),
-                (dps, cx.dp_by_id)) for name in new.values()):
-            return {**secs, **segs, **dps}
+            return names
         n += 1
 
 
@@ -488,11 +495,12 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         if g.id in touched:
             if g.id in (gin.id, gout.id):
                 continue
-            moved = {side: sid for side, old in zip(SIDES, (g.one, g.up, g.lo))
-                     if old in consumed and (sid := sheet(g.id, side)) != old}
-            if moved:
-                g = g._replace(**moved)
-            segs[g.id] = g
+            gid, kind, *sheets, end0, end1 = g
+            now = [sheet(gid, side) if old in consumed else old
+                   for side, old in zip(SIDES, sheets)]
+            if now != sheets:
+                g = BranchSegment(gid, kind, *now, end0, end1)
+            segs[gid] = g
         segments.append(g)
 
     new_dps = ()
@@ -501,11 +509,11 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         new_dps = (DoublePoint(names["L"], lsign),
                    DoublePoint(names["R"], -lsign))
 
-    walk = _carried_walk(cx, [cx.sector_by_id[s] for s in consumed], new,
-                         segs, [d.id for d in new_dps])
+    carried = _carried_walk(cx, [cx.sector_by_id[s] for s in consumed],
+                            new, segs, [d.id for d in new_dps])
     out = BranchedSurfaceComplex(cx.name, tuple(emitted),
                                  tuple(segments + new_segments),
-                                 cx.dps + new_dps, walk=walk)
+                                 cx.dps + new_dps, carried=carried)
     report = validate(out)
     if report.violations:
         raise InvariantViolation(
@@ -525,9 +533,12 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
 def _carried_walk(cx: BranchedSurfaceComplex, gone: list[Sector],
                   new: list[Sector], segs: dict[str, BranchSegment],
                   new_dps: list[str]) -> Optional[tuple]:
-    """The walk of a split output's words, carried from that of ``cx``, its
-    clean input, or ``None`` when it finds a violation: the output then
-    walks cold, and reports as a cold walk does.
+    """What a split output carries over from ``cx``, its clean input, as
+    its constructor takes it: ``cx``, the walk of the output's words
+    carried from that of ``cx``, and the roles of ``cx`` at each point
+    whose table the walk shares.  ``None`` when the walk finds a
+    violation: the output then checks every part, walks and derives every
+    point's roles cold, and reports as a cold walk does.
 
     The output keeps the sectors of ``cx`` but ``gone``, holds ``new`` in
     their place, adds ``new_dps``, and keeps each segment that no gone or
@@ -546,16 +557,22 @@ def _carried_walk(cx: BranchedSurfaceComplex, gone: list[Sector],
         corners[v] = {k: c for k, c in corners[v].items()
                       if c[1] not in gone_ids}
     carriers, flanks = _walk_sectors(new, segs, corners)
-    for v in named:  # a table that came back unchanged stays shared
+    # a table that came back unchanged stays shared, and so do its roles,
+    # which read that table alone
+    roles = dict(cx.roles)
+    for v in named:
         if corners[v] == was.get(v):
             corners[v] = was[v]
+        else:
+            roles.pop(v, None)
     for gid in segs.keys() & cx.segment_by_id.keys():
-        for role in SIDES:  # the sheets as cx declared them
-            if (sid := cx.segment_by_id[gid].side(role)) not in gone_ids:
+        g = cx.segment_by_id[gid]  # the sheets as cx declared them
+        for role, sid in zip(SIDES, (g.one, g.up, g.lo)):
+            if sid not in gone_ids:
                 carriers.setdefault((gid, role), []).append(sid)
     if flanks or any(_misplaced_sides(segs.values(), carriers)):
         return None
-    return corners, ()
+    return cx, (corners, ()), roles
 
 
 def pushforward_weights(res: SplitResult,

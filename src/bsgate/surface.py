@@ -128,14 +128,7 @@ class DoublePoint(NamedTuple):
     sign: int  # +1 | -1
 
 
-class RoleAssignment(NamedTuple):
-    """Corner roles at a double point.
-
-    ``z`` is the sector meeting both merged sides, ``x``/``v`` its
-    neighbours across the two branch curves, ``u`` the opposite quadrant,
-    and ``w``/``y`` the two sheets passing over/under the curves.
-    """
-
+class _RoleFields(NamedTuple):
     dp: str
     z: str
     x: str
@@ -143,6 +136,17 @@ class RoleAssignment(NamedTuple):
     v: str
     w: str
     y: str
+
+
+class RoleAssignment(_RoleFields):
+    """Corner roles at a double point.
+
+    ``z`` is the sector meeting both merged sides, ``x``/``v`` its
+    neighbours across the two branch curves, ``u`` the opposite quadrant,
+    and ``w``/``y`` the two sheets passing over/under the curves.  The
+    fields are read-only; the weight layer keeps the point's corner form
+    in the ``__dict__``, built once per assignment object.
+    """
 
     def corner_coeffs(self) -> dict[str, int]:
         """Sparse coefficients of the corner form z + u - x - v."""
@@ -158,17 +162,23 @@ class BranchedSurfaceComplex(_Frozen):
     def __init__(self, name: str, sectors: tuple[Sector, ...],
                  segments: tuple[BranchSegment, ...],
                  dps: tuple[DoublePoint, ...],
-                 walk: Union[tuple, None] = None):
+                 carried: Union[tuple, None] = None):
         # the id tables, which the reference check reads first
         self.__dict__.update(
             name=name, sectors=sectors, segments=segments, dps=dps,
             sector_by_id={s.id: s for s in sectors},
             segment_by_id={g.id: g for g in segments},
             dp_by_id={d.id: d for d in dps})
-        _check_references(self)
-        # a split hands its output the walk it carried over from its input
-        if walk is not None:
-            self.__dict__["_word_walk"] = walk
+        # a split hands its output what it carries over from its clean
+        # input: the input, against which only the output's own parts are
+        # checked, the walk of the output's words, and the input's roles at
+        # each point whose table that walk shares; the output keeps the
+        # walk and the roles, and no reference to its input
+        was = None
+        if carried is not None:
+            was, walk, roles = carried
+            self.__dict__.update(_word_walk=walk, _carried_roles=roles)
+        _check_references(self, was)
 
     @property
     def dp_corners(self) -> dict[str, dict]:
@@ -195,8 +205,13 @@ class BranchedSurfaceComplex(_Frozen):
     @cached_property
     def roles(self) -> dict[str, RoleAssignment]:
         """Corner roles at every double point, derived once; raises like
-        :func:`derive_roles` at the first double point that fails."""
-        return {d.id: derive_roles(self, d.id) for d in self.dps}
+        :func:`derive_roles` at the first double point that fails.  A
+        point's roles read its table alone, so a split output keeps its
+        input's assignment object at each point whose table it shares and
+        derives only the others; a cold complex derives every point."""
+        carried = self.__dict__.get("_carried_roles", {})
+        return {d.id: carried.get(d.id) or derive_roles(self, d.id)
+                for d in self.dps}
 
 
 def _end_of_item(seg: BranchSegment, side: str, which: str) -> SegmentEnd:
@@ -216,11 +231,15 @@ def _refusal(message: str, part: tuple) -> InvariantViolation:
     return err
 
 
-def _check_references(cx: BranchedSurfaceComplex) -> None:
+def _check_references(cx: BranchedSurfaceComplex,
+                      was: Union[BranchedSurfaceComplex, None] = None) -> None:
     """Raise :class:`InvariantViolation` at the first broken reference of
     ``cx``, its ``part`` naming the part at fault: ``("bword", sector id,
     word index)``, or a kind and an id.  Every complex runs it once, as it
-    is built."""
+    is built.  Given ``was``, the clean complex that ``cx`` was split
+    from, it reads only the parts of ``cx`` that are not ``was``'s own
+    objects and the points whose ends those move (see
+    :func:`_changed_parts`), and every part when that cannot tell."""
     sectors, segs, dps = cx.sector_by_id, cx.segment_by_id, cx.dp_by_id
     for kind, table, parts in (("sector", sectors, cx.sectors),
                                ("segment", segs, cx.segments),
@@ -229,7 +248,11 @@ def _check_references(cx: BranchedSurfaceComplex) -> None:
             ids = [p.id for p in parts]
             dup = next(i for n, i in enumerate(ids) if i in ids[:n])
             raise _refusal(f"duplicate {kind} id {dup}", (kind, dup))
-    for sid, genus, words in cx.sectors:
+    # the parts to read, and the ends counted so far at each point's slots
+    changed = None if was is None else _changed_parts(cx, was)
+    own_sectors, own_segments, points, fill = changed or (
+        cx.sectors, cx.segments, cx.dps, {d: [0, 0, 0, 0] for d in dps})
+    for sid, genus, words in own_sectors:
         if genus < 0:
             raise _refusal(f"sector {sid} has negative genus", ("sector", sid))
         for k, w in enumerate(words):
@@ -249,8 +272,7 @@ def _check_references(cx: BranchedSurfaceComplex) -> None:
                 if v is not None and v not in dps:
                     raise _refusal(f"dangling reference: bword {sid} {k} "
                                    f"names unknown dp {v}", part)
-    fill = {d: [0, 0, 0, 0] for d in dps}  # the ends at each point's slots
-    for gid, kind, one, up, lo, end0, end1 in cx.segments:
+    for gid, kind, one, up, lo, end0, end1 in own_segments:
         part = ("segment", gid)
         if one not in sectors or up not in sectors or lo not in sectors:
             role, sid = next((r, s) for r, s in zip(SIDES, (one, up, lo))
@@ -272,12 +294,53 @@ def _check_references(cx: BranchedSurfaceComplex) -> None:
                     raise _refusal(f"segment {gid} names slot {slot!r} of "
                                    f"dp {dp}", part)
                 fill[dp][slot] += 1
-    for did, sign in cx.dps:
+    for did, sign in points:
         if sign not in (1, -1):
             raise _refusal(f"dp {did} has invalid sign {sign!r}", ("dp", did))
         if fill[did] != [1, 1, 1, 1]:
             raise _refusal(f"double point {did} has wrong end arity (slots "
                            f"filled {fill[did]})", ("dp", did))
+
+
+def _changed_parts(cx: BranchedSurfaceComplex,
+                   was: BranchedSurfaceComplex) -> Union[tuple, None]:
+    """What the reference check of ``cx`` must read, given ``was``: the
+    sectors and segments of ``cx`` that are not ``was``'s own objects,
+    its points that are not or whose ends move, and the end counts at
+    those points: ``was``'s full count, less the ends of the segments
+    that ``cx`` drops or replaces, or none at a new point.  ``None``
+    unless ``was`` passes validation and drops no point, and each part
+    that ``cx`` keeps names no part that ``cx`` drops.
+
+    In a clean complex the three sheets of a segment, and no other
+    sector, carry its sides, so a kept sector can name a dropped segment
+    only if it is one of that segment's sheets, and a kept segment a
+    dropped sector only if that sector's words carry it."""
+    wsec, wseg, wdp = was.sector_by_id, was.segment_by_id, was.dp_by_id
+    secs, segs = cx.sector_by_id, cx.segment_by_id
+    if was.violations or not cx.dp_by_id.keys() >= wdp.keys():
+        return None
+    dropped = [wseg[gid] for gid in wseg.keys() - segs.keys()]
+    if any(secs.get(s) is wsec[s]
+           for g in dropped for s in (g.one, g.up, g.lo)):
+        return None
+    if any(segs.get(it.seg) is wseg[it.seg]
+           for sid in wsec.keys() - secs.keys() for w in wsec[sid].words
+           for it in w.items if isinstance(it, SegItem)):
+        return None
+    segments = [g for g in cx.segments if wseg.get(g.id) is not g]
+    fill = {d: [0, 0, 0, 0] for d in cx.dp_by_id.keys() - wdp.keys()}
+    for g in dropped + [wseg[g.id] for g in segments if g.id in wseg]:
+        for end in (g.end0, g.end1):
+            if end is not None and end.dp is not None:
+                fill.setdefault(end.dp, [1, 1, 1, 1])[end.slot] -= 1
+    for g in segments:
+        for end in (g.end0, g.end1):
+            if end is not None and end.dp is not None:
+                fill.setdefault(end.dp, [1, 1, 1, 1])
+    return ([s for s in cx.sectors if wsec.get(s.id) is not s], segments,
+            [d for d in cx.dps if d.id in fill or wdp.get(d.id) is not d],
+            fill)
 
 
 def _walk_sectors(sectors, segs: dict, corners: dict) -> tuple:
@@ -328,12 +391,12 @@ def _walk_sectors(sectors, segs: dict, corners: dict) -> tuple:
                 if ii == 0:
                     first = back
                 elif ahead is not None and back is not None:
-                    corners[prev_v].update({ahead: (back, sid),
-                                            back: (ahead, sid)})
+                    table = corners[prev_v]
+                    table[ahead], table[back] = (back, sid), (ahead, sid)
                 ahead, prev_v = fwd, v
             if ahead is not None and first is not None:
-                corners[prev_v].update({ahead: (first, sid),
-                                        first: (ahead, sid)})
+                table = corners[prev_v]
+                table[ahead], table[first] = (first, sid), (ahead, sid)
     return carriers, flanks
 
 
@@ -349,15 +412,16 @@ def _misplaced_sides(segments, carriers: dict):
 
 
 _PATTERN = (
-    # (role, germ side, germ side): the role's sector has the corner that
-    # joins the two germ sides, each (slot offset from the base, field);
-    # fields: 0 = one, 1 = eps side (the w-sheet's), 2 = opposite of eps
+    # (role, germ side, germ side), in RoleAssignment's field order: the
+    # role's sector has the corner that joins the two germ sides, each
+    # (slot offset from the base, field); fields: 0 = one, 1 = eps side
+    # (the w-sheet's), 2 = opposite of eps
     ("z", (0, 0), (1, 0)),
+    ("x", (2, 0), (1, 1)),
+    ("u", (2, 2), (3, 1)),
+    ("v", (3, 0), (0, 2)),
     ("w", (0, 1), (2, 1)),
     ("y", (1, 2), (3, 2)),
-    ("u", (2, 2), (3, 1)),
-    ("x", (2, 0), (1, 1)),
-    ("v", (3, 0), (0, 2)),
 )
 
 # every reading of _PATTERN, one per base slot and w-sheet side: per role
@@ -386,14 +450,14 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
     if corners is None:
         raise NoConsistentRoles(f"unknown double point {dp_id}")
     for joins in _READINGS:
-        roles = {}
-        for role, here, there in joins:
+        roles = [dp_id]
+        for _role, here, there in joins:
             joined = corners.get(here)
             if joined is None or joined[0] != there:
                 break
-            roles[role] = joined[1]
+            roles.append(joined[1])
         else:
-            return RoleAssignment(dp=dp_id, **roles)
+            return RoleAssignment._make(roles)
     raise NoConsistentRoles(f"role derivation failed at dp:{dp_id}")
 
 

@@ -124,24 +124,32 @@ def segment_form(cx: BranchedSurfaceComplex, gid: str) -> LinForm:
     return LinForm.make(coeffs, f"seg:{gid}")
 
 
-def _forms(cx: BranchedSurfaceComplex) -> tuple[list[LinForm],
-                                                list[LinForm]]:
+def _forms(cx: BranchedSurfaceComplex) -> tuple[tuple[LinForm, ...],
+                                                tuple[LinForm, ...]]:
     """The segment forms and the corner forms of ``cx``, in its order.
     Neither depends on the kind, and criterion and selftest ask for
-    several kinds of one complex, so the corner forms are kept on the
-    complex.  A segment's form reads that segment alone, so it is kept on
-    the segment object: a split output shares every segment that the move
-    leaves alone, and builds only the forms of the others."""
-    segs = []
-    for g in cx.segments:
-        memo = vars(g)
-        if "form" not in memo:
-            memo["form"] = segment_form(cx, g.id)
-        segs.append(memo["form"])
+    several kinds of one complex, so both are kept on the complex.  A
+    segment's form reads that segment alone, and a corner form that
+    point's roles alone, so each is also kept on the segment or the role
+    assignment it reads: a split output shares every segment, and the
+    roles of every point, that the move leaves alone, and builds only the
+    forms of the others."""
     memo = vars(cx)
-    if "corner_forms" not in memo:
-        memo["corner_forms"] = [corner_form(cx, d.id) for d in cx.dps]
-    return segs, memo["corner_forms"]
+    if "forms" not in memo:
+        segs = []
+        for g in cx.segments:
+            kept = vars(g)
+            if "form" not in kept:
+                kept["form"] = segment_form(cx, g.id)
+            segs.append(kept["form"])
+        corners, roles = [], cx.roles
+        for d in cx.dps:
+            kept = vars(roles[d.id])
+            if "form" not in kept:
+                kept["form"] = corner_form(cx, d.id)
+            corners.append(kept["form"])
+        memo["forms"] = tuple(segs), tuple(corners)
+    return memo["forms"]
 
 
 def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
@@ -153,7 +161,8 @@ def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
         raise PreconditionFailed(
             "input complex fails validation: " + cx.violations[0])
     variables = tuple(s.id for s in cx.sectors)
-    inequalities, corners = _forms(cx)
+    segs, corners = _forms(cx)
+    inequalities = list(segs)
     equalities: list[LinForm] = []
     strict: list[int] = []
     if kind == ISC:
@@ -182,13 +191,16 @@ def _rows(system: ConstraintSystem) -> tuple:
     """The forcing presolve of ``system`` and the phase-one rows of what
     it leaves (Brearley, Mitra and Williams 1975).
 
-    A queue over each sector's rows runs until nothing changes.  An
-    inequality whose remaining coefficients are all negative, or an
-    equality whose remaining coefficients all have one sign, forces
-    each of its remaining sectors to 0: at ``w >= 0`` the row holds
-    only where they are all 0.  Each such row is one forcing step,
-    ``(form, [(sector, coefficient), ...])`` over the sectors it
-    forced, in forcing order.
+    One pass over the coefficients counts each row's sectors and its
+    negative ones and lists each sector's rows; then a queue over those
+    rows runs until nothing changes.  An inequality whose remaining
+    coefficients are all negative, or an equality whose remaining
+    coefficients all have one sign, forces each of its remaining sectors
+    to 0: at ``w >= 0`` the row holds only where they are all 0.  Each
+    such row is one forcing step, ``(form, [(sector, coefficient),
+    ...])`` over the sectors it forced, in forcing order; it rescans its
+    coefficients once, and a queued row with no sector left is skipped
+    without a rescan.
 
     The residual keeps the other sectors, in ``system.variables`` order,
     in the layout of the whole system: an equality is ``form = 0``, an
@@ -210,35 +222,41 @@ def _rows(system: ConstraintSystem) -> tuple:
     forms = eqs + ineqs
     ne = len(eqs)
     # each form's count of sectors not yet forced, and of those with a
-    # negative coefficient; a row joins the queue whenever it forces, and
-    # finds nothing left after its first turn
+    # negative coefficient, and each sector's rows, each ``r`` or, where
+    # its coefficient is negative, ``~r``, all in one pass; a row joins
+    # the queue whenever it forces, and is skipped once nothing is left
     left, neg, queue = [], [], []
+    rows_of: dict[str, list] = {s: [] for s in system.variables}
     for r, f in enumerate(forms):
+        m = 0
+        for s, c in f.coeffs:
+            if c < 0:
+                rows_of[s].append(~r)
+                m += 1
+            else:
+                rows_of[s].append(r)
         k = len(f.coeffs)
-        m = len([c for _s, c in f.coeffs if c < 0])
         left.append(k)
         neg.append(m)
         if k and (m == k or (r < ne and not m)):
             queue.append(r)
     forced: set[str] = set()
     steps = []
-    if queue:
-        rows_of: dict[str, list] = {}
-        for r, f in enumerate(forms):
-            for s, c in f.coeffs:
-                rows_of.setdefault(s, []).append((r, c < 0))
-        for r in queue:  # the queue grows as rows come to force
-            pairs = [(s, c) for s, c in forms[r].coeffs if s not in forced]
-            if not pairs:
-                continue
-            steps.append((forms[r], pairs))
-            for s, _c in pairs:
-                forced.add(s)
-                for r2, negative in rows_of[s]:
-                    k = left[r2] = left[r2] - 1
-                    m = neg[r2] = neg[r2] - negative
-                    if k and (m == k or (r2 < ne and not m)):
-                        queue.append(r2)
+    for r in queue:  # the queue grows as rows come to force
+        if not left[r]:
+            continue
+        pairs = [(s, c) for s, c in forms[r].coeffs if s not in forced]
+        steps.append((forms[r], pairs))
+        for s, _c in pairs:
+            forced.add(s)
+            for r2 in rows_of[s]:
+                if r2 < 0:
+                    r2 = ~r2
+                    neg[r2] -= 1
+                k = left[r2] = left[r2] - 1
+                m = neg[r2]
+                if k and (m == k or (r2 < ne and not m)):
+                    queue.append(r2)
 
     kept = [s for s in system.variables if s not in forced]
     if not kept:

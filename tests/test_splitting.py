@@ -337,8 +337,30 @@ def _cold_equals_carried(out) -> None:
     assert out.dp_corners == cold.dp_corners
     assert out.violations == cold.violations == ()
     assert out.roles == cold.roles
+    assert weights._forms(out) == weights._forms(cold)
     for kind in KINDS:
         assert build_system(out, kind) == build_system(cold, kind)
+
+
+def _shared_points(cx, out) -> int:
+    """At each point of ``out`` whose corner table is the object ``cx``
+    holds, the role assignment and the corner form are ``cx``'s objects
+    too, and at every other point ``out`` derived its own; returns the
+    number of shared points.  ``cx`` built its corner forms before the
+    split."""
+    forms = dict(zip(cx.roles, weights._forms(cx)[1]))
+    got = dict(zip(out.roles, weights._forms(out)[1]))
+    # the output's reference check read only its own parts
+    assert surface._changed_parts(out, cx) is not None
+    shared = 0
+    for v, table in out.dp_corners.items():
+        if table is cx.dp_corners.get(v):
+            assert out.roles[v] is cx.roles[v] and got[v] is forms[v]
+            shared += 1
+        else:
+            assert out.roles[v] is not cx.roles.get(v)
+            assert got[v] is not forms.get(v)
+    return shared
 
 
 def _safe_walk(steps: int, seed: int = 0):
@@ -363,31 +385,65 @@ def _safe_walk(steps: int, seed: int = 0):
 
 def test_carried_tables_equal_cold_ones(monkeypatch):
     """A split output's corner table, carried from its input's, and the
-    violations, roles and systems read off it equal those of a cold copy:
-    over every good split of seeds 0-199, the over-ladder and a 60-step
-    safe walk.  No split of the seeds or of the walk falls back to a cold
-    walk."""
+    violations, roles, corner forms and systems read off it equal those of
+    a cold copy: over every good split of seeds 0-199, the over-ladder and
+    a 60-step safe walk.  Where the table is the input's object, so are
+    the role assignment and the corner form.  No split of the seeds or of
+    the walk falls back to a cold walk."""
     carried = []
     walk = splitting._carried_walk
     monkeypatch.setattr(splitting, "_carried_walk",
                         lambda *a: carried.append(walk(*a)) or carried[-1])
-    outputs = 0
+    outputs = shared = 0
     for seed in range(200):
         cx = random_complex(seed)
+        weights._forms(cx)
         for loc in good_loci(cx):
             for choice in (OVER, UNDER, NEUTRAL):
-                _cold_equals_carried(split(cx, loc, choice).complex)
+                out = split(cx, loc, choice).complex
+                shared += _shared_points(cx, out)
+                _cold_equals_carried(out)
                 outputs += 1
         _cold_equals_carried(cx)  # its shared tables were never written to
+    prev = None  # each step's input is the step before's output
     for _, out in _safe_walk(60):
+        if prev is not None:
+            shared += _shared_points(prev, out)
         _cold_equals_carried(out)
         outputs += 1
-    # the walk's split calls include the over moves that it does not commit
-    assert (outputs, len(carried)) == (3432, 3438)
+        prev = out
+    # the walk's split calls include the over moves that it does not
+    # commit; 3,004 output points kept their input's table and roles
+    assert (outputs, len(carried), shared) == (3432, 3438, 3004)
     assert None not in carried
     # the ladder was built in an earlier test, or is built here
     for out in ladder():
         _cold_equals_carried(out)
+
+
+def test_a_split_without_a_carried_walk_derives_every_role_cold(
+        monkeypatch):
+    """When the carried walk falls back, the output walks its words cold
+    and derives the roles of every point, keeping none of its input's
+    assignments; its tables still equal a cold copy's."""
+    monkeypatch.setattr(splitting, "_carried_walk", lambda *a: None)
+    derived = []
+    derive = surface.derive_roles
+    monkeypatch.setattr(surface, "derive_roles",
+                        lambda cx, did: derived.append((cx, did))
+                        or derive(cx, did))
+    outputs = 0
+    for cx in [load("fix-clean3.bsf")] + [random_complex(s) for s in (6, 38)]:
+        validate(cx)
+        for loc in good_loci(cx):
+            for choice in (OVER, UNDER, NEUTRAL):
+                derived.clear()
+                out = split(cx, loc, choice).complex
+                assert derived == [(out, d.id) for d in out.dps]
+                assert not any(out.roles[d] is r for d, r in cx.roles.items())
+                _cold_equals_carried(out)
+                outputs += 1
+    assert outputs > 0
 
 
 def test_every_depth_two_split_of_three_seeds_validates():

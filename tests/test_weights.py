@@ -4,7 +4,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsgate import surface, weights
@@ -571,3 +571,90 @@ def test_solver_matches_oracle_on_random_systems(sys_):
         assert all(v >= 0 for v in cert.witness.values())
         doubled = {s: 2 * v for s, v in cert.witness.items()}
         assert verify_certificate(sys_, Certificate("Feasible", witness=doubled))
+
+
+# -- the forcing presolve against a rescan to its fixpoint --------------------
+
+def _rescan_presolve(system):
+    """The forcing presolve the slow way: sweep every row, forcing all the
+    remaining sectors of each row that forces, until a sweep forces
+    nothing.  Returns the forced sectors, then the residual's ``(rows,
+    rhs, n)`` (``None`` when every sector is forced), its kept sectors
+    and its signed forms, laid out as ``weights._rows`` documents."""
+    ne = len(system.equalities)
+    forms = system.equalities + system.inequalities
+    forced = set()
+
+    def rest(form):
+        return [c for s, c in form.coeffs if s not in forced]
+
+    sweep = True
+    while sweep:
+        sweep = False
+        for r, form in enumerate(forms):
+            cs = rest(form)
+            if cs and (all(c < 0 for c in cs)
+                       or (r < ne and all(c > 0 for c in cs))):
+                forced.update(s for s, _c in form.coeffs)
+                sweep = True
+    kept = [s for s in system.variables if s not in forced]
+    if not kept:
+        return forced, None, kept, []
+    signed = [(f, 1) for f in system.equalities if rest(f)]
+    first = len(signed)
+    signed += [(f, -1) for i, f in enumerate(system.inequalities)
+               if any(c < 0 for c in rest(f)) or i in system.strict_group]
+    signed.append((system._aggregate, 1))
+    n = len(kept) + len(signed) - first
+    rows = []
+    for i, (f, sign) in enumerate(signed):
+        row = {kept.index(s): sign * c for s, c in f.coeffs if s in kept}
+        if first <= i < len(signed) - 1:
+            row[len(kept) + i - first] = 1  # the inequality's slack
+        rows.append(row)
+    rows[-1][n - 1] = -1  # the surplus
+    return forced, (rows, [0] * (len(rows) - 1) + [1], n), kept, signed
+
+
+@st.composite
+def presolve_cases(draw):
+    """A small integer system, raw: its sectors, each equality's and each
+    inequality's sparse coefficients, and its strict group."""
+    names = [f"s{j}" for j in range(draw(st.integers(1, 6)))]
+    form = st.dictionaries(st.sampled_from(names),
+                           st.integers(-3, 3).filter(bool))
+    eqs = draw(st.lists(form, max_size=4))
+    ineqs = draw(st.lists(form, max_size=5))
+    strict = draw(st.sets(st.integers(0, len(ineqs) - 1))) if ineqs else ()
+    return names, eqs, ineqs, sorted(strict)
+
+
+@given(presolve_cases())
+# a mixed-sign equality: nothing to force
+@example((["a", "b"], [{"a": 1, "b": -1}], [{"a": 1, "b": -2}], [0]))
+# a one-signed equality forces a and b, so a strict inequality forces c
+@example((["a", "b", "c", "d"], [{"a": 2, "b": 1}],
+          [{"a": 1, "c": -1}, {"b": 3, "d": 1}], [0, 1]))
+# everything forced, through an equality left with one sign
+@example((["a", "b"], [{"a": 1, "b": -1}], [{"b": -2}], []))
+@settings(max_examples=300, deadline=None)
+def test_presolve_matches_a_rescan_to_its_fixpoint(case):
+    """The queue's residual, kept sectors and signed rows are those of a
+    rescan to the fixpoint, and its steps force that fixpoint's sectors,
+    each row in its turn."""
+    names, eqs, ineqs, strict = case
+    system = toy(ineqs, strict, names, eqs)
+    problem, (kept, signed, steps) = weights._rows(system)
+    forced, *want = _rescan_presolve(system)
+    assert [problem, kept, signed] == want
+    # each step forces the sectors of its row that no earlier step forced,
+    # all of them negative, or of one sign in an equality
+    done = set()
+    for form, pairs in steps:
+        assert pairs == [(s, c) for s, c in form.coeffs if s not in done]
+        signs = {c > 0 for _s, c in pairs}
+        assert signs == {False} or (signs == {True}
+                                    and form in system.equalities)
+        done.update(s for s, _c in pairs)
+    assert done == forced
+    feasible(system)  # its certificate, lifted over the steps, verifies
