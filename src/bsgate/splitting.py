@@ -210,8 +210,8 @@ def _pairs(word: BoundaryWord) -> _Pairs:
 
 
 def _word(pairs: _Pairs) -> BoundaryWord:
-    items, verts = zip(*pairs) if pairs else ((), ())
-    return BoundaryWord(items, verts)
+    return BoundaryWord(tuple(p[0] for p in pairs),
+                        tuple(p[1] for p in pairs))
 
 
 def _forward(pairs: _Pairs, i: int, j: int) -> _Pairs:
@@ -495,12 +495,11 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         if g.id in touched:
             if g.id in (gin.id, gout.id):
                 continue
-            gid, kind, *sheets, end0, end1 = g
-            now = [sheet(gid, side) if old in consumed else old
-                   for side, old in zip(SIDES, sheets)]
-            if now != sheets:
-                g = BranchSegment(gid, kind, *now, end0, end1)
-            segs[gid] = g
+            moved = {side: sid for side, old in zip(SIDES, (g.one, g.up, g.lo))
+                     if old in consumed and (sid := sheet(g.id, side)) != old}
+            if moved:
+                g = g._replace(**moved)
+            segs[g.id] = g
         segments.append(g)
 
     new_dps = ()
@@ -534,11 +533,11 @@ def _carried_walk(cx: BranchedSurfaceComplex, gone: list[Sector],
                   new: list[Sector], segs: dict[str, BranchSegment],
                   new_dps: list[str]) -> Optional[tuple]:
     """What a split output carries over from ``cx``, its clean input, as
-    its constructor takes it: ``cx``, the walk of the output's words
-    carried from that of ``cx``, and the roles of ``cx`` at each point
-    whose table the walk shares.  ``None`` when the walk finds a
-    violation: the output then checks every part, walks and derives every
-    point's roles cold, and reports as a cold walk does.
+    its constructor takes it: the walk of the output's words carried from
+    that of ``cx``, and the roles of ``cx`` at each point whose table the
+    walk shares.  ``None`` when the walk finds a violation: the output
+    then walks and derives every point's roles cold, and reports as a
+    cold walk does.
 
     The output keeps the sectors of ``cx`` but ``gone``, holds ``new`` in
     their place, adds ``new_dps``, and keeps each segment that no gone or
@@ -566,13 +565,12 @@ def _carried_walk(cx: BranchedSurfaceComplex, gone: list[Sector],
         else:
             roles.pop(v, None)
     for gid in segs.keys() & cx.segment_by_id.keys():
-        g = cx.segment_by_id[gid]  # the sheets as cx declared them
-        for role, sid in zip(SIDES, (g.one, g.up, g.lo)):
-            if sid not in gone_ids:
+        for role in SIDES:  # the sheets as cx declared them
+            if (sid := cx.segment_by_id[gid].side(role)) not in gone_ids:
                 carriers.setdefault((gid, role), []).append(sid)
     if flanks or any(_misplaced_sides(segs.values(), carriers)):
         return None
-    return cx, (corners, ()), roles
+    return (corners, ()), roles
 
 
 def pushforward_weights(res: SplitResult,

@@ -169,16 +169,13 @@ class BranchedSurfaceComplex(_Frozen):
             sector_by_id={s.id: s for s in sectors},
             segment_by_id={g.id: g for g in segments},
             dp_by_id={d.id: d for d in dps})
-        # a split hands its output what it carries over from its clean
-        # input: the input, against which only the output's own parts are
-        # checked, the walk of the output's words, and the input's roles at
-        # each point whose table that walk shares; the output keeps the
-        # walk and the roles, and no reference to its input
-        was = None
+        _check_references(self)
+        # a split hands its output what it carries over from its input: the
+        # walk of the output's words, and the input's roles at each point
+        # whose table that walk shares
         if carried is not None:
-            was, walk, roles = carried
+            walk, roles = carried
             self.__dict__.update(_word_walk=walk, _carried_roles=roles)
-        _check_references(self, was)
 
     @property
     def dp_corners(self) -> dict[str, dict]:
@@ -231,15 +228,11 @@ def _refusal(message: str, part: tuple) -> InvariantViolation:
     return err
 
 
-def _check_references(cx: BranchedSurfaceComplex,
-                      was: Union[BranchedSurfaceComplex, None] = None) -> None:
+def _check_references(cx: BranchedSurfaceComplex) -> None:
     """Raise :class:`InvariantViolation` at the first broken reference of
     ``cx``, its ``part`` naming the part at fault: ``("bword", sector id,
     word index)``, or a kind and an id.  Every complex runs it once, as it
-    is built.  Given ``was``, the clean complex that ``cx`` was split
-    from, it reads only the parts of ``cx`` that are not ``was``'s own
-    objects and the points whose ends those move (see
-    :func:`_changed_parts`), and every part when that cannot tell."""
+    is built."""
     sectors, segs, dps = cx.sector_by_id, cx.segment_by_id, cx.dp_by_id
     for kind, table, parts in (("sector", sectors, cx.sectors),
                                ("segment", segs, cx.segments),
@@ -248,11 +241,7 @@ def _check_references(cx: BranchedSurfaceComplex,
             ids = [p.id for p in parts]
             dup = next(i for n, i in enumerate(ids) if i in ids[:n])
             raise _refusal(f"duplicate {kind} id {dup}", (kind, dup))
-    # the parts to read, and the ends counted so far at each point's slots
-    changed = None if was is None else _changed_parts(cx, was)
-    own_sectors, own_segments, points, fill = changed or (
-        cx.sectors, cx.segments, cx.dps, {d: [0, 0, 0, 0] for d in dps})
-    for sid, genus, words in own_sectors:
+    for sid, genus, words in cx.sectors:
         if genus < 0:
             raise _refusal(f"sector {sid} has negative genus", ("sector", sid))
         for k, w in enumerate(words):
@@ -272,7 +261,8 @@ def _check_references(cx: BranchedSurfaceComplex,
                 if v is not None and v not in dps:
                     raise _refusal(f"dangling reference: bword {sid} {k} "
                                    f"names unknown dp {v}", part)
-    for gid, kind, one, up, lo, end0, end1 in own_segments:
+    fill = {d: [0, 0, 0, 0] for d in dps}  # the ends at each point's slots
+    for gid, kind, one, up, lo, end0, end1 in cx.segments:
         part = ("segment", gid)
         if one not in sectors or up not in sectors or lo not in sectors:
             role, sid = next((r, s) for r, s in zip(SIDES, (one, up, lo))
@@ -294,53 +284,12 @@ def _check_references(cx: BranchedSurfaceComplex,
                     raise _refusal(f"segment {gid} names slot {slot!r} of "
                                    f"dp {dp}", part)
                 fill[dp][slot] += 1
-    for did, sign in points:
+    for did, sign in cx.dps:
         if sign not in (1, -1):
             raise _refusal(f"dp {did} has invalid sign {sign!r}", ("dp", did))
         if fill[did] != [1, 1, 1, 1]:
             raise _refusal(f"double point {did} has wrong end arity (slots "
                            f"filled {fill[did]})", ("dp", did))
-
-
-def _changed_parts(cx: BranchedSurfaceComplex,
-                   was: BranchedSurfaceComplex) -> Union[tuple, None]:
-    """What the reference check of ``cx`` must read, given ``was``: the
-    sectors and segments of ``cx`` that are not ``was``'s own objects,
-    its points that are not or whose ends move, and the end counts at
-    those points: ``was``'s full count, less the ends of the segments
-    that ``cx`` drops or replaces, or none at a new point.  ``None``
-    unless ``was`` passes validation and drops no point, and each part
-    that ``cx`` keeps names no part that ``cx`` drops.
-
-    In a clean complex the three sheets of a segment, and no other
-    sector, carry its sides, so a kept sector can name a dropped segment
-    only if it is one of that segment's sheets, and a kept segment a
-    dropped sector only if that sector's words carry it."""
-    wsec, wseg, wdp = was.sector_by_id, was.segment_by_id, was.dp_by_id
-    secs, segs = cx.sector_by_id, cx.segment_by_id
-    if was.violations or not cx.dp_by_id.keys() >= wdp.keys():
-        return None
-    dropped = [wseg[gid] for gid in wseg.keys() - segs.keys()]
-    if any(secs.get(s) is wsec[s]
-           for g in dropped for s in (g.one, g.up, g.lo)):
-        return None
-    if any(segs.get(it.seg) is wseg[it.seg]
-           for sid in wsec.keys() - secs.keys() for w in wsec[sid].words
-           for it in w.items if isinstance(it, SegItem)):
-        return None
-    segments = [g for g in cx.segments if wseg.get(g.id) is not g]
-    fill = {d: [0, 0, 0, 0] for d in cx.dp_by_id.keys() - wdp.keys()}
-    for g in dropped + [wseg[g.id] for g in segments if g.id in wseg]:
-        for end in (g.end0, g.end1):
-            if end is not None and end.dp is not None:
-                fill.setdefault(end.dp, [1, 1, 1, 1])[end.slot] -= 1
-    for g in segments:
-        for end in (g.end0, g.end1):
-            if end is not None and end.dp is not None:
-                fill.setdefault(end.dp, [1, 1, 1, 1])
-    return ([s for s in cx.sectors if wsec.get(s.id) is not s], segments,
-            [d for d in cx.dps if d.id in fill or wdp.get(d.id) is not d],
-            fill)
 
 
 def _walk_sectors(sectors, segs: dict, corners: dict) -> tuple:
@@ -391,12 +340,12 @@ def _walk_sectors(sectors, segs: dict, corners: dict) -> tuple:
                 if ii == 0:
                     first = back
                 elif ahead is not None and back is not None:
-                    table = corners[prev_v]
-                    table[ahead], table[back] = (back, sid), (ahead, sid)
+                    corners[prev_v].update({ahead: (back, sid),
+                                            back: (ahead, sid)})
                 ahead, prev_v = fwd, v
             if ahead is not None and first is not None:
-                table = corners[prev_v]
-                table[ahead], table[first] = (first, sid), (ahead, sid)
+                corners[prev_v].update({ahead: (first, sid),
+                                        first: (ahead, sid)})
     return carriers, flanks
 
 
@@ -412,16 +361,15 @@ def _misplaced_sides(segments, carriers: dict):
 
 
 _PATTERN = (
-    # (role, germ side, germ side), in RoleAssignment's field order: the
-    # role's sector has the corner that joins the two germ sides, each
-    # (slot offset from the base, field); fields: 0 = one, 1 = eps side
-    # (the w-sheet's), 2 = opposite of eps
+    # (role, germ side, germ side): the role's sector has the corner that
+    # joins the two germ sides, each (slot offset from the base, field);
+    # fields: 0 = one, 1 = eps side (the w-sheet's), 2 = opposite of eps
     ("z", (0, 0), (1, 0)),
-    ("x", (2, 0), (1, 1)),
-    ("u", (2, 2), (3, 1)),
-    ("v", (3, 0), (0, 2)),
     ("w", (0, 1), (2, 1)),
     ("y", (1, 2), (3, 2)),
+    ("u", (2, 2), (3, 1)),
+    ("x", (2, 0), (1, 1)),
+    ("v", (3, 0), (0, 2)),
 )
 
 # every reading of _PATTERN, one per base slot and w-sheet side: per role
@@ -450,14 +398,14 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
     if corners is None:
         raise NoConsistentRoles(f"unknown double point {dp_id}")
     for joins in _READINGS:
-        roles = [dp_id]
-        for _role, here, there in joins:
+        roles = {}
+        for role, here, there in joins:
             joined = corners.get(here)
             if joined is None or joined[0] != there:
                 break
-            roles.append(joined[1])
+            roles[role] = joined[1]
         else:
-            return RoleAssignment._make(roles)
+            return RoleAssignment(dp=dp_id, **roles)
     raise NoConsistentRoles(f"role derivation failed at dp:{dp_id}")
 
 

@@ -124,32 +124,32 @@ def segment_form(cx: BranchedSurfaceComplex, gid: str) -> LinForm:
     return LinForm.make(coeffs, f"seg:{gid}")
 
 
-def _forms(cx: BranchedSurfaceComplex) -> tuple[tuple[LinForm, ...],
-                                                tuple[LinForm, ...]]:
+def _forms(cx: BranchedSurfaceComplex) -> tuple[list[LinForm],
+                                                list[LinForm]]:
     """The segment forms and the corner forms of ``cx``, in its order.
     Neither depends on the kind, and criterion and selftest ask for
-    several kinds of one complex, so both are kept on the complex.  A
-    segment's form reads that segment alone, and a corner form that
-    point's roles alone, so each is also kept on the segment or the role
-    assignment it reads: a split output shares every segment, and the
-    roles of every point, that the move leaves alone, and builds only the
-    forms of the others."""
+    several kinds of one complex, so the corner forms are kept on the
+    complex.  A segment's form reads that segment alone, and a corner form
+    that point's roles alone, so each is also kept on the segment or the
+    role assignment it reads: a split output shares every segment, and
+    the roles of every point, that the move leaves alone, and builds only
+    the forms of the others."""
+    segs = []
+    for g in cx.segments:
+        memo = vars(g)
+        if "form" not in memo:
+            memo["form"] = segment_form(cx, g.id)
+        segs.append(memo["form"])
     memo = vars(cx)
-    if "forms" not in memo:
-        segs = []
-        for g in cx.segments:
-            kept = vars(g)
-            if "form" not in kept:
-                kept["form"] = segment_form(cx, g.id)
-            segs.append(kept["form"])
-        corners, roles = [], cx.roles
+    if "corner_forms" not in memo:
+        corners = []
         for d in cx.dps:
-            kept = vars(roles[d.id])
+            kept = vars(cx.roles[d.id])
             if "form" not in kept:
                 kept["form"] = corner_form(cx, d.id)
             corners.append(kept["form"])
-        memo["forms"] = tuple(segs), tuple(corners)
-    return memo["forms"]
+        memo["corner_forms"] = corners
+    return segs, memo["corner_forms"]
 
 
 def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
@@ -161,8 +161,7 @@ def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
         raise PreconditionFailed(
             "input complex fails validation: " + cx.violations[0])
     variables = tuple(s.id for s in cx.sectors)
-    segs, corners = _forms(cx)
-    inequalities = list(segs)
+    inequalities, corners = _forms(cx)
     equalities: list[LinForm] = []
     strict: list[int] = []
     if kind == ISC:

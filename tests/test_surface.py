@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgate import surface
 from bsgate.assembly import assemble
 from bsgate.charts import check_box, sample_box
 from bsgate.errors import InvariantViolation, ParseError
@@ -481,47 +480,6 @@ def test_constructor_refuses_each_broken_reference(case):
         BranchedSurfaceComplex(cx.name, *broken(cx))
     assert str(ei.value) == message
     assert ei.value.part == part
-
-
-def _unchecked(name, sectors, segments, dps):
-    """A complex with its id tables, built without its reference check."""
-    cx = object.__new__(BranchedSurfaceComplex)
-    cx.__dict__.update(name=name, sectors=sectors, segments=segments,
-                       dps=dps, sector_by_id={s.id: s for s in sectors},
-                       segment_by_id={g.id: g for g in segments},
-                       dp_by_id={d.id: d for d in dps})
-    return cx
-
-
-def _refusal_of(check):
-    with pytest.raises(InvariantViolation) as ei:
-        check()
-    return str(ei.value), ei.value.part
-
-
-# a part dropped while every part that names it is kept
-_DROPPED = {
-    "dropped-segment": lambda cx: (cx.sectors, cx.segments[1:], cx.dps),
-    "dropped-sector": lambda cx: (cx.sectors[1:], cx.segments, cx.dps),
-    "dropped-dp": lambda cx: (cx.sectors, cx.segments, cx.dps[1:]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_BROKEN_REFERENCES) + sorted(_DROPPED))
-def test_a_check_against_the_clean_input_refuses_as_the_full_check(case):
-    """Checked against the clean complex that it was built from, as a split
-    output is, a complex reads only the parts that are not that complex's
-    own, and those that a drop could break, yet refuses each broken
-    reference with the full check's message and part."""
-    if case in _DROPPED:
-        was, broken = load("fix-cross.bsf"), _DROPPED[case]
-    else:
-        name, broken, _message, _part = _BROKEN_REFERENCES[case]
-        was = load(name)
-    assert validate(was).ok()
-    cx = _unchecked(was.name, *broken(was))
-    assert _refusal_of(lambda: surface._check_references(cx, was)) \
-        == _refusal_of(lambda: surface._check_references(cx))
 
 
 @pytest.mark.parametrize("edit, line, message", [
