@@ -9,7 +9,8 @@ there.  Boundary arcs are then traced through the glued complex; at a
 double-point vertex the crossing fan is measured in quarter-turn units,
 yielding either a silent smooth pass (2 units) or a corner record with
 interior angle pi/2 + 2n*pi (1 + 4n units), each sector corner's units
-read off the corner table with one segment-end lookup per traced corner.
+read off the corner table by ``surface.corner_units``, with one
+segment-end lookup per traced corner.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .surface import (
     BranchedSurfaceComplex,
     FreeItem,
     SegItem,
-    _end_of_item,
+    corner_units,
 )
 from .weights import build_system
 
@@ -122,18 +123,6 @@ def _union(parent: list[int], a: int, b: int) -> int:
     ra, rb = _find(parent, a), _find(parent, b)
     parent[max(ra, rb)] = min(ra, rb)
     return int(ra != rb)
-
-
-def _corner_units(cx, entering: SegItem, did: str) -> int:
-    """Quarter-turns of the corner at dp ``did`` after ``entering``: 1 to
-    an adjacent slot, 2 to the opposite one, read off the corner table."""
-    slot = _end_of_item(cx.segment_by_id[entering.seg], entering.side,
-                        "next").slot
-    joined = cx.dp_corners[did].get((slot, entering.side))
-    if joined is None or joined[0][0] == slot:
-        raise InvariantViolation(
-            f"no corner at dp:{did} turns from {entering.seg}:{entering.side}")
-    return 2 if (joined[0][0] - slot) % 4 == 2 else 1
 
 
 def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
@@ -242,7 +231,7 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
                         if did is not None:
                             u = t.units[p]
                             if u is None:
-                                u = t.units[p] = _corner_units(
+                                u = t.units[p] = corner_units(
                                     cx, t.items[p], did)
                             units += u
                             if corner_dp is None:

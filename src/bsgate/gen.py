@@ -26,14 +26,13 @@ from .surface import (
     validate,
 )
 
-# Each block is a small valid complex; the budget pairs are
-# (sectors, double points).
-_BLOCKS: dict[str, tuple[str, tuple[int, int]]] = {
-    "torus": ("""
+# Each block is a small valid complex.
+_BLOCKS: dict[str, str] = {
+    "torus": """
 surface torus
 sector T genus 1 bwords 0
-""", (1, 0)),
-    "doc": ("""
+""",
+    "doc": """
 surface doc
 sector D genus 0 bwords 1
 sector T genus 1 bwords 2
@@ -41,8 +40,8 @@ bword D 0 : seg:g:one
 bword T 0 : seg:g:up
 bword T 1 : seg:g:lo
 segment g circle one D up T lo T
-""", (2, 0)),
-    "wheel1": ("""
+""",
+    "wheel1": """
 surface wheel1
 sector A genus 0 bwords 6
 bword A 0 : seg:c1:one
@@ -53,8 +52,8 @@ bword A 4 : seg:c2:up
 bword A 5 : seg:c2:lo
 segment c1 circle one A up A lo A
 segment c2 circle one A up A lo A
-""", (1, 0)),
-    "wheel2": ("""
+""",
+    "wheel2": """
 surface wheel2
 sector A genus 0 bwords 9
 bword A 0 : seg:c1:one
@@ -69,8 +68,8 @@ bword A 8 : seg:c3:lo
 segment c1 circle one A up A lo A
 segment c2 circle one A up A lo A
 segment c3 circle one A up A lo A
-""", (1, 0)),
-    "cross": ("""
+""",
+    "cross": """
 surface cross
 sector Q genus 0 bwords 1
 sector Wf genus 0 bwords 1
@@ -81,8 +80,8 @@ bword Yf 0 : seg:B:lo v:dp:P
 segment A arc one Q up Wf lo Q ends dp:P:0 dp:P:2
 segment B arc one Q up Q lo Yf ends dp:P:1 dp:P:3
 dp P sign +
-""", (3, 1)),
-    "venn": ("""
+""",
+    "venn": """
 surface venn
 sector O genus 0 bwords 1
 sector L genus 0 bwords 1
@@ -102,11 +101,13 @@ segment b1 arc one Ao up L lo Fb ends dp:Q:1 dp:P:2
 segment b2 arc one O up Bo lo Fb ends dp:P:0 dp:Q:3
 dp P sign +
 dp Q sign -
-""", (6, 2)),
+""",
 }
-_PARSED = {name: parse_complex(text) for name, (text, _) in _BLOCKS.items()}
-# the budget pairs by block name, in the order random_complex draws from
-_BUDGETS = {name: budget for name, (_, budget) in sorted(_BLOCKS.items())}
+_PARSED = {name: parse_complex(text) for name, text in _BLOCKS.items()}
+# each block's (sectors, double points), by block name, in the order
+# random_complex draws from
+_BUDGETS = {name: (len(cx.sectors), len(cx.dps))
+            for name, cx in sorted(_PARSED.items())}
 
 # the sectors, segments and double points that the moves rewrite
 _Parts = tuple[tuple[Sector, ...], tuple[BranchSegment, ...],

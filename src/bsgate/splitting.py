@@ -20,7 +20,8 @@ it:
   swapped in its one lateral table; so the over move's new left double
   point is negative and its right one positive, and the under move's
   signs are the mirror image;
-* every output complex checks its references as it is built and is
+* every output is built by ``surface.carried_complex``, which checks
+  its references and the words that the move rewrote, and is
   re-validated, so a template error surfaces as ``InvariantViolation``
   rather than silent corruption.
 """
@@ -46,8 +47,7 @@ from .surface import (
     SegItem,
     SegmentEnd,
     Sector,
-    _misplaced_sides,
-    _walk_sectors,
+    carried_complex,
     validate,
 )
 from .weights import Verdict, criterion
@@ -432,9 +432,7 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
     images: dict[str, str] = {}  # original sector id -> new id
     for piece in pool:
         if isinstance(piece, _Piece):
-            name = piece_name(piece)
-            images.update(dict.fromkeys(piece.members, name))
-            piece = Sector(name, piece.genus,
+            piece = Sector(piece_name(piece), piece.genus,
                            tuple(_word(p) for p in piece.words))
             new.append(piece)
         else:
@@ -489,7 +487,6 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         if (names[key], "one") in occ]
     # an input segment stays the same object unless one of its sheets
     # moved, which only one with an edge on a consumed sector can do
-    segs = {g.id: g for g in new_segments}  # those the new sectors name
     segments = []
     for g in cx.segments:
         if g.id in touched:
@@ -499,7 +496,6 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
                      if old in consumed and (sid := sheet(g.id, side)) != old}
             if moved:
                 g = g._replace(**moved)
-            segs[g.id] = g
         segments.append(g)
 
     new_dps = ()
@@ -508,17 +504,12 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         new_dps = (DoublePoint(names["L"], lsign),
                    DoublePoint(names["R"], -lsign))
 
-    carried = _carried_walk(cx, [cx.sector_by_id[s] for s in consumed],
-                            new, segs, [d.id for d in new_dps])
-    out = BranchedSurfaceComplex(cx.name, tuple(emitted),
-                                 tuple(segments + new_segments),
-                                 cx.dps + new_dps, carried=carried)
+    out = carried_complex(cx, tuple(emitted), tuple(segments + new_segments),
+                          cx.dps + new_dps)
     report = validate(out)
     if report.violations:
         raise InvariantViolation(
             "split output fails validation: " + "; ".join(report.violations))
-    if over_like and len(out.dps) != len(cx.dps) + 2:
-        raise InvariantViolation("double-point count did not grow by two")
 
     for g, key in ((gout, exit_key), (gin, entry_key)):
         images[g.up] = occ[(names[key], "up")]
@@ -527,50 +518,6 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
 
     return SplitResult(out, choice, lvert, rvert,
                        tuple(sorted(images.items())))
-
-
-def _carried_walk(cx: BranchedSurfaceComplex, gone: list[Sector],
-                  new: list[Sector], segs: dict[str, BranchSegment],
-                  new_dps: list[str]) -> Optional[tuple]:
-    """What a split output carries over from ``cx``, its clean input, as
-    its constructor takes it: the walk of the output's words carried from
-    that of ``cx``, and the roles of ``cx`` at each point whose table the
-    walk shares.  ``None`` when the walk finds a violation: the output
-    then walks and derives every point's roles cold, and reports as a
-    cold walk does.
-
-    The output keeps the sectors of ``cx`` but ``gone``, holds ``new`` in
-    their place, adds ``new_dps``, and keeps each segment that no gone or
-    new sector names; ``segs`` holds those that one does.  Only the new
-    sectors are walked, onto copies, without the gone sectors' entries, of
-    the tables of the points that a gone or new sector names; every other
-    table is shared with ``cx``, never written to.  A kept sector carries
-    the edges that it carried in ``cx``, once, on their declared sheets."""
-    gone_ids = {s.id for s in gone}
-    was = cx.dp_corners
-    corners = dict(was)
-    corners.update((d, {}) for d in new_dps)
-    named = {v for s in gone + new for w in s.words for v in w.verts
-             if v in corners}
-    for v in named:
-        corners[v] = {k: c for k, c in corners[v].items()
-                      if c[1] not in gone_ids}
-    carriers, flanks = _walk_sectors(new, segs, corners)
-    # a table that came back unchanged stays shared, and so do its roles,
-    # which read that table alone
-    roles = dict(cx.roles)
-    for v in named:
-        if corners[v] == was.get(v):
-            corners[v] = was[v]
-        else:
-            roles.pop(v, None)
-    for gid in segs.keys() & cx.segment_by_id.keys():
-        for role in SIDES:  # the sheets as cx declared them
-            if (sid := cx.segment_by_id[gid].side(role)) not in gone_ids:
-                carriers.setdefault((gid, role), []).append(sid)
-    if flanks or any(_misplaced_sides(segs.values(), carriers)):
-        return None
-    return (corners, ()), roles
 
 
 def pushforward_weights(res: SplitResult,

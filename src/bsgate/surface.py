@@ -161,8 +161,7 @@ class BranchedSurfaceComplex(_Frozen):
 
     def __init__(self, name: str, sectors: tuple[Sector, ...],
                  segments: tuple[BranchSegment, ...],
-                 dps: tuple[DoublePoint, ...],
-                 carried: Union[tuple, None] = None):
+                 dps: tuple[DoublePoint, ...]):
         # the id tables, which the reference check reads first
         self.__dict__.update(
             name=name, sectors=sectors, segments=segments, dps=dps,
@@ -170,12 +169,6 @@ class BranchedSurfaceComplex(_Frozen):
             segment_by_id={g.id: g for g in segments},
             dp_by_id={d.id: d for d in dps})
         _check_references(self)
-        # a split hands its output what it carries over from its input: the
-        # walk of the output's words, and the input's roles at each point
-        # whose table that walk shares
-        if carried is not None:
-            walk, roles = carried
-            self.__dict__.update(_word_walk=walk, _carried_roles=roles)
 
     @property
     def dp_corners(self) -> dict[str, dict]:
@@ -203,9 +196,10 @@ class BranchedSurfaceComplex(_Frozen):
     def roles(self) -> dict[str, RoleAssignment]:
         """Corner roles at every double point, derived once; raises like
         :func:`derive_roles` at the first double point that fails.  A
-        point's roles read its table alone, so a split output keeps its
-        input's assignment object at each point whose table it shares and
-        derives only the others; a cold complex derives every point."""
+        point's roles read its table alone, so a :func:`carried_complex`
+        keeps its input's assignment object at each point whose table it
+        shares and derives only the others; a cold complex derives every
+        point."""
         carried = self.__dict__.get("_carried_roles", {})
         return {d.id: carried.get(d.id) or derive_roles(self, d.id)
                 for d in self.dps}
@@ -220,6 +214,75 @@ def _end_of_item(seg: BranchSegment, side: str, which: str) -> SegmentEnd:
     if side == "one":
         return seg.end0 if which == "prev" else seg.end1
     return seg.end1 if which == "prev" else seg.end0
+
+
+def carried_complex(cx: BranchedSurfaceComplex, sectors: tuple[Sector, ...],
+                    segments: tuple[BranchSegment, ...],
+                    dps: tuple[DoublePoint, ...]) -> BranchedSurfaceComplex:
+    """A move's output, of ``sectors``, ``segments`` and ``dps`` and named
+    as ``cx``, its clean input, with its word walk and roles carried over
+    from those of ``cx``; raises :class:`InvariantViolation` naming every
+    side and flank violation that the carried walk finds.
+
+    A sector of ``cx`` that the output does not hold (by identity) is
+    gone, and one of the output that ``cx`` does not hold is new.  Only
+    the new sectors are walked, onto copies, less the gone sectors'
+    entries, of the tables of the points that a gone or new sector
+    names, and onto new tables for the points that ``cx`` lacks; every
+    other table, and the roles of each point whose table comes back
+    unchanged, is shared with ``cx``.  Only the segments that a new
+    sector names are checked, so the output must keep every point of
+    ``cx`` and every other segment as it was, and a segment that a kept
+    sector names must keep its ends."""
+    out = BranchedSurfaceComplex(cx.name, sectors, segments, dps)
+    gone = [s for s in cx.sectors if out.sector_by_id.get(s.id) is not s]
+    new = [s for s in sectors if cx.sector_by_id.get(s.id) is not s]
+    gone_ids = {s.id for s in gone}
+    was = cx.dp_corners
+    corners = dict(was)
+    corners.update((d.id, {}) for d in dps if d.id not in was)
+    named = {v for s in gone + new for w in s.words for v in w.verts
+             if v in corners}
+    for v in named:
+        corners[v] = {k: c for k, c in corners[v].items()
+                      if c[1] not in gone_ids}
+    carriers, flanks = _walk_sectors(new, out.segment_by_id, corners)
+    # a table that came back unchanged stays shared, and so do its roles,
+    # which read that table alone
+    roles = dict(cx.roles)
+    for v in named:
+        if corners[v] == was.get(v):
+            corners[v] = was[v]
+        else:
+            roles.pop(v, None)
+    names = {gid for gid, _side in carriers}
+    checked = [g for g in segments if g.id in names]
+    for g in checked:
+        old = cx.segment_by_id.get(g.id)
+        if old is not None:  # its kept sheets, as cx declared them
+            for role, sid in zip(SIDES, (old.one, old.up, old.lo)):
+                if sid not in gone_ids:
+                    carriers.setdefault((g.id, role), []).append(sid)
+    violations = [*_misplaced_sides(checked, carriers), *flanks]
+    if violations:
+        raise InvariantViolation(
+            "split output fails validation: " + "; ".join(violations))
+    out.__dict__.update(_word_walk=(corners, ()), _carried_roles=roles)
+    return out
+
+
+def corner_units(cx: BranchedSurfaceComplex, entering: SegItem,
+                 did: str) -> int:
+    """Quarter-turns of the corner at dp ``did`` after ``entering``, an
+    edge item of a valid complex: 1 to an adjacent slot, 2 to the
+    opposite one, read off the corner table."""
+    slot = _end_of_item(cx.segment_by_id[entering.seg], entering.side,
+                        "next").slot
+    joined = cx.dp_corners[did].get((slot, entering.side))
+    if joined is None or joined[0][0] == slot:
+        raise InvariantViolation(
+            f"no corner at dp:{did} turns from {entering.seg}:{entering.side}")
+    return 2 if (joined[0][0] - slot) % 4 == 2 else 1
 
 
 def _refusal(message: str, part: tuple) -> InvariantViolation:

@@ -127,29 +127,24 @@ def segment_form(cx: BranchedSurfaceComplex, gid: str) -> LinForm:
 def _forms(cx: BranchedSurfaceComplex) -> tuple[list[LinForm],
                                                 list[LinForm]]:
     """The segment forms and the corner forms of ``cx``, in its order.
-    Neither depends on the kind, and criterion and selftest ask for
-    several kinds of one complex, so the corner forms are kept on the
-    complex.  A segment's form reads that segment alone, and a corner form
-    that point's roles alone, so each is also kept on the segment or the
-    role assignment it reads: a split output shares every segment, and
-    the roles of every point, that the move leaves alone, and builds only
-    the forms of the others."""
-    segs = []
+    Neither depends on the kind.  A segment's form reads that segment
+    alone, and a corner form that point's roles alone, so each is kept on
+    the segment or the role assignment it reads, built once: every kind
+    of one complex reads the same forms, and a split output, which shares
+    every segment and the roles of every point that the move leaves alone,
+    builds only the forms of the others."""
+    segs, corners = [], []
     for g in cx.segments:
         memo = vars(g)
         if "form" not in memo:
             memo["form"] = segment_form(cx, g.id)
         segs.append(memo["form"])
-    memo = vars(cx)
-    if "corner_forms" not in memo:
-        corners = []
-        for d in cx.dps:
-            kept = vars(cx.roles[d.id])
-            if "form" not in kept:
-                kept["form"] = corner_form(cx, d.id)
-            corners.append(kept["form"])
-        memo["corner_forms"] = corners
-    return segs, memo["corner_forms"]
+    for did, roles in cx.roles.items():
+        memo = vars(roles)
+        if "form" not in memo:
+            memo["form"] = corner_form(cx, did)
+        corners.append(memo["form"])
+    return segs, corners
 
 
 def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:

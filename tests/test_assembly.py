@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgate import assembly
+from bsgate import surface
 from bsgate.assembly import assemble, normalize_trace
 from bsgate.errors import (
     BsgateError,
@@ -197,13 +197,13 @@ def test_each_traced_corner_looks_up_one_segment_end(name, sidecar, kind,
     w = parse_weights(fixture_text(sidecar), cx)
     assert not cx.violations
     calls = []
-    end_of_item = assembly._end_of_item
+    end_of_item = surface._end_of_item
 
     def counted(*args):
         calls.append(args)
         return end_of_item(*args)
 
-    monkeypatch.setattr(assembly, "_end_of_item", counted)
+    monkeypatch.setattr(surface, "_end_of_item", counted)
     assemble(cx, w, kind)
     assert len(calls) == 6
 

@@ -41,7 +41,7 @@ from bsgate.splitting import (
 )
 from bsgate.gen import random_complex
 from bsgate.parser import parse_complex, print_complex
-from bsgate.surface import SegItem, validate
+from bsgate.surface import BoundaryWord, SegItem, Sector, validate
 from bsgate.weights import (KINDS, Certificate, build_system, criterion,
                             segment_form)
 
@@ -386,12 +386,11 @@ def test_carried_tables_equal_cold_ones(monkeypatch):
     violations, roles, corner forms and systems read off it equal those of
     a cold copy: over every good split of seeds 0-199, the over-ladder and
     a 60-step safe walk.  Where the table is the input's object, so are
-    the role assignment and the corner form.  No split of the seeds or of
-    the walk falls back to a cold walk."""
+    the role assignment and the corner form."""
     carried = []
-    walk = splitting._carried_walk
-    monkeypatch.setattr(splitting, "_carried_walk",
-                        lambda *a: carried.append(walk(*a)) or carried[-1])
+    build = splitting.carried_complex
+    monkeypatch.setattr(splitting, "carried_complex",
+                        lambda *a: carried.append(build(*a)) or carried[-1])
     outputs = shared = 0
     for seed in range(200):
         cx = random_complex(seed)
@@ -413,35 +412,68 @@ def test_carried_tables_equal_cold_ones(monkeypatch):
     # the walk's split calls include the over moves that it does not
     # commit; 3,004 output points kept their input's table and roles
     assert (outputs, len(carried), shared) == (3432, 3438, 3004)
-    assert None not in carried
     # the ladder was built in an earlier test, or is built here
     for out in ladder():
         _cold_equals_carried(out)
 
 
-def test_a_split_without_a_carried_walk_derives_every_role_cold(
+def _an_over_split_of_seed_6():
+    """Seed 6, validated, and its over split at its first good locus,
+    which rewrites the sectors of its ``b0`` part and keeps ``b2_Wf``,
+    which names the crossing ``b2_P`` whose table the move leaves alone."""
+    cx = random_complex(6)
+    assert validate(cx).ok()
+    return cx, split(cx, good_loci(cx)[0], OVER).complex
+
+
+def test_a_carried_walk_that_finds_a_violation_raises_it():
+    """A split's parts with one new sector's ``up`` edge turned to ``lo``
+    are refused by the carried walk, which names every violation that a
+    cold walk of those parts reports, in its order."""
+    cx, out = _an_over_split_of_seed_6()
+    up = [(s, wi, ii) for s in out.sectors if cx.sector_by_id.get(s.id) is not s
+          for wi, w in enumerate(s.words) for ii, it in enumerate(w.items)
+          if isinstance(it, SegItem) and it.side == "up"]
+    new, wi, ii = up[0]
+    word = new.words[wi]
+    items = list(word.items)
+    items[ii] = items[ii]._replace(side="lo")
+    words = list(new.words)
+    words[wi] = BoundaryWord(tuple(items), word.verts)
+    sectors = tuple(new._replace(words=tuple(words)) if s is new else s
+                    for s in out.sectors)
+    cold = surface.BranchedSurfaceComplex(cx.name, sectors, out.segments,
+                                          out.dps).violations
+    assert any("side up must appear exactly once" in v for v in cold)
+    with pytest.raises(InvariantViolation) as err:
+        surface.carried_complex(cx, sectors, out.segments, out.dps)
+    assert str(err.value) == ("split output fails validation: "
+                              + "; ".join(cold))
+
+
+def test_a_kept_sector_passed_as_a_distinct_object_is_walked_as_new(
         monkeypatch):
-    """When the carried walk falls back, the output walks its words cold
-    and derives the roles of every point, keeping none of its input's
-    assignments; its tables still equal a cold copy's."""
-    monkeypatch.setattr(splitting, "_carried_walk", lambda *a: None)
-    derived = []
-    derive = surface.derive_roles
-    monkeypatch.setattr(surface, "derive_roles",
-                        lambda cx, did: derived.append((cx, did))
-                        or derive(cx, did))
-    outputs = 0
-    for cx in [load("fix-clean3.bsf")] + [random_complex(s) for s in (6, 38)]:
-        validate(cx)
-        for loc in good_loci(cx):
-            for choice in (OVER, UNDER, NEUTRAL):
-                derived.clear()
-                out = split(cx, loc, choice).complex
-                assert derived == [(out, d.id) for d in out.dps]
-                assert not any(out.roles[d] is r for d, r in cx.roles.items())
-                _cold_equals_carried(out)
-                outputs += 1
-    assert outputs > 0
+    """A sector that the move kept, handed over as an equal but distinct
+    object, is walked with the new sectors; the output's tables still
+    equal a cold copy's, and the point it names, whose table comes back
+    unchanged, keeps its input's roles."""
+    cx, out = _an_over_split_of_seed_6()
+    kept = out.sector_by_id["b2_Wf"]
+    assert kept is cx.sector_by_id["b2_Wf"]
+    assert out.roles["b2_P"] is cx.roles["b2_P"]
+    twin = Sector(*kept)
+    assert twin == kept and twin is not kept
+    walked = []
+    walk = surface._walk_sectors
+    monkeypatch.setattr(surface, "_walk_sectors",
+                        lambda new, *a: walked.extend(new) or walk(new, *a))
+    again = surface.carried_complex(
+        cx, tuple(twin if s is kept else s for s in out.sectors),
+        out.segments, out.dps)
+    assert any(s is twin for s in walked)
+    _cold_equals_carried(again)
+    assert again.roles == out.roles
+    assert again.roles["b2_P"] is cx.roles["b2_P"]
 
 
 def test_every_depth_two_split_of_three_seeds_validates():
