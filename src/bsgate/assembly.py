@@ -11,10 +11,23 @@ yielding either a silent smooth pass (2 units) or a corner record with
 interior angle pi/2 + 2n*pi (1 + 4n units), each sector corner's units
 read off the corner table by ``surface.corner_units``, with one
 segment-end lookup per traced corner.
+
+The surface carried with weights ``g*w`` is ``g`` parallel copies of
+the one carried with ``w`` (Floyd and Oertel, "Incompressible surfaces
+via branched surfaces", Topology 23, 1984).  Every gluing offset of
+``g*w`` is a multiple of ``g``, so a face at level ``L`` keeps
+``(L - 1) mod g`` across every gluing, and the faces with
+``(L - 1) mod g == c`` glue as the faces of ``w`` do.  Hence only
+``w / gcd(w)`` is glued, and copy ``c`` (``0 <= c < g``) of each
+component relabels a face or boundary-run level ``l`` as
+``g*(l - 1) + c + 1``.  That map is strictly increasing, so trace
+rotations, boundary order and component order read the same on either
+side of it.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -38,9 +51,11 @@ POS_TISC_CLASS = "PosTisc"
 NEG_TISC_CLASS = "NegTisc"
 OTHER = "Other"
 
-# most faces assemble builds, one per unit of weight: 2^18 faces (the
-# bench's L10 pos-tisc witness scaled by 65,536) took about 4 s and
-# 290 MB on a 2-vCPU x86-64 VM
+# most faces assemble lists, one per unit of weight.  Only the primitive
+# vector is glued, but the result still lists every face and the report
+# prints every component: 2^18 faces (the bench's L10 pos-tisc witness
+# scaled by 65,536, a 4-face disk laid down 65,536 times) take about
+# 0.8 s and 150 MB as one `bsgate assemble` on a 2-vCPU x86-64 VM
 _MAX_FACES = 1 << 18
 
 
@@ -129,11 +144,11 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
              kind: str) -> AssembledSurface:
     """Construct the canonical glued surface for a satisfying vector.
 
-    Faces are numbered in ``cx.sectors`` order, then by level; the edge
-    or vertex occurrence at template position ``p`` of a face has the id
-    ``base(face) + p``.  Along a segment with weights ``(z; x, y)`` the
-    ``one`` side at level L is glued to the ``lo`` side at L for
-    L <= y, and to the ``up`` side at L - (z - x) for L > z - x.
+    The vector's greatest common divisor ``g`` is divided out, the
+    primitive vector is glued by :func:`_glue`, and each of its
+    components is laid down ``g`` times, copy after copy, at the levels
+    the module docstring gives: the result is the surface glued from
+    the whole vector, listed the same way.
     """
     check_weights(cx, weights, kind)
     w = {s.id: weights.get(s.id, 0) for s in cx.sectors}
@@ -142,7 +157,34 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
         raise PreconditionFailed(
             f"weights sum to {total}: one face per unit is more than "
             f"the 2^18 faces assemble builds")
+    g = gcd(*w.values()) or 1
+    components = []
+    for comp in _glue(cx, {s: v // g for s, v in w.items()}).components:
+        # each level at copy 0's value; copy c adds c.  A trace entry
+        # that is not a run keeps its level None and stays as it is
+        faces = [(sid, g * (lev - 1) + 1) for sid, lev in comp.faces]
+        traces = [[(e, None) if e[0] != "run" else
+                   (e[1], g * (e[2] - 1) + 1) for e in trace]
+                  for trace in comp.boundaries]
+        for c in range(g):
+            components.append(Component(
+                tuple([(sid, lev + c) for sid, lev in faces]), comp.euler,
+                tuple([tuple([e if lev is None else ("run", e, lev + c)
+                              for e, lev in trace]) for trace in traces]),
+                comp.classification))
+    return AssembledSurface(tuple(components))
 
+
+def _glue(cx: BranchedSurfaceComplex,
+          w: dict[str, int]) -> AssembledSurface:
+    """The surface glued from ``w``, which weighs every sector of ``cx``.
+
+    Faces are numbered in ``cx.sectors`` order, then by level; the edge
+    or vertex occurrence at template position ``p`` of a face has the id
+    ``base(face) + p``.  Along a segment with weights ``(z; x, y)`` the
+    ``one`` side at level L is glued to the ``lo`` side at L for
+    L <= y, and to the ``up`` side at L - (z - x) for L > z - x.
+    """
     tpls = [_Template(s, cx.segment_by_id, w) for s in cx.sectors]
     where: dict[tuple[str, str], tuple[int, int]] = {
         (item.seg, item.side): (k, p)

@@ -9,13 +9,14 @@ instead of the implementation's quotient-complex count.
 
 import functools
 import hashlib
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgate import surface
+from bsgate import assembly, surface
 from bsgate.assembly import assemble, normalize_trace
 from bsgate.errors import (
     BsgateError,
@@ -403,6 +404,71 @@ def test_random_satisfying_vectors_conserve(data):
         assert runs[g.id] == segment_form(cx, g.id).dot(w)
     for d in cx.dps:
         assert corners[d.id] == corner_form(cx, d.id).dot(w)
+
+
+# -- parallel copies ----------------------------------------------------------
+
+COPY_FIXTURES = ["fix-tdisc.bsf", "fix-split.bsf", "fix-doc.bsf",
+                 "fix-cross.bsf"]
+
+
+def glued_whole(cx, w):
+    """The unreduced walk: one face per unit of ``w``."""
+    return assembly._glue(cx, {s.id: w.get(s.id, 0) for s in cx.sectors})
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+@pytest.mark.parametrize("name", COPY_FIXTURES)
+def test_scaled_vectors_glue_as_parallel_copies(name, k):
+    # assemble glues w / gcd(w) once and lays down its copies; the walk
+    # over every face of k*w must give the same surface, listed the same
+    cx = load(name)
+    for kind in KINDS:
+        for w in satisfying_vectors(name, kind):
+            scaled = {s: k * v for s, v in w.items()}
+            assert assemble(cx, scaled, kind) == glued_whole(cx, scaled), (
+                kind, w)
+
+
+@pytest.mark.parametrize("name", COPY_FIXTURES)
+def test_zero_and_primitive_vectors_glue_directly(name):
+    cx = load(name)
+    seen = set()
+    for kind in KINDS:
+        for w in satisfying_vectors(name, kind):
+            g = gcd(*w.values())
+            if g <= 1:
+                seen.add(g)
+                assert assemble(cx, w, kind) == glued_whole(cx, w), (kind, w)
+    assert seen == {0, 1}
+    assert assemble(cx, {}, ISC).components == ()
+
+
+def test_a_scaled_witness_unions_as_often_as_the_primitive(monkeypatch):
+    # the ladder-decide workload assembles the L10 pos-tisc witness scaled
+    # by 100: that costs the gluing of the witness itself
+    cx = ladder()[10]
+    witness = snapshot()[f"L10/{POS_TISC}"]["witness"]
+    calls = []
+    union = assembly._union
+
+    def counted(*args):
+        calls.append(args)
+        return union(*args)
+
+    monkeypatch.setattr(assembly, "_union", counted)
+    counts = []
+    for scale in (1, 100):
+        calls.clear()
+        asm = assemble(cx, {s: scale * v for s, v in witness.items()},
+                       POS_TISC)
+        counts.append(len(calls))
+        assert sum(map(len, (c.faces for c in asm.components))) == (
+            scale * sum(witness.values()))
+    assert counts[0] == counts[1] > 0
+    calls.clear()
+    glued_whole(cx, {s: 100 * v for s, v in witness.items()})
+    assert len(calls) == 100 * counts[0]
 
 
 # -- pinned output ------------------------------------------------------------
