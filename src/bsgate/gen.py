@@ -19,7 +19,6 @@ from .surface import (
     BranchSegment,
     BranchedSurfaceComplex,
     DoublePoint,
-    FreeItem,
     SegItem,
     Sector,
     SegmentEnd,
@@ -120,18 +119,16 @@ def _block(name: str, i: int) -> _Parts:
     union; made once per pair and shared, as parts are immutable."""
     cx, prefix = _PARSED[name], f"b{i}_"
 
+    # no block has a free item or a free end: every word item is a
+    # segment side, and every arc end a slot of a double point
     def seg_item(it):
-        if isinstance(it, SegItem):
-            return SegItem(prefix + it.seg, it.side)
-        return FreeItem(prefix + it.label)
+        return SegItem(prefix + it.seg, it.side)
 
     def vert(v):
         return None if v is None else prefix + v
 
     def end(e):
-        if e is None or e.dp is None:
-            return e
-        return SegmentEnd(prefix + e.dp, e.slot)
+        return None if e is None else SegmentEnd(prefix + e.dp, e.slot)
 
     sectors = tuple(
         Sector(prefix + s.id, s.genus, tuple(

@@ -239,10 +239,11 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
         decl_lines["bword", sid, k] = line
 
     # every word kept is in range and no index twice, so a short sector
-    # lacks an index
+    # lacks an index, and its least one is at most its count of words
     for sid, (_, nb, line) in sector_decls.items():
-        if len(words_by_sector[sid]) < nb:
-            missing = set(range(nb)) - words_by_sector[sid].keys()
+        words = words_by_sector[sid]
+        if len(words) < nb:
+            missing = set(range(len(words) + 1)) - words.keys()
             raise ParseError(f"sector {sid} missing bword index "
                              f"{min(missing)}", line)
 

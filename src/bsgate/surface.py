@@ -105,6 +105,29 @@ class SegmentEnd(NamedTuple):
 FREE_END = SegmentEnd(None, None)
 
 
+class LinForm(NamedTuple):
+    """Homogeneous integer-coefficient form over sector weights."""
+
+    coeffs: tuple[tuple[str, int], ...]  # sorted by sector id, zero-free
+    tag: str
+
+    @staticmethod
+    def make(coeffs: dict[str, int], tag: str) -> "LinForm":
+        return LinForm(tuple(sorted((s, c) for s, c in coeffs.items() if c)), tag)
+
+    def dot(self, weights) -> object:
+        return sum(weights.get(s, 0) * c for s, c in self.coeffs)
+
+
+def _summed_form(terms, tag: str) -> LinForm:
+    """The form of ``terms``, (sector, coefficient) pairs in which one
+    sector may fill two roles, its coefficients summed."""
+    coeffs: dict[str, int] = {}
+    for s, c in terms:
+        coeffs[s] = coeffs.get(s, 0) + c
+    return LinForm.make(coeffs, tag)
+
+
 class _SegmentFields(NamedTuple):
     id: str
     kind: str  # 'arc' | 'circle'
@@ -116,11 +139,17 @@ class _SegmentFields(NamedTuple):
 
 
 class BranchSegment(_SegmentFields):
-    """Read-only fields, and a ``__dict__`` in which the weight layer keeps
-    the segment's form, built once per segment object."""
+    """Read-only fields, and the segment's form, cached on the object."""
 
     def side(self, role: str) -> str:
         return getattr(self, role)
+
+    @cached_property
+    def form(self) -> LinForm:
+        """The branch inequality's form ``w(one) - w(up) - w(lo)``, which
+        reads this segment alone, so it is built once per object."""
+        return _summed_form(((self.one, 1), (self.up, -1), (self.lo, -1)),
+                            f"seg:{self.id}")
 
 
 class DoublePoint(NamedTuple):
@@ -144,16 +173,16 @@ class RoleAssignment(_RoleFields):
     ``z`` is the sector meeting both merged sides, ``x``/``v`` its
     neighbours across the two branch curves, ``u`` the opposite quadrant,
     and ``w``/``y`` the two sheets passing over/under the curves.  The
-    fields are read-only; the weight layer keeps the point's corner form
-    in the ``__dict__``, built once per assignment object.
+    fields are read-only, and the point's corner form is cached on the
+    object.
     """
 
-    def corner_coeffs(self) -> dict[str, int]:
-        """Sparse coefficients of the corner form z + u - x - v."""
-        out: dict[str, int] = {}
-        for s, c in ((self.z, 1), (self.u, 1), (self.x, -1), (self.v, -1)):
-            out[s] = out.get(s, 0) + c
-        return {s: c for s, c in out.items() if c}
+    @cached_property
+    def form(self) -> LinForm:
+        """The corner form ``z + u - x - v``, which reads these roles
+        alone, so it is built once per object."""
+        return _summed_form(((self.z, 1), (self.u, 1), (self.x, -1),
+                             (self.v, -1)), f"corner:{self.dp}")
 
 
 class BranchedSurfaceComplex(_Frozen):

@@ -32,26 +32,12 @@ from typing import NamedTuple, Optional
 
 from .errors import InvariantViolation, MalformedSystem, PreconditionFailed
 from .simplex import PhaseOneResult, phase_one
-from .surface import BranchedSurfaceComplex, _Frozen
+from .surface import BranchedSurfaceComplex, LinForm, _Frozen
 
 NEG_TISC = "neg-tisc"
 POS_TISC = "pos-tisc"
 ISC = "isc"
 KINDS = (NEG_TISC, POS_TISC, ISC)
-
-
-class LinForm(NamedTuple):
-    """Homogeneous integer-coefficient form over sector weights."""
-
-    coeffs: tuple[tuple[str, int], ...]  # sorted by sector id, zero-free
-    tag: str
-
-    @staticmethod
-    def make(coeffs: dict[str, int], tag: str) -> "LinForm":
-        return LinForm(tuple(sorted((s, c) for s, c in coeffs.items() if c)), tag)
-
-    def dot(self, weights) -> object:
-        return sum(weights.get(s, 0) * c for s, c in self.coeffs)
 
 
 class ConstraintSystem(_Frozen):
@@ -112,41 +98,6 @@ def _check_system(system: ConstraintSystem) -> None:
             raise MalformedSystem(f"strict_group index {i} out of range")
 
 
-def corner_form(cx: BranchedSurfaceComplex, did: str) -> LinForm:
-    return LinForm.make(cx.roles[did].corner_coeffs(), f"corner:{did}")
-
-
-def segment_form(cx: BranchedSurfaceComplex, gid: str) -> LinForm:
-    g = cx.segment_by_id[gid]
-    coeffs: dict[str, int] = {}
-    for s, c in ((g.one, 1), (g.up, -1), (g.lo, -1)):
-        coeffs[s] = coeffs.get(s, 0) + c
-    return LinForm.make(coeffs, f"seg:{gid}")
-
-
-def _forms(cx: BranchedSurfaceComplex) -> tuple[list[LinForm],
-                                                list[LinForm]]:
-    """The segment forms and the corner forms of ``cx``, in its order.
-    Neither depends on the kind.  A segment's form reads that segment
-    alone, and a corner form that point's roles alone, so each is kept on
-    the segment or the role assignment it reads, built once: every kind
-    of one complex reads the same forms, and a split output, which shares
-    every segment and the roles of every point that the move leaves alone,
-    builds only the forms of the others."""
-    segs, corners = [], []
-    for g in cx.segments:
-        memo = vars(g)
-        if "form" not in memo:
-            memo["form"] = segment_form(cx, g.id)
-        segs.append(memo["form"])
-    for did, roles in cx.roles.items():
-        memo = vars(roles)
-        if "form" not in memo:
-            memo["form"] = corner_form(cx, did)
-        corners.append(memo["form"])
-    return segs, corners
-
-
 def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
     """Constraint system for ``kind`` over all sectors of ``cx``, which
     must pass validation."""
@@ -156,12 +107,14 @@ def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
         raise PreconditionFailed(
             "input complex fails validation: " + cx.violations[0])
     variables = tuple(s.id for s in cx.sectors)
-    inequalities, corners = _forms(cx)
+    inequalities = [g.form for g in cx.segments]
     equalities: list[LinForm] = []
     strict: list[int] = []
     if kind == ISC:
         strict = list(range(len(inequalities)))
-    for d, form in zip(cx.dps, corners):
+    roles = cx.roles
+    for d in cx.dps:
+        form = roles[d.id].form
         pinned = (d.sign > 0) if kind == NEG_TISC else (d.sign < 0)
         if kind == ISC or pinned:
             equalities.append(form)

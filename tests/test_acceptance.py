@@ -46,7 +46,6 @@ from bsgate.weights import (
     build_system,
     criterion,
     feasible,
-    segment_form,
     verify_certificate,
 )
 
@@ -171,14 +170,13 @@ def test_splits_bookkeep_crossings_and_transport_closed_weights():
         # exhaustive weight transport on the two-crossing fixture: any
         # closed solution downstairs must come from one upstairs
         cx = load("fix-split.bsf")
-        old_forms = [segment_form(cx, g.id) for g in cx.segments]
+        old_forms = [g.form for g in cx.segments]
         moved = 0
         for locus in good_loci(cx):
             for choice in CHOICES:
                 res = split(cx, locus, choice)
                 ids = [s.id for s in res.complex.sectors]
-                forms = [segment_form(res.complex, g.id)
-                         for g in res.complex.segments]
+                forms = [g.form for g in res.complex.segments]
                 for combo in itertools.product(range(3), repeat=len(ids)):
                     w = dict(zip(ids, combo))
                     if any(f.dot(w) != 0 for f in forms):

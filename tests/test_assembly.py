@@ -33,8 +33,6 @@ from bsgate.weights import (
     NEG_TISC,
     POS_TISC,
     build_system,
-    corner_form,
-    segment_form,
 )
 
 from conftest import FIXTURES, fixture_text, load, tally, traced_peak
@@ -307,7 +305,7 @@ def test_boundary_runs_equal_segment_slacks(name, w, kind):
     cx = load(name)
     _, runs, _ = tally(cx, assemble(cx, w, kind))
     for g in cx.segments:
-        assert runs[g.id] == segment_form(cx, g.id).dot(w), g.id
+        assert runs[g.id] == g.form.dot(w), g.id
 
 
 @pytest.mark.parametrize("name,w,kind", WITNESSES)
@@ -315,7 +313,7 @@ def test_corner_multiplicities_equal_corner_slacks(name, w, kind):
     cx = load(name)
     _, _, corners = tally(cx, assemble(cx, w, kind))
     for d in cx.dps:
-        assert corners[d.id] == corner_form(cx, d.id).dot(w), d.id
+        assert corners[d.id] == cx.roles[d.id].form.dot(w), d.id
 
 
 @pytest.mark.parametrize("name,w,kind", WITNESSES)
@@ -401,9 +399,9 @@ def test_random_satisfying_vectors_conserve(data):
     assert faces == w
     assert sum(c.euler for c in asm.components) == chi_total_oracle(cx, w)
     for g in cx.segments:
-        assert runs[g.id] == segment_form(cx, g.id).dot(w)
+        assert runs[g.id] == g.form.dot(w)
     for d in cx.dps:
-        assert corners[d.id] == corner_form(cx, d.id).dot(w)
+        assert corners[d.id] == cx.roles[d.id].form.dot(w)
 
 
 # -- parallel copies ----------------------------------------------------------

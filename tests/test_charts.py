@@ -258,6 +258,13 @@ def test_purify_box_guards():
     rising = sample_box(lambda x, y, z: y, (33, 33, 33))
     with pytest.raises(ChartError, match="not a confoliation"):
         purify_box(rising, 0.5, 0.75, 0.1)
+    # contact above y0, but higher on the y = y1 sheet than on y = -y1
+    peak = sample_box(lambda x, y, z: np.where(
+        y <= 0.5, 0.9 * y, 0.45 - 1.2 * (y - 0.5)) - 2, (9, 9, 9))
+    with pytest.raises(ChartError) as ei:
+        purify_box(peak, 0.5, 0.75, 0.1, tol=1.0)
+    assert str(ei.value) == ("precondition failed: f(x, y1, z) < "
+                             "f(x, -y1, z) does not hold at x=-1, z=-1")
 
 
 # -- purify_cylinder ----------------------------------------------------------

@@ -179,6 +179,13 @@ def test_help_lists_the_command_table(capsys):
                 assert f"default {kwargs['default']}" in page
 
 
+def test_spelled_out_choices_agree_with_the_layers():
+    # the parser spells these out so that reading argv loads no layer
+    assert cli._KINDS == weights.KINDS
+    assert cli._CHOICES == splitting.CHOICES
+    assert cli._MODES == (INNER_CONTACT, OUTER_CONTACT)
+
+
 def test_commands_and_help_run_without_docstrings(tmp_path):
     # python -OO strips docstrings; the help's description is a literal
     box = tmp_path / "box.grid"

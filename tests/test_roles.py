@@ -243,7 +243,7 @@ def test_mirror_symmetry_leaves_corner_coefficients_fixed():
             for s, c in ((m["z"], 1), (m["u"], 1), (m["x"], -1), (m["v"], -1)):
                 coeffs[s] = coeffs.get(s, 0) + c
             coeffs = {s: c for s, c in coeffs.items() if c}
-            assert coeffs == r.corner_coeffs()
+            assert coeffs == dict(r.form.coeffs)
 
 
 def _fitting_readings(cx, did):
@@ -300,7 +300,7 @@ def _corner_text(name, cx) -> str:
     """Every double point's corner form z + u - x - v: the part of the
     roles that does not depend on which mirror reading is returned."""
     return f"{name}\n" + "".join(
-        f"{d.id} {sorted(cx.roles[d.id].corner_coeffs().items())}\n"
+        f"{d.id} {list(cx.roles[d.id].form.coeffs)}\n"
         for d in cx.dps)
 
 

@@ -42,8 +42,7 @@ from bsgate.splitting import (
 from bsgate.gen import random_complex
 from bsgate.parser import parse_complex, print_complex
 from bsgate.surface import BoundaryWord, SegItem, Sector, validate
-from bsgate.weights import (KINDS, Certificate, build_system, criterion,
-                            segment_form)
+from bsgate.weights import KINDS, Certificate, build_system, criterion
 
 from conftest import FIXTURES, fixture_text, load
 from test_certificates import ladder
@@ -112,6 +111,13 @@ def test_invalid_loci(locus, message):
     cx = load("fix-split.bsf")
     with pytest.raises(InvalidLocus, match=message):
         is_bad_move(cx, locus)
+
+
+def test_split_refuses_an_unknown_choice():
+    cx = load("fix-split.bsf")
+    with pytest.raises(InvalidLocus,
+                       match="^unknown move choice 'sideways'$"):
+        split(cx, good_loci(cx)[0], "sideways")
 
 
 def test_free_exit_is_invalid():
@@ -331,13 +337,19 @@ def test_a_split_keeps_each_sector_whose_words_stay():
     assert counts == {"kept": 5766, "rewritten": 1644, "new": 6359}
 
 
+def _forms(cx) -> tuple[list, list]:
+    """The segment forms and the corner forms of ``cx``, in its order."""
+    return ([g.form for g in cx.segments],
+            [r.form for r in cx.roles.values()])
+
+
 def _cold_equals_carried(out) -> None:
     """Every table of ``out`` equals that of a cold copy of it."""
     cold = parse_complex(print_complex(out))
     assert out.dp_corners == cold.dp_corners
     assert out.violations == cold.violations == ()
     assert out.roles == cold.roles
-    assert weights._forms(out) == weights._forms(cold)
+    assert _forms(out) == _forms(cold)
     for kind in KINDS:
         assert build_system(out, kind) == build_system(cold, kind)
 
@@ -348,8 +360,8 @@ def _shared_points(cx, out) -> int:
     too, and at every other point ``out`` derived its own; returns the
     number of shared points.  ``cx`` built its corner forms before the
     split."""
-    forms = dict(zip(cx.roles, weights._forms(cx)[1]))
-    got = dict(zip(out.roles, weights._forms(out)[1]))
+    forms = dict(zip(cx.roles, _forms(cx)[1]))
+    got = dict(zip(out.roles, _forms(out)[1]))
     shared = 0
     for v, table in out.dp_corners.items():
         if table is cx.dp_corners.get(v):
@@ -394,7 +406,7 @@ def test_carried_tables_equal_cold_ones(monkeypatch):
     outputs = shared = 0
     for seed in range(200):
         cx = random_complex(seed)
-        weights._forms(cx)
+        _forms(cx)
         for loc in good_loci(cx):
             for choice in (OVER, UNDER, NEUTRAL):
                 out = split(cx, loc, choice).complex
@@ -501,7 +513,7 @@ def _closed_vectors(cx, bound):
     ids = [s.id for s in cx.sectors]
     for vals in itertools.product(range(bound + 1), repeat=len(ids)):
         w = dict(zip(ids, vals))
-        if all(segment_form(cx, g.id).dot(w) == 0 for g in cx.segments):
+        if all(g.form.dot(w) == 0 for g in cx.segments):
             yield w
 
 
@@ -512,7 +524,7 @@ def test_pushforward_preserves_equalities_exhaustively(choice):
     seen = 0
     for w in _closed_vectors(res.complex, 2):
         back = pushforward_weights(res, w)
-        assert all(segment_form(cx, g.id).dot(back) == 0
+        assert all(g.form.dot(back) == 0
                    for g in cx.segments), (w, back)
         seen += 1
     assert seen > 1  # the zero vector is never alone here
@@ -796,6 +808,9 @@ def test_locus_strings_check_declared_sides():
     cx = load("fix-split.bsf")
     with pytest.raises(InvalidLocus, match="side mismatch"):
         locus_from_strings(cx, "O", "0:0:up", "0:1:one")
+    with pytest.raises(InvalidLocus,
+                       match="^exit side mismatch: declared up, found one$"):
+        locus_from_strings(cx, "O", "0:0:one", "0:1:up")
     with pytest.raises(InvalidLocus, match="expected"):
         locus_from_strings(cx, "O", "0:0", "0:1:one")
     with pytest.raises(InvalidLocus, match="integers"):

@@ -33,7 +33,7 @@ from bsgate.simplex import phase_one
 from bsgate.splitting import format_locus, good_loci, run_plan, safe_split
 from bsgate.weights import ISC, NEG_TISC, build_system, criterion, feasible
 
-from conftest import FIXTURES, fixture_text, load
+from conftest import FIXTURES, fixture_text, load, traced_peak
 from test_certificates import ladder
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.bsf"))
@@ -215,6 +215,24 @@ def test_missing_word_index():
     assert "missing bword index 1" in str(_err(text))
 
 
+def test_a_short_sector_is_refused_without_listing_its_count():
+    # the least missing index is at most the words present, so a count of
+    # two million builds no set of that size
+    text = "surface s\nsector A genus 0 bwords 2000000\nbword A 1 : free:e\n"
+    e, peak = traced_peak(lambda: _err(text))
+    assert (str(e), e.line) == ("line 2: sector A missing bword index 0", 2)
+    assert peak < 1 << 20
+
+
+def test_duplicate_surface_declaration():
+    assert "duplicate surface declaration" in str(_err("surface s\nsurface t\n"))
+
+
+def test_bad_segment_side():
+    text = "surface s\nsector A genus 0 bwords 1\nbword A 0 : seg:g:mid\n"
+    assert "bad segment side 'mid'" in str(_err(text))
+
+
 def test_duplicate_word_index():
     text = ("surface s\nsector A genus 0 bwords 1\n"
             "bword A 0 : free:f\nbword A 0 : free:g\n")
@@ -350,6 +368,11 @@ def test_weights_reject_duplicate():
     cx = load("fix-torus.bsf")
     with pytest.raises(ParseError, match="duplicate weight"):
         parse_weights("w T 1\nw T 2\n", cx)
+
+
+def test_weights_reject_a_malformed_line():
+    with pytest.raises(ParseError, match="malformed weight line"):
+        parse_weights("x A 1\n", load("fix-torus.bsf"))
 
 
 def test_weight_errors_carry_the_token_column():
@@ -516,6 +539,15 @@ def test_circle_side_must_fill_whole_word():
         )),),
         (seg,), ())
     assert any("must fill a whole word" in v for v in validate(cx).violations)
+
+
+def test_circle_basepoint_must_be_smooth():
+    text = fixture_text("fix-cross.bsf").replace(
+        "sector Q genus 0 bwords 1", "sector Q genus 0 bwords 2")
+    text += ("bword Q 1 : seg:c:one v:dp:P\n"
+             "segment c circle one Q up Wf lo Yf\n")
+    assert ("sector Q word 1: circle basepoint must be smooth"
+            in validate(parse_complex(text)).violations)
 
 
 def test_missing_side_occurrence_reported():

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from unittest import mock
 
@@ -95,19 +96,20 @@ def test_a_segment_form_is_built_once_per_segment_object(monkeypatch):
     assert want[0] != want_flipped[0]
     built = []
 
-    def counting(c, gid, _form=weights.segment_form):
-        built.append(c)
-        return _form(c, gid)
+    def counting(g, _form=surface.BranchSegment.form.func):
+        built.append(g)
+        return _form(g)
 
-    monkeypatch.setattr(weights, "segment_form", counting)
+    form = cached_property(counting)
+    form.__set_name__(surface.BranchSegment, "form")
+    monkeypatch.setattr(surface.BranchSegment, "form", form)
     order = (cx, twin, flipped, cx)
     for c in order:
         assert [build_system(c, kind) for kind in KINDS] \
             == (want_flipped if c is flipped else want)
     n = len(cx.segments)
     assert len(built) == 2 * n
-    assert all(a is b for a, b in zip(built, (c for c in (cx, twin)
-                                               for _ in range(n))))
+    assert all(a is b for a, b in zip(built, cx.segments + twin.segments))
 
 
 def test_a_system_is_checked_and_aggregated_once(monkeypatch):
@@ -293,6 +295,22 @@ def test_scaled_witness_accepted():
     for k in (2, 7):
         scaled = {s: k * v for s, v in w.items()}
         assert verify_certificate(sys_, Certificate("Feasible", witness=scaled))
+
+
+def test_tampered_witnesses_rejected():
+    # mw = sw = 1 pins both corner equalities of fix-tdisc's pos-tisc at 0
+    sys_ = build_system(load("fix-tdisc.bsf"), POS_TISC)
+    cert = feasible(sys_)
+    w = cert.witness
+    assert verify_certificate(sys_, cert)
+    for bad in ({**w, "nw": -1},  # a negative entry
+                {**w, "mw": 1.0},  # not an int
+                {**w, "zz": 0},  # not a sector of the system
+                {**w, "mw": 2},  # corner:Q reads -1
+                {**w, "yv": 1}):  # seg:N reads -1, every equality 0
+        assert not verify_certificate(
+            sys_, Certificate("Feasible", witness=bad)), bad
+    assert not verify_certificate(sys_, cert._replace(verdict="Maybe"))
 
 
 def test_tampered_multipliers_rejected():
