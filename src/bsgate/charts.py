@@ -33,6 +33,10 @@ DEFAULT_TOL = 1e-9
 # most RK4 steps holonomy_map takes, ceil(2pi / step): 16-21 s of
 # pure-Python integration on a 64 x 65 annulus, on a 2-vCPU x86-64 VM
 _MAX_RK4_STEPS = 10 ** 7
+# most samples extend_cell builds, nr x ntheta x nz: 2^22 (1,008 radial
+# samples of a 64 x 65 annulus) take about 0.7 s and 330 MB as one
+# `bsgate chart extend --out` on a 2-vCPU x86-64 VM
+_MAX_EXTEND_SAMPLES = 1 << 22
 # RK4 steps whose theta side _theta_runs tabulates at once: six lists of
 # weights, under 1 MB whatever the step count
 _HOLONOMY_BLOCK = 4096
@@ -395,7 +399,9 @@ def extend_cell(boundary: SlopeGrid, r0: float, radius: float, nr: int,
     near the axis, strictly increasing on (0, r0), and identically 1
     from r0 outward — so the output agrees with the boundary data for
     r >= r0, is contact on {0 < r < r0, |z| < 1}, and has
-    h(0) = f/r0^2 < 0 on the open interior.
+    h(0) = f/r0^2 < 0 on the open interior.  The output holds nr times
+    the boundary's samples, at most 2**22, which is checked before any
+    array is built.
     """
     _expect(boundary, ANNULUS, "extend_cell")
     _check_tol(tol)
@@ -404,6 +410,10 @@ def extend_cell(boundary: SlopeGrid, r0: float, radius: float, nr: int,
     if nr < 3:
         raise ChartError("need at least 3 radial samples")
     f2 = boundary.values
+    if nr * f2.size > _MAX_EXTEND_SAMPLES:
+        raise ChartError(f"{nr} radial samples of a {f2.shape[0]} x "
+                         f"{f2.shape[1]} annulus make more than "
+                         f"{_MAX_EXTEND_SAMPLES} samples")
     bad = f2[:, 1:-1] >= 0.0
     if bad.any():
         i, k = _cell(bad)

@@ -12,7 +12,6 @@ that corrupts its output) or any other exception escapes
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import sys
@@ -64,6 +63,8 @@ def _read_bytes(path_str: str) -> tuple[bytes, str]:
     mark is stripped from the bytes, not by the "utf-8-sig" codec: a
     process's first lookup of that codec costs more than decoding a
     typical input, and grids are parsed from their bytes."""
+    from hashlib import sha256
+
     try:
         with open(path_str, "rb") as f:
             data = f.read()
@@ -76,7 +77,7 @@ def _read_bytes(path_str: str) -> tuple[bytes, str]:
             raise UsageError(f"cannot read {path_str}: not UTF-8 "
                              "text") from None
     return (data.removeprefix(b"\xef\xbb\xbf"),
-            hashlib.sha256(data).hexdigest())
+            sha256(data).hexdigest())
 
 
 def _read(path_str: str) -> tuple[str, str]:
@@ -671,10 +672,11 @@ def _parse_args(argv) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**values)
 
 
-# each command's handler and the layers it runs; main loads the layers
-# after reading argv, so help and usage errors load none, and before the
-# clock starts, so # duration-ms leaves loading out; the handlers import
-# their names from them locally, so a command loads no other layer
+# each command's handler and the layers it runs; main loads the layers,
+# and hashlib for a command that reads a file, after reading argv, so
+# help and usage errors load none, and before the clock starts, so
+# # duration-ms leaves loading out; the handlers import their names from
+# them locally, so a command loads no other layer
 _COMMANDS = {
     "validate": (_cmd_validate, ("parser", "surface")),
     "detect": (_cmd_detect, ("parser", "surface", "weights")),
@@ -702,6 +704,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         for layer in layers:  # a layer that fails to load is a bug, too
             import_module(f".{layer}", __package__)
+        if hasattr(args, "input"):  # an input positional: a file to digest
+            import_module("hashlib")
         started = time.monotonic()
         code = handler(args, lines)
     except Exception as exc:

@@ -6,18 +6,30 @@ line was built on, built from the same tables (``_build_parser`` cut the
 tree to the branch that argv names).  For drawn argvs both sides must
 agree on the exit code, on the namespace when the argv parses, on the
 message when it is refused, and on whose help is printed.
+
+The reference is argparse as of Python 3.10 and 3.11, so the
+differential test runs there alone.  Its readings of about a thousand
+drawn argvs are committed in ``fixtures/argv-readings.json``, which
+every version checks ``cli._parse_args`` against; on 3.10 or 3.11,
+``PYTHONPATH=src:tests python -c "import test_argv;
+test_argv.write_readings()"`` draws and writes them again.
 """
 
 import argparse
 import contextlib
 import io
+import json
 import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from bsgate import cli
+
+READINGS = Path(__file__).parent / "fixtures" / "argv-readings.json"
+_OLD_ARGPARSE = sys.version_info < (3, 12)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,23 +143,63 @@ def argvs(draw):
     return lead + path + list(tail)
 
 
+# argvs that once read otherwise; both tests read them
+_EXAMPLES = (
+    ["chart", "holonomy", "in.grid", "--z0", "-0.25"],
+    ["chart", "holonomy", "in.grid", "--z0", "-1e-3"],
+    ["chart", "extend", "--r=1", "in.grid"],
+    ["split", "--e", "0:0:one", "--sector", "A", "x.bsf"],
+    ["detect", "--kind", "isc", "--ki=criterion", "--", "-x.bsf"],
+    ["-x", "detect", "x.bsf", "--kind", "isc", "--bogus", "y"],
+    ["validate", "-hh", "x.bsf"],
+    ["validate", "x.bsf", "--"],
+    ["validate", "--", "--"],
+)
+
+
+def _given_examples(test):
+    for argv in _EXAMPLES:
+        test = example(argv)(test)
+    return given(argvs())(test)
+
+
 # Python 3.13's argparse reads --, values glued to -h and choice lists
 # otherwise; the reference is argparse as of 3.10 and 3.11, which CI runs
-@pytest.mark.skipif(sys.version_info >= (3, 12),
+@pytest.mark.skipif(not _OLD_ARGPARSE,
                     reason="the reference is argparse as of Python 3.11")
-@given(argvs())
-@example(["chart", "holonomy", "in.grid", "--z0", "-0.25"])
-@example(["chart", "holonomy", "in.grid", "--z0", "-1e-3"])
-@example(["chart", "extend", "--r=1", "in.grid"])
-@example(["split", "--e", "0:0:one", "--sector", "A", "x.bsf"])
-@example(["detect", "--kind", "isc", "--ki=criterion", "--", "-x.bsf"])
-@example(["-x", "detect", "x.bsf", "--kind", "isc", "--bogus", "y"])
-@example(["validate", "-hh", "x.bsf"])
-@example(["validate", "x.bsf", "--"])
-@example(["validate", "--", "--"])
+@_given_examples
 @settings(max_examples=1000, deadline=None)
 def test_argv_reads_as_the_argparse_tree(argv):
     assert _outcome(cli._parse_args, argv) == _outcome(_reference, argv)
+
+
+def write_readings(path: Path = READINGS, count: int = 1250) -> None:
+    """Write the reference's reading of each example and of ``count``
+    argvs drawn with a fixed seed, repeats dropped, one ``[argv, code,
+    outcome]`` a line, as :func:`_outcome` gives them."""
+    assert _OLD_ARGPARSE, "the reference is argparse as of Python 3.11"
+    drawn = list(_EXAMPLES)
+
+    @settings(max_examples=count, derandomize=True, database=None,
+              phases=[Phase.generate], deadline=None)
+    @given(argvs())
+    def draw(argv):
+        if argv not in drawn:
+            drawn.append(argv)
+
+    draw()
+    rows = [json.dumps([argv, *_outcome(_reference, argv)])
+            for argv in drawn]
+    path.write_text("[\n" + ",\n".join(rows) + "\n]\n")
+
+
+def test_argv_reads_as_the_recorded_argparse_readings():
+    # the table the reference wrote, checked on every Python version
+    table = json.loads(READINGS.read_text())
+    assert len(table) > 900
+    assert [argv for argv, _, _ in table[:len(_EXAMPLES)]] == list(_EXAMPLES)
+    for argv, code, outcome in table:
+        assert _outcome(cli._parse_args, argv) == (code, outcome), argv
 
 
 def test_a_value_of_two_dashes_after_equals_is_kept():

@@ -366,6 +366,14 @@ def test_extend_cell_guards():
     with pytest.raises(ChartError, match="3 radial"):
         extend_cell(ok, 0.5, 1.0, 2)
 
+    def refuse():  # 58,255 x 8 x 9 samples pass the 2^22 cap by 56
+        with pytest.raises(ChartError, match="^58255 radial samples of a "
+                                             "8 x 9 annulus make more than "
+                                             "4194304 samples$"):
+            extend_cell(ok, 0.5, 1.0, 58255)
+
+    assert traced_peak(refuse)[1] < 1 << 20  # no array is built
+
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
 def test_tol_must_be_finite_and_nonnegative(tol):

@@ -905,6 +905,22 @@ def test_chart_holonomy_refuses_a_step_up_front(annulus_path, step, message):
     assert (code, lines[-1], err) == (2, f"error: chart-error: {message}", "")
 
 
+def test_chart_extend_refuses_an_oversized_grid_up_front(capsys,
+                                                        annulus_path):
+    # 30,841 x 8 x 17 samples pass the 2^22 cap; --grid 100000000 once
+    # ran for seconds and ended in a MemoryError, exit 3
+    (code, lines), peak = traced_peak(lambda: run(
+        capsys, "chart", "extend", annulus_path, "--r0", "0.5",
+        "--grid", "30841"))
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == ""
+    assert [l for l in lines if l.startswith(("bsgate-report", "error"))] == [
+        "bsgate-report chart",
+        "error: chart-error: 30841 radial samples of a 8 x 17 annulus make "
+        "more than 4194304 samples"]
+    assert code == 2
+
+
 def test_chart_extend_refuses_an_infinite_radius_quietly(annulus_path):
     code, lines, err = bsgate_child("chart", "extend", annulus_path,
                                     "--r0", "0.5", "--radius", "inf")

@@ -1,6 +1,7 @@
 """Each command loads only the layers it runs, only the chart layer
-and the brute-force oracle load numpy, and no command loads
-``dataclasses``, ``argparse`` or ``gettext``.
+and the brute-force oracle load numpy, only a command that reads a file
+loads ``hashlib``, and no command loads ``dataclasses``, ``argparse`` or
+``gettext``.
 
 ``import bsgate`` loads no layer: every public name but the errors is
 served from its layer on first use.  The exact layers work on integers
@@ -15,40 +16,60 @@ import pytest
 
 import bsgate
 from bsgate import charts
-from bsgate.charts import print_grid, sample_annulus, sample_box
+from bsgate.charts import (print_grid, sample_annulus, sample_box,
+                           sample_cylinder)
 from bsgate.cli import main
 
 from conftest import fx, run_python
 
 # runs one command, then says whether numpy was loaded before and after,
-# names the bsgate modules loaded after, and says whether dataclasses,
-# argparse and gettext were
+# names the bsgate modules loaded after, says whether dataclasses,
+# argparse and gettext were, and says whether hashlib was loaded when the
+# command's handler was entered (nothing if none was), and whether
+# hashlib and OpenSSL's _hashlib were loaded after
 PROBE = """
 import sys
-from bsgate.cli import main
+from bsgate import cli
+entered = []
+
+
+def entering(handler):
+    def wrapped(args, lines):
+        entered.append("hashlib" in sys.modules)
+        return handler(args, lines)
+    return wrapped
+
+
+for cmd, (handler, layers) in list(cli._COMMANDS.items()):
+    cli._COMMANDS[cmd] = (entering(handler), layers)
 before = "numpy" in sys.modules
-code = main(sys.argv[1:])
+code = cli.main(sys.argv[1:])
 print("exit", code, "numpy-before", before, "numpy-after",
       "numpy" in sys.modules)
 print(*sorted(m for m in sys.modules if m.partition(".")[0] == "bsgate"))
 print(*(f"{name} {name in sys.modules}"
         for name in ("dataclasses", "argparse", "gettext")))
+print("handler-hashlib", *entered,
+      *(f"{name} {name in sys.modules}" for name in ("hashlib", "_hashlib")))
 """
 # what every command loads: the package, its errors and the command line
 BASE = ("bsgate", "bsgate.cli", "bsgate.errors")
+# a command that reads a file digests it, so hashlib is loaded before
+# its handler runs, outside the # duration-ms clock
+HASHED = "handler-hashlib True hashlib True _hashlib True"
 
 
-def probe(*argv: str) -> tuple[list[str], str, list[str]]:
+def probe(*argv: str) -> tuple[list[str], str, list[str], str]:
     proc = run_python("-c", PROBE, *argv)
     assert proc.stderr == ""
-    *report, verdict, modules, loaded = proc.stdout.splitlines()
+    *report, verdict, modules, loaded, hashes = proc.stdout.splitlines()
     # every record is a NamedTuple or a plain class, so no command pays
     # for the dataclasses machinery (and inspect, ast, dis) at start-up;
     # argv is read from the command table, so none pays for argparse and
     # its gettext and locale either
     assert loaded == "dataclasses False argparse False gettext False"
     # report[-1] is the # duration-ms trailer
-    return report[:-1], verdict, modules.split()
+    return report[:-1], verdict, modules.split(), hashes
 
 
 def layers(*names: str) -> list[str]:
@@ -81,42 +102,74 @@ EXACT = ("parser", "surface", "weights", "simplex")
 def test_exact_commands_run_without_numpy(argv, loaded):
     argv = [fx(a) if a.startswith("fix-") or a.endswith(".plan") else a
             for a in argv]
-    _, verdict, modules = probe(*argv)
+    _, verdict, modules, hashes = probe(*argv)
     assert verdict == "exit 0 numpy-before False numpy-after False"
     assert modules == layers(*loaded)
+    assert hashes == HASHED
 
 
 @pytest.mark.parametrize("argv", [
     ("check-box", "box.grid"),
+    ("check-cyl", "cyl.grid"),
     ("purify-box", "box.grid", "--y0", "0.25", "--y1", "0.5",
      "--delta", "0.25"),
+    ("purify-cyl", "cyl.grid", "--r0", "0.5", "--mode", "inner"),
     ("extend", "ann.grid", "--r0", "0.5", "--grid", "9"),
     ("holonomy", "ann.grid", "--z0", "0", "--step", "0.1"),
 ], ids=lambda argv: argv[0])
 def test_chart_commands_load_the_chart_layer_alone(tmp_path, argv):
     (tmp_path / "box.grid").write_text(print_grid(
         sample_box(lambda x, y, z: -1.0 - y, (5, 5, 5))))
+    (tmp_path / "cyl.grid").write_text(print_grid(sample_cylinder(
+        lambda r, t, z: -r * r + 0 * z, (5, 4, 5),
+        h_fn=lambda r, t, z: -1.0 + 0 * z)))
     (tmp_path / "ann.grid").write_text(print_grid(
         sample_annulus(lambda t, z: -0.1 * (1.0 - z * z), (8, 9))))
     sub, name, *rest = argv
-    _, verdict, modules = probe("chart", sub, str(tmp_path / name), *rest)
+    _, verdict, modules, hashes = probe("chart", sub, str(tmp_path / name),
+                                        *rest)
     assert verdict == "exit 0 numpy-before False numpy-after True"
     assert modules == layers("charts")
+    assert hashes == HASHED
 
 
-def test_selftest_loads_no_dataclasses():
-    report, verdict, modules = probe("selftest", "--seeds", "2")
+def _numpy_loads_hashlib() -> bool:
+    """Whether importing numpy alone loads OpenSSL's ``_hashlib``: numpy
+    1.x imports numpy.random, and with it secrets and hmac."""
+    proc = run_python("-c", "import sys, numpy; "
+                            "print('_hashlib' in sys.modules)")
+    return proc.stdout == "True\n"
+
+
+def test_selftest_loads_neither_dataclasses_nor_hashlib():
+    report, verdict, modules, hashes = probe("selftest", "--seeds", "2")
     assert report[-1] == "selftest: ok"
     assert verdict == "exit 0 numpy-before False numpy-after True"
     assert modules == layers(*EXACT, "gen", "charts")
+    # selftest reads no file, so it loads hashlib only if numpy does
+    loaded = _numpy_loads_hashlib()
+    assert hashes == (f"handler-hashlib {loaded} hashlib {loaded} "
+                      f"_hashlib {loaded}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",), ("chart", "holonomy", "--help"),
+    ("detect", "--kind", "isc"), ("frobnicate",),
+], ids=["help", "chart-help", "missing-input", "unknown-command"])
+def test_help_and_usage_errors_load_no_hashlib(argv):
+    proc = run_python("-c", PROBE, *argv)
+    verdict, *_, hashes = proc.stdout.splitlines()[-4:]
+    assert verdict.startswith("exit 0 " if "--help" in argv else "exit 1 ")
+    assert hashes == "handler-hashlib hashlib False _hashlib False"
 
 
 def test_the_oracle_loads_numpy_when_asked(capsys):
     argv = ["detect", "--kind", "pos-tisc", "--oracle-bound", "3",
             fx("fix-tdisc.bsf")]
-    report, verdict, modules = probe(*argv)
+    report, verdict, modules, hashes = probe(*argv)
     assert verdict == "exit 0 numpy-before False numpy-after True"
     assert modules == layers(*EXACT)
+    assert hashes == HASHED
     assert main(argv) == 0  # the same report from this process
     assert report == capsys.readouterr().out.splitlines()[:-1]
     assert report[-2:] == ["oracle-witness: found", "oracle-agreement: ok"]
@@ -125,11 +178,12 @@ def test_the_oracle_loads_numpy_when_asked(capsys):
 def test_the_oracle_answers_an_aggregate_that_cannot_reach_1_without_numpy():
     # the isc aggregate of fix-cross has no positive coefficient, so no
     # vector in the box reaches 1 and the oracle builds no table
-    report, verdict, modules = probe("detect", "--kind", "isc",
-                                     "--oracle-bound", "3",
-                                     fx("fix-cross.bsf"))
+    report, verdict, modules, hashes = probe("detect", "--kind", "isc",
+                                             "--oracle-bound", "3",
+                                             fx("fix-cross.bsf"))
     assert verdict == "exit 0 numpy-before False numpy-after False"
     assert modules == layers(*EXACT)
+    assert hashes == HASHED
     assert report[-2:] == ["oracle-witness: none", "oracle-agreement: ok"]
 
 
