@@ -22,7 +22,6 @@ from .surface import (
     SegItem,
     Sector,
     SegmentEnd,
-    validate,
 )
 
 # Each block is a small valid complex.
@@ -189,7 +188,7 @@ def _merge_sectors(name: str, parts: _Parts, rng: random.Random,
                       g.end0, g.end1)
         for g in segments)
     out = BranchedSurfaceComplex(name, merged, segments, dps)
-    return out if validate(out).ok() else None
+    return None if out.violations else out
 
 
 def random_complex(seed: int, max_sectors: int = 6, max_dps: int = 4,
@@ -225,7 +224,6 @@ def random_complex(seed: int, max_sectors: int = 6, max_dps: int = 4,
             parts, cx = moved, None
     if cx is None:
         cx = BranchedSurfaceComplex(name, *parts)
-    report = validate(cx)
-    if not report.ok():  # pragma: no cover - composition is closed
-        raise AssertionError(f"generator bug: {report.violations[0]}")
+    if cx.violations:  # pragma: no cover - composition is closed
+        raise AssertionError(f"generator bug: {cx.violations[0]}")
     return cx

@@ -64,11 +64,17 @@ def _check_id(tok: str, what: str, j: int) -> str:
     return tok
 
 
+def _is_int(tok: str) -> bool:
+    # ASCII digits after an optional sign, as the formats write integers;
+    # int() alone would also read '1_0' and other scripts' digits
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
+    return digits.isascii() and digits.isdigit()
+
+
 def _int(tok: str, what: str, j: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise _Bad(f"expected integer {what}, got {tok!r}", j) from None
+    if not _is_int(tok):
+        raise _Bad(f"expected integer {what}, got {tok!r}", j)
+    return int(tok)
 
 
 def _parse_item(tok: str, j: int):

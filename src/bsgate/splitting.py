@@ -21,9 +21,9 @@ it:
   point is negative and its right one positive, and the under move's
   signs are the mirror image;
 * every output is built by ``surface.carried_complex``, which checks
-  its references and the words that the move rewrote, and is
-  re-validated, so a template error surfaces as ``InvariantViolation``
-  rather than silent corruption.
+  its references, the words that the move rewrote and the roles at the
+  points whose corners it changed, so a template error surfaces as
+  ``InvariantViolation`` rather than silent corruption.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
     MalformedSystem,
     PreconditionFailed,
 )
+from .parser import _is_int
 from .surface import (
     SIDES,
     BoundaryWord,
@@ -48,7 +49,6 @@ from .surface import (
     SegmentEnd,
     Sector,
     carried_complex,
-    validate,
 )
 from .weights import Verdict, criterion
 
@@ -156,11 +156,9 @@ def parse_position(text: str) -> tuple[Position, str]:
     if len(parts) != 3 or parts[2] not in SIDES:
         raise InvalidLocus(
             f"bad position {text!r}, expected <word>:<item>:<one|up|lo>")
-    try:
-        wi, ii = int(parts[0]), int(parts[1])
-    except ValueError:
+    if not (_is_int(parts[0]) and _is_int(parts[1])):
         raise InvalidLocus(f"bad position {text!r}, indices must be integers")
-    return (wi, ii), parts[2]
+    return (int(parts[0]), int(parts[1])), parts[2]
 
 
 def locus_from_strings(cx: BranchedSurfaceComplex, sector: str,
@@ -287,10 +285,9 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
           choice: str) -> SplitResult:
     if choice not in CHOICES:
         raise InvalidLocus(f"unknown move choice {choice!r}")
-    report = validate(cx)
-    if report.violations:
+    if cx.violations:
         raise PreconditionFailed(
-            "input complex fails validation: " + report.violations[0])
+            "input complex fails validation: " + cx.violations[0])
     sec, ent, ext = _resolve(cx, locus)
     if ext.side != "one":
         raise BadMove(
@@ -506,10 +503,6 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
 
     out = carried_complex(cx, tuple(emitted), tuple(segments + new_segments),
                           cx.dps + new_dps)
-    report = validate(out)
-    if report.violations:
-        raise InvariantViolation(
-            "split output fails validation: " + "; ".join(report.violations))
 
     for g, key in ((gout, exit_key), (gin, entry_key)):
         images[g.up] = occ[(names[key], "up")]

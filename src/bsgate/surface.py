@@ -120,8 +120,8 @@ class LinForm(NamedTuple):
 
 
 def _summed_form(terms, tag: str) -> LinForm:
-    """The form of ``terms``, (sector, coefficient) pairs in which one
-    sector may fill two roles, its coefficients summed."""
+    """The form of ``terms``, (sector, coefficient) pairs in which a
+    sector may appear more than once, its coefficients summed."""
     coeffs: dict[str, int] = {}
     for s, c in terms:
         coeffs[s] = coeffs.get(s, 0) + c
@@ -225,13 +225,8 @@ class BranchedSurfaceComplex(_Frozen):
     def roles(self) -> dict[str, RoleAssignment]:
         """Corner roles at every double point, derived once; raises like
         :func:`derive_roles` at the first double point that fails.  A
-        point's roles read its table alone, so a :func:`carried_complex`
-        keeps its input's assignment object at each point whose table it
-        shares and derives only the others; a cold complex derives every
-        point."""
-        carried = self.__dict__.get("_carried_roles", {})
-        return {d.id: carried.get(d.id) or derive_roles(self, d.id)
-                for d in self.dps}
+        :func:`carried_complex` fills this cache as it is built."""
+        return {d.id: derive_roles(self, d.id) for d in self.dps}
 
 
 def _end_of_item(seg: BranchSegment, side: str, which: str) -> SegmentEnd:
@@ -250,8 +245,9 @@ def carried_complex(cx: BranchedSurfaceComplex, sectors: tuple[Sector, ...],
                     dps: tuple[DoublePoint, ...]) -> BranchedSurfaceComplex:
     """A move's output, of ``sectors``, ``segments`` and ``dps`` and named
     as ``cx``, its clean input, with its word walk and roles carried over
-    from those of ``cx``; raises :class:`InvariantViolation` naming every
-    side and flank violation that the carried walk finds.
+    from those of ``cx``, and its ``violations`` empty; raises
+    :class:`InvariantViolation` naming every side and flank violation that
+    the carried walk finds, or else every point whose roles fail.
 
     A sector of ``cx`` that the output does not hold (by identity) is
     gone, and one of the output that ``cx`` does not hold is new.  Only
@@ -259,10 +255,10 @@ def carried_complex(cx: BranchedSurfaceComplex, sectors: tuple[Sector, ...],
     entries, of the tables of the points that a gone or new sector
     names, and onto new tables for the points that ``cx`` lacks; every
     other table, and the roles of each point whose table comes back
-    unchanged, is shared with ``cx``.  Only the segments that a new
-    sector names are checked, so the output must keep every point of
-    ``cx`` and every other segment as it was, and a segment that a kept
-    sector names must keep its ends."""
+    unchanged, is shared with ``cx``; only the other points' roles are
+    derived.  Only the segments that a new sector names are checked, so
+    the output must keep every point of ``cx`` and every other segment as
+    it was, and a segment that a kept sector names must keep its ends."""
     out = BranchedSurfaceComplex(cx.name, sectors, segments, dps)
     gone = [s for s in cx.sectors if out.sector_by_id.get(s.id) is not s]
     new = [s for s in sectors if cx.sector_by_id.get(s.id) is not s]
@@ -293,10 +289,18 @@ def carried_complex(cx: BranchedSurfaceComplex, sectors: tuple[Sector, ...],
                 if sid not in gone_ids:
                     carriers.setdefault((g.id, role), []).append(sid)
     violations = [*_misplaced_sides(checked, carriers), *flanks]
+    out.__dict__["_word_walk"] = (corners, ())
+    if not violations:  # the roles of each point whose table is not shared
+        for d in dps:
+            if d.id not in roles:
+                try:
+                    roles[d.id] = derive_roles(out, d.id)
+                except NoConsistentRoles as err:
+                    violations.append(str(err))
     if violations:
         raise InvariantViolation(
             "split output fails validation: " + "; ".join(violations))
-    out.__dict__.update(_word_walk=(corners, ()), _carried_roles=roles)
+    out.__dict__.update(roles={d.id: roles[d.id] for d in dps}, violations=())
     return out
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 from .errors import InvariantViolation, MalformedSystem, PreconditionFailed
 from .simplex import PhaseOneResult, phase_one
-from .surface import BranchedSurfaceComplex, LinForm, _Frozen
+from .surface import BranchedSurfaceComplex, LinForm, _Frozen, _summed_form
 
 NEG_TISC = "neg-tisc"
 POS_TISC = "pos-tisc"
@@ -127,11 +127,8 @@ def build_system(cx: BranchedSurfaceComplex, kind: str) -> ConstraintSystem:
 
 def strict_aggregate(system: ConstraintSystem) -> LinForm:
     """Sum of the strict-group inequality forms (must reach >= 1)."""
-    coeffs: dict[str, int] = {}
-    for i in system.strict_group:
-        for s, c in system.inequalities[i].coeffs:
-            coeffs[s] = coeffs.get(s, 0) + c
-    return LinForm.make(coeffs, "aggregate")
+    return _summed_form((t for i in system.strict_group
+                         for t in system.inequalities[i].coeffs), "aggregate")
 
 
 def _rows(system: ConstraintSystem) -> tuple:

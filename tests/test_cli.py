@@ -605,14 +605,20 @@ def test_schedule_report(capsys):
 ], ids=["split", "schedule"])
 def test_each_complex_is_validated_once(capsys, monkeypatch, argv,
                                         validations):
-    # the work behind the cached ``violations``, whoever calls ``validate``
+    # the work behind the cached ``violations``, whoever calls ``validate``,
+    # and each split output, which ``carried_complex`` checks as it builds it
     seen = []
 
     def counting(cx, _violations=surface._violations):
         seen.append(cx)
         return _violations(cx)
 
+    def carried(*parts, _build=splitting.carried_complex):
+        seen.append(_build(*parts))
+        return seen[-1]
+
     monkeypatch.setattr(surface, "_violations", counting)
+    monkeypatch.setattr(splitting, "carried_complex", carried)
     argv = [fx(a) if a.startswith("fix-") or a.endswith(".plan") else a
             for a in argv]
     code, _ = run(capsys, *argv)

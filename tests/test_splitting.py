@@ -349,6 +349,7 @@ def _cold_equals_carried(out) -> None:
     assert out.dp_corners == cold.dp_corners
     assert out.violations == cold.violations == ()
     assert out.roles == cold.roles
+    assert list(out.roles) == [d.id for d in out.dps]
     assert _forms(out) == _forms(cold)
     for kind in KINDS:
         assert build_system(out, kind) == build_system(cold, kind)
@@ -486,6 +487,39 @@ def test_a_kept_sector_passed_as_a_distinct_object_is_walked_as_new(
     _cold_equals_carried(again)
     assert again.roles == out.roles
     assert again.roles["b2_P"] is cx.roles["b2_P"]
+
+
+def test_a_carried_output_whose_roles_fail_is_refused():
+    """Parts whose words pass the carried walk but fit no corner reading
+    at ``P`` (``fix-fig5`` with two of its slots swapped) are refused as
+    the output is built, naming the point."""
+    text = fixture_text("fix-fig5.bsf")
+    text = text.replace("segment E arc one qz up fw lo qv ends dp:P:0 free",
+                        "segment E arc one qz up fw lo qv ends dp:P:1 free")
+    text = text.replace("segment N arc one qz up qx lo fy ends free dp:P:1",
+                        "segment N arc one qz up qx lo fy ends free dp:P:0")
+    bad = parse_complex(text)
+    with pytest.raises(InvariantViolation) as err:
+        surface.carried_complex(load("fix-fig5.bsf"), bad.sectors,
+                                bad.segments, bad.dps)
+    assert str(err.value) == ("split output fails validation: "
+                              "role derivation failed at dp:P")
+
+
+def test_a_split_output_is_not_validated_again(monkeypatch):
+    """Every split output comes back from ``carried_complex`` with its
+    violations known, so ``split`` and ``validate`` never walk it again."""
+    cx = load("fix-clean.bsf")
+    assert cx.violations == ()
+
+    def walk(cx):
+        raise AssertionError("a split output was validated again")
+
+    monkeypatch.setattr(surface, "_violations", walk)
+    for loc in good_loci(cx):
+        for choice in (OVER, UNDER, NEUTRAL):
+            out = split(cx, loc, choice).complex
+            assert validate(out).ok()
 
 
 def test_every_depth_two_split_of_three_seeds_validates():
@@ -700,9 +734,14 @@ def test_plan_validates_and_solves_each_complex_once(monkeypatch):
     monkeypatch.setattr(splitting, "criterion",
                         counting(solved, splitting.criterion))
     # count validation work, done once per complex behind its cached
-    # ``violations``, not calls of ``validate``
+    # ``violations``, or by ``carried_complex`` as it builds a split
+    # output, not calls of ``validate``
     monkeypatch.setattr(surface, "_violations",
                         counting(validated, surface._violations))
+    build = splitting.carried_complex
+    monkeypatch.setattr(
+        splitting, "carried_complex",
+        lambda *a: validated.append(build(*a)) or validated[-1])
     rows = [tuple(line.split()) for line in
             (FIXTURES / "clean3.plan").read_text().splitlines()]
     out = run_plan(load("fix-clean3.bsf"), rows)
@@ -815,3 +854,8 @@ def test_locus_strings_check_declared_sides():
         locus_from_strings(cx, "O", "0:0", "0:1:one")
     with pytest.raises(InvalidLocus, match="integers"):
         locus_from_strings(cx, "O", "a:b:one", "0:1:one")
+    for entry in ("\uff10:0:one", "0:0_0:one"):  # int() reads both as 0
+        with pytest.raises(InvalidLocus) as info:
+            locus_from_strings(cx, "O", entry, "0:1:one")
+        assert str(info.value) == (f"bad position {entry!r}, indices must "
+                                   "be integers")

@@ -289,7 +289,13 @@ def test_token_columns_are_those_of_one_regex_match_per_token(line):
     ("surface s\n  sector  A  genus  0\n", (2, 3), "malformed sector line"),
     ("surface s\nsector  A  genus  0  bwords  -1\n", (2, 30),
      "bwords count must be nonnegative"),
-], ids=["tab-indented", "double-spaced-malformed", "double-spaced-count"])
+    # int() reads both as integers; only ASCII digits after a sign do
+    ("surface s\nsector A genus \uff13 bwords 0\n", (2, 16),
+     "expected integer genus, got '\uff13'"),
+    ("surface s\nsector A genus 1_0 bwords 0\n", (2, 16),
+     "expected integer genus, got '1_0'"),
+], ids=["tab-indented", "double-spaced-malformed", "double-spaced-count",
+        "fullwidth-digit", "underscored"])
 def test_parse_errors_carry_the_token_column(text, where, message):
     e = _err(text)
     assert (e.line, e.col) == where
@@ -373,6 +379,10 @@ def test_weights_reject_duplicate():
 def test_weights_reject_a_malformed_line():
     with pytest.raises(ParseError, match="malformed weight line"):
         parse_weights("x A 1\n", load("fix-torus.bsf"))
+    with pytest.raises(ParseError) as ei:
+        parse_weights("w T \uff13\n", load("fix-torus.bsf"))
+    assert str(ei.value) == ("line 1, col 5: expected integer weight, "
+                             "got '\uff13'")
 
 
 def test_weight_errors_carry_the_token_column():
