@@ -34,7 +34,7 @@ DEFAULT_TOL = 1e-9
 # pure-Python integration on a 64 x 65 annulus, on a 2-vCPU x86-64 VM
 _MAX_RK4_STEPS = 10 ** 7
 # most samples extend_cell builds, nr x ntheta x nz: 2^22 (1,008 radial
-# samples of a 64 x 65 annulus) take about 0.7 s and 330 MB as one
+# samples of a 64 x 65 annulus) take about 0.4 s and 165 MB as one
 # `bsgate chart extend --out` on a 2-vCPU x86-64 VM
 _MAX_EXTEND_SAMPLES = 1 << 22
 # RK4 steps whose theta side _theta_runs tabulates at once: six lists of
@@ -572,13 +572,9 @@ def _distinct(fibres: Iterable[bytes]) -> tuple[list[bytes], list[int]]:
     return list(ids), codes
 
 
-def print_grid(grid: SlopeGrid) -> str:
-    """Four-line ASCII header (kind, bounds, shape, spacing), then the
-    samples one ``%.17g`` value per line in C order, h following f;
-    ``%.17g`` reads back bit-exact.  The samples are cut into z-fibres
-    (runs of shape[-1] values) by their bytes, each distinct fibre is
-    formatted once, and the fibres' text is joined in order: the bytes
-    are those of formatting every sample."""
+def _grid_pieces(grid: SlopeGrid) -> list[str]:
+    """print_grid's text as a list: the header, then each z-fibre's
+    text in order, equal fibres sharing one ``str``."""
     head = [
         "%s %s %d" % (GRID_MAGIC, grid.kind, 0 if grid.h is None else 1),
         "bounds " + " ".join("%.17g" % v
@@ -593,8 +589,25 @@ def print_grid(grid: SlopeGrid) -> str:
     line = "%.17g\n" * nz
     texts = [line % tuple(row.tolist()) for row in
              np.frombuffer(b"".join(distinct)).reshape(-1, nz)]
-    return "".join(["\n".join(head) + "\n",
-                    *map(texts.__getitem__, codes)])
+    return ["\n".join(head) + "\n", *map(texts.__getitem__, codes)]
+
+
+def print_grid(grid: SlopeGrid) -> str:
+    """Four-line ASCII header (kind, bounds, shape, spacing), then the
+    samples one ``%.17g`` value per line in C order, h following f;
+    ``%.17g`` reads back bit-exact.  Each distinct z-fibre (a run of
+    shape[-1] values, told apart by its bytes) is formatted once: the
+    joined bytes are those of formatting every sample."""
+    return "".join(_grid_pieces(grid))
+
+
+def _int(tok: str) -> int:
+    # ASCII digits after an optional sign, as parser._is_int reads them;
+    # int() alone would also read '1_0' and other scripts' digits
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
+    if digits.isascii() and digits.isdigit():
+        return int(tok)
+    raise ValueError(f"invalid literal for int() with base 10: {tok!r}")
 
 
 def _agrees(read: list[float], derived: Sequence[float]) -> bool:
@@ -671,7 +684,7 @@ def parse_grid(text: str | bytes) -> SlopeGrid:
             or ptoks[:1] != ["spacing"]:
         raise ChartError("header lines must be bounds, shape, spacing")
     try:
-        shape = tuple(int(n) for n in stoks[1:])
+        shape = tuple(map(_int, stoks[1:]))
         bvals = [float(v) for v in btoks[1:]]
         spacing = [float(v) for v in ptoks[1:]]
     except ValueError as exc:
@@ -703,11 +716,11 @@ def parse_grid(text: str | bytes) -> SlopeGrid:
     # search above the peak
     cuts = ends[3::nz].tolist()
     del ends
-    fibres = [data[a + 1:b + 1] for a, b in zip(cuts, cuts[1:])]
-    del data
     # distinct fibres in order of first use, so the first unparsable
     # line to raise is the first in the file
-    distinct, codes = _distinct(fibres)
+    distinct, codes = _distinct(data[a + 1:b + 1]
+                                for a, b in zip(cuts, cuts[1:]))
+    del data
     table = np.empty((len(distinct), nz))
     try:
         for row, fibre in zip(table, distinct):
@@ -720,7 +733,7 @@ def parse_grid(text: str | bytes) -> SlopeGrid:
     if bad.any():
         i = int(np.flatnonzero(bad.any(axis=1)[codes])[0])
         k = int(np.argmax(bad[codes[i]]))
-        line = fibres[i].decode().splitlines()[k]
+        line = distinct[codes[i]].decode().splitlines()[k]
         raise ChartError(f"bad sample value: {line.strip()!r} on "
                          f"line {i * nz + k + 5} is not finite")
     per = nvals // nz

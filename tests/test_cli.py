@@ -559,14 +559,14 @@ def test_split_out_file_is_a_valid_complex(capsys, tmp_path):
     assert code2 == 0
 
 
-def test_out_text_is_written_in_slices(tmp_path):
-    # 12 MiB of text and a short last slice: Path.write_text encodes the
-    # whole text at once, a tracemalloc peak of 2.0x this text, and the
-    # slices peak at 0.25x
-    text = "".join(f"w s\u00e9{i} {i}\n" for i in range(700_000))
-    assert len(text) > 8 << 20 and len(text) % cli._OUT_SLICE
+def test_out_pieces_are_written_one_at_a_time(tmp_path):
+    # 12 MiB of text in 700,000 pieces: joining them and encoding the
+    # whole text at once is a tracemalloc peak of 2.0x this text
+    pieces = [f"w s\u00e9{i} {i}\n" for i in range(700_000)]
+    text = "".join(pieces)
+    assert len(text) > 8 << 20
     out, lines = tmp_path / "big.txt", []
-    _, peak = traced_peak(lambda: cli._write_out(str(out), lines, text))
+    _, peak = traced_peak(lambda: cli._write_out(str(out), lines, pieces))
     assert out.read_bytes() == text.encode("utf-8")
     assert lines == [f"out: {out}"]
     assert peak < 0.5 * len(text), peak / len(text)
@@ -690,8 +690,11 @@ def test_chart_grid_flag_cross_checks_the_shape(capsys, box_path):
 
 
 def test_chart_grid_flag_must_be_integers(capsys, box_path, annulus_path):
+    # int() would read the last two as 9,9,9, which is this grid's shape
     for argv in (("check-box", box_path, "--grid", "5,x,5"),
                  ("check-box", box_path, "--grid", ""),
+                 ("check-box", box_path, "--grid", "\uff19,9,9"),
+                 ("check-box", box_path, "--grid", "9,0_9,9"),
                  ("extend", annulus_path, "--r0", "0.5", "--grid", "")):
         code, lines = run(capsys, "chart", *argv)
         assert code == 1
@@ -742,12 +745,18 @@ def test_chart_samples_must_be_finite(capsys, box_path, tmp_path, sample):
     ("-3 -3 5", "each axis needs at least 2 samples"),
     ("3 1 5", "each axis needs at least 2 samples"),
     ("3 3", "box shape needs 3 numbers"),
-], ids=["negative", "one-sample", "two-entries"])
+    # int() reads both as 3 3 5, and print_grid writes neither
+    ("\uff13 3 5", "bad header number: invalid literal for int() with "
+                   "base 10: '\uff13'"),
+    ("3 0_3 5", "bad header number: invalid literal for int() with "
+                "base 10: '0_3'"),
+], ids=["negative", "one-sample", "two-entries", "fullwidth", "underscore"])
 def test_chart_shape_line_must_fit_the_kind(capsys, tmp_path, shape, message):
     # only the shape line is wrong: the 45 sample lines fit (3, 3, 5)
     text = print_grid(sample_box(lambda x, y, z: -1.0 - y, (3, 3, 5)))
     p = tmp_path / "bad.grid"
-    p.write_text(text.replace("shape 3 3 5", "shape " + shape))
+    p.write_text(text.replace("shape 3 3 5", "shape " + shape),
+                 encoding="utf-8")
     code, lines = run(capsys, "chart", "check-box", str(p))
     assert code == 2
     assert lines[-1] == f"error: chart-error: {message}"
@@ -927,6 +936,22 @@ def test_chart_extend_refuses_an_oversized_grid_up_front(capsys,
     assert code == 2
 
 
+def test_chart_out_does_not_double_the_peak(capsys, tmp_path):
+    # --out writes the grid's text fibre by fibre; joining it first once
+    # took the peak of this call to 1.8x the peak without --out
+    p = tmp_path / "ann.grid"
+    p.write_text(print_grid(sample_annulus(
+        lambda t, z: -0.1 * (1.0 - z * z), (64, 65))))
+    out = tmp_path / "cell.grid"
+    argv = ("chart", "extend", str(p), "--r0", "0.5", "--grid", "200")
+    (code, _), bare = traced_peak(lambda: run(capsys, *argv))
+    (code_out, lines), peak = traced_peak(lambda: run(
+        capsys, *argv, "--out", str(out)))
+    assert code == code_out == 0 and f"out: {out}" in lines
+    assert out.stat().st_size > 30 << 20
+    assert peak < 1.1 * bare, peak / bare
+
+
 def test_chart_extend_refuses_an_infinite_radius_quietly(annulus_path):
     code, lines, err = bsgate_child("chart", "extend", annulus_path,
                                     "--r0", "0.5", "--radius", "inf")
@@ -1000,11 +1025,16 @@ def test_selftest_reads_the_seed_base_from_the_environment(capsys,
 
 
 def test_selftest_seed_base_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("BSGATE_SEED", "abc")
+    # ASCII digits after an optional sign: int() would read '1_0' as 10
+    for seed in ("abc", "1_0", "\uff11", " 3"):
+        monkeypatch.setenv("BSGATE_SEED", seed)
+        code, lines = run(capsys, "selftest", "--seeds", "1")
+        assert code == 1
+        assert lines[-1] == ("error: usage-error: BSGATE_SEED must be an "
+                             f"integer, got {seed!r}")
+    monkeypatch.setenv("BSGATE_SEED", "-2")
     code, lines = run(capsys, "selftest", "--seeds", "1")
-    assert code == 1
-    assert lines[-1] == ("error: usage-error: BSGATE_SEED must be an "
-                         "integer, got 'abc'")
+    assert code == 0 and "seed-base: -2" in lines
 
 
 @pytest.mark.parametrize("seeds", ["0", "-5"])
