@@ -362,6 +362,11 @@ def _cmd_chart(args, lines) -> int:
     return 0
 
 
+# most seeds selftest checks: 10^5 seeds take about 22 s (about 0.22 ms
+# a seed) on a 2-vCPU x86-64 VM; CI runs 200 and the benchmark 1,000
+_MAX_SEEDS = 10 ** 5
+
+
 def _cmd_selftest(args, lines) -> int:
     from . import charts
     from .gen import random_complex
@@ -370,6 +375,9 @@ def _cmd_selftest(args, lines) -> int:
 
     if args.seeds < 1:  # no system solved is no check passed
         raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.seeds > _MAX_SEEDS:
+        raise UsageError(f"--seeds must be at most {_MAX_SEEDS}, "
+                         f"got {args.seeds}")
     seed_text = os.environ.get("BSGATE_SEED", "0")
     if not _is_int(seed_text):
         raise UsageError(f"BSGATE_SEED must be an integer, "

@@ -222,10 +222,10 @@ def _forward(pairs: _Pairs, i: int, j: int) -> _Pairs:
     return out
 
 
-def _find(homes: dict[str, list[_Piece]], g: BranchSegment, side: str):
-    """Where edge ``g``:``side`` sits, among the pieces of its sheet."""
+def _find(pieces: list[_Piece], g: BranchSegment, side: str):
+    """Where edge ``g``:``side`` sits among the move's pieces."""
     want = SegItem(g.id, side)
-    for piece in homes[g.side(side)]:
+    for piece in pieces:
         for wi, pairs in enumerate(piece.words):
             for ii, (it, _) in enumerate(pairs):
                 if it == want:
@@ -237,10 +237,10 @@ def _replace_item(pairs: _Pairs, i: int, seq: _Pairs) -> _Pairs:
     return pairs[:i] + seq + pairs[i + 1:]
 
 
-def _fuse_adjacent(pool: list[_Piece], first: SegItem, second: SegItem,
+def _fuse_adjacent(pieces: list[_Piece], first: SegItem, second: SegItem,
                    merged: SegItem) -> None:
     """Collapse ``first, smooth vertex, second`` into ``merged`` everywhere."""
-    for piece in pool:
+    for piece in pieces:
         for wi, pairs in enumerate(piece.words):
             m = len(pairs)
             for i in range(m):
@@ -270,14 +270,11 @@ def _allocate_names(cx: BranchedSurfaceComplex, z: str, gin: BranchSegment,
         stems += [("L", "L", dps), ("R", "R", dps)]
     n = 1
     while True:
-        names = {}
-        for key, stem, taken in stems:
-            name = f"{stem}{n}"
-            if name in taken:
+        for _key, stem, taken in stems:
+            if f"{stem}{n}" in taken:
                 break
-            names[key] = name
         else:
-            return names
+            return {key: f"{stem}{n}" for key, stem, _taken in stems}
         n += 1
 
 
@@ -306,21 +303,18 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         return SegItem(names[key], side)
 
     # the move rewrites the words of the locus sector and of the lateral
-    # sheets at the entry and exit: each becomes a piece, held in ``homes``
-    # with the pieces it splits into.  Every other sector passes through
+    # sheets at the entry and exit: each becomes a piece, listed in
+    # ``pieces`` with those the move adds.  Every other sector passes through
     consumed = {sec.id, gin.up, gin.lo, gout.up, gout.lo}
-    pool: list = []
-    homes: dict[str, list[_Piece]] = {}
-    touched: set[str] = set()
+    pool: list = []  # every output sector, in order
+    pieces: list[_Piece] = []
     for s in cx.sectors:
         if s.id in consumed:
-            touched.update(it.seg for w in s.words for it in w.items
-                           if isinstance(it, SegItem))
             s = _Piece(s.genus, [_pairs(w) for w in s.words], (s.id,),
                        frozenset({"zl"} if s.id == sec.id else ()))
-            homes[s.members[0]] = [s]
+            pieces.append(s)
         pool.append(s)
-    zp = homes[sec.id][0]
+    zp = next(p for p in pieces if "zl" in p.tags)
 
     # --- cut the locus sector along the arc -------------------------------
     (ew, ei), (xw, xi) = locus.entry, locus.exit
@@ -338,7 +332,7 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         zp.words[ew] = lead + [(turn, w[xi][1])] + _forward(w, xi, ei)
         zr = _Piece(0, [right], (), frozenset({"zr"}))
         pool.insert(pool.index(zp) + 1, zr)
-        homes[sec.id].append(zr)
+        pieces.append(zr)
     else:
         we, wx = zp.words[ew], zp.words[xw]
         zp.words[ew] = ([(fr_one, we[ei][1])] + _forward(we, ei, ei) + lead
@@ -352,24 +346,25 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         entry_mid = {a: seg_item("tg", a), b: seg_item("gm", "one")}
         exit_mid = {a: seg_item("tg", "one"), b: seg_item("gm", b)}
         for side in ("up", "lo"):
-            piece, wi, ii = _find(homes, gin, side)
+            piece, wi, ii = _find(pieces, gin, side)
             after = piece.words[wi][ii][1]
             piece.words[wi] = _replace_item(
                 piece.words[wi], ii,
                 [(seg_item("fr", side), rvert), (entry_mid[side], lvert),
                  (seg_item("fl", side), after)])
-            piece, wi, ii = _find(homes, gout, side)
+            piece, wi, ii = _find(pieces, gout, side)
             after = piece.words[wi][ii][1]
             piece.words[wi] = _replace_item(
                 piece.words[wi], ii,
                 [(seg_item("gl", side), lvert), (exit_mid[side], rvert),
                  (seg_item("gr", side), after)])
         sliver = [(seg_item("tg", b), lvert), (seg_item("gm", a), rvert)]
-        pool.append(_Piece(0, [sliver], (), frozenset({"slv"})))
+        pieces.append(_Piece(0, [sliver], (), frozenset({"slv"})))
+        pool.append(pieces[-1])
     else:
         for side in ("up", "lo"):
-            pa, wa, ia = _find(homes, gin, side)
-            pb, wb, ib = _find(homes, gout, side)
+            pa, wa, ia = _find(pieces, gin, side)
+            pb, wb, ib = _find(pieces, gout, side)
             frs, fls = seg_item("fr", side), seg_item("fl", side)
             if pa is pb and wa == wb:
                 w = pa.words[wa]
@@ -391,12 +386,9 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
                     pa.members += pb.members
                     pa.tags |= pb.tags
                     pool.remove(pb)
-                    for held in homes.values():
-                        held[:] = [pa if p is pb else p for p in held]
+                    pieces.remove(pb)
 
     # --- circle entries and exits fuse the severed halves ------------------
-    pieces = [p for p in pool if isinstance(p, _Piece)]
-
     def fuse(first: str, second: str, key: str) -> None:
         """Merge the halves ``first``, ``second`` of a circle into ``key``."""
         _fuse_adjacent(pieces, seg_item(first, "one"),
@@ -483,10 +475,10 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         for key, (kind, e0, e1) in table.items()
         if (names[key], "one") in occ]
     # an input segment stays the same object unless one of its sheets
-    # moved, which only one with an edge on a consumed sector can do
+    # moved, which only one declared on a consumed sector can do
     segments = []
     for g in cx.segments:
-        if g.id in touched:
+        if g.one in consumed or g.up in consumed or g.lo in consumed:
             if g.id in (gin.id, gout.id):
                 continue
             moved = {side: sid for side, old in zip(SIDES, (g.one, g.up, g.lo))

@@ -141,9 +141,6 @@ class _SegmentFields(NamedTuple):
 class BranchSegment(_SegmentFields):
     """Read-only fields, and the segment's form, cached on the object."""
 
-    def side(self, role: str) -> str:
-        return getattr(self, role)
-
     @cached_property
     def form(self) -> LinForm:
         """The branch inequality's form ``w(one) - w(up) - w(lo)``, which
@@ -505,11 +502,8 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
     raise NoConsistentRoles(f"role derivation failed at dp:{dp_id}")
 
 
-class ValidationReport(_Frozen):
-    _fields = ("violations",)
-
-    def __init__(self, violations: list[str]):
-        self.__dict__["violations"] = violations
+class ValidationReport(NamedTuple):
+    violations: tuple[str, ...]
 
     def ok(self) -> bool:
         return not self.violations
@@ -519,11 +513,11 @@ def validate(cx: BranchedSurfaceComplex) -> ValidationReport:
     """Check the local model at every crossing; returns the violations:
     side multiplicity, flanks, circle words and corner roles, as the
     constructor has refused every broken reference.  A clean report (empty
-    list) is the precondition for the weight, assembly and splitting
+    tuple) is the precondition for the weight, assembly and splitting
     operations.  One walk of the words per complex yields the corners and
-    the violations; each call returns a fresh report.
+    the violations, which the report holds as they are.
     """
-    return ValidationReport(list(cx.violations))
+    return ValidationReport(cx.violations)
 
 
 def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:

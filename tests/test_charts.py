@@ -128,6 +128,8 @@ def test_rising_field_fails_with_unit_violation():
 def test_check_box_degenerate_axis():
     with pytest.raises(ChartError, match="3 samples along y"):
         check_box(SlopeGrid(BOX, (), np.zeros((5, 2, 5))))
+    with pytest.raises(ChartError, match="at least 3 samples per axis"):
+        contact_oracle_box(SlopeGrid(BOX, (), np.zeros((5, 2, 5))))
     with pytest.raises(ChartError, match="box grid"):
         check_box(sample_annulus(lambda t, z: 0 * t, (4, 5)))
 
@@ -197,6 +199,13 @@ def test_cylinder_reduction_consistency_is_checked():
     rep = check_cylinder(g)
     assert not rep.is_confoliation
     assert rep.max_violation == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cylinder_needs_three_radial_samples():
+    g = sample_cylinder(lambda r, t, z: -r ** 2, (2, 8, 9),
+                        h_fn=lambda r, t, z: -1.0 + 0 * r)
+    with pytest.raises(ChartError, match="at least 3 samples along r"):
+        check_cylinder(g)
 
 
 def test_cylinder_requires_h():
@@ -711,6 +720,11 @@ def test_grid_parse_errors():
         parse_grid(text.replace("spacing 1 1 1", "spacing 1 1 2"))
     with pytest.raises(ChartError, match="grid text is not UTF-8"):
         parse_grid(text.encode()[:-2] + b"\xff\n")
+    lines = text.split("\n")
+    lines[2], lines[3] = lines[3], lines[2]
+    with pytest.raises(ChartError,
+                       match="header lines must be bounds, shape, spacing"):
+        parse_grid("\n".join(lines))
 
 
 def _one_break(sep: str, at: int) -> Callable[[str], str]:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsgate import __version__, cli, splitting, surface, weights
+from bsgate import __version__, cli, gen, splitting, surface, weights
 from bsgate.charts import (
     INNER_CONTACT,
     OUTER_CONTACT,
@@ -27,7 +27,7 @@ from bsgate.charts import (
     sample_cylinder,
 )
 from bsgate.cli import main
-from bsgate.parser import parse_complex
+from bsgate.parser import parse_complex, print_complex
 from bsgate.surface import validate
 
 from conftest import FIXTURES, fixture_text, fx, run_python, traced_peak
@@ -490,6 +490,18 @@ def test_assemble_report(capsys):
             "run:SM2:1 run:SB:1 run:SM:1") in lines
 
 
+def test_assemble_report_names_a_free_arc(capsys, tmp_path):
+    # fix-fig5's corner sector meets the free arc f_z between its runs
+    p = tmp_path / "qz.w"
+    p.write_text("w qz 1\n")
+    code, lines = run(capsys, "assemble", "--kind", "neg-tisc",
+                      "--weights", str(p), fx("fix-fig5.bsf"))
+    assert code == 0
+    assert lines[-2:] == [
+        "component 0 faces 1 euler 1 class Other",
+        "component 0 boundary corner:P:0:- run:E:1 free:f_z run:N:1"]
+
+
 def test_assemble_rejects_unbalanced_weights(capsys, tmp_path):
     p = tmp_path / "bumped.w"
     p.write_text("w mw 2\nw sw 1\n")
@@ -624,6 +636,34 @@ def test_each_complex_is_validated_once(capsys, monkeypatch, argv,
     code, _ = run(capsys, *argv)
     assert code == 0
     assert len({id(cx) for cx in seen}) == len(seen) == validations
+
+
+def test_schedule_out_file_is_the_final_complex(capsys, tmp_path):
+    out = tmp_path / "after.bsf"
+    code, lines = run(capsys, "schedule", "--plan", fx("clean3.plan"),
+                      "--out", str(out), fx("fix-clean3.bsf"))
+    assert code == 0 and lines[-1] == f"out: {out}"
+    rows = [tuple(line.split()) for line in
+            (FIXTURES / "clean3.plan").read_text().splitlines()]
+    final = splitting.run_plan(parse_complex(fixture_text("fix-clean3.bsf")),
+                               rows).complex
+    text = out.read_text()
+    assert text == print_complex(final)
+    assert validate(parse_complex(text)).ok()
+
+
+def test_plan_comments_and_blank_lines_read_as_no_rows(capsys, tmp_path):
+    # the same report as the bare plan, but for the plan's digest
+    rows = (FIXTURES / "clean3.plan").read_text().splitlines(keepends=True)
+    p = tmp_path / "commented.plan"
+    p.write_text("# three over steps from fix-clean3\n" + rows[0] + "\n"
+                 + rows[1].rstrip("\n") + "  # the left half\n" + rows[2])
+    reports = [run(capsys, "schedule", "--plan", plan, fx("fix-clean3.bsf"))
+               for plan in (fx("clean3.plan"), str(p))]
+    bare, commented = ([l for l in lines if not l.startswith("plan-sha256")]
+                       for _, lines in reports)
+    assert [code for code, _ in reports] == [0, 0]
+    assert commented == bare and "steps: 3" in bare
 
 
 def test_schedule_rejects_short_plan_rows(capsys, tmp_path):
@@ -1037,6 +1077,21 @@ def test_selftest_seed_base_must_be_an_integer(capsys, monkeypatch):
     assert code == 0 and "seed-base: -2" in lines
 
 
+@pytest.mark.parametrize("line, message", [
+    ("segment A arc one Q up Wf lo Q ends dp:P:0 dp:P:2",
+     "line 12, col 9: duplicate segment id A"),
+    ("dp P sign +", "line 14, col 4: duplicate dp id P"),
+], ids=["segment", "dp"])
+def test_duplicate_ids_are_parse_errors(capsys, tmp_path, line, message):
+    # the second declaration is refused where its id stands
+    text = fixture_text("fix-cross.bsf")
+    assert text.count(f"{line}\n") == 1
+    p = tmp_path / "twice.bsf"
+    p.write_text(text.replace(f"{line}\n", f"{line}\n{line}\n"))
+    code, lines = run(capsys, "validate", str(p))
+    assert (code, lines[-1]) == (1, f"error: parse-error: {message}")
+
+
 @pytest.mark.parametrize("seeds", ["0", "-5"])
 def test_selftest_needs_at_least_one_seed(capsys, seeds):
     # zero seeds solved no system, yet it printed "selftest: ok"
@@ -1045,6 +1100,18 @@ def test_selftest_needs_at_least_one_seed(capsys, seeds):
     assert lines[-1] == ("error: usage-error: --seeds must be at least 1, "
                          f"got {seeds}")
     assert not any(l.startswith(("solver-runs", "selftest")) for l in lines)
+
+
+def test_selftest_refuses_more_seeds_than_its_cap_up_front(capsys,
+                                                          monkeypatch):
+    # 10^9 seeds once meant days of solves; the refusal builds no complex
+    built = []
+    monkeypatch.setattr(gen, "random_complex", built.append)
+    code, lines = run(capsys, "selftest", "--seeds", "1000000000")
+    assert (code, built) == (1, [])
+    assert lines[-1] == ("error: usage-error: --seeds must be at most "
+                         "100000, got 1000000000")
+    assert cli._MAX_SEEDS == 100_000
 
 
 def test_selftest_reports_an_oracle_disagreement(capsys, monkeypatch):

@@ -253,6 +253,17 @@ def test_name_allocation_avoids_collisions():
     assert "slv1" in ids and "slv2" in ids
 
 
+def test_a_60_step_safe_walk_is_pinned():
+    """The final complex of a 60-step safe walk from fix-clean3, whose
+    moves allocate names up to slv60, L60 and R60."""
+    walk = list(_safe_walk(60))
+    out = walk[-1][1]
+    assert (len(walk), len(out.sectors), len(out.dps)) == (60, 113, 120)
+    assert [s.id for s in out.sectors[-2:]] == ["slv59", "slv60"]
+    assert sha256(print_complex(out).encode()).hexdigest() == (
+        "07556ae82270e80ad7914f8a8b652b5125bac3160599944f6aee6ffc484aab61")
+
+
 # -- every split, pinned ------------------------------------------------------
 
 def _split_outcome(cx, locus, choice) -> str:

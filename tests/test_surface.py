@@ -41,7 +41,7 @@ ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.bsf"))
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_fixtures_validate_clean(name):
-    assert validate(load(name)).violations == []
+    assert validate(load(name)).violations == ()
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -70,6 +70,22 @@ def test_closed_torus_is_trivially_valid():
 def test_validate_is_deterministic():
     cx = load("fix-tdisc.bsf")
     assert validate(cx).violations == validate(cx).violations
+
+
+def test_equal_complexes_give_equal_hashable_reports():
+    """A report compares and hashes by value, clean or not."""
+    for text in (fixture_text("fix-clean.bsf"), fixture_text("fix-fig5.bsf")
+                 .replace("ends dp:P:0 free", "ends dp:P:1 free")
+                 .replace("ends free dp:P:1", "ends free dp:P:0")):
+        a, b = validate(parse_complex(text)), validate(parse_complex(text))
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+    assert a.violations == ("role derivation failed at dp:P",)
+
+
+def test_boundary_word_needs_one_vertex_per_item():
+    with pytest.raises(ValueError, match="one vertex per edge item"):
+        BoundaryWord((SegItem("g", "one"), SegItem("g", "up")), (None,))
 
 
 def test_euler_characteristic():
@@ -597,7 +613,7 @@ def test_role_failure_reported_with_dp_name():
     text = text.replace("segment N arc one qz up qx lo fy ends free dp:P:1",
                         "segment N arc one qz up qx lo fy ends free dp:P:0")
     cx = parse_complex(text)
-    assert validate(cx).violations == ["role derivation failed at dp:P"]
+    assert validate(cx).violations == ("role derivation failed at dp:P",)
 
 
 def _corruptions(cx, rng):
@@ -657,7 +673,7 @@ def _corruptions(cx, rng):
     else:
         g = cx.segments[gi]
         side = rng.choice(SIDES)
-        others = [s.id for s in cx.sectors if s.id != g.side(side)]
+        others = [s.id for s in cx.sectors if s.id != getattr(g, side)]
         out["rename-sheet"] = with_segment(
             gi, g._replace(**{side: pick(others) or "nowhere"}))
     return out
@@ -679,7 +695,8 @@ def test_every_violation_list_is_pinned():
             if isinstance(broken, InvariantViolation):
                 vs = _refusal(broken)
             else:
-                vs = None if broken is None else validate(broken).violations
+                vs = (None if broken is None
+                      else list(validate(broken).violations))
             h.update(f"{seed} {kind} {vs!r}\n".encode())
             counts[kind] = counts.get(kind, 0) + bool(vs)
     # the kinds that found something to damage; every damaged copy fails
