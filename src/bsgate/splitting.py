@@ -21,8 +21,10 @@ it:
   point is negative and its right one positive, and the under move's
   signs are the mirror image;
 * every output is built by ``surface.carried_complex``, which checks
-  its references, the words that the move rewrote and the roles at the
-  points whose corners it changed, so a template error surfaces as
+  its references and then builds its tables from its input's, by the
+  builder that builds a parsed complex's from no parent: it walks only
+  the words that the move rewrote and derives roles only at the points
+  whose corners it changed, so a template error surfaces as
   ``InvariantViolation`` rather than silent corruption.
 """
 

@@ -17,6 +17,7 @@ segment's declared ends.
 from __future__ import annotations
 
 from functools import cached_property
+from types import SimpleNamespace
 from typing import NamedTuple, Union
 
 from .errors import InvariantViolation, NoConsistentRoles
@@ -183,6 +184,15 @@ class RoleAssignment(_RoleFields):
 
 
 class BranchedSurfaceComplex(_Frozen):
+    """A read-only complex.  :func:`_tables` builds its tables together,
+    on the first read of any (or from its input's, in
+    :func:`carried_complex`): ``dp_corners``, per double point, germ side
+    (slot, side) -> (the germ side its sector's corner joins it to, that
+    sector), each corner entered from both sides; ``violations`` (see
+    :func:`validate`); and ``roles``, per double point, which a complex
+    with a violation lacks: reading them raises :class:`NoConsistentRoles`
+    naming the first."""
+
     _fields = ("name", "sectors", "segments", "dps")
 
     def __init__(self, name: str, sectors: tuple[Sector, ...],
@@ -196,34 +206,15 @@ class BranchedSurfaceComplex(_Frozen):
             dp_by_id={d.id: d for d in dps})
         _check_references(self)
 
-    @property
-    def dp_corners(self) -> dict[str, dict]:
-        """Per double point: germ side (slot, side) -> (the germ side its
-        sector's corner joins it to, that sector), read off every word
-        vertex at the point; each corner is entered from both sides.  The
-        one walk of the words that yields the violations records it."""
-        return self._word_walk[0]
-
-    @cached_property
-    def _word_walk(self) -> tuple:
-        """The cold walk: the corner table, and the words' side and flank
-        violations, in report order; no complex keeps the edges' carriers."""
-        corners: dict[str, dict] = {d.id: {} for d in self.dps}
-        carriers, flanks = _walk_sectors(self.sectors, self.segment_by_id,
-                                         corners)
-        return corners, [*_misplaced_sides(self.segments, carriers), *flanks]
-
-    @cached_property
-    def violations(self) -> tuple[str, ...]:
-        """Every structural violation, computed once; see :func:`validate`."""
-        return _violations(self)
-
-    @cached_property
-    def roles(self) -> dict[str, RoleAssignment]:
-        """Corner roles at every double point, derived once; raises like
-        :func:`derive_roles` at the first double point that fails.  A
-        :func:`carried_complex` fills this cache as it is built."""
-        return {d.id: derive_roles(self, d.id) for d in self.dps}
+    def __getattr__(self, name: str):
+        # reached only for a name that the object does not hold yet
+        if name not in ("dp_corners", "violations", "roles"):
+            raise AttributeError(name)
+        if "violations" not in self.__dict__:
+            _tables(self)
+        if name == "roles" and self.violations:
+            raise NoConsistentRoles(self.violations[0])
+        return self.__dict__[name]
 
 
 def _end_of_item(seg: BranchSegment, side: str, which: str) -> SegmentEnd:
@@ -237,67 +228,92 @@ def _end_of_item(seg: BranchSegment, side: str, which: str) -> SegmentEnd:
     return seg.end1 if which == "prev" else seg.end0
 
 
-def carried_complex(cx: BranchedSurfaceComplex, sectors: tuple[Sector, ...],
-                    segments: tuple[BranchSegment, ...],
-                    dps: tuple[DoublePoint, ...]) -> BranchedSurfaceComplex:
-    """A move's output, of ``sectors``, ``segments`` and ``dps`` and named
-    as ``cx``, its clean input, with its word walk and roles carried over
-    from those of ``cx``, and its ``violations`` empty; raises
-    :class:`InvariantViolation` naming every side and flank violation that
-    the carried walk finds, or else every point whose roles fail.
+# the parent of a cold complex: it holds no part and no table, and
+# `_tables` only reads it
+_NO_PARENT = SimpleNamespace(sectors=(), sector_by_id={}, segment_by_id={},
+                             dp_corners={}, roles={})
 
-    A sector of ``cx`` that the output does not hold (by identity) is
-    gone, and one of the output that ``cx`` does not hold is new.  Only
-    the new sectors are walked, onto copies, less the gone sectors'
-    entries, of the tables of the points that a gone or new sector
-    names, and onto new tables for the points that ``cx`` lacks; every
-    other table, and the roles of each point whose table comes back
-    unchanged, is shared with ``cx``; only the other points' roles are
-    derived.  Only the segments that a new sector names are checked, so
-    the output must keep every point of ``cx`` and every other segment as
-    it was, and a segment that a kept sector names must keep its ends."""
-    out = BranchedSurfaceComplex(cx.name, sectors, segments, dps)
+
+def _tables(out: BranchedSurfaceComplex,
+            cx: Union[BranchedSurfaceComplex, None] = None) -> tuple[str, ...]:
+    """Write into ``out`` its corner table, its violations and, if it has
+    none, its roles, built from the tables of ``cx``, the clean complex
+    that a move turned into ``out``, or of no parent; return the
+    violations: the side and flank ones, or else each point whose roles
+    fail.
+
+    A sector of ``cx`` that ``out`` does not hold (by identity) is gone,
+    and one of ``out`` that ``cx`` does not hold is new, so with no parent
+    every sector is new.  Only the new sectors are walked, onto copies,
+    less the gone sectors' entries, of the tables of the points of ``cx``
+    that a gone or new sector names, and onto new tables for the points
+    that ``cx`` lacks; every other table, and the roles of each point
+    whose table comes back unchanged, is shared with ``cx``.  Only the
+    segments that ``cx`` lacks (by identity) or that a new sector names
+    are checked, so ``out`` must keep every point of ``cx``, and a
+    segment that a kept sector names must keep its ends."""
+    cx = _NO_PARENT if cx is None else cx
     gone = [s for s in cx.sectors if out.sector_by_id.get(s.id) is not s]
-    new = [s for s in sectors if cx.sector_by_id.get(s.id) is not s]
+    new = [s for s in out.sectors if cx.sector_by_id.get(s.id) is not s]
     gone_ids = {s.id for s in gone}
     was = cx.dp_corners
     corners = dict(was)
-    corners.update((d.id, {}) for d in dps if d.id not in was)
+    corners.update((d.id, {}) for d in out.dps if d.id not in was)
     named = {v for s in gone + new for w in s.words for v in w.verts
-             if v in corners}
+             if v in was}
     for v in named:
-        corners[v] = {k: c for k, c in corners[v].items()
-                      if c[1] not in gone_ids}
+        corners[v] = {k: c for k, c in was[v].items() if c[1] not in gone_ids}
     carriers, flanks = _walk_sectors(new, out.segment_by_id, corners)
     # a table that came back unchanged stays shared, and so do its roles,
     # which read that table alone
     roles = dict(cx.roles)
     for v in named:
-        if corners[v] == was.get(v):
+        if corners[v] == was[v]:
             corners[v] = was[v]
         else:
-            roles.pop(v, None)
+            del roles[v]
     names = {gid for gid, _side in carriers}
-    checked = [g for g in segments if g.id in names]
+    old = cx.segment_by_id
+    checked = [g for g in out.segments
+               if g.id in names or old.get(g.id) is not g]
     for g in checked:
-        old = cx.segment_by_id.get(g.id)
-        if old is not None:  # its kept sheets, as cx declared them
-            for role, sid in zip(SIDES, (old.one, old.up, old.lo)):
+        kept = old.get(g.id)
+        if kept is not None:  # its kept sheets, as cx declared them
+            for role, sid in zip(SIDES, (kept.one, kept.up, kept.lo)):
                 if sid not in gone_ids:
                     carriers.setdefault((g.id, role), []).append(sid)
-    violations = [*_misplaced_sides(checked, carriers), *flanks]
-    out.__dict__["_word_walk"] = (corners, ())
+    # each side of a checked segment appears once, in its declared sheet
+    violations = [f"segment {g.id} side {role} must appear exactly once on "
+                  f"sector {want}'s boundary (found {occ})"
+                  for g in checked
+                  for role, want in zip(SIDES, (g.one, g.up, g.lo))
+                  if (occ := carriers.get((g.id, role), [])) != [want]]
+    violations += flanks
+    out.__dict__["dp_corners"] = corners  # derive_roles reads it
     if not violations:  # the roles of each point whose table is not shared
-        for d in dps:
+        for d in out.dps:
             if d.id not in roles:
                 try:
                     roles[d.id] = derive_roles(out, d.id)
                 except NoConsistentRoles as err:
                     violations.append(str(err))
-    if violations:
+    out.__dict__["violations"] = violations = tuple(violations)
+    if not violations:
+        out.__dict__["roles"] = {d.id: roles[d.id] for d in out.dps}
+    return violations
+
+
+def carried_complex(cx: BranchedSurfaceComplex, sectors: tuple[Sector, ...],
+                    segments: tuple[BranchSegment, ...],
+                    dps: tuple[DoublePoint, ...]) -> BranchedSurfaceComplex:
+    """A move's output, of ``sectors``, ``segments`` and ``dps`` and named
+    as ``cx``, its clean input, with its tables built from those of
+    ``cx`` by :func:`_tables`; raises :class:`InvariantViolation` naming
+    every violation that they find."""
+    out = BranchedSurfaceComplex(cx.name, sectors, segments, dps)
+    if violations := _tables(out, cx):
         raise InvariantViolation(
             "split output fails validation: " + "; ".join(violations))
-    out.__dict__.update(roles={d.id: roles[d.id] for d in dps}, violations=())
     return out
 
 
@@ -442,17 +458,6 @@ def _walk_sectors(sectors, segs: dict, corners: dict) -> tuple:
     return carriers, flanks
 
 
-def _misplaced_sides(segments, carriers: dict):
-    """A violation for each side of ``segments`` that does not appear
-    exactly once, in its declared sector's words, by ``carriers``."""
-    for gid, _kind, one, up, lo, _end0, _end1 in segments:
-        for role, want in (("one", one), ("up", up), ("lo", lo)):
-            occ = carriers.get((gid, role), [])
-            if len(occ) != 1 or occ[0] != want:
-                yield (f"segment {gid} side {role} must appear exactly once "
-                       f"on sector {want}'s boundary (found {occ})")
-
-
 _PATTERN = (
     # (role, germ side, germ side): the role's sector has the corner that
     # joins the two germ sides, each (slot offset from the base, field);
@@ -479,7 +484,7 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
 
     Each corner the boundary words record at the point joins two germ
     sides through one sector (:attr:`BranchedSurfaceComplex.dp_corners`,
-    read in the walk of the words that yields the violations).  The roles
+    which :func:`_tables` writes before it derives any roles).  The roles
     are those of the first base slot and ``w``-sheet side whose six
     ``_PATTERN`` corners are all present, whichever way round each runs.
     Only ``z``'s corner joins two merged sides, so at most one reading
@@ -514,26 +519,7 @@ def validate(cx: BranchedSurfaceComplex) -> ValidationReport:
     side multiplicity, flanks, circle words and corner roles, as the
     constructor has refused every broken reference.  A clean report (empty
     tuple) is the precondition for the weight, assembly and splitting
-    operations.  One walk of the words per complex yields the corners and
-    the violations, which the report holds as they are.
+    operations.  :func:`_tables` finds them once per complex, with its
+    corners and roles, and the report holds them as they are.
     """
     return ValidationReport(cx.violations)
-
-
-def _violations(cx: BranchedSurfaceComplex) -> tuple[str, ...]:
-    # side multiplicity, vertex/end flank consistency and circle-word shape
-    out = list(cx._word_walk[1])
-    if out:
-        return tuple(out)
-
-    # corner roles must be read off the words at every double point; only
-    # when the cached map fails is each point derived alone, to report all
-    try:
-        cx.roles
-    except NoConsistentRoles:
-        for d in cx.dps:
-            try:
-                derive_roles(cx, d.id)
-            except NoConsistentRoles:
-                out.append(f"role derivation failed at dp:{d.id}")
-    return tuple(out)

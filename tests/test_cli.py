@@ -617,25 +617,22 @@ def test_schedule_report(capsys):
 ], ids=["split", "schedule"])
 def test_each_complex_is_validated_once(capsys, monkeypatch, argv,
                                         validations):
-    # the work behind the cached ``violations``, whoever calls ``validate``,
-    # and each split output, which ``carried_complex`` checks as it builds it
-    seen = []
+    # each build of a complex's tables, whoever calls ``validate``: the
+    # input's, cold, and each split output's, from its input's
+    seen, parents = [], []
 
-    def counting(cx, _violations=surface._violations):
+    def counting(cx, parent=None, _tables=surface._tables):
         seen.append(cx)
-        return _violations(cx)
+        parents.append(parent)
+        return _tables(cx, parent)
 
-    def carried(*parts, _build=splitting.carried_complex):
-        seen.append(_build(*parts))
-        return seen[-1]
-
-    monkeypatch.setattr(surface, "_violations", counting)
-    monkeypatch.setattr(splitting, "carried_complex", carried)
+    monkeypatch.setattr(surface, "_tables", counting)
     argv = [fx(a) if a.startswith("fix-") or a.endswith(".plan") else a
             for a in argv]
     code, _ = run(capsys, *argv)
     assert code == 0
     assert len({id(cx) for cx in seen}) == len(seen) == validations
+    assert [p is None for p in parents] == [True] + [False] * (validations - 1)
 
 
 def test_schedule_out_file_is_the_final_complex(capsys, tmp_path):

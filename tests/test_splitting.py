@@ -519,18 +519,26 @@ def test_a_carried_output_whose_roles_fail_is_refused():
 
 def test_a_split_output_is_not_validated_again(monkeypatch):
     """Every split output comes back from ``carried_complex`` with its
-    violations known, so ``split`` and ``validate`` never walk it again."""
+    tables built once, from its input's, so ``split`` and ``validate``
+    never build them again, and never without that parent."""
     cx = load("fix-clean.bsf")
     assert cx.violations == ()
+    built, tables = [], surface._tables
 
-    def walk(cx):
-        raise AssertionError("a split output was validated again")
+    def build(out, parent=None):
+        if parent is None:
+            raise AssertionError("a split output was built without its parent")
+        built.append(out)
+        return tables(out, parent)
 
-    monkeypatch.setattr(surface, "_violations", walk)
+    monkeypatch.setattr(surface, "_tables", build)
+    outputs = []
     for loc in good_loci(cx):
         for choice in (OVER, UNDER, NEUTRAL):
-            out = split(cx, loc, choice).complex
-            assert validate(out).ok()
+            outputs.append(split(cx, loc, choice).complex)
+            assert validate(outputs[-1]).ok()
+            outputs[-1].roles, outputs[-1].dp_corners
+    assert [id(out) for out in built] == [id(out) for out in outputs]
 
 
 def test_every_depth_two_split_of_three_seeds_validates():
@@ -744,21 +752,22 @@ def test_plan_validates_and_solves_each_complex_once(monkeypatch):
 
     monkeypatch.setattr(splitting, "criterion",
                         counting(solved, splitting.criterion))
-    # count validation work, done once per complex behind its cached
-    # ``violations``, or by ``carried_complex`` as it builds a split
-    # output, not calls of ``validate``
-    monkeypatch.setattr(surface, "_violations",
-                        counting(validated, surface._violations))
-    build = splitting.carried_complex
-    monkeypatch.setattr(
-        splitting, "carried_complex",
-        lambda *a: validated.append(build(*a)) or validated[-1])
+    # count validation work, not calls of ``validate``: each build of a
+    # complex's tables, with its parent, if any
+    def build(out, parent=None, _tables=surface._tables):
+        validated.append((out, parent))
+        return _tables(out, parent)
+
+    monkeypatch.setattr(surface, "_tables", build)
     rows = [tuple(line.split()) for line in
             (FIXTURES / "clean3.plan").read_text().splitlines()]
     out = run_plan(load("fix-clean3.bsf"), rows)
     tried = sum(len(step.verdicts) for step in out.steps)
     assert len(solved) == 1 + tried
-    assert len({id(cx) for cx in validated}) == len(validated) == 1 + tried
+    assert len({id(cx) for cx, _ in validated}) == len(validated) == 1 + tried
+    # only the plan's input is built cold; every split output from its input
+    cold = [parent is None for _, parent in validated]
+    assert cold == [True] + [False] * tried
     assert out.steps[-1].verdicts[-1][1].passes
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import re
 from hashlib import sha256
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsgate import surface
 from bsgate.assembly import assemble
 from bsgate.charts import check_box, sample_box
-from bsgate.errors import InvariantViolation, ParseError
+from bsgate.errors import InvariantViolation, NoConsistentRoles, ParseError
 from bsgate.gen import random_complex
 from bsgate.parser import (
     _tokens,
@@ -614,6 +616,69 @@ def test_role_failure_reported_with_dp_name():
                         "segment N arc one qz up qx lo fy ends free dp:P:0")
     cx = parse_complex(text)
     assert validate(cx).violations == ("role derivation failed at dp:P",)
+
+
+# two of fix-fig5's slots swapped: its words pass, but no reading of the
+# corners at P fits
+_SLOTS_SWAPPED = [("ends dp:P:0 free", "ends dp:P:1 free"),
+                  ("ends free dp:P:1", "ends free dp:P:0")]
+
+
+def _fig5(swaps):
+    text = fixture_text("fix-fig5.bsf")
+    for swap in swaps:
+        text = text.replace(*swap)
+    return parse_complex(text)
+
+
+@pytest.mark.parametrize("swaps, first", [
+    ([("one qz up fw lo qv", "one qz up qv lo fw")],
+     "segment E side up must appear exactly once on sector qv's boundary "
+     "(found ['fw'])"),
+    (_SLOTS_SWAPPED, "role derivation failed at dp:P"),
+], ids=["words", "roles"])
+def test_roles_of_a_complex_that_fails_validation_name_its_first_violation(
+        swaps, first):
+    """``fix-fig5`` with segment E's sheets swapped fails on its words, and
+    with two slots swapped on its roles; either way it has no roles, and
+    reading them raises, every time, naming its first violation."""
+    cx = _fig5(swaps)
+    for _ in range(2):
+        with pytest.raises(NoConsistentRoles) as err:
+            cx.roles
+        assert str(err.value) == first == validate(cx).violations[0]
+    assert "roles" not in vars(cx)
+
+
+@pytest.mark.parametrize("first", ["dp_corners", "violations", "roles"])
+def test_a_cold_complex_builds_its_tables_once(monkeypatch, first):
+    """Whichever table is read first, one build writes them all, and no
+    later read of any of them, or ``validate``, builds them again; so too
+    for a complex that fails validation, whose ``roles`` raises."""
+    built, tables = [], surface._tables
+
+    def build(out, parent=None):
+        built.append((out, parent))
+        return tables(out, parent)
+
+    monkeypatch.setattr(surface, "_tables", build)
+    for cx in (load("fix-fig5.bsf"), load("fix-split.bsf"),
+               _fig5(_SLOTS_SWAPPED)):
+        with contextlib.suppress(NoConsistentRoles):
+            getattr(cx, first)
+        assert [(out is cx, parent) for out, parent in built] == [(True, None)]
+        assert list(cx.dp_corners) == [d.id for d in cx.dps]
+        clean = not cx.violations
+        assert ("roles" in vars(cx)) is clean
+        for _ in range(2):
+            assert validate(cx).ok() is clean
+            if clean:
+                assert list(cx.roles) == [d.id for d in cx.dps]
+            else:
+                with pytest.raises(NoConsistentRoles):
+                    cx.roles
+        assert len(built) == 1
+        built.clear()
 
 
 def _corruptions(cx, rng):
