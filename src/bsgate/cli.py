@@ -433,41 +433,50 @@ _GRID = _arg("--grid", default=None, metavar="NX,NY,NZ")
 _TOL = _arg("--tol", type=float, default=1e-9)
 _R0 = _arg("--r0", type=float, required=True)
 
-# each command's help line and arguments, in the order --help lists them;
-# chart's arguments are those of its subcommands, below
-_COMMAND_ARGS = {
-    "validate": ("structural checks on a complex", (_INPUT,)),
+# one row per command, in the order --help lists them: its help line,
+# its arguments (for a command with subcommands, a table of each one's
+# arguments), its handler and the layers it runs; main loads the layers,
+# and hashlib for a command that reads a file, after reading argv, so
+# help and usage errors load none, and before the clock starts, so
+# # duration-ms leaves loading out; the handlers import their names from
+# them locally, so a command loads no other layer
+_COMMANDS = {
+    "validate": ("structural checks on a complex", (_INPUT,),
+                 _cmd_validate, ("parser", "surface")),
     "detect": ("decide a weight-system kind", (
         _arg("--kind", required=True, choices=_KINDS + ("criterion",)),
-        _arg("--oracle-bound", type=int, default=None), _INPUT)),
+        _arg("--oracle-bound", type=int, default=None), _INPUT),
+        _cmd_detect, ("parser", "surface", "weights")),
     "assemble": ("glue a carried surface", (
         _arg("--kind", required=True, choices=_KINDS),
-        _arg("--weights", required=True), _INPUT)),
+        _arg("--weights", required=True), _INPUT),
+        _cmd_assemble, ("parser", "surface", "assembly")),
     "split": ("one splitting move", (
         _arg("--sector", required=True),
         _arg("--entry", required=True, metavar="W:K:SIDE"),
         _arg("--exit", required=True, metavar="W:K:SIDE"),
         _arg("--choice", required=True, choices=_CHOICES + ("safe",)),
-        _OUT, _INPUT)),
+        _OUT, _INPUT), _cmd_split, ("parser", "surface", "splitting")),
     "schedule": ("run a splitting plan", (
-        _arg("--plan", required=True), _OUT, _INPUT)),
-    "chart": ("slope-function checks", ()),
+        _arg("--plan", required=True), _OUT, _INPUT),
+        _cmd_schedule, ("parser", "surface", "splitting")),
+    "chart": ("slope-function checks", {
+        "check-box": (_INPUT, _GRID, _TOL),
+        "check-cyl": (_INPUT, _GRID, _TOL),
+        "purify-box": (_INPUT, _GRID, _TOL, _OUT,
+                       _arg("--y0", type=float, required=True),
+                       _arg("--y1", type=float, required=True),
+                       _arg("--delta", type=float, required=True)),
+        "purify-cyl": (_INPUT, _GRID, _TOL, _OUT, _R0,
+                       _arg("--mode", required=True, choices=_MODES)),
+        "extend": (_INPUT, _GRID, _TOL, _OUT, _R0,
+                   _arg("--radius", type=float, default=1.0)),
+        "holonomy": (_INPUT, _GRID, _arg("--z0", type=float, required=True),
+                     _arg("--step", type=float, default=1e-3)),
+    }, _cmd_chart, ("charts",)),
     "selftest": ("seeded end-to-end checks", (
-        _arg("--seeds", type=int, default=10),)),
-}
-_CHART_ARGS = {
-    "check-box": (_INPUT, _GRID, _TOL),
-    "check-cyl": (_INPUT, _GRID, _TOL),
-    "purify-box": (_INPUT, _GRID, _TOL, _OUT,
-                   _arg("--y0", type=float, required=True),
-                   _arg("--y1", type=float, required=True),
-                   _arg("--delta", type=float, required=True)),
-    "purify-cyl": (_INPUT, _GRID, _TOL, _OUT, _R0,
-                   _arg("--mode", required=True, choices=_MODES)),
-    "extend": (_INPUT, _GRID, _TOL, _OUT, _R0,
-               _arg("--radius", type=float, default=1.0)),
-    "holonomy": (_INPUT, _GRID, _arg("--z0", type=float, required=True),
-                 _arg("--step", type=float, default=1e-3)),
+        _arg("--seeds", type=int, default=10),),
+        _cmd_selftest, ("gen", "weights", "charts")),
 }
 
 
@@ -479,15 +488,16 @@ _HELP = ("-h", "--help")
 
 def _level(path: tuple[str, ...]) -> tuple:
     """The help line, arguments and subcommands (their dest and table) of
-    the parser ``path`` names: () for the top, then a command, then a
-    chart subcommand."""
-    if not path:
-        return _DESCRIPTION, (), ("cmd", _COMMAND_ARGS)
-    if path == ("chart",):
-        return _COMMAND_ARGS["chart"][0], (), ("chart_cmd", _CHART_ARGS)
-    if path[0] == "chart":
-        return "", _CHART_ARGS[path[1]], None
-    return (*_COMMAND_ARGS[path[0]], None)
+    the parser ``path`` names: the top's subcommands are the command
+    table's rows, and a command's are the table in its arguments entry,
+    whose dest is the command's name and ``_cmd``."""
+    about, args = (_COMMANDS[path[0]][:2] if path
+                   else (_DESCRIPTION, _COMMANDS))
+    for name in path[1:]:
+        about, args = "", args[name]
+    if isinstance(args, dict):
+        return about, (), ("_".join((*path, "cmd")), args)
+    return about, args, None
 
 
 def _dest(names: tuple[str, ...]) -> str:
@@ -678,22 +688,6 @@ def _parse_args(argv) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**values)
 
 
-# each command's handler and the layers it runs; main loads the layers,
-# and hashlib for a command that reads a file, after reading argv, so
-# help and usage errors load none, and before the clock starts, so
-# # duration-ms leaves loading out; the handlers import their names from
-# them locally, so a command loads no other layer
-_COMMANDS = {
-    "validate": (_cmd_validate, ("parser", "surface")),
-    "detect": (_cmd_detect, ("parser", "surface", "weights")),
-    "assemble": (_cmd_assemble, ("parser", "surface", "assembly")),
-    "split": (_cmd_split, ("parser", "surface", "splitting")),
-    "schedule": (_cmd_schedule, ("parser", "surface", "splitting")),
-    "chart": (_cmd_chart, ("charts",)),
-    "selftest": (_cmd_selftest, ("gen", "weights", "charts")),
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -705,7 +699,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args is None:  # --help
         return 0
     lines = [f"bsgate-report {args.cmd}", f"version: {__version__}"]
-    handler, layers = _COMMANDS[args.cmd]
+    _, _, handler, layers = _COMMANDS[args.cmd]
     started = time.monotonic()
     try:
         for layer in layers:  # a layer that fails to load is a bug, too

@@ -2,7 +2,7 @@
 
 ``cli._parse_args`` reads argv from the command table with no argument
 parsing library.  The reference below is the argparse tree the command
-line was built on, built from the same tables (``_build_parser`` cut the
+line was built on, built from the same table (``_build_parser`` cuts the
 tree to the branch that argv names).  For drawn argvs both sides must
 agree on the exit code, on the namespace when the argv parses, on the
 message when it is refused, and on whose help is printed.
@@ -42,22 +42,28 @@ def _branch(table, name):
 
 
 def _build_parser(argv=()):
-    cmd, chart_cmd = (*argv[:2], None, None)[:2]
     parser = _Parser(prog="bsgate", description="Command-line entry point.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    for name in _branch(cli._COMMAND_ARGS, cmd):
-        help_line, args = cli._COMMAND_ARGS[name]
-        p = sub.add_parser(name, help=help_line)
-        if name == "chart":
-            csub = p.add_subparsers(dest="chart_cmd", required=True)
-            for chart_name in _branch(cli._CHART_ARGS,
-                                      chart_cmd if cmd == "chart" else None):
-                cp = csub.add_parser(chart_name)
-                for flags, kwargs in cli._CHART_ARGS[chart_name]:
-                    cp.add_argument(*flags, **kwargs)
-        for flags, kwargs in args:
-            p.add_argument(*flags, **kwargs)
+    _add_commands(parser, (), cli._COMMANDS, argv)
     return parser
+
+
+def _add_commands(parser, path, table, argv):
+    """Add to ``parser`` the subcommands in ``table``, which sits at
+    ``path`` of the command table, cut to the one argv names there."""
+    sub = parser.add_subparsers(dest="_".join((*path, "cmd")), required=True)
+    rest = argv[len(path):] if list(argv[:len(path)]) == list(path) else ()
+    named = rest[0] if rest else None
+    for name in _branch(table, named):
+        if path:  # a subcommand's entry is its arguments
+            p, args = sub.add_parser(name), table[name]
+        else:  # a command's row starts with its help line and arguments
+            help_line, args = table[name][:2]
+            p = sub.add_parser(name, help=help_line)
+        if isinstance(args, dict):
+            _add_commands(p, (*path, name), args, argv)
+        else:
+            for flags, kwargs in args:
+                p.add_argument(*flags, **kwargs)
 
 
 def _outcome(parse, argv):
@@ -84,8 +90,10 @@ def _reference(argv):
 
 # the branches of the tree: each command, each chart subcommand, and a
 # few that name none
-_PATHS = ([[cmd] for cmd in cli._COMMAND_ARGS if cmd != "chart"]
-          + [["chart", sub] for sub in cli._CHART_ARGS]
+_PATHS = ([[cmd] for cmd, (_, args, *_) in cli._COMMANDS.items()
+           if not isinstance(args, dict)]
+          + [[cmd, sub] for cmd, (_, args, *_) in cli._COMMANDS.items()
+             if isinstance(args, dict) for sub in args]
           + [[], ["chart"], ["frob"], ["chart", "frob"]])
 # no "--": see test_a_value_of_two_dashes_after_equals_is_kept
 _VALUES = ("0", "3", "0.5", "-0.25", "-1", "-.5", "-1e-3", "1e-9", "frob",
@@ -96,11 +104,11 @@ _STRAYS = ("--", "-h", "--help", "--he", "-hh", "-hx", "-h=", "--help=x",
 
 
 def _args(path):
-    if path[:1] == ["chart"] and path[1:] and path[1] in cli._CHART_ARGS:
-        return cli._CHART_ARGS[path[1]]
-    if path and path[0] in cli._COMMAND_ARGS:
-        return cli._COMMAND_ARGS[path[0]][1]
-    return ()
+    row = cli._COMMANDS.get(path[0]) if path else None
+    args = row[1] if row else ()
+    for name in path[1:]:
+        args = args.get(name, ()) if isinstance(args, dict) else ()
+    return () if isinstance(args, dict) else args
 
 
 def _pool(args):

@@ -6,6 +6,7 @@ pinned as line goldens with the ``# duration-ms`` trailer stripped, so
 these double as a determinism check.
 """
 
+import importlib
 import json
 import math
 import os
@@ -60,8 +61,7 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 
 
-_CHART_COMMANDS = ("check-box", "check-cyl", "purify-box", "purify-cyl",
-                   "extend", "holonomy")
+_CHART_COMMANDS = tuple(cli._COMMANDS["chart"][1])
 # every argv that ends in help or a usage error before any handler runs:
 # the tree's own, each command's and each chart subcommand's, bare and
 # with --help, one bad value per choices flag, and unknown flags
@@ -162,12 +162,15 @@ def test_help_lists_the_command_table(capsys):
     # command with its help line, chart's every subcommand, and each
     # command's every flag, choice set and default
     top = [line.split() for line in _help_page(capsys).splitlines()]
-    for name, (help_line, _) in cli._COMMAND_ARGS.items():
+    for name, (help_line, *_) in cli._COMMANDS.items():
         assert [name, *help_line.split()] in top
     chart = _help_page(capsys, "chart").splitlines()
-    assert all(f"  {name}" in chart for name in cli._CHART_ARGS)
-    pages = [((cmd,), args) for cmd, (_, args) in cli._COMMAND_ARGS.items()]
-    pages += [(("chart", sub), args) for sub, args in cli._CHART_ARGS.items()]
+    assert all(f"  {name}" in chart for name in _CHART_COMMANDS)
+    pages = []
+    for cmd, (_, args, *_) in cli._COMMANDS.items():
+        subs = args if isinstance(args, dict) else {}
+        pages.append(((cmd,), () if subs else args))
+        pages += [((cmd, sub), sub_args) for sub, sub_args in subs.items()]
     for argv, args in pages:
         page = _help_page(capsys, *argv)
         assert page.startswith(f"usage: bsgate {' '.join(argv)} [-h]")
@@ -177,6 +180,34 @@ def test_help_lists_the_command_table(capsys):
                 assert "{%s}" % ",".join(kwargs["choices"]) in page
             if kwargs.get("default") is not None:
                 assert f"default {kwargs['default']}" in page
+
+
+def test_one_row_is_all_a_new_command_needs(capsys, monkeypatch):
+    # a row in the command table gives a command its argv, its help, its
+    # handler and the layers main loads before the handler runs
+    events = []
+
+    def probe(args, lines):
+        events.append("handler")
+        lines.append(f"x: {args.x}")
+        return 0
+
+    def import_module(name, package=None):
+        events.append(name)
+        return importlib.import_module(name, package)
+
+    monkeypatch.setitem(cli._COMMANDS, "probe", (
+        "probe the command table", (cli._arg("--x", type=int, required=True),),
+        probe, ("parser",)))
+    monkeypatch.setattr(cli, "import_module", import_module)
+    assert run(capsys, "probe", "--x", "3") == (0, [
+        "bsgate-report probe", f"version: {__version__}", "x: 3"])
+    assert events == [".parser", "handler"]
+    page = [line.split() for line in _help_page(capsys, "probe").splitlines()]
+    assert page[0] == ["usage:", "bsgate", "probe", "[-h]", "--x", "X"]
+    assert ["--x", "X", "int,", "required"] in page
+    top = [line.split() for line in _help_page(capsys).splitlines()]
+    assert ["probe", "probe", "the", "command", "table"] in top
 
 
 def test_spelled_out_choices_agree_with_the_layers():
@@ -321,8 +352,9 @@ def test_stray_exception_exits_three_with_one_report(capsys, monkeypatch):
         lines.append("input-sha256: 0")
         raise RuntimeError("boom")
 
+    help_line, args, _, layers = cli._COMMANDS["validate"]
     monkeypatch.setitem(cli._COMMANDS, "validate",
-                        (broken, cli._COMMANDS["validate"][1]))
+                        (help_line, args, broken, layers))
     assert main(["validate", fx("fix-split.bsf")]) == 3
     out = capsys.readouterr().out.rstrip("\n").split("\n")
     assert out[:-1] == ["bsgate-report validate", f"version: {__version__}",
@@ -1010,13 +1042,6 @@ def test_chart_extend_refuses_an_overflowing_extension_quietly(tmp_path):
         2, "error: chart-error: extended slope is not finite: the boundary "
            "data over r^2 leaves the float range (r0 = 0.5)", "")
     assert not out.exists()
-
-
-def test_spelled_out_choices_are_the_layer_constants():
-    # the parser spells them out so that building it loads no layer
-    assert cli._KINDS == weights.KINDS
-    assert cli._CHOICES == splitting.CHOICES
-    assert cli._MODES == (INNER_CONTACT, OUTER_CONTACT)
 
 
 @pytest.mark.parametrize("mode", [INNER_CONTACT, OUTER_CONTACT, "sideways"])

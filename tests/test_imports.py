@@ -40,8 +40,8 @@ def entering(handler):
     return wrapped
 
 
-for cmd, (handler, layers) in list(cli._COMMANDS.items()):
-    cli._COMMANDS[cmd] = (entering(handler), layers)
+for cmd, (help_line, args, handler, layers) in list(cli._COMMANDS.items()):
+    cli._COMMANDS[cmd] = (help_line, args, entering(handler), layers)
 before = "numpy" in sys.modules
 code = cli.main(sys.argv[1:])
 print("exit", code, "numpy-before", before, "numpy-after",
