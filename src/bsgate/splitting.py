@@ -20,12 +20,12 @@ it:
   swapped in its one lateral table; so the over move's new left double
   point is negative and its right one positive, and the under move's
   signs are the mirror image;
-* every output is built by ``surface.carried_complex``, which checks
-  its references and then builds its tables from its input's, by the
-  builder that builds a parsed complex's from no parent: it walks only
-  the words that the move rewrote and derives roles only at the points
-  whose corners it changed, so a template error surfaces as
-  ``InvariantViolation`` rather than silent corruption.
+* every output is built by the ``BranchedSurfaceComplex`` constructor
+  with its input as the parent: it checks the output's references and
+  builds its tables from its input's, walking only the words that the
+  move rewrote and deriving roles only at the points whose corners it
+  changed, so a template error surfaces as ``InvariantViolation`` rather
+  than silent corruption.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .surface import (
     SegItem,
     SegmentEnd,
     Sector,
-    carried_complex,
 )
 from .weights import Verdict, criterion
 
@@ -495,8 +494,9 @@ def split(cx: BranchedSurfaceComplex, locus: SplitLocus,
         new_dps = (DoublePoint(names["L"], lsign),
                    DoublePoint(names["R"], -lsign))
 
-    out = carried_complex(cx, tuple(emitted), tuple(segments + new_segments),
-                          cx.dps + new_dps)
+    out = BranchedSurfaceComplex(cx.name, tuple(emitted),
+                                 tuple(segments + new_segments),
+                                 cx.dps + new_dps, parent=cx)
 
     for g, key in ((gout, exit_key), (gin, entry_key)):
         images[g.up] = occ[(names[key], "up")]

@@ -184,20 +184,24 @@ class RoleAssignment(_RoleFields):
 
 
 class BranchedSurfaceComplex(_Frozen):
-    """A read-only complex.  :func:`_tables` builds its tables together,
-    on the first read of any (or from its input's, in
-    :func:`carried_complex`): ``dp_corners``, per double point, germ side
-    (slot, side) -> (the germ side its sector's corner joins it to, that
-    sector), each corner entered from both sides; ``violations`` (see
-    :func:`validate`); and ``roles``, per double point, which a complex
-    with a violation lacks: reading them raises :class:`NoConsistentRoles`
-    naming the first."""
+    """A read-only complex.  Its constructor builds the id tables, checks
+    every reference (:func:`_check_references`) and builds, by
+    :func:`_tables`, from the tables of ``parent`` (the clean complex that
+    a move turned into this one) or of no parent: ``dp_corners``, per
+    double point, germ side (slot, side) -> (the germ side its sector's
+    corner joins it to, that sector), each corner entered from both sides;
+    ``violations`` (see :func:`validate`); and ``roles``, per double point,
+    which a complex with a violation lacks: reading them raises
+    :class:`NoConsistentRoles` naming the first.  Built from a parent, a
+    complex with a violation raises :class:`InvariantViolation` naming
+    every one.  The parent is not kept."""
 
     _fields = ("name", "sectors", "segments", "dps")
 
     def __init__(self, name: str, sectors: tuple[Sector, ...],
                  segments: tuple[BranchSegment, ...],
-                 dps: tuple[DoublePoint, ...]):
+                 dps: tuple[DoublePoint, ...],
+                 parent: Union["BranchedSurfaceComplex", None] = None):
         # the id tables, which the reference check reads first
         self.__dict__.update(
             name=name, sectors=sectors, segments=segments, dps=dps,
@@ -205,16 +209,16 @@ class BranchedSurfaceComplex(_Frozen):
             segment_by_id={g.id: g for g in segments},
             dp_by_id={d.id: d for d in dps})
         _check_references(self)
+        if (violations := _tables(self, parent)) and parent is not None:
+            raise InvariantViolation(
+                "split output fails validation: " + "; ".join(violations))
 
     def __getattr__(self, name: str):
-        # reached only for a name that the object does not hold yet
-        if name not in ("dp_corners", "violations", "roles"):
-            raise AttributeError(name)
-        if "violations" not in self.__dict__:
-            _tables(self)
-        if name == "roles" and self.violations:
+        # reached only for a name that the object does not hold: of its
+        # tables, the roles of a complex that fails validation
+        if name == "roles":
             raise NoConsistentRoles(self.violations[0])
-        return self.__dict__[name]
+        raise AttributeError(name)
 
 
 def _end_of_item(seg: BranchSegment, side: str, which: str) -> SegmentEnd:
@@ -228,19 +232,19 @@ def _end_of_item(seg: BranchSegment, side: str, which: str) -> SegmentEnd:
     return seg.end1 if which == "prev" else seg.end0
 
 
-# the parent of a cold complex: it holds no part and no table, and
-# `_tables` only reads it
+# the parent of a complex built with none: it holds no part and no
+# table, and `_tables` only reads it
 _NO_PARENT = SimpleNamespace(sectors=(), sector_by_id={}, segment_by_id={},
                              dp_corners={}, roles={})
 
 
 def _tables(out: BranchedSurfaceComplex,
-            cx: Union[BranchedSurfaceComplex, None] = None) -> tuple[str, ...]:
-    """Write into ``out`` its corner table, its violations and, if it has
-    none, its roles, built from the tables of ``cx``, the clean complex
-    that a move turned into ``out``, or of no parent; return the
-    violations: the side and flank ones, or else each point whose roles
-    fail.
+            cx: Union[BranchedSurfaceComplex, None]) -> tuple[str, ...]:
+    """Write into ``out``, as its constructor runs, its corner table, its
+    violations and, if it has none, its roles, built from the tables of
+    ``cx``, the clean complex that a move turned into ``out``, or of no
+    parent; return the violations: the side and flank ones, or else each
+    point whose roles fail.
 
     A sector of ``cx`` that ``out`` does not hold (by identity) is gone,
     and one of ``out`` that ``cx`` does not hold is new, so with no parent
@@ -301,20 +305,6 @@ def _tables(out: BranchedSurfaceComplex,
     if not violations:
         out.__dict__["roles"] = {d.id: roles[d.id] for d in out.dps}
     return violations
-
-
-def carried_complex(cx: BranchedSurfaceComplex, sectors: tuple[Sector, ...],
-                    segments: tuple[BranchSegment, ...],
-                    dps: tuple[DoublePoint, ...]) -> BranchedSurfaceComplex:
-    """A move's output, of ``sectors``, ``segments`` and ``dps`` and named
-    as ``cx``, its clean input, with its tables built from those of
-    ``cx`` by :func:`_tables`; raises :class:`InvariantViolation` naming
-    every violation that they find."""
-    out = BranchedSurfaceComplex(cx.name, sectors, segments, dps)
-    if violations := _tables(out, cx):
-        raise InvariantViolation(
-            "split output fails validation: " + "; ".join(violations))
-    return out
 
 
 def corner_units(cx: BranchedSurfaceComplex, entering: SegItem,
@@ -484,7 +474,7 @@ def derive_roles(cx: BranchedSurfaceComplex, dp_id: str) -> RoleAssignment:
 
     Each corner the boundary words record at the point joins two germ
     sides through one sector (:attr:`BranchedSurfaceComplex.dp_corners`,
-    which :func:`_tables` writes before it derives any roles).  The roles
+    which the constructor writes before it derives any roles).  The roles
     are those of the first base slot and ``w``-sheet side whose six
     ``_PATTERN`` corners are all present, whichever way round each runs.
     Only ``z``'s corner joins two merged sides, so at most one reading
@@ -519,7 +509,7 @@ def validate(cx: BranchedSurfaceComplex) -> ValidationReport:
     side multiplicity, flanks, circle words and corner roles, as the
     constructor has refused every broken reference.  A clean report (empty
     tuple) is the precondition for the weight, assembly and splitting
-    operations.  :func:`_tables` finds them once per complex, with its
+    operations.  The constructor finds them once per complex, with its
     corners and roles, and the report holds them as they are.
     """
     return ValidationReport(cx.violations)

@@ -10,6 +10,7 @@ import importlib
 import json
 import math
 import os
+import random
 import re
 from hashlib import sha256
 from pathlib import Path
@@ -397,6 +398,60 @@ def test_unverifiable_criterion_certificate_exits_three(capsys, monkeypatch):
                       fx("fix-clean.bsf"))
     assert code == 3
     assert any(l.startswith("error: invariant-violation") for l in lines)
+
+
+# a flip turns one side, sign, slot or kind to another value of its kind
+_FLIPS = ((re.compile(r"\b(?:one|up|lo)\b"), ("one", "up", "lo")),
+          (re.compile(r"(?<=sign )[+-]"), ("+", "-")),
+          (re.compile(r"(?<=:)[0-3]\b"), ("0", "1", "2", "3")),
+          (re.compile(r"\b(?:arc|circle)\b"), ("arc", "circle")))
+
+
+def _mutated(text: str, rng) -> str:
+    """``text`` with one mutation drawn by ``rng``: two tokens swapped, one
+    copied over another or dropped, a line duplicated, or a flip."""
+    lines = [line.split() for line in text.splitlines()]
+    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    (i, j), (k, n) = rng.choice(spots), rng.choice(spots)
+    op = rng.choice(("swap", "copy", "drop", "line", "flip"))
+    if op == "swap":
+        lines[i][j], lines[k][n] = lines[k][n], lines[i][j]
+    elif op == "copy":
+        lines[i][j] = lines[k][n]
+    elif op == "drop":
+        del lines[i][j]
+    elif op == "line":
+        lines.insert(k, list(lines[i]))
+    else:
+        pattern, values = rng.choice(_FLIPS)
+        spans = [found.span() for found in pattern.finditer(text)]
+        if spans:
+            a, b = rng.choice(spans)
+            other = rng.choice([v for v in values if v != text[a:b]])
+            return text[:a] + other + text[b:]
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+def test_mutated_complexes_end_in_one_report_with_a_contract_exit(
+        capsys, tmp_path):
+    """1,500 seeded token mutations of the fixture complexes: ``validate``
+    and ``detect --kind criterion`` each end every one in one report, with
+    one ``# duration-ms`` line, and exit 0, 1 or 2, never 3: each
+    complex's tables are built as it is parsed, and no mutation reaches a
+    stray exception there or later."""
+    rng = random.Random(0)
+    texts = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.bsf"))]
+    path = tmp_path / "mutated.bsf"
+    codes = []
+    for _ in range(1500):
+        path.write_text(_mutated(rng.choice(texts), rng))
+        for argv in (["validate"], ["detect", "--kind", "criterion"]):
+            codes.append(main(argv + [str(path)]))
+            out = capsys.readouterr().out.splitlines()
+            assert codes[-1] in (0, 1, 2), out
+            trailers = [line for line in out if TRAILER.match(line)]
+            assert trailers == out[-1:], out
+    assert set(codes) == {0, 1, 2}
 
 
 # -- report goldens -------------------------------------------------------

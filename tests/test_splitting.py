@@ -6,8 +6,10 @@ before/after cell counts plus re-validation, and weight pushforward is
 checked against exhaustive enumeration of closed solutions.
 """
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from hashlib import sha256
 
@@ -411,10 +413,15 @@ def test_carried_tables_equal_cold_ones(monkeypatch):
     a cold copy: over every good split of seeds 0-199, the over-ladder and
     a 60-step safe walk.  Where the table is the input's object, so are
     the role assignment and the corner form."""
-    carried = []
-    build = splitting.carried_complex
-    monkeypatch.setattr(splitting, "carried_complex",
-                        lambda *a: carried.append(build(*a)) or carried[-1])
+    carried, tables = [], surface._tables
+
+    def build(out, parent):
+        violations = tables(out, parent)
+        if parent is not None:  # a split output, built from its input's
+            carried.append(out)
+        return violations
+
+    monkeypatch.setattr(surface, "_tables", build)
     outputs = shared = 0
     for seed in range(200):
         cx = random_complex(seed)
@@ -470,7 +477,8 @@ def test_a_carried_walk_that_finds_a_violation_raises_it():
                                           out.dps).violations
     assert any("side up must appear exactly once" in v for v in cold)
     with pytest.raises(InvariantViolation) as err:
-        surface.carried_complex(cx, sectors, out.segments, out.dps)
+        surface.BranchedSurfaceComplex(cx.name, sectors, out.segments,
+                                       out.dps, parent=cx)
     assert str(err.value) == ("split output fails validation: "
                               + "; ".join(cold))
 
@@ -491,9 +499,9 @@ def test_a_kept_sector_passed_as_a_distinct_object_is_walked_as_new(
     walk = surface._walk_sectors
     monkeypatch.setattr(surface, "_walk_sectors",
                         lambda new, *a: walked.extend(new) or walk(new, *a))
-    again = surface.carried_complex(
-        cx, tuple(twin if s is kept else s for s in out.sectors),
-        out.segments, out.dps)
+    again = surface.BranchedSurfaceComplex(
+        cx.name, tuple(twin if s is kept else s for s in out.sectors),
+        out.segments, out.dps, parent=cx)
     assert any(s is twin for s in walked)
     _cold_equals_carried(again)
     assert again.roles == out.roles
@@ -511,21 +519,22 @@ def test_a_carried_output_whose_roles_fail_is_refused():
                         "segment N arc one qz up qx lo fy ends free dp:P:0")
     bad = parse_complex(text)
     with pytest.raises(InvariantViolation) as err:
-        surface.carried_complex(load("fix-fig5.bsf"), bad.sectors,
-                                bad.segments, bad.dps)
+        surface.BranchedSurfaceComplex(bad.name, bad.sectors, bad.segments,
+                                       bad.dps, parent=load("fix-fig5.bsf"))
     assert str(err.value) == ("split output fails validation: "
                               "role derivation failed at dp:P")
 
 
 def test_a_split_output_is_not_validated_again(monkeypatch):
-    """Every split output comes back from ``carried_complex`` with its
-    tables built once, from its input's, so ``split`` and ``validate``
-    never build them again, and never without that parent."""
+    """Every split output is built with its input as the parent, and its
+    constructor builds its tables once, from its input's, so ``split``
+    and ``validate`` never build them again, and never without that
+    parent."""
     cx = load("fix-clean.bsf")
     assert cx.violations == ()
     built, tables = [], surface._tables
 
-    def build(out, parent=None):
+    def build(out, parent):
         if parent is None:
             raise AssertionError("a split output was built without its parent")
         built.append(out)
@@ -536,6 +545,7 @@ def test_a_split_output_is_not_validated_again(monkeypatch):
     for loc in good_loci(cx):
         for choice in (OVER, UNDER, NEUTRAL):
             outputs.append(split(cx, loc, choice).complex)
+            assert built[-1] is outputs[-1]  # built before any read
             assert validate(outputs[-1]).ok()
             outputs[-1].roles, outputs[-1].dp_corners
     assert [id(out) for out in built] == [id(out) for out in outputs]
@@ -754,7 +764,7 @@ def test_plan_validates_and_solves_each_complex_once(monkeypatch):
                         counting(solved, splitting.criterion))
     # count validation work, not calls of ``validate``: each build of a
     # complex's tables, with its parent, if any
-    def build(out, parent=None, _tables=surface._tables):
+    def build(out, parent, _tables=surface._tables):
         validated.append((out, parent))
         return _tables(out, parent)
 
@@ -769,6 +779,33 @@ def test_plan_validates_and_solves_each_complex_once(monkeypatch):
     cold = [parent is None for _, parent in validated]
     assert cold == [True] + [False] * tried
     assert out.steps[-1].verdicts[-1][1].passes
+
+
+def test_a_complex_does_not_hold_on_to_its_parent(monkeypatch):
+    """A split output shares its input's unchanged tables, not the input:
+    once the input is dropped, it is collected.  After a plan, of every
+    complex it built, only its final one is alive."""
+    cx = load("fix-clean.bsf")
+    out = split(cx, good_loci(cx)[0], OVER).complex
+    input_ref = weakref.ref(cx)
+    del cx
+    gc.collect()
+    assert input_ref() is None
+    assert validate(out).ok() and out.roles
+
+    built, tables = [], surface._tables
+
+    def build(new, parent):
+        built.append(weakref.ref(new))
+        return tables(new, parent)
+
+    monkeypatch.setattr(surface, "_tables", build)
+    rows = [tuple(line.split()) for line in
+            (FIXTURES / "clean3.plan").read_text().splitlines()]
+    final = run_plan(load("fix-clean3.bsf"), rows).complex
+    gc.collect()
+    alive = [ref() for ref in built if ref() is not None]
+    assert len(built) > 1 and alive == [final]
 
 
 def test_plan_verifies_every_certificate_it_solves(monkeypatch):

@@ -159,13 +159,15 @@ def test_every_record_is_frozen_and_complexes_and_systems_equal_by_value():
     assert hash(system) == hash(again)
     assert build_system(cx, NEG_TISC) != system
 
-    # a cached table is stored on its complex; a copy built from the four
-    # fields starts with only the id tables its reference check reads
-    assert "roles" in vars(cx)
+    # a complex stores its tables as its constructor builds them: a copy
+    # built from the four fields holds its own, equal to the original's
     copy = BranchedSurfaceComplex(cx.name, cx.sectors, cx.segments, cx.dps)
     assert copy == cx
-    assert sorted(vars(copy)) == ["dp_by_id", "dps", "name", "sector_by_id",
-                                  "sectors", "segment_by_id", "segments"]
+    assert sorted(vars(copy)) == ["dp_by_id", "dp_corners", "dps", "name",
+                                  "roles", "sector_by_id", "sectors",
+                                  "segment_by_id", "segments", "violations"]
+    assert (copy.dp_corners, copy.violations, copy.roles) == (
+        cx.dp_corners, cx.violations, cx.roles)
 
 
 # -- parser error reporting -------------------------------------------------
@@ -652,21 +654,23 @@ def test_roles_of_a_complex_that_fails_validation_name_its_first_violation(
 
 @pytest.mark.parametrize("first", ["dp_corners", "violations", "roles"])
 def test_a_cold_complex_builds_its_tables_once(monkeypatch, first):
-    """Whichever table is read first, one build writes them all, and no
-    later read of any of them, or ``validate``, builds them again; so too
-    for a complex that fails validation, whose ``roles`` raises."""
+    """A parsed complex builds all its tables in its constructor, with no
+    parent, before any is read; whichever is read first, no later read of
+    any of them, or ``validate``, builds them again; so too for a complex
+    that fails validation, whose ``roles`` raises."""
     built, tables = [], surface._tables
 
-    def build(out, parent=None):
+    def build(out, parent):
         built.append((out, parent))
         return tables(out, parent)
 
     monkeypatch.setattr(surface, "_tables", build)
-    for cx in (load("fix-fig5.bsf"), load("fix-split.bsf"),
-               _fig5(_SLOTS_SWAPPED)):
+    for make in (lambda: load("fix-fig5.bsf"), lambda: load("fix-split.bsf"),
+                 lambda: _fig5(_SLOTS_SWAPPED)):
+        cx = make()
+        assert [(out is cx, parent) for out, parent in built] == [(True, None)]
         with contextlib.suppress(NoConsistentRoles):
             getattr(cx, first)
-        assert [(out is cx, parent) for out, parent in built] == [(True, None)]
         assert list(cx.dp_corners) == [d.id for d in cx.dps]
         clean = not cx.violations
         assert ("roles" in vars(cx)) is clean
