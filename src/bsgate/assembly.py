@@ -34,6 +34,7 @@ from .errors import (
     InvariantViolation,
     PreconditionFailed,
     WeightsNotSatisfying,
+    _decimal,
 )
 from .surface import (
     BranchedSurfaceComplex,
@@ -155,8 +156,8 @@ def assemble(cx: BranchedSurfaceComplex, weights: dict[str, int],
     total = sum(w.values())
     if total > _MAX_FACES:
         raise PreconditionFailed(
-            f"weights sum to {total}: one face per unit is more than "
-            f"the 2^18 faces assemble builds")
+            f"weights sum to {_decimal(total)}: one face per unit is more "
+            f"than the 2^18 faces assemble builds")
     g = gcd(*w.values()) or 1
     components = []
     for comp in _glue(cx, {s: v // g for s, v in w.items()}).components:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ChartError
+from .errors import ChartError, _int
 
 BOX = "box"
 CYLINDER = "cylinder"
@@ -599,15 +599,6 @@ def print_grid(grid: SlopeGrid) -> str:
     shape[-1] values, told apart by its bytes) is formatted once: the
     joined bytes are those of formatting every sample."""
     return "".join(_grid_pieces(grid))
-
-
-def _int(tok: str) -> int:
-    # ASCII digits after an optional sign, as parser._is_int reads them;
-    # int() alone would also read '1_0' and other scripts' digits
-    digits = tok[1:] if tok[:1] in ("+", "-") else tok
-    if digits.isascii() and digits.isdigit():
-        return int(tok)
-    raise ValueError(f"invalid literal for int() with base 10: {tok!r}")
 
 
 def _agrees(read: list[float], derived: Sequence[float]) -> bool:

@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     WeightsNotSatisfying,
+    _int,
 )
 
 
@@ -305,8 +306,6 @@ def _cmd_schedule(args, lines) -> int:
 
 
 def _grid_flag(text: str) -> tuple[int, ...]:
-    from .charts import _int
-
     try:
         return tuple(map(_int, text.split(",")))
     except ValueError:
@@ -370,7 +369,6 @@ _MAX_SEEDS = 10 ** 5
 def _cmd_selftest(args, lines) -> int:
     from . import charts
     from .gen import random_complex
-    from .parser import _is_int
     from .weights import KINDS, brute_force, build_system, feasible
 
     if args.seeds < 1:  # no system solved is no check passed
@@ -379,10 +377,11 @@ def _cmd_selftest(args, lines) -> int:
         raise UsageError(f"--seeds must be at most {_MAX_SEEDS}, "
                          f"got {args.seeds}")
     seed_text = os.environ.get("BSGATE_SEED", "0")
-    if not _is_int(seed_text):
+    try:
+        base = _int(seed_text)
+    except ValueError:
         raise UsageError(f"BSGATE_SEED must be an integer, "
-                         f"got {seed_text!r}")
-    base = int(seed_text)
+                         f"got {seed_text!r}") from None
     lines.append(f"seed-base: {base}")
     solver_runs = 0
     for seed in range(base, base + args.seeds):

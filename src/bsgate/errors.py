@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exceptions shared across the package, and its integer reader and printer."""
 
 from __future__ import annotations
 
@@ -55,3 +55,19 @@ class InvariantViolation(BsgateError):
 
 class ChartError(BsgateError):
     """Chart-level precondition or grid-format failure."""
+
+
+def _int(tok: str) -> int:
+    # int(tok) for ASCII digits after an optional sign, else ValueError, as
+    # int() raises past the digits it converts; int() alone reads '1_0'
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
+    if digits.isascii() and digits.isdigit():
+        return int(tok)
+    raise ValueError(f"invalid literal for int() with base 10: {tok!r}")
+
+
+def _decimal(n: int) -> str:
+    try:  # str() refuses an int of more digits than int() converts
+        return str(n)
+    except ValueError:
+        return f"(2^{n.bit_length() - 1} or more)"

@@ -4,6 +4,7 @@ Line-oriented, UTF-8, ``#`` starts a comment, tokens whitespace-separated.
 Declarations are collected first and the complex built from them checks
 their references, so documents may order their lines freely.  Each line
 is split once; a token's 1-based column is found only to report an error.
+Integers are read by ``errors._int``, which refuses over-long ones too.
 
 - Line and column: every error of the first pass (a malformed line
   points at its first token), a bword naming an unknown sector, and
@@ -17,6 +18,7 @@ is split once; a token's 1-based column is found only to report an error.
 
 from __future__ import annotations
 
+from . import errors
 from .errors import InvariantViolation, ParseError
 from .surface import (
     FREE_END,
@@ -64,17 +66,14 @@ def _check_id(tok: str, what: str, j: int) -> str:
     return tok
 
 
-def _is_int(tok: str) -> bool:
-    # ASCII digits after an optional sign, as the formats write integers;
-    # int() alone would also read '1_0' and other scripts' digits
-    digits = tok[1:] if tok[:1] in ("+", "-") else tok
-    return digits.isascii() and digits.isdigit()
-
-
-def _int(tok: str, what: str, j: int) -> int:
-    if not _is_int(tok):
-        raise _Bad(f"expected integer {what}, got {tok!r}", j)
-    return int(tok)
+def _int(tok: str, what: str, j: int, nonneg: str = "") -> int:
+    try:
+        val = errors._int(tok)
+    except ValueError:
+        raise _Bad(f"expected integer {what}, got {tok!r}", j) from None
+    if nonneg and val < 0:  # nonneg names what must not be negative
+        raise _Bad(f"{nonneg} must be nonnegative", j)
+    return val
 
 
 def _parse_item(tok: str, j: int):
@@ -151,12 +150,8 @@ def parse_complex(text: str) -> BranchedSurfaceComplex:
                 sid = _check_id(toks[1], "sector id", 1)
                 if sid in sector_decls:
                     raise _Bad(f"duplicate sector id {sid}", 1)
-                genus = _int(toks[3], "genus", 3)
-                if genus < 0:
-                    raise _Bad("genus must be nonnegative", 3)
-                nb = _int(toks[5], "bwords count", 5)
-                if nb < 0:
-                    raise _Bad("bwords count must be nonnegative", 5)
+                genus = _int(toks[3], "genus", 3, "genus")
+                nb = _int(toks[5], "bwords count", 5, "bwords count")
                 sector_decls[sid] = (genus, nb, lineno)
 
             elif head == "bword":
@@ -318,10 +313,8 @@ def parse_weights(text: str, cx: BranchedSurfaceComplex) -> dict[str, int]:
             if sid in seen:
                 raise _Bad(f"duplicate weight for sector {sid}", 1)
             seen.add(sid)
-            val = _int(toks[2], "weight", 2)
-            if val < 0:
-                raise _Bad(f"weight for sector {sid} must be nonnegative", 2)
-            weights[sid] = val
+            weights[sid] = _int(toks[2], "weight", 2,
+                                f"weight for sector {sid}")
     except _Bad as e:
         raise e.at(lineno, raw) from None
     return weights

@@ -39,8 +39,8 @@ from .errors import (
     InvariantViolation,
     MalformedSystem,
     PreconditionFailed,
+    _int,
 )
-from .parser import _is_int
 from .surface import (
     SIDES,
     BoundaryWord,
@@ -157,9 +157,11 @@ def parse_position(text: str) -> tuple[Position, str]:
     if len(parts) != 3 or parts[2] not in SIDES:
         raise InvalidLocus(
             f"bad position {text!r}, expected <word>:<item>:<one|up|lo>")
-    if not (_is_int(parts[0]) and _is_int(parts[1])):
-        raise InvalidLocus(f"bad position {text!r}, indices must be integers")
-    return (int(parts[0]), int(parts[1])), parts[2]
+    try:
+        return (_int(parts[0]), _int(parts[1])), parts[2]
+    except ValueError:
+        raise InvalidLocus(f"bad position {text!r}, indices must be "
+                           f"integers") from None
 
 
 def locus_from_strings(cx: BranchedSurfaceComplex, sector: str,

@@ -30,7 +30,8 @@ from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
-from .errors import InvariantViolation, MalformedSystem, PreconditionFailed
+from .errors import (InvariantViolation, MalformedSystem, PreconditionFailed,
+                     _decimal)
 from .simplex import PhaseOneResult, phase_one
 from .surface import BranchedSurfaceComplex, LinForm, _Frozen, _summed_form
 
@@ -385,21 +386,20 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
     so the digits fit too.  Refuses a bound that is not an ``int``, a
     search space of (bound+1)**n > 2**26 candidates (a full search of
     4**13 over three columns takes about 0.03 s on a 2-vCPU x86-64 VM
-    once numpy is loaded; the tests need 7**9), and a form whose values
-    could leave int64, ``bound * sum(|c|) > 2**63 - 1``.  After those
-    refusals, a strict aggregate with no positive coefficient, whose
-    largest value over the box is below 1, misses with no table built
-    and no numpy loaded.
+    once numpy is loaded; the tests need 7**9), which any n > 26 is,
+    and a form whose values could leave int64, ``bound * sum(|c|) >
+    2**63 - 1``.  After those refusals, a strict aggregate with no
+    positive coefficient misses with no table built.
     """
     if not isinstance(bound, int):
         raise MalformedSystem(f"bound must be an int, not {bound!r}")
     if bound < 1:
         raise MalformedSystem("bound must be >= 1")
     variables = system.variables
-    n = len(variables)
-    if (bound + 1) ** n > 1 << 26:
-        raise MalformedSystem(
-            f"oracle search space {bound + 1}^{n} exceeds 2^26 candidates")
+    n, base = len(variables), bound + 1
+    if n > 26 or base ** n > 1 << 26:
+        raise MalformedSystem(f"oracle search space {_decimal(base)}^{n} "
+                              "exceeds 2^26 candidates")
     forms = system.equalities + system.inequalities + (system._aggregate,)
     reach = 0
     for form in forms:
@@ -425,10 +425,7 @@ def brute_force(system: ConstraintSystem, bound: int) -> Optional[dict[str, int]
             rows[col[s]][k] = sign * c
     per_unit = np.array(rows, dtype=dtype).reshape(n, width)
 
-    base = bound + 1
-    # the table holds the last t < n variables in full and `step` values
-    # of the one before them, the blocked digit, so that it keeps at most
-    # _CHUNK_ELEMENTS entries however wide a digit is
+    # the last t < n variables in full, then `step` values of the blocked digit
     t = n - 1
     while t and base ** t * width > _CHUNK_ELEMENTS:
         t -= 1

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bsgate
+from bsgate import surface
 from bsgate.parser import parse_complex
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -25,6 +26,13 @@ def fixture_text(name: str) -> str:
 
 def load(name: str):
     return parse_complex(fixture_text(name))
+
+
+def clean3_rows() -> list[tuple[str, ...]]:
+    """The rows of ``clean3.plan``, three over steps from fix-clean3, each
+    its sector, entry and exit."""
+    return [tuple(line.split())
+            for line in fixture_text("clean3.plan").splitlines()]
 
 
 @pytest.fixture
@@ -47,6 +55,21 @@ def oracle_tables(monkeypatch):
 
     monkeypatch.setattr(numpy, "min_scalar_type", recording_pick)
     return picked
+
+
+@pytest.fixture
+def tables_built(monkeypatch):
+    """Each ``(complex, parent)`` that ``surface._tables`` builds from, in
+    call order, from the start of the test: one per complex built, cold
+    ones with parent ``None``.  It holds every complex it records."""
+    built, tables = [], surface._tables
+
+    def recording(out, parent):
+        built.append((out, parent))
+        return tables(out, parent)
+
+    monkeypatch.setattr(surface, "_tables", recording)
+    return built
 
 
 def run_python(*args: str, stdout=subprocess.PIPE,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsgate import __version__, cli, gen, splitting, surface, weights
+from bsgate import __version__, cli, errors, gen, splitting, weights
 from bsgate.charts import (
     INNER_CONTACT,
     OUTER_CONTACT,
@@ -32,7 +32,14 @@ from bsgate.cli import main
 from bsgate.parser import parse_complex, print_complex
 from bsgate.surface import validate
 
-from conftest import FIXTURES, fixture_text, fx, run_python, traced_peak
+from conftest import (
+    FIXTURES,
+    clean3_rows,
+    fixture_text,
+    fx,
+    run_python,
+    traced_peak,
+)
 
 TRAILER = re.compile(r"^# duration-ms \d+$")
 
@@ -545,6 +552,17 @@ def test_oracle_bound_is_refused_before_the_complex_is_read(capsys, kind,
     assert lines[2:] == [f"error: usage-error: {message}"]
 
 
+def test_an_oracle_bound_whose_successor_is_too_long_to_print(capsys):
+    # 4,300 nines is the longest bound int() reads, and bound + 1 is one
+    # digit longer than str() prints: the refusal names a power of two at
+    # most it.  Printing the number itself exited 3
+    code, lines = run(capsys, "detect", "--kind", "isc", "--oracle-bound",
+                      "9" * 4300, fx("fix-doc.bsf"))
+    assert (code, lines[-1]) == (
+        2, "error: malformed-system: oracle search space (2^14284 or "
+           "more)^2 exceeds 2^26 candidates")
+
+
 def test_detect_criterion_passing(capsys):
     code, lines = run(capsys, "detect", "--kind", "criterion",
                       fx("fix-clean.bsf"))
@@ -609,6 +627,19 @@ def test_assemble_refuses_oversized_weights_up_front(capsys, tmp_path):
     assert (code, lines[-1]) == (
         2, "error: precondition-failed: weights sum to 262145: one face "
            "per unit is more than the 2^18 faces assemble builds")
+
+
+def test_assemble_refuses_weights_whose_sum_is_too_long_to_print(capsys,
+                                                                 tmp_path):
+    # each weight is as long as int() reads, their sum one digit longer
+    # than str() prints: the refusal names a power of two at most it
+    p = tmp_path / "long.w"
+    p.write_text(f"w D {'9' * 4300}\nw T {'4' * 4300}\n")
+    code, lines = run(capsys, "assemble", "--kind", "isc", "--weights",
+                      str(p), fx("fix-doc.bsf"))
+    assert (code, lines[-1]) == (
+        2, "error: precondition-failed: weights sum to (2^14284 or more): "
+           "one face per unit is more than the 2^18 faces assemble builds")
 
 
 def test_split_safe_report(capsys):
@@ -702,24 +733,18 @@ def test_schedule_report(capsys):
       "--choice", "over", "fix-clean.bsf"), 2),
     (("schedule", "--plan", "clean3.plan", "fix-clean3.bsf"), 4),
 ], ids=["split", "schedule"])
-def test_each_complex_is_validated_once(capsys, monkeypatch, argv,
+def test_each_complex_is_validated_once(capsys, tables_built, argv,
                                         validations):
     # each build of a complex's tables, whoever calls ``validate``: the
     # input's, cold, and each split output's, from its input's
-    seen, parents = [], []
-
-    def counting(cx, parent=None, _tables=surface._tables):
-        seen.append(cx)
-        parents.append(parent)
-        return _tables(cx, parent)
-
-    monkeypatch.setattr(surface, "_tables", counting)
     argv = [fx(a) if a.startswith("fix-") or a.endswith(".plan") else a
             for a in argv]
     code, _ = run(capsys, *argv)
     assert code == 0
+    seen = [cx for cx, _ in tables_built]
     assert len({id(cx) for cx in seen}) == len(seen) == validations
-    assert [p is None for p in parents] == [True] + [False] * (validations - 1)
+    assert [parent is None for _, parent in tables_built] == \
+        [True] + [False] * (validations - 1)
 
 
 def test_schedule_out_file_is_the_final_complex(capsys, tmp_path):
@@ -727,10 +752,8 @@ def test_schedule_out_file_is_the_final_complex(capsys, tmp_path):
     code, lines = run(capsys, "schedule", "--plan", fx("clean3.plan"),
                       "--out", str(out), fx("fix-clean3.bsf"))
     assert code == 0 and lines[-1] == f"out: {out}"
-    rows = [tuple(line.split()) for line in
-            (FIXTURES / "clean3.plan").read_text().splitlines()]
     final = splitting.run_plan(parse_complex(fixture_text("fix-clean3.bsf")),
-                               rows).complex
+                               clean3_rows()).complex
     text = out.read_text()
     assert text == print_complex(final)
     assert validate(parse_complex(text)).ok()
@@ -738,10 +761,10 @@ def test_schedule_out_file_is_the_final_complex(capsys, tmp_path):
 
 def test_plan_comments_and_blank_lines_read_as_no_rows(capsys, tmp_path):
     # the same report as the bare plan, but for the plan's digest
-    rows = (FIXTURES / "clean3.plan").read_text().splitlines(keepends=True)
+    rows = [" ".join(row) for row in clean3_rows()]
     p = tmp_path / "commented.plan"
-    p.write_text("# three over steps from fix-clean3\n" + rows[0] + "\n"
-                 + rows[1].rstrip("\n") + "  # the left half\n" + rows[2])
+    p.write_text("# three over steps from fix-clean3\n" + rows[0] + "\n\n"
+                 + rows[1] + "  # the left half\n" + rows[2] + "\n")
     reports = [run(capsys, "schedule", "--plan", plan, fx("fix-clean3.bsf"))
                for plan in (fx("clean3.plan"), str(p))]
     bare, commented = ([l for l in lines if not l.startswith("plan-sha256")]
@@ -1152,6 +1175,113 @@ def test_selftest_seed_base_must_be_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("BSGATE_SEED", "-2")
     code, lines = run(capsys, "selftest", "--seeds", "1")
     assert code == 0 and "seed-base: -2" in lines
+
+
+# every integer reader takes exactly the tokens errors._int reads: ASCII
+# digits after an optional sign, and no more digits than int() converts
+_INT_TOKENS = ["7", "+7", "-0", "007", "1_0", "\uff17", "\u0667", "\u00b2",
+               "+", "", "7.0", "0x7", "7" * 5000]
+# readers of whitespace-split tokens, which cannot be empty
+_SPACED_READERS = {"genus", "bwords", "word-index", "weight", "shape"}
+
+
+def _int_reader(reader, tok, tmp_path, monkeypatch):
+    """The argv that hands ``tok`` to ``reader``, and the exit code and
+    last report line of its refusal; a grid file is box-shaped 7x3x3."""
+    def write(name, text):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        return str(tmp_path / name)
+
+    def parse_error(line, prefix, what):
+        return 1, (f"error: parse-error: line {line}, col {len(prefix) + 1}"
+                   f": expected integer {what}, got {tok!r}")
+
+    monkeypatch.delenv("BSGATE_SEED", raising=False)
+    box = print_grid(sample_box(lambda x, y, z: -1.0 - y, (7, 3, 3)))
+    if reader in ("genus", "bwords"):
+        prefix = ("sector A genus " if reader == "genus"
+                  else "sector A genus 0 bwords ")
+        line = prefix + tok + ("" if reader == "bwords" else " bwords 0")
+        return (["validate", write("a.bsf", f"surface s\n{line}\n")],
+                parse_error(2, prefix, "genus" if reader == "genus"
+                            else "bwords count"))
+    if reader == "word-index":
+        doc = ("surface s\nsector A genus 0 bwords 1\n"
+               f"bword A {tok} : free:e v:smooth\n")
+        return (["validate", write("a.bsf", doc)],
+                parse_error(3, "bword A ", "word index"))
+    if reader == "slot":
+        lines = fixture_text("fix-cross.bsf").splitlines()
+        i = next(i for i, l in enumerate(lines) if " dp:P:0 " in l)
+        prefix = lines[i][:lines[i].index("dp:P:0")]
+        lines[i] = lines[i].replace("dp:P:0", f"dp:P:{tok}")
+        return (["validate", write("a.bsf", "\n".join(lines) + "\n")],
+                parse_error(i + 1, prefix, "slot"))
+    if reader == "weight":
+        return (["assemble", "--kind", "pos-tisc", "--weights",
+                 write("a.w", f"w mw {tok}\nw sw 7\n"), fx("fix-tdisc.bsf")],
+                parse_error(1, "w mw ", "weight"))
+    position = f"{tok}:0:one"
+    bad_position = (f"bad position {position!r}, indices must be "
+                    "integers")
+    if reader == "plan-position":
+        plan = write("a.plan", f"A {position} 3:0:one\n")
+        return (["schedule", "--plan", plan, fx("fix-clean3.bsf")],
+                (2, f"error: invalid-locus: step 0: {bad_position}"))
+    if reader == "entry":
+        return (["split", "--sector", "A", f"--entry={position}",
+                 "--exit", "3:0:one", "--choice", "over", fx("fix-clean.bsf")],
+                (2, f"error: invalid-locus: {bad_position}"))
+    if reader == "shape":
+        grid = write("a.grid", box.replace("shape 7 3 3", f"shape {tok} 3 3"))
+        return (["chart", "check-box", grid],
+                (2, f"error: chart-error: bad header number: "
+                    f"{_read_int(tok)}"))
+    if reader == "grid-flag":
+        flag = f"{tok},3,3"
+        return (["chart", "check-box", write("a.grid", box), f"--grid={flag}"],
+                (1, f"error: usage-error: --grid needs comma-separated "
+                    f"integers, got {flag!r}"))
+    assert reader == "seed"
+    monkeypatch.setenv("BSGATE_SEED", tok)
+    return (["selftest", "--seeds", "1"],
+            (1, f"error: usage-error: BSGATE_SEED must be an integer, "
+                f"got {tok!r}"))
+
+
+def _read_int(tok):
+    """``errors._int(tok)``, or the text of the ``ValueError`` it raises."""
+    try:
+        return errors._int(tok)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("reader", [
+    "genus", "bwords", "word-index", "slot", "weight", "plan-position",
+    "entry", "shape", "grid-flag", "seed"])
+def test_every_integer_reader_reads_a_token_as_the_one_reader_does(
+        capsys, tmp_path, monkeypatch, reader):
+    # a token the one reader takes reads as its plain digits do, whatever
+    # follows; any other is the reader's own refusal, never exit 3, the
+    # 5,000 sevens too (more digits than int() converts)
+    assert [t for t in _INT_TOKENS if isinstance(_read_int(t), int)] == \
+        ["7", "+7", "-0", "007"]
+    digests = re.compile(r"^[a-z]+-sha256: ")
+    for tok in _INT_TOKENS:
+        if not tok and reader in _SPACED_READERS:
+            continue
+        argv, refusal = _int_reader(reader, tok, tmp_path, monkeypatch)
+        code, lines = run(capsys, *argv)
+        value = _read_int(tok)
+        if isinstance(value, str):
+            assert (code, lines[-1]) == refusal, (reader, tok[:20])
+            continue
+        plain, _ = _int_reader(reader, str(value), tmp_path, monkeypatch)
+        want_code, want = run(capsys, *plain)
+        assert code == want_code and \
+            [l for l in lines if not digests.match(l)] == \
+            [l for l in want if not digests.match(l)], (reader, tok)
 
 
 @pytest.mark.parametrize("line, message", [

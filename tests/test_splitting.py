@@ -46,7 +46,7 @@ from bsgate.parser import parse_complex, print_complex
 from bsgate.surface import BoundaryWord, SegItem, Sector, validate
 from bsgate.weights import KINDS, Certificate, build_system, criterion
 
-from conftest import FIXTURES, fixture_text, load
+from conftest import clean3_rows, fixture_text, load
 from test_certificates import ladder
 
 ALL_FIXTURES = ["fix-torus.bsf", "fix-doc.bsf", "fix-fig5.bsf",
@@ -407,22 +407,20 @@ def _safe_walk(steps: int, seed: int = 0):
             break
 
 
-def test_carried_tables_equal_cold_ones(monkeypatch):
+def test_carried_tables_equal_cold_ones(tables_built):
     """A split output's corner table, carried from its input's, and the
     violations, roles, corner forms and systems read off it equal those of
     a cold copy: over every good split of seeds 0-199, the over-ladder and
     a 60-step safe walk.  Where the table is the input's object, so are
     the role assignment and the corner form."""
-    carried, tables = [], surface._tables
+    def carried() -> int:
+        # the split outputs built since the last count, from their input's
+        # tables; the recorder holds every complex, so it is emptied
+        count = sum(parent is not None for _, parent in tables_built)
+        tables_built.clear()
+        return count
 
-    def build(out, parent):
-        violations = tables(out, parent)
-        if parent is not None:  # a split output, built from its input's
-            carried.append(out)
-        return violations
-
-    monkeypatch.setattr(surface, "_tables", build)
-    outputs = shared = 0
+    outputs = shared = built = 0
     for seed in range(200):
         cx = random_complex(seed)
         _forms(cx)
@@ -433,6 +431,7 @@ def test_carried_tables_equal_cold_ones(monkeypatch):
                 _cold_equals_carried(out)
                 outputs += 1
         _cold_equals_carried(cx)  # its shared tables were never written to
+        built += carried()
     prev = None  # each step's input is the step before's output
     for _, out in _safe_walk(60):
         if prev is not None:
@@ -442,7 +441,7 @@ def test_carried_tables_equal_cold_ones(monkeypatch):
         prev = out
     # the walk's split calls include the over moves that it does not
     # commit; 3,004 output points kept their input's table and roles
-    assert (outputs, len(carried), shared) == (3432, 3438, 3004)
+    assert (outputs, built + carried(), shared) == (3432, 3438, 3004)
     # the ladder was built in an earlier test, or is built here
     for out in ladder():
         _cold_equals_carried(out)
@@ -525,30 +524,23 @@ def test_a_carried_output_whose_roles_fail_is_refused():
                               "role derivation failed at dp:P")
 
 
-def test_a_split_output_is_not_validated_again(monkeypatch):
+def test_a_split_output_is_not_validated_again(tables_built):
     """Every split output is built with its input as the parent, and its
     constructor builds its tables once, from its input's, so ``split``
     and ``validate`` never build them again, and never without that
     parent."""
     cx = load("fix-clean.bsf")
     assert cx.violations == ()
-    built, tables = [], surface._tables
-
-    def build(out, parent):
-        if parent is None:
-            raise AssertionError("a split output was built without its parent")
-        built.append(out)
-        return tables(out, parent)
-
-    monkeypatch.setattr(surface, "_tables", build)
+    tables_built.clear()  # cx's own cold build
     outputs = []
     for loc in good_loci(cx):
         for choice in (OVER, UNDER, NEUTRAL):
             outputs.append(split(cx, loc, choice).complex)
-            assert built[-1] is outputs[-1]  # built before any read
+            assert tables_built[-1] == (outputs[-1], cx)  # before any read
             assert validate(outputs[-1]).ok()
             outputs[-1].roles, outputs[-1].dp_corners
-    assert [id(out) for out in built] == [id(out) for out in outputs]
+    assert [id(out) for out, _ in tables_built] == [id(out) for out in outputs]
+    assert all(parent is cx for _, parent in tables_built)
 
 
 def test_every_depth_two_split_of_three_seeds_validates():
@@ -751,8 +743,9 @@ def test_step_tag_keeps_the_error_and_its_verdicts(monkeypatch):
     assert not dict(info.value.verdicts)["under"].passes
 
 
-def test_plan_validates_and_solves_each_complex_once(monkeypatch):
-    solved, validated = [], []
+def test_plan_validates_and_solves_each_complex_once(monkeypatch,
+                                                     tables_built):
+    solved = []
 
     def counting(log, fn):
         def wrapper(cx):
@@ -762,21 +755,15 @@ def test_plan_validates_and_solves_each_complex_once(monkeypatch):
 
     monkeypatch.setattr(splitting, "criterion",
                         counting(solved, splitting.criterion))
-    # count validation work, not calls of ``validate``: each build of a
-    # complex's tables, with its parent, if any
-    def build(out, parent, _tables=surface._tables):
-        validated.append((out, parent))
-        return _tables(out, parent)
-
-    monkeypatch.setattr(surface, "_tables", build)
-    rows = [tuple(line.split()) for line in
-            (FIXTURES / "clean3.plan").read_text().splitlines()]
-    out = run_plan(load("fix-clean3.bsf"), rows)
+    out = run_plan(load("fix-clean3.bsf"), clean3_rows())
     tried = sum(len(step.verdicts) for step in out.steps)
     assert len(solved) == 1 + tried
-    assert len({id(cx) for cx, _ in validated}) == len(validated) == 1 + tried
+    # count validation work, not calls of ``validate``: each build of a
+    # complex's tables, with its parent, if any
+    assert len({id(cx) for cx, _ in tables_built}) == len(tables_built) \
+        == 1 + tried
     # only the plan's input is built cold; every split output from its input
-    cold = [parent is None for _, parent in validated]
+    cold = [parent is None for _, parent in tables_built]
     assert cold == [True] + [False] * tried
     assert out.steps[-1].verdicts[-1][1].passes
 
@@ -800,9 +787,7 @@ def test_a_complex_does_not_hold_on_to_its_parent(monkeypatch):
         return tables(new, parent)
 
     monkeypatch.setattr(surface, "_tables", build)
-    rows = [tuple(line.split()) for line in
-            (FIXTURES / "clean3.plan").read_text().splitlines()]
-    final = run_plan(load("fix-clean3.bsf"), rows).complex
+    final = run_plan(load("fix-clean3.bsf"), clean3_rows()).complex
     gc.collect()
     alive = [ref() for ref in built if ref() is not None]
     assert len(built) > 1 and alive == [final]
@@ -815,18 +800,12 @@ def test_plan_verifies_every_certificate_it_solves(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(weights, name, counting)
-    rows = [tuple(line.split()) for line in
-            (FIXTURES / "clean3.plan").read_text().splitlines()]
-    run_plan(load("fix-clean3.bsf"), rows)
+    run_plan(load("fix-clean3.bsf"), clean3_rows())
     assert calls["verify_certificate"] == calls["feasible"] > 0
 
 
 def test_frozen_three_step_plan():
-    rows = []
-    for line in (FIXTURES / "clean3.plan").read_text().splitlines():
-        sector, entry, exit_ = line.split()
-        rows.append((sector, entry, exit_))
-    out = run_plan(load("fix-clean3.bsf"), rows)
+    out = run_plan(load("fix-clean3.bsf"), clean3_rows())
     assert [s.choice for s in out.steps] == ["over", "over", "over"]
     assert criterion(out.complex).passes
     assert [(s.id, s.genus, len(s.words)) for s in out.complex.sectors] == [
@@ -838,8 +817,7 @@ def test_plan_steps_are_the_safe_split_records():
     # each step records the locus, the move and the verdicts that the
     # plan's locus gives on the complex the plan has reached, replayed
     # here move by move
-    rows = [tuple(line.split()) for line in
-            (FIXTURES / "clean3.plan").read_text().splitlines()]
+    rows = clean3_rows()
     prev = load("fix-clean3.bsf")
     out = run_plan(prev, rows)
     assert len(out.steps) == len(rows)
@@ -875,10 +853,8 @@ def _held(obj) -> list:
 
 
 def test_schedule_holds_only_its_final_complex():
-    clean3 = [tuple(line.split()) for line in
-              (FIXTURES / "clean3.plan").read_text().splitlines()]
     walk = list(_safe_walk(30))
-    for rows in (clean3, [row for row, _ in walk]):
+    for rows in (clean3_rows(), [row for row, _ in walk]):
         out = run_plan(load("fix-clean3.bsf"), rows)
         held = _held(out)
         assert [id(x) for x in held

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgate import surface
 from bsgate.assembly import assemble
 from bsgate.charts import check_box, sample_box
 from bsgate.errors import InvariantViolation, NoConsistentRoles, ParseError
@@ -653,22 +652,16 @@ def test_roles_of_a_complex_that_fails_validation_name_its_first_violation(
 
 
 @pytest.mark.parametrize("first", ["dp_corners", "violations", "roles"])
-def test_a_cold_complex_builds_its_tables_once(monkeypatch, first):
+def test_a_cold_complex_builds_its_tables_once(tables_built, first):
     """A parsed complex builds all its tables in its constructor, with no
     parent, before any is read; whichever is read first, no later read of
     any of them, or ``validate``, builds them again; so too for a complex
     that fails validation, whose ``roles`` raises."""
-    built, tables = [], surface._tables
-
-    def build(out, parent):
-        built.append((out, parent))
-        return tables(out, parent)
-
-    monkeypatch.setattr(surface, "_tables", build)
     for make in (lambda: load("fix-fig5.bsf"), lambda: load("fix-split.bsf"),
                  lambda: _fig5(_SLOTS_SWAPPED)):
         cx = make()
-        assert [(out is cx, parent) for out, parent in built] == [(True, None)]
+        assert [(out is cx, parent) for out, parent in tables_built] == \
+            [(True, None)]
         with contextlib.suppress(NoConsistentRoles):
             getattr(cx, first)
         assert list(cx.dp_corners) == [d.id for d in cx.dps]
@@ -681,8 +674,8 @@ def test_a_cold_complex_builds_its_tables_once(monkeypatch, first):
             else:
                 with pytest.raises(NoConsistentRoles):
                     cx.roles
-        assert len(built) == 1
-        built.clear()
+        assert len(tables_built) == 1
+        tables_built.clear()
 
 
 def _corruptions(cx, rng):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import cached_property
@@ -506,6 +507,33 @@ def test_brute_force_digits_wider_than_every_form(chunk, monkeypatch,
 def test_brute_force_refuses_a_bound_that_is_not_an_int(bound):
     with pytest.raises(MalformedSystem, match="bound must be an int"):
         brute_force(toy([{"a": 1}], [0]), bound)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 8191, 8192, (1 << 26) - 1,
+                                   1 << 26, 10 ** 40])
+def test_brute_force_refuses_the_same_search_spaces_past_26_variables(bound):
+    # past 26 variables the space is refused without taking the power; for
+    # every n the verdict and the message are those of (bound + 1)**n.  The
+    # aggregate -v0 never reaches 1, so a search that is kept builds no table
+    for n in range(1, 32):
+        sys_ = toy([{"v0": -1}], [0], variables=[f"v{i}" for i in range(n)])
+        if (bound + 1) ** n > 1 << 26:
+            with pytest.raises(MalformedSystem) as err:
+                brute_force(sys_, bound)
+            assert str(err.value) == (f"oracle search space {bound + 1}^{n} "
+                                      "exceeds 2^26 candidates")
+        else:
+            assert brute_force(sys_, bound) is None
+
+
+def test_brute_force_refuses_a_wide_system_at_once():
+    # the power (bound + 1)**n was taken before the compare: about 8 s for
+    # bound 10**4000 over these 2,000 variables on a 2-vCPU x86-64 VM
+    sys_ = toy([{"v0": 1}], [0], variables=[f"v{i}" for i in range(2000)])
+    start = time.perf_counter()
+    with pytest.raises(MalformedSystem, match=r"\^2000 exceeds 2\^26 "):
+        brute_force(sys_, 10 ** 4000)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_brute_force_decodes_a_hit_past_the_first_block(monkeypatch):
